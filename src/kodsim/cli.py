@@ -18,22 +18,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import __version__, fock, heterodyne as het, photodetector as pd, verify
 from .exceptions import ConfigError, KodsimError
 from .params import InstrumentParams
-from .records import Histogram, chi_square_gof, integer_edges, stream
+from .records import Histogram, chi_square_gof, integer_edges, stream, tv_distance
 from .report import Check, VerificationReport
-
-KINDS = (
-    "photodetect-ensemble",
-    "heterodyne-ensemble",
-    "evolve-kod",
-    "verify-identities",
-    "povm-convergence",
-)
 
 DEFAULT_SEED = 12345
 # statistical gates are anchored at the sample sizes they were calibrated
@@ -44,23 +37,6 @@ COV_ANCHOR = (0.03, 10_000)
 P_VALUE_MIN = 1e-3
 
 LN2 = math.log(2.0)
-
-
-def _take(src: dict, consumed: set, key: str, default):
-    consumed.add(key)
-    return src.get(key, default)
-
-
-def _as_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    return value
-
-
-def _reject_unknown(src: dict, consumed: set, where: str):
-    unknown = sorted(set(src) - consumed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
 def _as_complex(value, where: str) -> complex:
@@ -75,16 +51,166 @@ def _as_complex(value, where: str) -> complex:
     raise ConfigError(f"{where} must be a number or [re, im] pair")
 
 
+# Config schemas map each key to ``(resolver, default)``, or to a nested
+# schema for an object that defaults to ``{}``.  A resolver takes the raw
+# value and the key's dotted name and returns the resolved value or raises
+# ConfigError naming the key.
+
+
+def _cast(cast, noun: str, value, where: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be {noun}") from None
+
+
+def _list(item, value, where: str) -> list:
+    try:
+        values = list(value)
+    except TypeError:
+        raise ConfigError(f"{where} must be a list") from None
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+_FLOAT = partial(_cast, float, "a number")
+_INT = partial(_cast, int, "an integer")
+_STR = partial(_cast, str, "a string")
+_FLOATS = partial(_list, _FLOAT)
+_INTS = partial(_list, _INT)
+
+
+def _raw(value, where: str):
+    return value
+
+
+def _resolve(raw, schema: dict, where: str = "") -> dict:
+    """Resolve every key of ``schema`` in ``raw``; unknown keys are errors."""
+    label = where or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be a JSON object")
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown keys in {label}: {', '.join(unknown)}")
+    out = {}
+    for key, spec in schema.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(spec, dict):
+            out[key] = _resolve(raw.get(key, {}), spec, name)
+        else:
+            resolve, default = spec
+            out[key] = resolve(raw.get(key, default), name)
+    return out
+
+
+def _count(value, where: str) -> int:
+    n = _INT(value, where)
+    if n < 0:
+        raise ConfigError(f"{where} must be >= 0")
+    return n
+
+
+def _kod(value, where: str) -> str:
+    if value not in ("poisson", "gaussian"):
+        raise ConfigError(f"{where} must be 'poisson' or 'gaussian'")
+    return value
+
+
+def _amplitude(value, where: str) -> list[float]:
+    alpha = _as_complex(value, where)
+    return [alpha.real, alpha.imag]
+
+
+def _path(value, where: str) -> str:
+    path = _STR(value, where)
+    if not path:
+        raise ConfigError(f"{where} required for kind 'file'")
+    return path
+
+
+_STATES = {
+    "fock": {"n": (_INT, 0)},
+    "coherent": {"alpha": (_amplitude, 1.0)},
+    "file": {"path": (_path, "")},
+}
+
+
+def _state(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    kind = value.get("kind")
+    if not isinstance(kind, str) or kind not in _STATES:
+        raise ConfigError(f"{where}.kind must be 'fock', 'coherent' or 'file'")
+    return _resolve(value, {"kind": (_raw, kind), **_STATES[kind]}, where)
+
+
+def _thresholds(gates: tuple[str, ...], value, where: str) -> dict:
+    """Gate overrides, kept as given; the kind's own ``gates`` must be
+    numbers, other keys pass through unread."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in gates:
+        if key in value:
+            _FLOAT(value[key], f"{where}.{key}")
+    return dict(value)
+
+
+def _groups(value, where: str) -> list[str] | None:
+    if value is None:
+        return None
+    groups = _list(_STR, value, where)
+    unknown = sorted(set(groups) - set(verify.ALL_GROUPS))
+    if unknown:
+        raise ConfigError(f"unknown check groups: {', '.join(unknown)}")
+    return groups
+
+
+_COMMON = {
+    "params": {"kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, LN2), "dim": (_INT, 40)},
+    "seed": (_INT, DEFAULT_SEED),
+    "sub_dim": (_INT, 20),
+    "thresholds": (partial(_thresholds, ()), {}),
+    "series": (_raw, []),
+}
+SCHEMAS = {
+    "photodetect-ensemble": {
+        "initial_state": (_state, {"kind": "fock", "n": 5}),
+        "trajectories": (_count, 10_000),
+        "n_max": (_INT, 12),
+        "thresholds": (partial(_thresholds, ("tv_method_a", "tv_method_c", "p_value")), {}),
+    },
+    "heterodyne-ensemble": {
+        "initial_state": (_state, {"kind": "coherent", "alpha": 1.0}),
+        "trajectories": (_count, 10_000),
+        "quad_order": (_INT, 32),
+        "bins": (_INT, 8),
+        "thresholds": (partial(_thresholds, ("mean_sigmas", "covariance_rel", "p_value")), {}),
+    },
+    "evolve-kod": {
+        "kod": (_kod, "poisson"),
+        "convergence": (partial(_cast, bool, "a boolean"), True),
+        "n_max": (_INT, 40),
+        "steps": (_INT, 1000),
+        "grid": {
+            "h": (_FLOAT, 0.05), "extent": (_FLOAT, 5.0), "steps": (_INT, 200),
+            "sigma0_sq": (_FLOAT, 1e-3),
+        },
+    },
+    "verify-identities": {"checks": (_groups, None)},
+    "povm-convergence": {
+        "kappa_T_values": (_FLOATS, [2.0, 3.0, 4.0, 5.0]),
+        "photo_ns": (_INTS, [0, 1, 2]),
+        "het_zetas": (_FLOATS, [0.0, 0.5]),
+    },
+}
+KINDS = tuple(SCHEMAS)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment description (defaults applied, seed fixed)."""
 
     kind: str
     resolved: dict
-
-    @property
-    def seed(self) -> int:
-        return self.resolved["seed"]
 
     def instrument_params(self) -> InstrumentParams:
         p = self.resolved["params"]
@@ -96,119 +222,22 @@ class ExperimentConfig:
 
 
 def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    """Validate a raw config dict against its experiment kind.
+    """Validate a raw config dict against its experiment kind's schema.
 
     Unknown keys are rejected at every level; numeric ranges are enforced
     by the modules the values are handed to.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    consumed: set = set()
-    cfg_kind = _take(raw, consumed, "kind", kind)
-    if cfg_kind != kind:
-        raise ConfigError(f"config kind {cfg_kind!r} does not match command {kind!r}")
 
-    params_raw = _as_object(_take(raw, consumed, "params", {}), "params")
-    pc: set = set()
-    params = {
-        "kappa_o": float(_take(params_raw, pc, "kappa_o", 1.0)),
-        "dt": float(_take(params_raw, pc, "dt", 1e-3)),
-        "T": float(_take(params_raw, pc, "T", LN2)),
-        "dim": int(_take(params_raw, pc, "dim", 40)),
-    }
-    _reject_unknown(params_raw, pc, "params")
+    def same_kind(value, where: str) -> str:
+        if value != kind:
+            raise ConfigError(f"config kind {value!r} does not match command {kind!r}")
+        return kind
 
-    resolved: dict = {
-        "kind": kind,
-        "params": params,
-        "seed": int(_take(raw, consumed, "seed", DEFAULT_SEED)),
-        "sub_dim": int(_take(raw, consumed, "sub_dim", 20)),
-        "thresholds": _take(raw, consumed, "thresholds", {}),
-    }
-    if not isinstance(resolved["thresholds"], dict):
-        raise ConfigError("thresholds must be an object")
+    resolved = _resolve(raw, {"kind": (same_kind, kind), **_COMMON, **SCHEMAS[kind]})
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
-
-    if kind in ("photodetect-ensemble", "heterodyne-ensemble"):
-        state_raw = _take(
-            raw,
-            consumed,
-            "initial_state",
-            {"kind": "fock", "n": 5}
-            if kind == "photodetect-ensemble"
-            else {"kind": "coherent", "alpha": 1.0},
-        )
-        state_raw = _as_object(state_raw, "initial_state")
-        sc: set = set()
-        state_kind = _take(state_raw, sc, "kind", None)
-        if state_kind == "fock":
-            state = {"kind": "fock", "n": int(_take(state_raw, sc, "n", 0))}
-        elif state_kind == "coherent":
-            alpha = _as_complex(
-                _take(state_raw, sc, "alpha", 1.0), "initial_state.alpha"
-            )
-            state = {"kind": "coherent", "alpha": [alpha.real, alpha.imag]}
-        elif state_kind == "file":
-            state = {"kind": "file", "path": str(_take(state_raw, sc, "path", ""))}
-            if not state["path"]:
-                raise ConfigError("initial_state.path required for kind 'file'")
-        else:
-            raise ConfigError(
-                "initial_state.kind must be 'fock', 'coherent' or 'file'"
-            )
-        _reject_unknown(state_raw, sc, "initial_state")
-        resolved["initial_state"] = state
-        resolved["trajectories"] = int(_take(raw, consumed, "trajectories", 10_000))
-        if resolved["trajectories"] < 0:
-            raise ConfigError("trajectories must be >= 0")
-
-    if kind == "photodetect-ensemble":
-        resolved["n_max"] = int(_take(raw, consumed, "n_max", 12))
-    if kind == "heterodyne-ensemble":
-        resolved["quad_order"] = int(_take(raw, consumed, "quad_order", 32))
-        resolved["bins"] = int(_take(raw, consumed, "bins", 8))
-
-    if kind == "evolve-kod":
-        which = _take(raw, consumed, "kod", "poisson")
-        if which not in ("poisson", "gaussian"):
-            raise ConfigError("kod must be 'poisson' or 'gaussian'")
-        resolved["kod"] = which
-        resolved["convergence"] = bool(_take(raw, consumed, "convergence", True))
-        resolved["n_max"] = int(_take(raw, consumed, "n_max", 40))
-        resolved["steps"] = int(_take(raw, consumed, "steps", 1000))
-        grid_raw = _as_object(_take(raw, consumed, "grid", {}), "grid")
-        gc: set = set()
-        resolved["grid"] = {
-            "h": float(_take(grid_raw, gc, "h", 0.05)),
-            "extent": float(_take(grid_raw, gc, "extent", 5.0)),
-            "steps": int(_take(grid_raw, gc, "steps", 200)),
-            "sigma0_sq": float(_take(grid_raw, gc, "sigma0_sq", 1e-3)),
-        }
-        _reject_unknown(grid_raw, gc, "grid")
-
-    if kind == "povm-convergence":
-        resolved["kappa_T_values"] = [
-            float(v) for v in _take(raw, consumed, "kappa_T_values", [2.0, 3.0, 4.0, 5.0])
-        ]
-        resolved["photo_ns"] = [int(v) for v in _take(raw, consumed, "photo_ns", [0, 1, 2])]
-        resolved["het_zetas"] = [
-            float(v) for v in _take(raw, consumed, "het_zetas", [0.0, 0.5])
-        ]
-
-    if kind == "verify-identities":
-        groups = _take(raw, consumed, "checks", None)
-        if groups is not None:
-            groups = [str(g) for g in groups]
-            unknown = sorted(set(groups) - set(verify.ALL_GROUPS))
-            if unknown:
-                raise ConfigError(f"unknown check groups: {', '.join(unknown)}")
-        resolved["checks"] = groups
-
-    resolved["series"] = _take(raw, consumed, "series", [])
-    _reject_unknown(raw, consumed, "config")
     return ExperimentConfig(kind=kind, resolved=resolved)
 
 
@@ -268,19 +297,7 @@ def _scaled_gate(thresholds: dict, key: str, anchor: tuple[float, int], n: int) 
     return gate * math.sqrt(n_anchor / max(n, 1))
 
 
-def _tv(a: np.ndarray, b: np.ndarray) -> float:
-    width = max(a.size, b.size)
-    pa = np.zeros(width)
-    pb = np.zeros(width)
-    pa[: a.size] = a
-    pb[: b.size] = b
-    # mass outside the common table counts toward the distance
-    return float(
-        0.5 * (np.sum(np.abs(pa - pb)) + abs(1 - np.sum(pa)) + abs(1 - np.sum(pb)))
-    )
-
-
-def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> VerificationReport:
+def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[Check]:
     p = cfg.instrument_params()
     r = cfg.resolved
     initial = build_initial_state(r["initial_state"], p.dim)
@@ -309,8 +326,8 @@ def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> Veri
         ostensible = np.bincount(
             draws[draws <= n_max], weights=weights[draws <= n_max], minlength=n_max + 1
         ) / (total_w if total_w > 0 else 1.0)
-        tv_a = _tv(empirical[: n_max + 1], born)
-        tv_c = _tv(ostensible, born)
+        tv_a = tv_distance(empirical[: n_max + 1], born)
+        tv_c = tv_distance(ostensible, born)
         hist = Histogram.from_samples(
             np.minimum(counts, n_max), integer_edges(n_max)
         )
@@ -333,11 +350,7 @@ def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> Veri
             for n in range(n_max + 1)
         ),
     )
-    report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
-    )
-    write_report(out_dir, report)
-    return report
+    return checks
 
 
 def _bin_probs_2d(rho, p: InstrumentParams, edges_re, edges_im, nodes=8):
@@ -361,7 +374,7 @@ def _bin_probs_2d(rho, p: InstrumentParams, edges_re, edges_im, nodes=8):
     return probs
 
 
-def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> VerificationReport:
+def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[Check]:
     p = cfg.instrument_params()
     r = cfg.resolved
     initial = build_initial_state(r["initial_state"], p.dim)
@@ -424,53 +437,31 @@ def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> Verif
         checks.append(
             Check("chi-square-2d-p-value", p_val, float(thr.get("p_value", P_VALUE_MIN)), comparison=">=")
         )
-    report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
-    )
-    write_report(out_dir, report)
-    return report
+    return checks
 
 
-def run_evolve_kod(cfg: ExperimentConfig, out_dir: str) -> VerificationReport:
+def run_evolve_kod(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
     p = cfg.instrument_params()
     r = cfg.resolved
+    g = r["grid"]
     if r["kod"] == "poisson":
         kod = pd.evolve_kod_poisson(p.T, p.kappa_o, n_max=r["n_max"], steps=r["steps"])
-        analytic = kod.pmf_array(r["n_max"])
+        target = verify.kod_target(kod)
         write_csv(
             os.path.join(out_dir, "kod.csv"),
             ["n", "evolved", "analytic", "abs_err"],
             (
-                (n, kod.weights[n], analytic[n], abs(kod.weights[n] - analytic[n]))
+                (n, kod.weights[n], target[n], abs(kod.weights[n] - target[n]))
                 for n in range(r["n_max"] + 1)
             ),
         )
-        checks = [
-            Check(
-                "kod-poisson-evolution",
-                float(np.max(np.abs(kod.weights - analytic))),
-                verify.KOD_POISSON_TOL,
-            ),
-            Check("kod-mass", abs(float(np.sum(kod.weights)) - 1.0), 1e-10),
-        ]
-        if r["convergence"]:
-            checks.append(
-                Check(
-                    "kod-poisson-step-halving",
-                    verify.kod_poisson_halving_ratio(p.T, p.kappa_o, r["n_max"]),
-                    8.0,
-                    comparison=">=",
-                )
-            )
     else:
-        g = r["grid"]
         kod = het.evolve_kod_diffusion(
             p.T, p.kappa_o, h=g["h"], extent=g["extent"], steps=g["steps"],
             sigma0_sq=g["sigma0_sq"],
         )
         ax = kod.axis()
-        tot = kod.sigma + kod.regularization
-        target = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / tot) / tot
+        target = verify.kod_target(kod)
         write_csv(
             os.path.join(out_dir, "kod_grid.csv"),
             ["re", "im", "evolved", "analytic"],
@@ -480,112 +471,57 @@ def run_evolve_kod(cfg: ExperimentConfig, out_dir: str) -> VerificationReport:
                 for j in range(ax.size)
             ),
         )
-        checks = [
-            Check(
-                "kod-diffusion-evolution",
-                float(np.max(np.abs(kod.grid - target))),
-                verify.KOD_DIFFUSION_TOL,
-            ),
-            Check("kod-mass", abs(kod.grid_mass() - 1.0), 1e-8),
-        ]
-        if r["convergence"]:
-            checks.append(
-                Check(
-                    "kod-diffusion-h-halving",
-                    verify.kod_diffusion_halving_ratio(
-                        p.T, p.kappa_o, g["h"], g["extent"], g["sigma0_sq"]
-                    ),
-                    3.5,
-                    comparison=">=",
-                )
-            )
-    report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
-    )
-    write_report(out_dir, report)
-    return report
+    return verify.kod_checks(kod, p.T, p.kappa_o, g["extent"], r["convergence"])
 
 
-def run_povm_convergence(cfg: ExperimentConfig, out_dir: str) -> VerificationReport:
+def run_povm_convergence(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
     r = cfg.resolved
     base = r["params"]
+    sweep = [("photodetector", n, f"n={n}") for n in r["photo_ns"]] + [
+        ("heterodyne", zeta, f"zeta={zeta:g}") for zeta in r["het_zetas"]
+    ]
     rows = []
     checks = []
-    for n in r["photo_ns"]:
-        defects = []
-        for kappa_T in r["kappa_T_values"]:
-            p = InstrumentParams(base["kappa_o"], base["dt"], kappa_T / base["kappa_o"], base["dim"])
-            d = pd.projector_convergence(n, p.T, p, r["sub_dim"])
-            defects.append(d)
-            rows.append(("photodetector", f"n={n}", kappa_T, d))
-        checks.append(
-            Check(
-                f"projector-scaling-photodetector-n{n}",
-                verify._scaling_factor(defects),
-                verify.SCALING_FACTOR,
-            )
+    for instrument, at, label in sweep:
+        defects = verify.projector_defects(
+            instrument, at, r["kappa_T_values"], base["kappa_o"], base["dt"],
+            base["dim"], r["sub_dim"],
         )
-    for zeta in r["het_zetas"]:
-        defects = []
-        for kappa_T in r["kappa_T_values"]:
-            p = InstrumentParams(base["kappa_o"], base["dt"], kappa_T / base["kappa_o"], base["dim"])
-            d = het.projector_convergence_het(zeta, p.T, p, r["sub_dim"])
-            defects.append(d)
-            rows.append(("heterodyne", f"zeta={zeta:g}", kappa_T, d))
-        checks.append(
-            Check(
-                f"projector-scaling-heterodyne-zeta{zeta:g}",
-                verify._scaling_factor(defects),
-                verify.SCALING_FACTOR,
-            )
-        )
+        rows.extend((instrument, label, kt, d) for kt, d in zip(r["kappa_T_values"], defects))
+        checks.append(verify.projector_scaling_check(instrument, at, defects))
     write_csv(
         os.path.join(out_dir, "defects.csv"),
         ["instrument", "label", "kappa_T", "defect"],
         rows,
     )
-    report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
-    )
-    write_report(out_dir, report)
-    default_series = [
-        {"name": "projector-defect-photo", "n": n} for n in r["photo_ns"]
-    ] + [{"name": "projector-defect-het", "zeta": z} for z in r["het_zetas"]]
-    emit_plot_data(report, r["series"] or default_series, out_dir)
-    return report
-
-
-def run_verify(cfg: ExperimentConfig, out_dir: str) -> VerificationReport:
-    r = cfg.resolved
-    checks = verify.run_identity_checks(r["seed"], r["checks"])
-    report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
-    )
-    write_report(out_dir, report)
-    return report
+    return checks
 
 
 def emit_plot_data(
     report: VerificationReport, series_specs: list[dict], out_dir: str
 ) -> list[str]:
     """Write one two-column CSV per requested series."""
+    try:
+        series_specs = list(series_specs)
+    except TypeError:
+        raise ConfigError("series must be a list") from None
     paths = []
     for spec in series_specs:
         if not isinstance(spec, dict) or "name" not in spec:
             raise ConfigError("each series spec needs a 'name'")
         spec = dict(spec)
         name = spec.pop("name")
-        kappa_o = float(spec.pop("kappa_o", 1.0))
+        kappa_o = _FLOAT(spec.pop("kappa_o", 1.0), "series.kappa_o")
         if name in ("effective-mean", "effective-covariance"):
-            t_max = float(spec.pop("t_max", 5.0 / kappa_o))
-            points = int(spec.pop("points", 101))
+            t_max = _FLOAT(spec.pop("t_max", 5.0 / kappa_o), "series.t_max")
+            points = _INT(spec.pop("points", 101), "series.points")
             t = np.linspace(0.0, t_max, points)
             vals = -np.expm1(-kappa_o * t)
             header = ["t", "value"]
             rows = zip(t, vals)
         elif name == "beta-cooling":
-            kappa_T = [float(v) for v in spec.pop("kappa_T", [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0])]
-            samples = int(spec.pop("samples", 100_000))
+            kappa_T = _FLOATS(spec.pop("kappa_T", [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0]), "series.kappa_T")
+            samples = _INT(spec.pop("samples", 100_000), "series.samples")
             vals = [
                 het.covariance_cooling(kt / kappa_o, kappa_o, samples, stream(report.seed, 7_000 + i))[1]
                 for i, kt in enumerate(kappa_T)
@@ -593,22 +529,19 @@ def emit_plot_data(
             header = ["kappa_T", "cov_beta"]
             rows = zip(kappa_T, vals)
         elif name in ("projector-defect-photo", "projector-defect-het"):
-            kappa_T = [float(v) for v in spec.pop("kappa_T", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])]
-            dim = int(spec.pop("dim", 40))
-            sub_dim = int(spec.pop("sub_dim", 20))
-            defects = []
+            kappa_T = _FLOATS(spec.pop("kappa_T", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "series.kappa_T")
+            dim = _INT(spec.pop("dim", 40), "series.dim")
+            sub_dim = _INT(spec.pop("sub_dim", 20), "series.sub_dim")
             if name == "projector-defect-photo":
-                n = int(spec.pop("n", 0))
-                tag = f"n{n}"
-                for kt in kappa_T:
-                    p = InstrumentParams(kappa_o, 1e-3 / kappa_o, kt / kappa_o, dim)
-                    defects.append(pd.projector_convergence(n, p.T, p, sub_dim))
+                instrument, at = "photodetector", _INT(spec.pop("n", 0), "series.n")
+                tag = f"n{at}"
             else:
-                zeta = _as_complex(spec.pop("zeta", 0.5), "series.zeta")
-                tag = f"zeta{abs(zeta):g}"
-                for kt in kappa_T:
-                    p = InstrumentParams(kappa_o, 1e-3 / kappa_o, kt / kappa_o, dim)
-                    defects.append(het.projector_convergence_het(zeta, p.T, p, sub_dim))
+                instrument = "heterodyne"
+                at = _as_complex(spec.pop("zeta", 0.5), "series.zeta")
+                tag = f"zeta{abs(at):g}"
+            defects = verify.projector_defects(
+                instrument, at, kappa_T, kappa_o, 1e-3 / kappa_o, dim, sub_dim
+            )
             name = f"{name}-{tag}"
             header = ["kappa_T", "defect"]
             rows = zip(kappa_T, defects)
@@ -625,18 +558,29 @@ def emit_plot_data(
 def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> VerificationReport:
     """Execute one experiment; writes all output files into ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
+    r = cfg.resolved
     if cfg.kind == "photodetect-ensemble":
-        report = run_photodetect(cfg, out_dir, n_threads)
+        checks = run_photodetect(cfg, out_dir, n_threads)
     elif cfg.kind == "heterodyne-ensemble":
-        report = run_heterodyne(cfg, out_dir, n_threads)
+        checks = run_heterodyne(cfg, out_dir, n_threads)
     elif cfg.kind == "evolve-kod":
-        report = run_evolve_kod(cfg, out_dir)
+        checks = run_evolve_kod(cfg, out_dir)
     elif cfg.kind == "povm-convergence":
-        report = run_povm_convergence(cfg, out_dir)
+        checks = run_povm_convergence(cfg, out_dir)
     else:
-        report = run_verify(cfg, out_dir)
-    if cfg.resolved["series"] and cfg.kind != "povm-convergence":
-        emit_plot_data(report, cfg.resolved["series"], out_dir)
+        checks = verify.run_identity_checks(r["seed"], r["checks"])
+    report = VerificationReport(
+        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
+    )
+    write_report(out_dir, report)
+    series = r["series"]
+    if not series and cfg.kind == "povm-convergence":
+        # each swept n and zeta, on the series' own default kappa_T grid
+        series = [{"name": "projector-defect-photo", "n": n} for n in r["photo_ns"]] + [
+            {"name": "projector-defect-het", "zeta": z} for z in r["het_zetas"]
+        ]
+    if series:
+        emit_plot_data(report, series, out_dir)
     return report
 
 

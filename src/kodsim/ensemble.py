@@ -1,0 +1,64 @@
+"""Ensemble driver and renormalization guards shared by both instruments.
+
+Trajectory ``i`` reads only its own stream ``stream(seed, i)``, so the
+thread count and the batch size only partition the work: results are
+byte-identical for any choice of either.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from .exceptions import NumericError
+from .records import stream
+
+# smallest state norm (or density trace) a sampler may renormalize
+NORM_COLLAPSE = 1e-14
+
+
+def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: int, dtype):
+    """Results of ``n_traj`` trajectories as one array of ``dtype``.
+
+    ``draw`` takes trajectory i's stream and returns its draws, or its
+    result when ``evolve`` is None; ``evolve`` maps the stacked draws of up
+    to ``batch`` consecutive trajectories to their results.  Index ranges
+    of about equal size run on ``n_threads`` worker threads.
+    """
+
+    def chunk(lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo, dtype=dtype)
+        for b0 in range(lo, hi, batch):
+            b1 = min(b0 + batch, hi)
+            draws = np.stack([draw(stream(seed, i)) for i in range(b0, b1)])
+            out[b0 - lo : b1 - lo] = draws if evolve is None else evolve(draws)
+        return out
+
+    bounds = np.linspace(0, n_traj, max(1, n_threads) + 1).astype(int)
+    pairs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    if len(pairs) <= 1:
+        parts = [chunk(lo, hi) for lo, hi in pairs]
+    else:
+        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
+            parts = list(pool.map(lambda b: chunk(*b), pairs))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def renormalize_rows(psi: np.ndarray) -> None:
+    """Scale each row of a batch of state vectors to unit norm, in place."""
+    norms = np.sqrt(
+        np.einsum("bd,bd->b", psi.real, psi.real)
+        + np.einsum("bd,bd->b", psi.imag, psi.imag)
+    )
+    if not float(np.min(norms)) >= NORM_COLLAPSE:  # also catches NaN
+        raise NumericError("state norm collapsed in the batch sampler")
+    psi /= norms[:, None]
+
+
+def renormalize_density(rho: np.ndarray, step: int) -> None:
+    """Scale a density matrix to unit trace, in place."""
+    tr = float(np.real(np.trace(rho)))
+    if not tr >= NORM_COLLAPSE:  # also catches NaN
+        raise NumericError(f"state norm collapsed to {tr} at step {step}")
+    rho /= tr

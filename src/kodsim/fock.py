@@ -157,10 +157,6 @@ def projector(dim: int, n: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def dagger(op: np.ndarray) -> np.ndarray:
-    return op.conj().T
-
-
 def matrix_exp(op: np.ndarray) -> np.ndarray:
     """General dense matrix exponential (scaling-and-squaring Pade).
 
@@ -188,11 +184,13 @@ def subblock_norm_diff(op_a: np.ndarray, op_b: np.ndarray, sub_dim: int) -> floa
 
 
 def validate_state(vec: np.ndarray, eps_trunc: float = 1e-10) -> np.ndarray:
-    """Check a state vector is 1-D with norm <= 1 + eps_trunc."""
+    """Check a state vector is 1-D with norm in (0, 1 + eps_trunc]."""
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 1 or vec.shape[0] < 2:
         raise InvalidDimensionError(f"bad state shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
+    if not norm > 0.0:  # zero, or NaN from a non-finite entry
+        raise DomainError(f"state norm {norm} is not positive")
     if norm > 1.0 + eps_trunc:
         raise DomainError(f"state norm {norm} exceeds 1 + {eps_trunc}")
     return vec
@@ -207,6 +205,8 @@ def validate_density(rho: np.ndarray, eps_trunc: float = 1e-8) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise InvalidDimensionError(f"bad density shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise DomainError("density matrix has non-finite entries")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > 1e-12:
         raise DomainError(f"hermiticity defect {herm} > 1e-12")
@@ -223,3 +223,17 @@ def pure_density(vec: np.ndarray) -> np.ndarray:
     """Density matrix of a (normalized) pure state."""
     vec = validate_state(vec)
     return np.outer(vec, vec.conj())
+
+
+def pure_vector(state: np.ndarray) -> np.ndarray | None:
+    """Unit vector of a pure state given as a vector or a density matrix;
+    None for a density matrix of purity below 1 - 1e-12."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim == 1:
+        state = validate_state(state)
+        return state / np.linalg.norm(state)
+    validate_density(state)
+    purity = float(np.real(np.trace(state @ state)))
+    if abs(purity - 1.0) > 1e-12:
+        return None
+    return np.linalg.eigh(state)[1][:, -1]

@@ -14,13 +14,12 @@ coordinate, the unique choice consistent with the closed-form density
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from . import records as rec_mod
+from .ensemble import renormalize_density, renormalize_rows, run_ensemble
 from .exceptions import (
     DomainError,
     ExtentError,
@@ -36,12 +35,11 @@ from .fock import (
     matrix_exp,
     number_diag,
     number_exp,
+    pure_vector,
     subblock_norm_diff,
     validate_density,
 )
 from .params import InstrumentParams
-
-NORM_COLLAPSE = 1e-14
 
 
 def effective_covariance(T: float, kappa_o: float) -> float:
@@ -93,17 +91,6 @@ def record_functional(rec: HeterodyneRecord, kappa_o: float) -> complex:
     information about the initial state.
     """
     damp = np.exp(-0.5 * kappa_o * rec.step_times())
-    return complex(np.sqrt(kappa_o) * np.sum(rec.increments * damp))
-
-
-def ou_functional(rec: HeterodyneRecord, kappa_o: float) -> complex:
-    """End-weighted contrast functional ``sum_t sqrt(kappa_o) dw_t e^{-kappa_o (T-t)/2}``.
-
-    Same one-time distribution as :func:`record_functional` under the
-    ostensible measure (time reversal of the weights), but it forgets the
-    beginning of the record instead of the end.
-    """
-    damp = np.exp(-0.5 * kappa_o * (rec.T - rec.step_times()))
     return complex(np.sqrt(kappa_o) * np.sum(rec.increments * damp))
 
 
@@ -481,10 +468,7 @@ def sample_het_trajectory(
         dw = sqk * a_mean * p.dt + wiener_increment(rng, p.dt)
         op = kraus_increment(dw, p)
         rho = op @ rho @ op.conj().T
-        tr = float(np.real(np.trace(rho)))
-        if tr < NORM_COLLAPSE:
-            raise NumericError(f"state norm collapsed to {tr} at step {k}")
-        rho /= tr
+        renormalize_density(rho, k)
         incs[k] = dw
     return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
 
@@ -526,11 +510,7 @@ def _evolve_het_pure_batch(
             if float(np.max(np.abs(term))) < 1e-17 * float(np.max(np.abs(acc))):
                 break
         np.multiply(acc, decay, out=psi)
-        norms = np.sqrt(np.einsum("bd,bd->b", psi.real, psi.real)
-                        + np.einsum("bd,bd->b", psi.imag, psi.imag))
-        if float(np.min(norms)) < NORM_COLLAPSE:
-            raise NumericError("state norm collapsed in the batch sampler")
-        psi /= norms[:, None]
+        renormalize_rows(psi)
     return zeta
 
 
@@ -547,44 +527,18 @@ def run_het_ensemble(
     Same determinism contract as the photon-counting ensemble: trajectory i
     depends only on ``(seed, i)``, never on batching or thread count.
     """
-    if n_traj == 0:
-        return np.zeros(0, dtype=complex)
-    from .photodetector import _pure_vector
-
-    psi0 = _pure_vector(initial)
+    psi0 = pure_vector(initial)
     if psi0 is None:
         rho = np.asarray(initial, dtype=complex)
-
-        def chunk(lo: int, hi: int) -> np.ndarray:
-            out = np.empty(hi - lo, dtype=complex)
-            for i in range(lo, hi):
-                rec = sample_het_trajectory(rho, p, rec_mod.stream(seed, i))
-                out[i - lo] = record_functional(rec, p.kappa_o)
-            return out
-
-    else:
-
-        def chunk(lo: int, hi: int) -> np.ndarray:
-            out = np.empty(hi - lo, dtype=complex)
-            for b0 in range(lo, hi, batch):
-                b1 = min(b0 + batch, hi)
-                normals = np.stack(
-                    [
-                        rec_mod.stream(seed, i).standard_normal((p.n_steps, 2))
-                        for i in range(b0, b1)
-                    ]
-                )
-                out[b0 - lo : b1 - lo] = _evolve_het_pure_batch(psi0, p, normals)
-            return out
-
-    bounds = np.linspace(0, n_traj, max(1, n_threads) + 1).astype(int)
-    pairs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(pairs) <= 1:
-        parts = [chunk(lo, hi) for lo, hi in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
-            parts = list(pool.map(lambda b: chunk(*b), pairs))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+        return run_ensemble(
+            lambda rng: record_functional(sample_het_trajectory(rho, p, rng), p.kappa_o),
+            None, n_traj, seed, n_threads, batch, complex,
+        )
+    return run_ensemble(
+        lambda rng: rng.standard_normal((p.n_steps, 2)),
+        lambda normals: _evolve_het_pure_batch(psi0, p, normals),
+        n_traj, seed, n_threads, batch, complex,
+    )
 
 
 @dataclass(frozen=True)

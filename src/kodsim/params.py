@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,10 @@ from .exceptions import DomainError, InvalidDimensionError
 
 # weak-coupling step regime: per-step jump probabilities stay O(1e-2 * n)
 MAX_KAPPA_DT = 0.01
+
+
+def _too_coarse(kappa_o: float, dt: float) -> bool:
+    return kappa_o * dt > MAX_KAPPA_DT * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class InstrumentParams:
             raise DomainError(f"need dt > 0, got {self.dt}")
         if not (np.isfinite(self.T) and self.T >= 0.0):
             raise DomainError(f"need T >= 0, got {self.T}")
-        if self.kappa_o * self.dt > MAX_KAPPA_DT * (1.0 + 1e-12):
+        if _too_coarse(self.kappa_o, self.dt):
             raise DomainError(
                 f"kappa_o*dt = {self.kappa_o * self.dt} exceeds the "
                 f"weak-coupling bound {MAX_KAPPA_DT}"
@@ -61,13 +66,17 @@ class InstrumentParams:
         """Round the step count so the grid divides ``T`` exactly.
 
         Keeps the horizon (and hence the effective mean / covariance) exact
-        while moving ``dt`` by at most half a step.
+        while moving ``dt`` by at most half a step.  The count is rounded up
+        instead when the nearest one would push ``kappa_o*dt`` past
+        ``MAX_KAPPA_DT``.
         """
         if not (np.isfinite(T) and T > 0.0):
             raise DomainError(f"need T > 0 to fit a grid, got {T}")
         if not (np.isfinite(dt) and dt > 0.0):
             raise DomainError(f"need dt > 0, got {dt}")
         steps = max(1, round(T / dt))
+        if _too_coarse(kappa_o, T / steps):
+            steps = math.ceil(T / dt)
         return cls(kappa_o=kappa_o, dt=T / steps, T=T, dim=dim)
 
     def step_times(self) -> np.ndarray:

@@ -15,13 +15,12 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
 
-from . import records as rec_mod
+from .ensemble import renormalize_density, renormalize_rows, run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -35,12 +34,11 @@ from .fock import (
     number_diag,
     number_exp,
     projector,
+    pure_vector,
     subblock_norm_diff,
     validate_density,
 )
 from .params import InstrumentParams
-
-NORM_COLLAPSE = 1e-14
 
 
 def effective_mean(T: float, kappa_o: float) -> float:
@@ -255,6 +253,8 @@ def _damped_number_traces(
     enters: the trace is sum_j e^{-j kappa_o T} (j+n)!/j! rho[j+n, j+n].
     """
     dim = rho_diag.size
+    if n_max >= dim:
+        raise InvalidDimensionError(f"need n_max < dim, got n_max={n_max}, dim={dim}")
     damp = np.exp(-kappa_o * T * np.arange(dim))
     out = np.empty(n_max + 1)
     fact = np.ones(dim)
@@ -283,11 +283,6 @@ def born_pmf(
     if float(np.min(pmf)) < -1e-10:
         raise NumericError(f"negative probability {np.min(pmf)}")
     return np.clip(pmf, 0.0, None)
-
-
-def sample_ostensible(T: float, kappa_o: float, rng: np.random.Generator) -> int:
-    """Draw a jump count from the state-independent distribution D_T(n)."""
-    return int(rng.poisson(effective_mean(T, kappa_o)))
 
 
 def ostensible_weights(
@@ -327,10 +322,7 @@ def sample_trajectory(
             jump_times.append(k * p.dt)
         else:
             rho = rho * outer_decay
-        tr = float(np.real(np.trace(rho)))
-        if tr < NORM_COLLAPSE:
-            raise NumericError(f"state norm collapsed to {tr} at step {k}")
-        rho /= tr
+        renormalize_density(rho, k)
     return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
 
 
@@ -361,27 +353,8 @@ def _evolve_pure_batch(
             psi[jump] = lowered
             counts[jump] += 1
         np.multiply(psi, decay, out=psi)
-        norms = np.sqrt(
-            np.einsum("bd,bd->b", psi.real, psi.real)
-            + np.einsum("bd,bd->b", psi.imag, psi.imag)
-        )
-        if float(np.min(norms)) < NORM_COLLAPSE:
-            raise NumericError("state norm collapsed in the batch sampler")
-        psi /= norms[:, None]
+        renormalize_rows(psi)
     return counts
-
-
-def _pure_vector(initial: np.ndarray) -> np.ndarray | None:
-    """Extract the state vector if the input is pure, else None."""
-    initial = np.asarray(initial, dtype=complex)
-    if initial.ndim == 1:
-        return initial / np.linalg.norm(initial)
-    validate_density(initial)
-    purity = float(np.real(np.trace(initial @ initial)))
-    if abs(purity - 1.0) > 1e-12:
-        return None
-    vals, vecs = np.linalg.eigh(initial)
-    return vecs[:, -1]
 
 
 def run_photo_ensemble(
@@ -398,38 +371,15 @@ def run_photo_ensemble(
     byte-identical for any thread count or batch size.  Pure initial states
     take a vectorized path; mixed states fall back to the dense sampler.
     """
-    if n_traj == 0:
-        return np.zeros(0, dtype=np.int64)
-    psi0 = _pure_vector(initial)
+    psi0 = pure_vector(initial)
     if psi0 is None:
         rho = np.asarray(initial, dtype=complex)
-
-        def chunk(lo: int, hi: int) -> np.ndarray:
-            return np.array(
-                [
-                    sample_trajectory(rho, p, rec_mod.stream(seed, i)).n_jumps
-                    for i in range(lo, hi)
-                ],
-                dtype=np.int64,
-            )
-
-    else:
-
-        def chunk(lo: int, hi: int) -> np.ndarray:
-            out = np.empty(hi - lo, dtype=np.int64)
-            for b0 in range(lo, hi, batch):
-                b1 = min(b0 + batch, hi)
-                uniforms = np.stack(
-                    [rec_mod.stream(seed, i).random(p.n_steps) for i in range(b0, b1)]
-                )
-                out[b0 - lo : b1 - lo] = _evolve_pure_batch(psi0, p, uniforms)
-            return out
-
-    bounds = np.linspace(0, n_traj, max(1, n_threads) + 1).astype(int)
-    pairs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(pairs) <= 1:
-        parts = [chunk(lo, hi) for lo, hi in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
-            parts = list(pool.map(lambda b: chunk(*b), pairs))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return run_ensemble(
+            lambda rng: sample_trajectory(rho, p, rng).n_jumps,
+            None, n_traj, seed, n_threads, batch, np.int64,
+        )
+    return run_ensemble(
+        lambda rng: rng.random(p.n_steps),
+        lambda uniforms: _evolve_pure_batch(psi0, p, uniforms),
+        n_traj, seed, n_threads, batch, np.int64,
+    )

@@ -1,4 +1,4 @@
-"""Seeded streams, point-process sampling, and ensemble statistics.
+"""Seeded streams and ensemble statistics.
 
 Random streams are counter-based (Philox) and keyed by ``(seed,
 stream_id)``, so trajectory ``i`` of an ensemble draws the same numbers no
@@ -7,20 +7,12 @@ matter how trajectories are batched or distributed across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
 
-from .exceptions import (
-    BinSpecError,
-    DataError,
-    DomainError,
-    StepTooCoarseError,
-)
-
-MAX_STEP_PROBABILITY = 0.1
+from .exceptions import BinSpecError, DataError, DomainError
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -31,40 +23,6 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def poisson_thinning_times(
-    rate_fn: Callable[[np.ndarray], np.ndarray],
-    T: float,
-    dt: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample an inhomogeneous Poisson process on the ``dt`` grid.
-
-    Each step fires independently with probability ``rate_fn(t) * dt``
-    (left endpoint).  The count distribution converges to
-    Poisson(integral of the rate) as dt -> 0.
-    """
-    if not (np.isfinite(T) and T >= 0.0):
-        raise DomainError(f"need T >= 0, got {T}")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise DomainError(f"need dt > 0, got {dt}")
-    n_steps = round(T / dt)
-    times = np.arange(n_steps) * dt
-    try:
-        rates = np.asarray(rate_fn(times), dtype=float)
-        if rates.shape != times.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        rates = np.fromiter((float(rate_fn(t)) for t in times), float, n_steps)
-    if rates.size and (np.min(rates) < 0.0 or not np.all(np.isfinite(rates))):
-        raise DomainError("rate function must be finite and nonnegative")
-    if rates.size and np.max(rates) * dt > MAX_STEP_PROBABILITY:
-        raise StepTooCoarseError(
-            f"max rate*dt = {np.max(rates) * dt} exceeds {MAX_STEP_PROBABILITY}"
-        )
-    hits = rng.random(n_steps) < rates * dt
-    return times[hits]
 
 
 @dataclass(frozen=True)
@@ -111,11 +69,19 @@ def integer_edges(n_max: int) -> np.ndarray:
     return np.arange(n_max + 2) - 0.5
 
 
-def two_sample_tv(hist_a: Histogram, hist_b: Histogram) -> float:
-    """Total-variation distance between two normalized histograms."""
-    if not np.array_equal(hist_a.edges, hist_b.edges):
-        raise BinSpecError("histograms use different bin edges")
-    return float(0.5 * np.sum(np.abs(hist_a.normalized() - hist_b.normalized())))
+def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Total-variation distance between two pmfs over the same bins.
+
+    Mass missing from either table (a tail beyond its last bin) counts
+    toward the distance.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise BinSpecError(f"pmfs over {p.size} and {q.size} bins")
+    return float(
+        0.5 * (np.sum(np.abs(p - q)) + abs(1 - np.sum(p)) + abs(1 - np.sum(q)))
+    )
 
 
 def chi_square_gof(
@@ -155,43 +121,3 @@ def chi_square_gof(
         raise DataError("fewer than two bins survive the expected-count rule")
     stat, p_value = scipy.stats.chisquare(obs, exp)
     return float(p_value)
-
-
-@dataclass(frozen=True)
-class EnsembleSummary:
-    """First two moments plus a histogram of an ensemble of samples."""
-
-    count: int
-    mean: complex
-    second_moment: float
-    histogram: Histogram = field(repr=False)
-
-    def __post_init__(self):
-        if self.count != round(self.histogram.total):
-            raise DataError(
-                f"count {self.count} != histogram mass {self.histogram.total}"
-            )
-        if self.second_moment < abs(self.mean) ** 2 - 1e-12:
-            raise DataError("second moment below |mean|^2")
-
-    @classmethod
-    def from_samples(
-        cls,
-        values: np.ndarray,
-        edges: np.ndarray,
-        binned: np.ndarray | None = None,
-    ) -> "EnsembleSummary":
-        """Summarize samples; complex values are binned on their real part
-        unless an explicit 1-D projection is supplied."""
-        values = np.asarray(values)
-        if values.size == 0:
-            raise DataError("empty sample set")
-        if binned is None:
-            binned = values.real if np.iscomplexobj(values) else values
-        hist = Histogram.from_samples(np.asarray(binned, dtype=float), edges)
-        return cls(
-            count=values.size,
-            mean=complex(np.mean(values)),
-            second_moment=float(np.mean(np.abs(values) ** 2)),
-            histogram=hist,
-        )

@@ -1,8 +1,10 @@
 """Identity verification suites for both instruments.
 
-Each function returns :class:`~kodsim.report.Check` rows; the CLI's
-``verify-identities`` command runs them all.  Thresholds are the package's
-acceptance gates, not tunables.
+The ``*_check(s)`` functions return :class:`~kodsim.report.Check` rows; the
+CLI's ``verify-identities`` command runs them all, and ``evolve-kod`` and
+``povm-convergence`` reuse the KOD and projector checks on their own
+configurations.  Thresholds are the package's acceptance gates, not
+tunables.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ KOD_DIFFUSION_TOL = 1e-3
 GROUNDSTATE_TOL = 1e-6
 LEFT_INVARIANCE_TOL = 1e-8
 SCALING_FACTOR = 2.0
+LN2 = math.log(2.0)
 
 
 def _random_disk(rng: np.random.Generator, radius: float) -> complex:
@@ -100,11 +103,21 @@ def record_reduction_checks(seed: int, dim: int = 40, sub_dim: int = 25) -> list
     ]
 
 
-def kod_poisson_max_err(
-    T: float, kappa_o: float, n_max: int, steps: int
-) -> float:
-    kod = pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=steps)
-    return float(np.max(np.abs(kod.weights - kod.pmf_array(n_max))))
+def kod_target(kod: pd.PoissonKOD | het.GaussianKOD) -> np.ndarray:
+    """Closed form on an evolved KOD's support: the Poisson pmf over its
+    jump counts, or on its mesh the Gaussian density of covariance
+    ``Sigma(T) + sigma0_sq`` (the regularized delta diffuses in closed form)."""
+    if isinstance(kod, pd.PoissonKOD):
+        return kod.pmf_array(kod.weights.size - 1)
+    ax = kod.axis()
+    total = kod.sigma + kod.regularization
+    return np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / total) / total
+
+
+def kod_error(kod: pd.PoissonKOD | het.GaussianKOD) -> float:
+    """Largest deviation of an evolved KOD from :func:`kod_target`."""
+    evolved = kod.weights if isinstance(kod, pd.PoissonKOD) else kod.grid
+    return float(np.max(np.abs(evolved - kod_target(kod))))
 
 
 def kod_poisson_halving_ratio(
@@ -112,43 +125,9 @@ def kod_poisson_halving_ratio(
 ) -> float:
     """Error ratio under step halving, measured where truncation error still
     dominates roundoff (the 1000-step error sits at the 1e-15 floor)."""
-    return kod_poisson_max_err(T, kappa_o, n_max, steps) / kod_poisson_max_err(
-        T, kappa_o, n_max, 2 * steps
-    )
-
-
-def kod_poisson_checks() -> list[Check]:
-    """Evolved jump-count weights against the closed form, plus step-halving."""
-    return [
-        Check(
-            "kod-poisson-evolution",
-            kod_poisson_max_err(math.log(2.0), 1.0, 40, 1000),
-            KOD_POISSON_TOL,
-        ),
-        Check(
-            "kod-poisson-step-halving",
-            kod_poisson_halving_ratio(math.log(2.0), 1.0),
-            8.0,
-            comparison=">=",
-        ),
-    ]
-
-
-def kod_diffusion_max_err(
-    T: float,
-    kappa_o: float,
-    h: float,
-    steps: int,
-    extent: float = 5.0,
-    sigma0_sq: float = 1e-3,
-) -> float:
-    kod = het.evolve_kod_diffusion(
-        T, kappa_o, h=h, extent=extent, steps=steps, sigma0_sq=sigma0_sq
-    )
-    ax = kod.axis()
-    total = kod.sigma + kod.regularization
-    target = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / total) / total
-    return float(np.max(np.abs(kod.grid - target)))
+    return kod_error(
+        pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=steps)
+    ) / kod_error(pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=2 * steps))
 
 
 def kod_diffusion_halving_ratio(
@@ -160,29 +139,40 @@ def kod_diffusion_halving_ratio(
 ) -> float:
     """Error ratio when h is halved; long step counts push the
     Crank-Nicolson error below the spatial error on both grids."""
-    coarse = kod_diffusion_max_err(T, kappa_o, h, 800, extent, sigma0_sq)
-    fine = kod_diffusion_max_err(T, kappa_o, 0.5 * h, 1600, extent, sigma0_sq)
-    return coarse / fine
+    coarse = het.evolve_kod_diffusion(
+        T, kappa_o, h=h, extent=extent, steps=800, sigma0_sq=sigma0_sq
+    )
+    fine = het.evolve_kod_diffusion(
+        T, kappa_o, h=0.5 * h, extent=extent, steps=1600, sigma0_sq=sigma0_sq
+    )
+    return kod_error(coarse) / kod_error(fine)
 
 
-def kod_diffusion_checks(convergence: bool = True) -> list[Check]:
-    """Evolved amplitude density against the closed form, plus h-halving."""
-    checks = [
-        Check(
-            "kod-diffusion-evolution",
-            kod_diffusion_max_err(math.log(2.0), 1.0, 0.05, 200),
-            KOD_DIFFUSION_TOL,
-        )
-    ]
+def kod_checks(
+    kod: pd.PoissonKOD | het.GaussianKOD,
+    T: float,
+    kappa_o: float,
+    extent: float = 5.0,
+    convergence: bool = True,
+    mass: bool = True,
+) -> list[Check]:
+    """An evolved KOD against its closed form, then optionally its mass and
+    the error ratio under step halving (Poisson) or h-halving (Gaussian,
+    on a mesh of half-width ``extent``)."""
+    if isinstance(kod, pd.PoissonKOD):
+        checks = [Check("kod-poisson-evolution", kod_error(kod), KOD_POISSON_TOL)]
+        if mass:
+            checks.append(Check("kod-mass", abs(float(np.sum(kod.weights)) - 1.0), 1e-10))
+        if convergence:
+            ratio = kod_poisson_halving_ratio(T, kappa_o, kod.weights.size - 1)
+            checks.append(Check("kod-poisson-step-halving", ratio, 8.0, comparison=">="))
+        return checks
+    checks = [Check("kod-diffusion-evolution", kod_error(kod), KOD_DIFFUSION_TOL)]
+    if mass:
+        checks.append(Check("kod-mass", abs(kod.grid_mass() - 1.0), 1e-8))
     if convergence:
-        checks.append(
-            Check(
-                "kod-diffusion-h-halving",
-                kod_diffusion_halving_ratio(math.log(2.0), 1.0),
-                3.5,
-                comparison=">=",
-            )
-        )
+        ratio = kod_diffusion_halving_ratio(T, kappa_o, kod.h, extent, kod.regularization)
+        checks.append(Check("kod-diffusion-h-halving", ratio, 3.5, comparison=">="))
     return checks
 
 
@@ -217,11 +207,10 @@ def cartan_checks(seed: int, n_random: int = 100, sub_dim: int = 20) -> list[Che
 
 def trace_checks() -> list[Check]:
     """Trace identity at d=50 and the matching groundstate quadrature."""
-    kappa_T = math.log(2.0)
-    defect = het.trace_identity_defect(kappa_T, 1.0, 50)
+    defect = het.trace_identity_defect(LN2, 1.0, 50)
     # the exact defect IS the geometric tail; allow a factor 2 of roundoff
-    bound = 2.0 * het.trace_tail_bound(kappa_T, 1.0, 50)
-    dev = abs(het.groundstate_completeness(kappa_T, 1.0, dim=340, quad_order=32))
+    bound = 2.0 * het.trace_tail_bound(LN2, 1.0, 50)
+    dev = abs(het.groundstate_completeness(LN2, 1.0, dim=340, quad_order=32))
     return [
         Check("trace-identity", defect, bound),
         Check("groundstate-completeness", dev, GROUNDSTATE_TOL),
@@ -249,45 +238,63 @@ def _scaling_factor(defects: list[float]) -> float:
     return worst
 
 
+def projector_defects(
+    instrument: str,
+    at,
+    kappa_T_values,
+    kappa_o: float = 1.0,
+    dt: float = 1e-3,
+    dim: int = 40,
+    sub_dim: int = 20,
+) -> list[float]:
+    """Distance of one POVM element from its projector at each kappa_o T:
+    the photodetector's at jump count ``at``, the heterodyne's at amplitude
+    ``at``."""
+    if instrument == "photodetector":
+        defect = pd.projector_convergence
+    else:
+        defect = het.projector_convergence_het
+    defects = []
+    for kappa_T in kappa_T_values:
+        p = InstrumentParams(kappa_o, dt, kappa_T / kappa_o, dim)
+        defects.append(defect(at, p.T, p, sub_dim))
+    return defects
+
+
+def projector_scaling_check(instrument: str, at, defects: list[float]) -> Check:
+    """Defects along a kappa_o T sweep in unit steps must shrink like e^{-kappa_o T}."""
+    tag = f"n{at}" if instrument == "photodetector" else f"zeta{at:g}"
+    return Check(
+        f"projector-scaling-{instrument}-{tag}", _scaling_factor(defects), SCALING_FACTOR
+    )
+
+
 def projector_scaling_checks(
     dim: int = 40, sub_dim: int = 20, kappa_T_values=(2.0, 3.0, 4.0, 5.0)
 ) -> list[Check]:
-    """Projector-convergence defects must shrink like e^{-kappa_o T}."""
-    checks = []
-    for n in (0, 1, 2):
-        defects = []
-        for kappa_T in kappa_T_values:
-            p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=kappa_T, dim=dim)
-            defects.append(pd.projector_convergence(n, kappa_T, p, sub_dim))
-        checks.append(
-            Check(
-                f"projector-scaling-photodetector-n{n}",
-                _scaling_factor(defects),
-                SCALING_FACTOR,
-                comparison="<=",
-            )
+    """Scaling checks for jump counts 0..2 and amplitudes 0 and 0.5."""
+    sweep = [("photodetector", n) for n in (0, 1, 2)] + [
+        ("heterodyne", zeta) for zeta in (0.0, 0.5)
+    ]
+    return [
+        projector_scaling_check(
+            instrument, at,
+            projector_defects(instrument, at, kappa_T_values, dim=dim, sub_dim=sub_dim),
         )
-    for zeta in (0.0, 0.5):
-        defects = []
-        for kappa_T in kappa_T_values:
-            p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=kappa_T, dim=dim)
-            defects.append(het.projector_convergence_het(zeta, kappa_T, p, sub_dim))
-        checks.append(
-            Check(
-                f"projector-scaling-heterodyne-zeta{zeta:g}",
-                _scaling_factor(defects),
-                SCALING_FACTOR,
-                comparison="<=",
-            )
-        )
-    return checks
+        for instrument, at in sweep
+    ]
 
 
 ALL_GROUPS = {
     "renormalization": lambda seed: renormalization_checks(seed),
     "record-reduction": lambda seed: record_reduction_checks(seed),
-    "kod-poisson": lambda seed: kod_poisson_checks(),
-    "kod-diffusion": lambda seed: kod_diffusion_checks(),
+    "kod-poisson": lambda seed: kod_checks(
+        pd.evolve_kod_poisson(LN2, 1.0, n_max=40, steps=1000), LN2, 1.0, mass=False
+    ),
+    "kod-diffusion": lambda seed: kod_checks(
+        het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, steps=200), LN2, 1.0,
+        mass=False,
+    ),
     "completeness": lambda seed: completeness_checks(),
     "cartan": lambda seed: cartan_checks(seed),
     "trace": lambda seed: trace_checks(),

@@ -263,3 +263,127 @@ class TestMain:
         assert cli._default_threads() == 3
         monkeypatch.setenv("INSTRUMENT_AUTONOMY_THREADS", "bogus")
         assert cli._default_threads() == 1
+
+
+DEFAULT_HASHES = {
+    "photodetect-ensemble": "763a6c70d1e9b13a",
+    "heterodyne-ensemble": "e524b3ceaeaa9f2f",
+    "evolve-kod": "b3af7dbb4bfdc46f",
+    "verify-identities": "fcff0ce2ce4efc0b",
+    "povm-convergence": "2dd970473c70bde9",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_HASHES))
+def test_default_config_hash_pinned(kind):
+    assert cli.resolve_config(kind, {}).config_hash() == DEFAULT_HASHES[kind]
+
+
+CHECKS_HEADER = ["name", "measured", "threshold", "comparison", "passed"]
+# kind, config, {file: CSV header (None for report.json)}, check names in order
+OUTPUT_LAYOUTS = [
+    (
+        "photodetect-ensemble",
+        dict(SMALL_PHOTO, trajectories=200),
+        {
+            "counts.csv": ["trajectory", "jumps"],
+            "pmf.csv": ["n", "kod_pmf", "born_pmf", "empirical_pmf", "ostensible_pmf"],
+        },
+        ["tv-method-a-vs-born", "tv-method-c-vs-born", "chi-square-p-value"],
+    ),
+    (
+        "heterodyne-ensemble",
+        {"trajectories": 100, "params": {"dim": 12}, "quad_order": 16, "bins": 4},
+        {
+            "zetas.csv": ["trajectory", "re", "im"],
+            "density.csv": ["re", "im", "empirical_density", "born_density"],
+        },
+        ["born-density-mass", "mean-vs-born", "covariance-vs-born", "chi-square-2d-p-value"],
+    ),
+    (
+        "evolve-kod",
+        {"kod": "poisson", "steps": 200},
+        {"kod.csv": ["n", "evolved", "analytic", "abs_err"]},
+        ["kod-poisson-evolution", "kod-mass", "kod-poisson-step-halving"],
+    ),
+    (
+        "evolve-kod",
+        {"kod": "gaussian", "grid": {"h": 0.2, "steps": 50}},
+        {"kod_grid.csv": ["re", "im", "evolved", "analytic"]},
+        ["kod-diffusion-evolution", "kod-mass", "kod-diffusion-h-halving"],
+    ),
+    (
+        "verify-identities",
+        {"checks": ["renormalization", "trace"]},
+        {},
+        [
+            "renormalization-photodetector",
+            "renormalization-heterodyne",
+            "trace-identity",
+            "groundstate-completeness",
+        ],
+    ),
+    (
+        "povm-convergence",
+        {"kappa_T_values": [2.0, 3.0], "photo_ns": [1], "het_zetas": [0.5],
+         "params": {"dim": 30}, "sub_dim": 15},
+        {
+            "defects.csv": ["instrument", "label", "kappa_T", "defect"],
+            "projector_defect_photo_n1.csv": ["kappa_T", "defect"],
+            "projector_defect_het_zeta0.5.csv": ["kappa_T", "defect"],
+        },
+        ["projector-scaling-photodetector-n1", "projector-scaling-heterodyne-zeta0.5"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, cfg_dict, tables, check_names",
+    OUTPUT_LAYOUTS,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(OUTPUT_LAYOUTS)],
+)
+def test_output_layout_pinned(tmp_path, kind, cfg_dict, tables, check_names):
+    report = cli.run(cli.resolve_config(kind, cfg_dict), str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == sorted(["report.json", "checks.csv", *tables])
+    for name, header in dict(tables, **{"checks.csv": CHECKS_HEADER}).items():
+        assert read_csv(tmp_path / name)[0] == header
+    assert [c.name for c in report.checks] == check_names
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert [c["name"] for c in data["checks"]] == check_names
+
+
+def run_main(tmp_path, kind, cfg_dict):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_dict))
+    return cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "kind, cfg_dict",
+    [
+        ("photodetect-ensemble", {"params": {"dim": "x"}}),
+        ("photodetect-ensemble", {"trajectories": None}),
+        ("povm-convergence", {"kappa_T_values": 5}),
+        (
+            "photodetect-ensemble",
+            {"thresholds": {"p_value": "low"}, "trajectories": 10,
+             "params": {"dim": 8}, "n_max": 7},
+        ),
+        # counts up to n_max = 12 cannot occur in 8 Fock levels
+        ("photodetect-ensemble", {"trajectories": 10, "params": {"dim": 8}}),
+    ],
+)
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, kind, cfg_dict):
+    assert run_main(tmp_path, kind, cfg_dict) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_non_finite_state_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "nan.npy"
+    np.save(path, np.array([np.nan, 1.0, 0.0, 0.0], dtype=complex))
+    cfg = {"trajectories": 10, "params": {"dim": 4}, "n_max": 3,
+           "initial_state": {"kind": "file", "path": str(path)}}
+    assert run_main(tmp_path, "photodetect-ensemble", cfg) == 2
+    assert capsys.readouterr().err.startswith("error: ")

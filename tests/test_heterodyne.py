@@ -98,7 +98,6 @@ class TestRecordFunctionals:
         p = params(kappa_T=0.01, dim=4)
         rec = het.HeterodyneRecord(np.zeros(p.n_steps, complex), p.dt, p.T)
         assert het.record_functional(rec, 1.0) == 0.0
-        assert het.ou_functional(rec, 1.0) == 0.0
 
     def test_single_increment_weights(self):
         p = params(kappa_T=0.01, dim=4)
@@ -109,8 +108,8 @@ class TestRecordFunctionals:
         incs = np.zeros(p.n_steps, complex)
         incs[-1] = 0.2
         rec = het.HeterodyneRecord(incs, p.dt, p.T)
-        expected = 0.2 * np.exp(-0.5 * p.dt)
-        assert het.ou_functional(rec, 1.0) == pytest.approx(expected, rel=1e-12)
+        expected = 0.2 * np.exp(-0.5 * (p.n_steps - 1) * p.dt)
+        assert het.record_functional(rec, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(InvalidRecordError):
@@ -411,6 +410,11 @@ class TestSamplers:
         rho = 0.5 * fock.projector(8, 0) + 0.5 * fock.projector(8, 1)
         zetas = het.run_het_ensemble(rho, p, 5, seed=2)
         assert zetas.shape == (5,)
+
+    def test_zero_state_rejected(self):
+        p = params(kappa_T=0.02, dim=8)
+        with pytest.raises(DomainError):
+            het.run_het_ensemble(np.zeros(8, dtype=complex), p, 5, seed=2)
 
     def test_ostensible_sampler_covariance(self):
         rng = records.stream(51, 0)

@@ -45,3 +45,11 @@ def test_zero_horizon_has_no_steps():
     p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=0.0, dim=5)
     assert p.n_steps == 0
     assert p.step_times().size == 0
+
+
+def test_fit_steps_rounds_up_only_past_the_coupling_bound():
+    # nearest rounding gives 69 steps and kappa_o*dt = 0.01004... > 0.01
+    p = InstrumentParams.fit_steps(kappa_o=1.0, T=np.log(2.0), dt=0.01, dim=10)
+    assert p.n_steps == 70
+    assert p.kappa_dt <= 0.01
+    assert p.T == np.log(2.0)

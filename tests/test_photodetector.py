@@ -269,6 +269,15 @@ class TestBornStatistics:
         expected = scipy.stats.poisson.pmf(np.arange(40), 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-8
 
+    def test_count_range_beyond_truncation_rejected(self):
+        p = params(kappa_T=LN2, dim=8)
+        rho = fock.projector(8, 2)
+        for n_max in (8, 12):
+            with pytest.raises(InvalidDimensionError):
+                pd.born_pmf(rho, LN2, p, n_max=n_max)
+            with pytest.raises(InvalidDimensionError):
+                pd.ostensible_weights(rho, LN2, p, n_max=n_max)
+
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
         p = params(kappa_T=LN2, dim=20)
@@ -325,14 +334,10 @@ class TestSamplers:
         counts = pd.run_photo_ensemble(fock.fock_state(8, 1), p, 0, seed=1)
         assert counts.size == 0
 
-    def test_ostensible_zero_horizon(self):
-        rng = records.stream(2, 0)
-        assert all(pd.sample_ostensible(0.0, 1.0, rng) == 0 for _ in range(50))
-
-    def test_ostensible_mean(self):
-        rng = records.stream(2, 1)
-        draws = np.array([pd.sample_ostensible(LN2, 1.0, rng) for _ in range(10**4)])
-        assert abs(draws.mean() - 0.5) < 3.0 * np.sqrt(0.5 / 10**4)
+    def test_zero_state_rejected(self):
+        p = params(kappa_T=0.1, dim=8)
+        with pytest.raises(DomainError):
+            pd.run_photo_ensemble(np.zeros(8, dtype=complex), p, 5, seed=1)
 
     def test_method_a_chi_square_against_born(self):
         p = params(kappa_T=LN2, dim=16)

@@ -1,12 +1,11 @@
-"""Seeded streams, thinning sampler, and histogram statistics."""
+"""Seeded streams and histogram statistics."""
 
 import numpy as np
 import pytest
 import scipy.stats
-from numpy.testing import assert_allclose
 
 from kodsim import records
-from kodsim.exceptions import BinSpecError, DataError, StepTooCoarseError
+from kodsim.exceptions import BinSpecError, DataError
 
 
 def test_stream_repeatable():
@@ -29,52 +28,16 @@ def test_stream_independence_correlation():
     assert abs(corr) < 3.0 / np.sqrt(n)
 
 
-def test_thinning_zero_rate_empty():
-    times = records.poisson_thinning_times(lambda t: 0.0 * t, 1.0, 1e-3, records.stream(0, 0))
-    assert times.size == 0
-
-
-def test_thinning_screened_rate_matches_poisson():
-    # integral of kappa e^{-kappa t} over [0, ln 2) is 1/2: counts are
-    # Poisson(0.5) up to O(dt)
-    T, dt, runs = np.log(2.0), 1e-3, 10**5
-    counts = np.empty(runs, dtype=int)
-    for i in range(runs):
-        rng = records.stream(11, i)
-        counts[i] = records.poisson_thinning_times(
-            lambda t: np.exp(-t), T, dt, rng
-        ).size
-    emp = np.bincount(counts, minlength=10)[:10] / runs
-    expected = scipy.stats.poisson.pmf(np.arange(10), 0.5)
-    tv = 0.5 * np.sum(np.abs(emp - expected)) + 0.5 * (1.0 - emp.sum())
-    assert tv < 0.01
-
-
-def test_thinning_constant_rate_mean():
-    T, dt, runs = 2.0, 1e-3, 2000
-    total = sum(
-        records.poisson_thinning_times(lambda t: np.ones_like(t), T, dt, records.stream(3, i)).size
-        for i in range(runs)
-    )
-    mean = total / runs
-    assert abs(mean - T) < 3.0 * np.sqrt(T / runs)
-
-
-def test_thinning_rejects_coarse_step():
-    with pytest.raises(StepTooCoarseError):
-        records.poisson_thinning_times(lambda t: np.full_like(t, 200.0), 1.0, 1e-3, records.stream(0, 0))
-
-
 def test_tv_identical_histograms():
     h = records.Histogram.from_samples(np.array([0.0, 1.0, 2.0]), records.integer_edges(3))
-    assert records.two_sample_tv(h, h) == 0.0
+    assert records.tv_distance(h.normalized(), h.normalized()) == 0.0
 
 
 def test_tv_disjoint_supports():
     edges = records.integer_edges(3)
     h1 = records.Histogram(edges, np.array([5.0, 0.0, 0.0, 0.0]))
     h2 = records.Histogram(edges, np.array([0.0, 0.0, 0.0, 7.0]))
-    assert records.two_sample_tv(h1, h2) == 1.0
+    assert records.tv_distance(h1.normalized(), h2.normalized()) == 1.0
 
 
 def test_tv_two_poisson_samples_close():
@@ -86,14 +49,19 @@ def test_tv_two_poisson_samples_close():
     h2 = records.Histogram.from_samples(
         np.minimum(rng2.poisson(0.5, 10**5), 12), edges
     )
-    assert records.two_sample_tv(h1, h2) < 0.01
+    assert records.tv_distance(h1.normalized(), h2.normalized()) < 0.01
 
 
 def test_tv_rejects_mismatched_bins():
     h1 = records.Histogram(records.integer_edges(2), np.array([1.0, 2.0, 3.0]))
     h2 = records.Histogram(records.integer_edges(3), np.array([1.0, 2.0, 3.0, 0.0]))
     with pytest.raises(BinSpecError):
-        records.two_sample_tv(h1, h2)
+        records.tv_distance(h1.normalized(), h2.normalized())
+
+
+def test_tv_counts_missing_tail_mass():
+    # a pmf truncated at its last bin: the missing mass counts once in full
+    assert records.tv_distance([0.5, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
 
 
 def test_chi_square_exact_match_is_one():
@@ -128,19 +96,3 @@ def test_chi_square_rejects_empty():
     hist = records.Histogram(records.integer_edges(3), np.zeros(4))
     with pytest.raises(DataError):
         records.chi_square_gof(hist, np.full(4, 0.25))
-
-
-def test_ensemble_summary_invariants():
-    values = np.array([0.5 + 0.1j, -0.3 + 0.2j, 0.1 - 0.4j])
-    summary = records.EnsembleSummary.from_samples(
-        values, np.array([-1.0, 0.0, 1.0])
-    )
-    assert summary.count == 3
-    assert summary.histogram.total == 3
-    assert summary.second_moment >= abs(summary.mean) ** 2
-    assert_allclose(summary.mean, values.mean())
-
-
-def test_ensemble_summary_rejects_empty():
-    with pytest.raises(DataError):
-        records.EnsembleSummary.from_samples(np.array([]), np.array([0.0, 1.0]))
