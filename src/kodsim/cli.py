@@ -144,13 +144,16 @@ def _state(value, where: str) -> dict:
 
 
 def _thresholds(gates: tuple[str, ...], value, where: str) -> dict:
-    """Gate overrides, kept as given; the kind's own ``gates`` must be
-    numbers, other keys pass through unread."""
+    """Gate overrides, kept as given; each key must be one of the kind's
+    ``gates`` and its value a number."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
-    for key in gates:
-        if key in value:
-            _FLOAT(value[key], f"{where}.{key}")
+    unknown = sorted(set(value) - set(gates))
+    if unknown:
+        known = ", ".join(gates) or "none for this kind"
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)} (gates: {known})")
+    for key in value:
+        _FLOAT(value[key], f"{where}.{key}")
     return dict(value)
 
 
@@ -512,6 +515,8 @@ def emit_plot_data(
         spec = dict(spec)
         name = spec.pop("name")
         kappa_o = _FLOAT(spec.pop("kappa_o", 1.0), "series.kappa_o")
+        if not (np.isfinite(kappa_o) and kappa_o > 0.0):
+            raise ConfigError(f"series.kappa_o must be a positive finite number, got {kappa_o}")
         if name in ("effective-mean", "effective-covariance"):
             t_max = _FLOAT(spec.pop("t_max", 5.0 / kappa_o), "series.t_max")
             points = _INT(spec.pop("points", 101), "series.points")

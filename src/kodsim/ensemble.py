@@ -1,4 +1,5 @@
-"""Ensemble driver and renormalization guards shared by both instruments.
+"""Ensemble driver shared by both instruments, the norm-collapse floor of
+every sampler, and the renormalization guards of the heterodyne samplers.
 
 Trajectory ``i`` reads only its own stream ``stream(seed, i)``, so the
 thread count and the batch size only partition the work: results are

@@ -1,6 +1,9 @@
 """Photon-counting instrument: per-step Kraus operators, record reduction,
 the Poisson distribution of Kraus operators with its screened evolution,
-POVM elements, Born statistics, and trajectory samplers.
+POVM elements, Born statistics, a dense trajectory sampler, and the
+count-indexed jump sampler of the ensembles.  Photon counting is blind to
+coherences and the state after n jumps does not depend on their times, so
+pure and mixed states share one table of jump probabilities over (step, n).
 
 Conventions fixed here:
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .ensemble import renormalize_density, renormalize_rows, run_ensemble
+from .ensemble import NORM_COLLAPSE, run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -34,9 +37,9 @@ from .fock import (
     number_diag,
     number_exp,
     projector,
-    pure_vector,
     subblock_norm_diff,
     validate_density,
+    validate_state,
 )
 from .params import InstrumentParams
 
@@ -227,26 +230,18 @@ def povm_completeness(
     T: float, p: InstrumentParams, sub_dim: int, n_max: int | None = None
 ) -> float:
     """Subblock defect of ``sum_n E_T(n)`` against the identity."""
-    if n_max is None:
-        n_max = p.dim - 1
-    total = np.zeros((p.dim, p.dim), dtype=complex)
-    for n in range(n_max + 1):
-        total += povm_element(n, T, p)
+    total = sum(povm_element(n, T, p) for n in range(p.dim if n_max is None else n_max + 1))
     return subblock_norm_diff(total, np.eye(p.dim), sub_dim)
 
 
-def projector_convergence(
-    n: int, T: float, p: InstrumentParams, sub_dim: int
-) -> float:
+def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -> float:
     """Subblock norm of ``E_T(n) - |n><n|``; decays like n e^{-kappa_o T}."""
     if n >= sub_dim:
         raise InvalidDimensionError(f"need n < sub_dim, got n={n}, sub_dim={sub_dim}")
     return subblock_norm_diff(povm_element(n, T, p), projector(p.dim, n), sub_dim)
 
 
-def _damped_number_traces(
-    rho_diag: np.ndarray, T: float, kappa_o: float, n_max: int
-) -> np.ndarray:
+def _damped_number_traces(rho_diag: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
     """``Tr(a^dag^n e^{-a^dag a kappa_o T} a^n rho)`` for n = 0..n_max.
 
     Photon counting is blind to coherences, so only the diagonal of rho
@@ -260,8 +255,7 @@ def _damped_number_traces(
     fact = np.ones(dim)
     for n in range(n_max + 1):
         if n > 0:
-            j = np.arange(dim - n)
-            fact = fact[: dim - n] * (j + n)
+            fact = fact[:-1] * np.arange(n, dim)
         out[n] = float(np.real(np.sum(fact * damp[: dim - n] * rho_diag[n:])))
     return out
 
@@ -285,9 +279,7 @@ def born_pmf(
     return np.clip(pmf, 0.0, None)
 
 
-def ostensible_weights(
-    rho: np.ndarray, T: float, p: InstrumentParams, n_max: int
-) -> np.ndarray:
+def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
     """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max.
 
     Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.
@@ -322,64 +314,72 @@ def sample_trajectory(
             jump_times.append(k * p.dt)
         else:
             rho = rho * outer_decay
-        renormalize_density(rho, k)
+        tr = float(np.real(np.trace(rho)))
+        if not tr >= NORM_COLLAPSE:  # also catches NaN
+            raise NumericError(f"state norm collapsed to {tr} at step {k}")
+        rho /= tr
     return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
 
 
-def _evolve_pure_batch(
-    psi0: np.ndarray, p: InstrumentParams, uniforms: np.ndarray
-) -> np.ndarray:
-    """Jump counts for a batch of pure-state trajectories.
+def _jump_table(pop0: np.ndarray, p: InstrumentParams, floor: float):
+    """``prob[k, n]``, the jump probability at step k after n jumps, and
+    ``collapse[k, n, jumped]``, the transitions that leave a norm below
+    ``floor`` (None when no trajectory can take one).  A collapsing jump has
+    probability below ``kappa_o dt * floor`` < 2^-53: only a uniform of
+    exactly 0.0 takes one.
 
-    All operations are elementwise or row-wise, so each trajectory's result
-    is independent of its batchmates (bit-identical under any batching).
+    Row n of ``w``, the normalized populations after n jumps, is built from
+    row n-1, so no factorial overflows; each step damps and renormalizes
+    the rows as a trajectory does.  Staying leaves the norm ``stay[k, n]``,
+    jumping ``prob[k, n] / (kappa_o dt) * stay[k, n+1]``.
     """
-    n_traj = uniforms.shape[0]
-    dim = psi0.size
-    n = np.arange(dim, dtype=float)
-    decay = np.exp(-0.5 * p.kappa_dt * n)
-    root = np.sqrt(n[1:])
-    psi = np.tile(psi0, (n_traj, 1))
-    counts = np.zeros(n_traj, dtype=np.int64)
+    dim = pop0.size
+    m = np.arange(dim, dtype=float)
+    w = np.zeros((dim, dim))
+    w[0] = pop0
+    for n in range(1, dim):
+        row = m[1:] * w[n - 1, 1:]
+        w[n, :-1] = row / (np.sum(row) or 1.0)
+    live = np.any(w != 0.0, axis=1)
+    decay = np.exp(-p.kappa_dt * m)
+    prob = np.empty((p.n_steps, dim))
+    stay = np.ones((p.n_steps, dim + 1))
     for k in range(p.n_steps):
-        nbar = np.einsum("bd,bd,d->b", psi.real, psi.real, n) + np.einsum(
-            "bd,bd,d->b", psi.imag, psi.imag, n
-        )
-        jump = uniforms[:, k] < p.kappa_dt * nbar
-        if np.any(jump):
-            sub = psi[jump]
-            lowered = np.zeros_like(sub)
-            lowered[:, :-1] = root * sub[:, 1:]
-            psi[jump] = lowered
-            counts[jump] += 1
-        np.multiply(psi, decay, out=psi)
-        renormalize_rows(psi)
+        prob[k] = p.kappa_dt * (w @ m)
+        w *= decay
+        stay[k, :-1] = np.sum(w, axis=1)
+        w /= np.where(stay[k, :-1] > 0.0, stay[k, :-1], 1.0)[:, None]
+    jumped = (prob > 0.0) & ~(prob / p.kappa_dt * stay[:, 1:] >= floor)
+    collapse = np.stack([~(stay[:, :-1] >= floor), jumped], axis=-1) & live[:, None]
+    return prob, (collapse if collapse.any() else None)
+
+
+def _count_jumps(table, uniforms: np.ndarray) -> np.ndarray:
+    """Jump counts of a batch from its ``(n_traj, n_steps)`` uniforms."""
+    prob, collapse = table
+    counts = np.zeros(uniforms.shape[0], dtype=np.int64)
+    for k, u in enumerate(uniforms.T):
+        jump = u < prob[k][counts]
+        if collapse is not None and np.any(collapse[k, counts, jump.view(np.int8)]):
+            raise NumericError(f"state norm collapsed at step {k}")
+        counts += jump
     return counts
 
 
-def run_photo_ensemble(
-    initial: np.ndarray,
-    p: InstrumentParams,
-    n_traj: int,
-    seed: int,
-    n_threads: int = 1,
-    batch: int = 8192,
-) -> np.ndarray:
+def run_photo_ensemble(initial: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
+                       n_threads: int = 1, batch: int = 8192) -> np.ndarray:
     """Jump counts for ``n_traj`` trajectories, one stream per index.
 
-    Trajectory i draws from ``stream(seed, i)``, so results are
-    byte-identical for any thread count or batch size.  Pure initial states
-    take a vectorized path; mixed states fall back to the dense sampler.
+    Trajectory i jumps at step k when uniform k of ``stream(seed, i)`` is
+    below the jump table's entry for its count so far, so results are
+    byte-identical for any thread count or batch size.  Pure and mixed
+    states share the table, which reads only the initial populations.
     """
-    psi0 = pure_vector(initial)
-    if psi0 is None:
-        rho = np.asarray(initial, dtype=complex)
-        return run_ensemble(
-            lambda rng: sample_trajectory(rho, p, rng).n_jumps,
-            None, n_traj, seed, n_threads, batch, np.int64,
-        )
-    return run_ensemble(
-        lambda rng: rng.random(p.n_steps),
-        lambda uniforms: _evolve_pure_batch(psi0, p, uniforms),
-        n_traj, seed, n_threads, batch, np.int64,
-    )
+    state = np.asarray(initial, dtype=complex)
+    if state.ndim == 1:  # the guard bounds a vector's 2-norm, a density matrix's trace
+        pop0, floor = np.abs(validate_state(state)) ** 2, NORM_COLLAPSE**2
+    else:
+        pop0, floor = np.real(np.diag(validate_density(state))), NORM_COLLAPSE
+    table = _jump_table(pop0 / np.sum(pop0), p, floor)
+    return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: _count_jumps(table, u),
+                        n_traj, seed, n_threads, batch, np.int64)

@@ -238,6 +238,13 @@ class TestPlotSeries:
         with pytest.raises(ConfigError):
             cli.run(cfg, str(tmp_path))
 
+    @pytest.mark.parametrize("kappa_o", [0, -1.0, "nan", "inf"])
+    def test_non_positive_series_rate_exits_two(self, tmp_path, capsys, kappa_o):
+        cfg = {"checks": ["trace"], "series": [{"name": "effective-mean", "kappa_o": kappa_o}]}
+        assert run_main(tmp_path, "verify-identities", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "series.kappa_o" in err
+
 
 class TestMain:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
@@ -387,3 +394,28 @@ def test_non_finite_state_file_exits_two(tmp_path, capsys):
            "initial_state": {"kind": "file", "path": str(path)}}
     assert run_main(tmp_path, "photodetect-ensemble", cfg) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, cfg_dict, key",
+    [
+        ("photodetect-ensemble", {"thresholds": {"pvalue": 0.5}}, "pvalue"),
+        ("heterodyne-ensemble", {"thresholds": {"p_value": 0.01, "mean_sigma": 4}}, "mean_sigma"),
+        # a gate of the other ensemble kind is not a gate of this one
+        ("photodetect-ensemble", {"thresholds": {"covariance_rel": 0.1}}, "covariance_rel"),
+        ("evolve-kod", {"thresholds": {"tv_method_a": 0.1}}, "tv_method_a"),
+        ("verify-identities", {"thresholds": {"p_value": 0.1}}, "p_value"),
+        ("povm-convergence", {"thresholds": {"x": 1}}, "x"),
+    ],
+)
+def test_unknown_threshold_key_rejected(tmp_path, capsys, kind, cfg_dict, key):
+    with pytest.raises(ConfigError, match=key):
+        cli.resolve_config(kind, cfg_dict)
+    assert run_main(tmp_path, kind, cfg_dict) == 2
+    assert capsys.readouterr().err.startswith("error: unknown keys in thresholds")
+
+
+def test_valid_thresholds_keep_their_hash():
+    # gate overrides are stored as given, so their hashes match earlier releases
+    cfg = {"thresholds": {"p_value": 0.5, "tv_method_a": "0.1"}}
+    assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "23eed762740f23f8"

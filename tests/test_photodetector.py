@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import fock, photodetector as pd, records
+from kodsim import ensemble, fock, photodetector as pd, records
 from kodsim.exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -345,3 +345,95 @@ class TestSamplers:
         hist = records.Histogram.from_samples(counts, records.integer_edges(8))
         pmf = pd.born_pmf(fock.projector(16, 5), LN2, p, n_max=8)
         assert records.chi_square_gof(hist, pmf) > 0.001
+
+
+def oracle_counts(rho, p, n_traj, seed):
+    """Jump counts of the dense density-matrix sampler, trajectory by trajectory."""
+    return np.array(
+        [pd.sample_trajectory(rho, p, records.stream(seed, i)).n_jumps for i in range(n_traj)]
+    )
+
+
+def superposition(dim):
+    amps = np.zeros(dim, dtype=complex)
+    amps[[0, 2, 5]] = [0.6, 0.48j, 0.64]
+    return amps
+
+
+def near_pure(dim):
+    # purity 1 - 1e-11: inside validate_density, but not pure to 1e-12
+    psi = fock.coherent_state(dim, 0.8 + 0.3j)
+    eps = 5e-12
+    return (1 - eps) * fock.pure_density(psi) + eps * fock.projector(dim, 3)
+
+
+def benchmark_style_mixture(dim):
+    # 1/2 |alpha><alpha| + 1/2 |3><3| with |alpha| = 1
+    return 0.5 * fock.pure_density(fock.coherent_state(dim, np.exp(0.7j))) + 0.5 * fock.projector(dim, 3)
+
+
+ORACLE_STATES = {
+    "fock": lambda d: fock.fock_state(d, 4),
+    "coherent": lambda d: fock.coherent_state(d, 1.0),
+    "vector": superposition,
+    "pure-density": lambda d: fock.pure_density(superposition(d)),
+    "near-pure-density": near_pure,
+    "mixture": benchmark_style_mixture,
+}
+
+
+class TestCountSampler:
+    """The count-indexed ensemble sampler against the dense sampler."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
+    def test_counts_match_dense_sampler(self, name):
+        p = params(kappa_T=LN2, dim=12, dt=1e-2)
+        state = ORACLE_STATES[name](12)
+        rho = fock.pure_density(state) if state.ndim == 1 else state
+        if name == "near-pure-density":
+            assert abs(np.real(np.trace(rho @ rho)) - 1.0) > 1e-12
+        counts = pd.run_photo_ensemble(state, p, 300, seed=17)
+        assert counts.dtype == np.int64
+        assert counts.sum() > 0
+        assert np.array_equal(counts, oracle_counts(rho, p, 300, seed=17))
+
+    def test_batch_and_thread_invariance(self):
+        p = params(kappa_T=LN2, dim=16)
+        rho = benchmark_style_mixture(16)
+        base = pd.run_photo_ensemble(rho, p, 60, seed=3)
+        for batch in (1, 7, 8192):
+            for threads in (1, 2, 3):
+                other = pd.run_photo_ensemble(rho, p, 60, seed=3, n_threads=threads, batch=batch)
+                assert np.array_equal(base, other)
+
+    def test_ordinary_states_need_no_collapse_check(self):
+        p = params(kappa_T=LN2, dim=16)
+        for pop0 in (np.abs(fock.fock_state(16, 5)) ** 2, np.abs(fock.coherent_state(16, 1.0)) ** 2):
+            prob, collapse = pd._jump_table(pop0 / pop0.sum(), p, ensemble.NORM_COLLAPSE)
+            assert collapse is None
+            assert prob.shape == (p.n_steps, 16) and np.all(prob >= 0.0)
+
+    def test_collapsing_jump_raises(self):
+        # the only excited population is 1e-30: a jump leaves a norm of
+        # about 1e-30, which only a uniform of exactly 0.0 can select
+        p = params(kappa_T=0.05, dim=6)
+        pop0 = np.array([1.0, 1e-30, 0.0, 0.0, 0.0, 0.0])
+        table = pd._jump_table(pop0, p, ensemble.NORM_COLLAPSE)
+        assert table[1] is not None
+        with pytest.raises(NumericError):
+            pd._count_jumps(table, np.zeros((3, p.n_steps)))
+        uniforms = np.full((3, p.n_steps), 2.0**-53)
+        assert np.array_equal(pd._count_jumps(table, uniforms), np.zeros(3, dtype=np.int64))
+
+    def test_high_truncation_matches_dense_sampler(self):
+        # (m + n)!/m! overflows a double for dim >= 171
+        dim = 200
+        p = params(kappa_T=0.05, dim=dim)
+        psi = np.zeros(dim, dtype=complex)
+        psi[[150, 190]] = [0.6, 0.8]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            prob, _ = pd._jump_table(np.abs(psi) ** 2, p, ensemble.NORM_COLLAPSE**2)
+            counts = pd.run_photo_ensemble(psi, p, 4, seed=2)
+        assert np.all(np.isfinite(prob))
+        assert counts.sum() > 0
+        assert np.array_equal(counts, oracle_counts(fock.pure_density(psi), p, 4, seed=2))
