@@ -325,8 +325,8 @@ def _jump_table(pop0: np.ndarray, p: InstrumentParams, floor: float):
     """``prob[k, n]``, the jump probability at step k after n jumps, and
     ``collapse[k, n, jumped]``, the transitions that leave a norm below
     ``floor`` (None when no trajectory can take one).  A collapsing jump has
-    probability below ``kappa_o dt * floor`` < 2^-53: only a uniform of
-    exactly 0.0 takes one.
+    probability below ``kappa_o dt * floor / stay[k, n+1]``, about 1e-16 or
+    less, so in practice only a uniform of exactly 0.0 (odds 2^-53) takes one.
 
     Row n of ``w``, the normalized populations after n jumps, is built from
     row n-1, so no factorial overflows; each step damps and renormalizes
