@@ -264,9 +264,7 @@ def build_initial_state(state: dict, dim: int) -> np.ndarray:
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if value is None or value == "":
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

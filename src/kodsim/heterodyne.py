@@ -182,12 +182,12 @@ def _heat_banded(n: int, coef: float) -> np.ndarray:
 
 
 def _heat_apply(u: np.ndarray, coef: float) -> np.ndarray:
-    """Apply ``I + coef * 12 h^2 L`` along axis 0 (same L as above)."""
-    n = u.shape[0]
+    """Apply ``I + coef * 12 h^2 L`` to a 1-D profile (same L as above)."""
+    n = u.size
     main = np.full(n, -30.0)
     main[[0, -1]] = -15.0
     main[[1, -2]] = -31.0
-    v = main[:, None] * u
+    v = main * u
     v[:-1] += 16.0 * u[1:]
     v[1:] += 16.0 * u[:-1]
     v[:-2] -= u[2:]
@@ -212,6 +212,12 @@ def evolve_kod_diffusion(
     condition is regularized to a Gaussian of covariance ``sigma0_sq``;
     compare the result against the analytic density of covariance
     ``Sigma(T) + sigma0_sq``.
+
+    The ADI step is the tensor product of one 1-D operator with itself
+    (the diffusion is isotropic with no cross term), and the initial
+    Gaussian is separable, ``g(x) g(y)``.  The 2-D iterate is therefore
+    exactly ``outer(v, v)`` with ``v`` the 1-D profile stepped by that
+    operator, so only ``v`` is evolved; its mass is ``(sum v)^2 h^2 / pi``.
 
     A Gaussian narrower than the mesh aliases several percent of its mass
     when sampled (sigma0_sq = 1e-3 puts ~0.45 h of standard deviation on an
@@ -248,9 +254,8 @@ def evolve_kod_diffusion(
         start_sigma_sq = sigma0_sq + sig(t_start)
     n_side = round(extent / h)
     axis = (np.arange(2 * n_side + 1) - n_side) * h
-    sq = axis**2
-    u = np.exp(-(sq[:, None] + sq[None, :]) / start_sigma_sq) / start_sigma_sq
-    u /= np.sum(u) * h**2 / np.pi
+    v = np.exp(-(axis**2) / start_sigma_sq) / np.sqrt(start_sigma_sq)
+    v /= np.sum(v) * h / np.sqrt(np.pi)
     for k in range(steps):
         t0 = t_start + k * (T - t_start) / steps
         t1 = t_start + (k + 1) * (T - t_start) / steps
@@ -259,12 +264,11 @@ def evolve_kod_diffusion(
         if coef == 0.0:
             continue
         ab = _heat_banded(axis.size, coef)
-        u = scipy.linalg.solve_banded((2, 2), ab, _heat_apply(u, coef))
-        ut = u.T.copy()
-        u = scipy.linalg.solve_banded((2, 2), ab, _heat_apply(ut, coef)).T
-        mass = float(np.sum(u) * h**2 / np.pi)
+        v = scipy.linalg.solve_banded((2, 2), ab, _heat_apply(v, coef))
+        mass = float(np.sum(v)) ** 2 * h**2 / np.pi
         if abs(mass - 1.0) > 1e-8:
             raise NumericError(f"mass drifted to {mass} at step {k}")
+    u = np.outer(v, v)
     ring = np.sum(u[0]) + np.sum(u[-1]) + np.sum(u[1:-1, 0]) + np.sum(u[1:-1, -1])
     if ring * h**2 / np.pi > 1e-6:
         raise ExtentError("density reached the boundary ring; enlarge extent")

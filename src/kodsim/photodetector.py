@@ -246,6 +246,8 @@ def _damped_number_traces(rho_diag: np.ndarray, T: float, kappa_o: float, n_max:
 
     Photon counting is blind to coherences, so only the diagonal of rho
     enters: the trace is sum_j e^{-j kappa_o T} (j+n)!/j! rho[j+n, j+n].
+    The factorial ratio overflows for counts n >~ 150 at high truncation;
+    a trace that is not finite raises NumericError.
     """
     dim = rho_diag.size
     if n_max >= dim:
@@ -253,10 +255,14 @@ def _damped_number_traces(rho_diag: np.ndarray, T: float, kappa_o: float, n_max:
     damp = np.exp(-kappa_o * T * np.arange(dim))
     out = np.empty(n_max + 1)
     fact = np.ones(dim)
-    for n in range(n_max + 1):
-        if n > 0:
-            fact = fact[:-1] * np.arange(n, dim)
-        out[n] = float(np.real(np.sum(fact * damp[: dim - n] * rho_diag[n:])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_max + 1):
+            if n > 0:
+                fact = fact[:-1] * np.arange(n, dim)
+            out[n] = float(np.real(np.sum(fact * damp[: dim - n] * rho_diag[n:])))
+    if not np.all(np.isfinite(out)):
+        bad = int(np.argmin(np.isfinite(out)))
+        raise NumericError(f"damped number trace overflows from n = {bad} (dim {dim})")
     return out
 
 

@@ -33,13 +33,8 @@ def test_criterion_01_renormalization_identities():
 
 
 def test_criterion_02_poisson_kod_evolution():
-    kod = pd.evolve_kod_poisson(LN2, 1.0, n_max=40, steps=1000)
-    err = float(np.max(np.abs(kod.weights - kod.pmf_array(40))))
-    ref = kod.pmf_array(40)
-    errs = [
-        float(np.max(np.abs(pd.evolve_kod_poisson(LN2, 1.0, 40, s).weights - ref)))
-        for s in (100, 200)
-    ]
+    err = verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, n_max=40, steps=1000))
+    errs = [verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, 40, s)) for s in (100, 200)]
     ratio = errs[0] / errs[1]
     criterion(
         2,
@@ -82,12 +77,10 @@ def test_criterion_03_binomial_born_statistics():
 
 def test_criterion_04_gaussian_kod_evolution():
     def max_err(h, steps):
-        kod = het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=steps,
-                                       sigma0_sq=1e-3)
-        ax = kod.axis()
-        total = kod.sigma + kod.regularization
-        target = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / total) / total
-        return float(np.max(np.abs(kod.grid - target)))
+        return verify.kod_error(
+            het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=steps,
+                                     sigma0_sq=1e-3)
+        )
 
     err = max_err(0.05, 200)
     ratio = max_err(0.05, 800) / max_err(0.025, 1600)

@@ -129,6 +129,15 @@ class TestRuns:
         born = np.array([float(r[2]) for r in rows])
         assert abs(born.sum() - 1.0) < 1e-9
 
+    def test_write_csv_cell_text_pinned(self, tmp_path):
+        # every cell type the runners emit, as the exact bytes on disk
+        path = tmp_path / "cells.csv"
+        row = (np.float64(0.1), 1.0 / 3.0, 7, np.int64(-3), True, None, "", np.float64(2e-20))
+        cli.write_csv(str(path), ["a", "b", "c", "d", "e", "f", "g", "h"], [row])
+        assert path.read_bytes() == (
+            b"a,b,c,d,e,f,g,h\n0.1,0.3333333333333333,7,-3,1,,,2e-20\n"
+        )
+
     def test_idempotent_reruns_byte_identical(self, tmp_path):
         cfg = cli.resolve_config("photodetect-ensemble", dict(SMALL_PHOTO), seed_override=7)
         out1, out2 = tmp_path / "a", tmp_path / "b"

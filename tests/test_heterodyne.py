@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import fock, heterodyne as het, records
+from kodsim import fock, heterodyne as het, records, verify
 from kodsim.exceptions import (
     DomainError,
     ExtentError,
@@ -183,22 +184,71 @@ class TestGaussianKOD:
             kod.density(0.1)
 
 
+def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
+    """Oracle: the 2-D alternating-direction loop on the full grid, each
+    step one implicit solve along axis 0 and one along axis 1, from the
+    same widened initial Gaussian as ``evolve_kod_diffusion``."""
+    sig = lambda t: float(-np.expm1(-kappa_o * t))
+    resolved_sq = 2.0 * (resolve_scale * h) ** 2
+    t_start, start_sq = 0.0, sigma0_sq
+    if kappa_o > 0.0 and sigma0_sq < resolved_sq:
+        t_start = min(T, float(-np.log1p(sigma0_sq - resolved_sq) / kappa_o))
+        start_sq = sigma0_sq + sig(t_start)
+    n_side = round(extent / h)
+    sq = ((np.arange(2 * n_side + 1) - n_side) * h) ** 2
+    u = np.exp(-(sq[:, None] + sq[None, :]) / start_sq) / start_sq
+    u /= np.sum(u) * h**2 / np.pi
+    main = np.full(sq.size, -30.0)
+    main[[0, -1]] = -15.0
+    main[[1, -2]] = -31.0
+
+    def explicit_half(w, coef):  # I + coef 12 h^2 L along axis 0
+        v = main[:, None] * w
+        v[:-1] += 16.0 * w[1:]
+        v[1:] += 16.0 * w[:-1]
+        v[:-2] -= w[2:]
+        v[2:] -= w[:-2]
+        return w + coef * v
+
+    for k in range(steps):
+        t0 = t_start + k * (T - t_start) / steps
+        t1 = t_start + (k + 1) * (T - t_start) / steps
+        coef = 0.5 * (sig(t1) - sig(t0)) / 4.0 / (12.0 * h**2)
+        ab = het._heat_banded(sq.size, coef)
+        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u, coef))
+        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u.T.copy(), coef)).T
+    return u
+
+
 class TestDiffusion:
     def test_zero_rate_leaves_initial_condition(self):
         kod = het.evolve_kod_diffusion(1.0, 0.0, h=0.1, extent=5.0, steps=50,
                                        sigma0_sq=0.04)
         ax = kod.axis()
+        g = np.exp(-(ax**2) / 0.04) / np.sqrt(0.04)
+        g /= np.sum(g) * 0.1 / np.sqrt(np.pi)
+        assert np.max(np.abs(kod.grid - np.outer(g, g))) == 0.0
+        # the 2-D expression of the same Gaussian rounds differently
         init = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / 0.04) / 0.04
         init /= np.sum(init) * 0.1**2 / np.pi
-        assert np.max(np.abs(kod.grid - init)) == 0.0
+        assert np.max(np.abs(kod.grid - init)) <= 8 * np.spacing(np.max(init))
+
+    @pytest.mark.parametrize(
+        "h, steps, sigma0_sq",
+        [(0.25, 20, 1e-3), (0.1, 40, 1e-3), (0.25, 20, 0.3)],
+    )
+    def test_separable_solve_matches_2d_adi(self, h, steps, sigma0_sq):
+        # widened start (1e-3) and a start already resolved on the mesh (0.3)
+        kod = het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=steps,
+                                       sigma0_sq=sigma0_sq)
+        oracle = adi_2d(LN2, 1.0, h, 5.0, steps, sigma0_sq)
+        assert kod.grid.shape == oracle.shape
+        assert np.max(np.abs(kod.grid - oracle)) <= 1e-13 * np.max(oracle)
 
     def test_matches_analytic_gaussian(self):
         kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, steps=200,
                                        sigma0_sq=1e-3)
-        ax = kod.axis()
-        total = kod.sigma + kod.regularization
-        target = np.exp(-(ax[:, None] ** 2 + ax[None, :] ** 2) / total) / total
-        assert np.max(np.abs(kod.grid - target)) < 1e-3
+        assert verify.kod_error(kod) < 1e-3
         assert abs(kod.grid_mass() - 1.0) < 1e-8
         assert float(np.min(kod.grid)) > -1e-9
 

@@ -278,6 +278,17 @@ class TestBornStatistics:
             with pytest.raises(InvalidDimensionError):
                 pd.ostensible_weights(rho, LN2, p, n_max=n_max)
 
+    def test_factorial_overflow_raises_instead_of_nan(self):
+        # (j+n)!/j! overflows for n >= 150 at dim 200; the references used
+        # to return NaN there, which the negativity check lets through
+        p = params(kappa_T=0.05, dim=200)
+        rho = fock.projector(200, 190)
+        with pytest.raises(NumericError):
+            pd.born_pmf(rho, 0.05, p)
+        with pytest.raises(NumericError):
+            pd.ostensible_weights(rho, 0.05, p, n_max=199)
+        assert np.all(np.isfinite(pd.born_pmf(rho, 0.05, p, n_max=100)))
+
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
         p = params(kappa_T=LN2, dim=20)
