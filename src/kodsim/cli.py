@@ -354,27 +354,6 @@ def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list
     return checks
 
 
-def _bin_probs_2d(rho, p: InstrumentParams, edges_re, edges_im, nodes=8):
-    """Born-density probability of each rectangular bin (Gauss-Legendre)."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
-    n_re, n_im = edges_re.size - 1, edges_im.size - 1
-    probs = np.empty((n_re, n_im))
-    for i in range(n_re):
-        xc = 0.5 * (edges_re[i] + edges_re[i + 1]) + 0.5 * (
-            edges_re[i + 1] - edges_re[i]
-        ) * gl_x
-        for j in range(n_im):
-            yc = 0.5 * (edges_im[j] + edges_im[j + 1]) + 0.5 * (
-                edges_im[j + 1] - edges_im[j]
-            ) * gl_x
-            vals = het.born_pdf(
-                rho, (xc[:, None] + 1j * yc[None, :]).ravel(), p.T, p
-            ).reshape(nodes, nodes)
-            area = (edges_re[i + 1] - edges_re[i]) * (edges_im[j + 1] - edges_im[j])
-            probs[i, j] = np.einsum("i,j,ij->", gl_w, gl_w, vals) * area / (4 * np.pi)
-    return probs
-
-
 def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[Check]:
     p = cfg.instrument_params()
     r = cfg.resolved
@@ -430,7 +409,7 @@ def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[
                 _scaled_gate(thr, "covariance_rel", COV_ANCHOR, n_traj),
             )
         )
-        probs = _bin_probs_2d(rho, p, edges_re, edges_im)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         hist = Histogram(integer_edges(counts_flat.size - 1), counts_flat)

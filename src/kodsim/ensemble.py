@@ -1,5 +1,6 @@
 """Ensemble driver shared by both instruments, the norm-collapse floor of
-every sampler, and the renormalization guards of the heterodyne samplers.
+every sampler, and the renormalization guards of the heterodyne batch
+sampler (unit rows, for every input) and of its dense reference (trace).
 
 Trajectory ``i`` reads only its own stream ``stream(seed, i)``, so the
 thread count and the batch size only partition the work: results are
@@ -22,10 +23,10 @@ NORM_COLLAPSE = 1e-14
 def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: int, dtype):
     """Results of ``n_traj`` trajectories as one array of ``dtype``.
 
-    ``draw`` takes trajectory i's stream and returns its draws, or its
-    result when ``evolve`` is None; ``evolve`` maps the stacked draws of up
-    to ``batch`` consecutive trajectories to their results.  Index ranges
-    of about equal size run on ``n_threads`` worker threads.
+    ``draw`` takes trajectory i's stream and returns its draws; ``evolve``
+    maps the stacked draws of up to ``batch`` consecutive trajectories to
+    their results.  Index ranges of about equal size run on ``n_threads``
+    worker threads.
     """
 
     def chunk(lo: int, hi: int) -> np.ndarray:
@@ -33,7 +34,7 @@ def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: in
         for b0 in range(lo, hi, batch):
             b1 = min(b0 + batch, hi)
             draws = np.stack([draw(stream(seed, i)) for i in range(b0, b1)])
-            out[b0 - lo : b1 - lo] = draws if evolve is None else evolve(draws)
+            out[b0 - lo : b1 - lo] = evolve(draws)
         return out
 
     bounds = np.linspace(0, n_traj, max(1, n_threads) + 1).astype(int)

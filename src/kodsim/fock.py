@@ -223,17 +223,3 @@ def pure_density(vec: np.ndarray) -> np.ndarray:
     """Density matrix of a (normalized) pure state."""
     vec = validate_state(vec)
     return np.outer(vec, vec.conj())
-
-
-def pure_vector(state: np.ndarray) -> np.ndarray | None:
-    """Unit vector of a pure state given as a vector or a density matrix;
-    None for a density matrix of purity below 1 - 1e-12."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        state = validate_state(state)
-        return state / np.linalg.norm(state)
-    validate_density(state)
-    purity = float(np.real(np.trace(state @ state)))
-    if abs(purity - 1.0) > 1e-12:
-        return None
-    return np.linalg.eigh(state)[1][:, -1]

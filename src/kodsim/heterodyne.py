@@ -35,9 +35,9 @@ from .fock import (
     matrix_exp,
     number_diag,
     number_exp,
-    pure_vector,
     subblock_norm_diff,
     validate_density,
+    validate_state,
 )
 from .params import InstrumentParams
 
@@ -443,6 +443,24 @@ def born_pdf_quadrature(
     return total, mean, cov
 
 
+def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
+                   p: InstrumentParams) -> np.ndarray:
+    """Born probability of each rectangular bin ``[edges_re[i], edges_re[i+1]]
+    x [edges_im[j], edges_im[j+1]]``: an 8-point Gauss-Legendre rule per
+    axis, with the density at every node of every bin from one call."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+
+    def axis(edges):
+        edges = np.asarray(edges, dtype=float)
+        half = 0.5 * np.diff(edges)
+        return 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * gl_x, half
+
+    (x, half_x), (y, half_y) = axis(edges_re), axis(edges_im)
+    vals = born_pdf(rho, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, p)
+    vals = vals.reshape(x.shape + y.shape)
+    return np.einsum("k,l,ikjl->ij", gl_w, gl_w, vals) * np.outer(half_x, half_y) / np.pi
+
+
 def sample_het_ostensible(
     T: float, kappa_o: float, rng: np.random.Generator
 ) -> complex:
@@ -477,17 +495,16 @@ def sample_het_trajectory(
     return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
 
 
-def _evolve_het_pure_batch(
-    psi0: np.ndarray, p: InstrumentParams, normals: np.ndarray
-) -> np.ndarray:
+def _evolve_het_batch(psi: np.ndarray, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
     """Record functionals for a batch of pure-state trajectories.
 
-    Applies the disentangled form of L(dw) per step; all operations are
-    elementwise or row-wise, so trajectories are independent of their
-    batchmates.
+    Evolves ``psi``, one unit initial vector per row, in place under the
+    disentangled form of L(dw).  Every operation is elementwise or
+    row-wise: a row, of unit norm at each step's start, ends its Taylor
+    series once its own term's squared norm is below 1e-34 and then adds
+    exact zeros, so trajectories are independent of their batchmates.
     """
-    n_traj = normals.shape[0]
-    dim = psi0.size
+    n_traj, dim = psi.shape
     n = np.arange(dim, dtype=float)
     root = np.sqrt(n[1:])
     decay = np.exp(-0.5 * p.kappa_dt * n)
@@ -495,7 +512,6 @@ def _evolve_het_pure_batch(
     sqk = np.sqrt(p.kappa_o)
     noise = np.sqrt(0.5 * p.dt)
     damp = np.exp(-0.5 * p.kappa_o * p.step_times())
-    psi = np.tile(psi0, (n_traj, 1))
     zeta = np.zeros(n_traj, dtype=complex)
     term = np.empty_like(psi)
     nxt = np.empty_like(psi)
@@ -511,7 +527,9 @@ def _evolve_het_pure_batch(
             nxt[:, -1] = 0.0
             np.multiply(nxt, (u / j)[:, None], out=term)
             acc += term
-            if float(np.max(np.abs(term))) < 1e-17 * float(np.max(np.abs(acc))):
+            done = np.einsum("bi,bi->b", term.view(float), term.view(float)) < 1e-34
+            term[done] = 0.0
+            if done.all():
                 break
         np.multiply(acc, decay, out=psi)
         renormalize_rows(psi)
@@ -528,20 +546,32 @@ def run_het_ensemble(
 ) -> np.ndarray:
     """Record functionals of ``n_traj`` trajectories, one stream per index.
 
-    Same determinism contract as the photon-counting ensemble: trajectory i
-    depends only on ``(seed, i)``, never on batching or thread count.
+    The state enters the record law only through the Born factor
+    ``Tr(K_T^dag K_T rho)``, which is linear in rho, so the law of a mixture
+    ``sum_k w_k |v_k><v_k|`` is the same mixture of pure-state laws.
+    Vectors (one component of weight 1) and density matrices (their
+    eigencomponents, eigenvalues clipped at 0) thus share one sampler:
+    trajectory i draws its ``2 n_steps`` normals, then one uniform that
+    picks component k with probability ``w_k``, and evolves it as a pure
+    state.  Trajectory i depends only on ``(seed, i)``, so results are
+    byte-identical for any batch size or thread count.
     """
-    psi0 = pure_vector(initial)
-    if psi0 is None:
-        rho = np.asarray(initial, dtype=complex)
-        return run_ensemble(
-            lambda rng: record_functional(sample_het_trajectory(rho, p, rng), p.kappa_o),
-            None, n_traj, seed, n_threads, batch, complex,
-        )
+    state = np.asarray(initial, dtype=complex)
+    if state.ndim == 1:
+        weights, vectors = np.ones(1), validate_state(state)[None, :] / np.linalg.norm(state)
+    else:
+        evals, evecs = np.linalg.eigh(validate_density(state))
+        weights, vectors = np.clip(evals, 0.0, None), np.ascontiguousarray(evecs.T)
+    bounds = np.cumsum(weights / np.sum(weights))[:-1]
+
+    def evolve(draws: np.ndarray) -> np.ndarray:
+        pick = np.searchsorted(bounds, draws[:, -1], side="right")
+        normals = draws[:, :-1].reshape(-1, p.n_steps, 2)  # a view: a copy doubles the draws
+        return _evolve_het_batch(vectors[pick], p, normals)
+
     return run_ensemble(
-        lambda rng: rng.standard_normal((p.n_steps, 2)),
-        lambda normals: _evolve_het_pure_batch(psi0, p, normals),
-        n_traj, seed, n_threads, batch, complex,
+        lambda rng: np.append(rng.standard_normal(2 * p.n_steps), rng.random()),
+        evolve, n_traj, seed, n_threads, batch, complex,
     )
 
 

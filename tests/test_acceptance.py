@@ -108,7 +108,7 @@ def test_criterion_05_heterodyne_born_statistics():
     edges_re = 0.5 + np.linspace(-half, half, 9)
     edges_im = np.linspace(-half, half, 9)
     hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-    probs = cli._bin_probs_2d(rho, p, edges_re, edges_im)
+    probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
     counts_flat = np.append(hist2d.ravel(), 10**4 - hist2d.sum())
     probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
     hist = records.Histogram(records.integer_edges(counts_flat.size - 1), counts_flat)

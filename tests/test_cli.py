@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from kodsim import cli, fock
+from kodsim import cli, fock, heterodyne, photodetector
 from kodsim.exceptions import ConfigError
 
 
@@ -428,3 +428,33 @@ def test_valid_thresholds_keep_their_hash():
     # gate overrides are stored as given, so their hashes match earlier releases
     cfg = {"thresholds": {"p_value": 0.5, "tv_method_a": "0.1"}}
     assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "23eed762740f23f8"
+
+
+def test_ensembles_never_reach_dense_oracles(tmp_path, monkeypatch):
+    # the dense per-step samplers are test references: both CLI ensembles
+    # must finish a mixed state without them (whatever their gates say)
+    reached = []
+
+    def oracle(name):
+        def refuse(*args, **kwargs):
+            reached.append(name)
+            raise RuntimeError(f"{name} reached from the CLI")
+        return refuse
+
+    for module, name in ((heterodyne, "sample_het_trajectory"),
+                         (heterodyne, "kraus_increment"),
+                         (photodetector, "sample_trajectory")):
+        monkeypatch.setattr(module, name, oracle(name))
+    path = tmp_path / "mixed.npy"
+    rho = 0.5 * fock.pure_density(fock.coherent_state(10, 0.5)) + 0.5 * fock.projector(10, 2)
+    np.save(path, rho)
+    state = {"kind": "file", "path": str(path)}
+    for kind, extra in (("heterodyne-ensemble", {"quad_order": 24}),
+                        ("photodetect-ensemble", {"n_max": 9})):
+        out = tmp_path / kind
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps(
+            {"trajectories": 50, "params": {"dim": 10}, "initial_state": state, **extra}))
+        cli.main([kind, "--config", str(cfg_path), "--out", str(out)])
+        assert (out / "report.json").is_file()
+    assert reached == []

@@ -227,16 +227,6 @@ def test_validators_reject_zero_and_non_finite_states():
         fock.validate_state(np.array([np.nan, 1.0, 0.0]))
     with pytest.raises(DomainError):
         fock.validate_density(np.diag([np.nan, 1.0]))
-    with pytest.raises(DomainError):
-        fock.pure_vector(np.zeros(4))
-
-
-def test_pure_vector_of_pure_density_and_mixture():
-    psi = fock.coherent_state(12, 0.5)
-    vec = fock.pure_vector(fock.pure_density(psi))
-    assert abs(abs(np.vdot(vec, psi)) - 1.0) < 1e-12
-    mixed = 0.5 * fock.projector(4, 0) + 0.5 * fock.projector(4, 1)
-    assert fock.pure_vector(mixed) is None
 
 
 def test_lowering_power_matches_repeated_product():

@@ -375,6 +375,27 @@ class TestBornDensity:
         total, _, _ = het.born_pdf_quadrature(rho, LN2, p)
         assert abs(total - 1.0) < 1e-6
 
+    def test_bin_probs_match_per_cell_rule(self):
+        # one Born call over every node equals the rule applied bin by bin
+        p = params(kappa_T=LN2, dim=12)
+        rng = records.stream(5, 0)
+        raw = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        rho = 0.5 * fock.pure_density(raw / np.linalg.norm(raw)) + 0.5 * fock.projector(12, 1)
+        edges_re = np.array([-1.5, -0.4, 0.0, 0.7, 2.0])
+        edges_im = np.array([-1.0, 0.2, 1.1])
+        gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
+        assert probs.shape == (4, 2)
+        for i in range(4):
+            for j in range(2):
+                hx = 0.5 * (edges_re[i + 1] - edges_re[i])
+                hy = 0.5 * (edges_im[j + 1] - edges_im[j])
+                xc = 0.5 * (edges_re[i] + edges_re[i + 1]) + hx * gl_x
+                yc = 0.5 * (edges_im[j] + edges_im[j + 1]) + hy * gl_x
+                vals = het.born_pdf(rho, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p)
+                cell = np.einsum("k,l,kl->", gl_w, gl_w, vals.reshape(8, 8)) * hx * hy / np.pi
+                assert abs(probs[i, j] - cell) <= 1e-13 * cell
+
     def test_born_factorization_random_state(self):
         # random low-excitation pure state: the density integrates to one and
         # matches the empirical trajectory amplitudes (8x8 chi-square)
@@ -393,21 +414,7 @@ class TestBornDensity:
         edges_re = mean_ref.real + np.linspace(-half, half, 9)
         edges_im = mean_ref.imag + np.linspace(-half, half, 9)
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-        gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-        probs = np.empty((8, 8))
-        for i in range(8):
-            xc = 0.5 * (edges_re[i] + edges_re[i + 1]) + 0.5 * (
-                edges_re[i + 1] - edges_re[i]
-            ) * gl_x
-            for j in range(8):
-                yc = 0.5 * (edges_im[j] + edges_im[j + 1]) + 0.5 * (
-                    edges_im[j + 1] - edges_im[j]
-                ) * gl_x
-                vals = het.born_pdf(
-                    rho, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p
-                ).reshape(8, 8)
-                area = (edges_re[i + 1] - edges_re[i]) * (edges_im[j + 1] - edges_im[j])
-                probs[i, j] = np.einsum("i,j,ij->", gl_w, gl_w, vals) * area / (4 * np.pi)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         hist = records.Histogram(
@@ -455,11 +462,59 @@ class TestSamplers:
             amp = complex(np.trace(a @ rho))
             assert abs(amp - np.exp(-0.5 * (k + 1) * p.dt)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            fock.coherent_state(16, 0.8 + 0.3j),
+            fock.fock_state(16, 3),
+            fock.pure_density(fock.coherent_state(16, 0.8 + 0.3j)),
+        ],
+        ids=["coherent", "fock3", "coherent-density"],
+    )
+    def test_batch_matches_dense_oracle_per_trajectory(self, state):
+        # the batch sampler reproduces the dense expm sampler draw for draw
+        p = params(kappa_T=0.05, dim=16)
+        rho = state if state.ndim == 2 else fock.pure_density(state)
+        zetas = het.run_het_ensemble(state, p, 12, seed=8)
+        for i, z in enumerate(zetas):
+            rec = het.sample_het_trajectory(rho, p, records.stream(8, i))
+            assert abs(z - het.record_functional(rec, p.kappa_o)) < 1e-12
+
     def test_mixed_state_path_runs(self):
-        p = params(kappa_T=0.02, dim=8)
-        rho = 0.5 * fock.projector(8, 0) + 0.5 * fock.projector(8, 1)
-        zetas = het.run_het_ensemble(rho, p, 5, seed=2)
-        assert zetas.shape == (5,)
+        # each mixed-state trajectory is the oracle trajectory of the
+        # component its own stream picks, |3> with probability 0.7
+        p = params(kappa_T=0.05, dim=16)
+        rho = 0.3 * fock.projector(16, 0) + 0.7 * fock.projector(16, 3)
+        n_traj = 200
+        zetas = het.run_het_ensemble(rho, p, n_traj, seed=2)
+        on_three = 0
+        for i, z in enumerate(zetas):
+            gaps = [
+                abs(z - het.record_functional(
+                    het.sample_het_trajectory(fock.projector(16, n), p, records.stream(2, i)),
+                    p.kappa_o,
+                ))
+                for n in (0, 3)
+            ]
+            assert min(gaps) < 1e-12
+            on_three += gaps[1] < gaps[0]
+        assert abs(on_three / n_traj - 0.7) <= 3.0 * math.sqrt(0.21 / n_traj)
+
+    def test_batch_size_and_threads_do_not_change_trajectories(self):
+        # a trajectory's Taylor series stops on its own test, never on its
+        # batchmates'.  A batch-wide stop changed 9 of these 600 at batch=1,
+        # 3 of them among the first 34, which are rerun one at a time here
+        p = params(kappa_T=LN2, dim=40)
+        psi = (fock.fock_state(40, 0) + fock.fock_state(40, 12)) / math.sqrt(2.0)
+        base = het.run_het_ensemble(psi, p, 600, seed=3)
+        assert np.array_equal(het.run_het_ensemble(psi, p, 34, seed=3, batch=1), base[:34])
+        q = params(kappa_T=0.05, dim=8)
+        mixed = 0.6 * fock.pure_density(fock.coherent_state(8, 0.5)) + 0.4 * fock.projector(8, 2)
+        base = het.run_het_ensemble(mixed, q, 40, seed=9)
+        for batch in (1, 7, 4096):
+            for n_threads in (1, 2, 3):
+                again = het.run_het_ensemble(mixed, q, 40, 9, n_threads, batch)
+                assert np.array_equal(again, base)
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.02, dim=8)
