@@ -1,6 +1,10 @@
 """Ensemble driver shared by both instruments, the norm-collapse floor of
-every sampler, and the renormalization guards of the heterodyne batch
-sampler (unit rows, for every input) and of its dense reference (trace).
+the samplers, and the trace renormalization of the dense heterodyne
+reference.  The heterodyne batch sampler renormalizes nothing: after k
+steps its conditional state is ``e^{-a^dag a kappa_o t_k/2} e^{c a} rho
+(...)^dag`` normalized, with ``c = phi conj(zeta_k)`` fixed by the record
+functional so far, so it reads the drift ``Tr(a rho_k)`` from the Born
+weight polynomial in c instead of evolving a state.
 
 Trajectory ``i`` reads only its own stream ``stream(seed, i)``, so the
 thread count and the batch size only partition the work: results are
@@ -16,7 +20,7 @@ import numpy as np
 from .exceptions import NumericError
 from .records import stream
 
-# smallest state norm (or density trace) a sampler may renormalize
+# smallest trace (squared norm, for a vector) a sampler may renormalize
 NORM_COLLAPSE = 1e-14
 
 
@@ -45,17 +49,6 @@ def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: in
         with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
             parts = list(pool.map(lambda b: chunk(*b), pairs))
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-
-def renormalize_rows(psi: np.ndarray) -> None:
-    """Scale each row of a batch of state vectors to unit norm, in place."""
-    norms = np.sqrt(
-        np.einsum("bd,bd->b", psi.real, psi.real)
-        + np.einsum("bd,bd->b", psi.imag, psi.imag)
-    )
-    if not float(np.min(norms)) >= NORM_COLLAPSE:  # also catches NaN
-        raise NumericError("state norm collapsed in the batch sampler")
-    psi /= norms[:, None]
 
 
 def renormalize_density(rho: np.ndarray, step: int) -> None:

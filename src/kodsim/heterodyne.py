@@ -9,6 +9,15 @@ independent with variance dt/2 each.  The diffusion equation is written in
 ``x = Re zeta, y = Im zeta`` with coefficient ``kappa(t)/4`` per
 coordinate, the unique choice consistent with the closed-form density
 ``(1/Sigma) exp(-|zeta|^2/Sigma)`` at covariance ``Sigma(T) = <|zeta|^2>``.
+
+The instrument evolves on its own: after a record with partial functional
+``zeta_k`` the conditional state is ``K rho K^dag`` normalized, with
+``K = e^{-a^dag a kappa_o t_k/2} e^{c a}`` and ``c = phi conj(zeta_k)``.  The
+system enters only through the Born weight ``W(c) = Tr(K^dag K rho)``, a
+polynomial in (c, c*) whose coefficients :func:`_weight_coeffs` builds once
+per call.  It gives the Born references and, through
+``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``, the drift of the ensemble
+sampler, which therefore evolves no state.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ensemble import renormalize_density, renormalize_rows, run_ensemble
+from .ensemble import renormalize_density, run_ensemble
 from .exceptions import (
     DomainError,
     ExtentError,
@@ -35,6 +44,7 @@ from .fock import (
     matrix_exp,
     number_diag,
     number_exp,
+    pure_density,
     subblock_norm_diff,
     validate_density,
     validate_state,
@@ -111,13 +121,6 @@ def lowering_drag(r: float) -> float:
     if r == 0.0:
         return 1.0
     return float(-np.expm1(-r) / r)
-
-
-def kraus_increment_fast(dw: complex, p: InstrumentParams) -> np.ndarray:
-    """Disentangled form of :func:`kraus_increment` (algebraically equal)."""
-    r = 0.5 * p.kappa_dt
-    c = np.sqrt(p.kappa_o) * np.conj(dw) * lowering_drag(r)
-    return number_exp(p.dim, r) @ exp_lowering(p.dim, c)
 
 
 @dataclass(frozen=True)
@@ -370,47 +373,61 @@ def povm_left_invariance_defect(
     )
 
 
-def _weight_poly_table(rho: np.ndarray, T: float, p: InstrumentParams) -> np.ndarray:
-    """Coefficients t[j, k] of ``Tr(K_T(z)^dag K_T(z) rho) = sum t_jk z*^j z^k``.
+def _weight_coeffs(rho: np.ndarray) -> np.ndarray:
+    """Coefficients ``C[m, j, l] = g_j(m) g_l(m) rho[m+j, m+l]`` of the Born
+    weight, zero where ``m+j`` or ``m+l`` leaves the truncation, with
+    ``g_j(m) = sqrt((m+j)!/m!)/j!``.
 
-    t[j, k] = sum_m e^{-m kappa_o T} g_j(m) g_k(m) rho[m+j, m+k] with
-    g_j(m) = sqrt((m+j)!/m!)/j!; the weights are entire in (z, z*) because
-    the class operators are lowering-only.
+    With ``T_t = sum_m e^{-m kappa_o t} C[m]`` the weight of the class
+    operator ``e^{-a^dag a kappa_o t/2} e^{c a}`` is
+    ``W_t(c) = Tr(K^dag K rho) = sum_{j,l} c^j conj(c)^l T_t[j, l]``; it is
+    entire in (c, c*) because the class operators are lowering-only.
     """
-    dim = p.dim
-    damp = np.exp(-p.kappa_o * T * np.arange(dim))
-    g = [np.ones(dim)]
-    for j in range(1, dim):
-        m = np.arange(dim - j)
-        g.append(g[j - 1][: dim - j] * np.sqrt(m + j) / j)
-    table = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            span = dim - max(j, k)
-            m = np.arange(span)
-            table[j, k] = np.sum(
-                damp[:span] * g[j][:span] * g[k][:span] * rho[m + j, m + k]
-            )
-    return table
+    dim = rho.shape[0]
+    m = np.arange(dim)[:, None]
+    j = np.arange(dim)[None, :]
+    steps = np.where(j > 0, np.sqrt(m + j) / np.maximum(j, 1), 1.0)
+    g = np.where(m + j < dim, np.cumprod(steps, axis=1), 0.0)
+    idx = np.minimum(m + j, dim - 1)
+    return g[:, :, None] * g[:, None, :] * rho[idx[:, :, None], idx[:, None, :]]
 
 
-def _zeta_powers(zetas: np.ndarray, dim: int) -> np.ndarray:
-    powers = np.empty((zetas.size, dim), dtype=complex)
-    powers[:, 0] = 1.0
-    for j in range(1, dim):
-        powers[:, j] = powers[:, j - 1] * zetas
-    return powers
+def _weight_table(coeffs: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
+    """``T_t[j, l] = sum_m e^{-m kappa_o t} C[m, j, l]``, summed over m in
+    order on the real and imaginary parts (real arithmetic is 3-4x faster)."""
+    dim = coeffs.shape[0]
+    damp = np.exp(-kappa_o * t * np.arange(dim))
+    flat = np.einsum("m,mx->x", damp, coeffs.reshape(dim, -1).view(float))
+    return flat.view(complex).reshape(dim, dim)
+
+
+def _powers(c: np.ndarray, dim: int) -> np.ndarray:
+    """Rows ``(1, c, c^2, ..., c^{dim-1})``, one per entry of ``c``.
+
+    Each row is accumulated along itself, never down a column, so its bits
+    do not depend on how many rows share the array.
+    """
+    steps = np.empty((c.size, dim), dtype=complex)
+    steps[:, 0] = 1.0
+    steps[:, 1:] = c[:, None]
+    return np.cumprod(steps, axis=1)
+
+
+def _weight_terms(table: np.ndarray, c: np.ndarray):
+    """``(powers, q, W)`` per row: the powers of c, ``q = T conj(powers)``
+    and the weight ``W(c) = Re sum_j c^j q_j``."""
+    powers = _powers(c, table.shape[0])
+    q = np.einsum("jl,nl->nj", table, powers.conj())
+    return powers, q, np.einsum("nj,nj->n", powers, q).real
 
 
 def het_born_weights(
     rho: np.ndarray, zetas: np.ndarray, T: float, p: InstrumentParams
 ) -> np.ndarray:
     """``Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes."""
-    rho = validate_density(rho)
+    table = _weight_table(_weight_coeffs(validate_density(rho)), T, p.kappa_o)
     zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    table = _weight_poly_table(rho, T, p)
-    powers = _zeta_powers(zetas, p.dim)
-    return np.real(np.einsum("nj,jk,nk->n", powers.conj(), table, powers))
+    return _weight_terms(table, zetas.conj())[2]
 
 
 def born_pdf(
@@ -495,44 +512,27 @@ def sample_het_trajectory(
     return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
 
 
-def _evolve_het_batch(psi: np.ndarray, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
-    """Record functionals for a batch of pure-state trajectories.
-
-    Evolves ``psi``, one unit initial vector per row, in place under the
-    disentangled form of L(dw).  Every operation is elementwise or
-    row-wise: a row, of unit norm at each step's start, ends its Taylor
-    series once its own term's squared norm is below 1e-34 and then adds
-    exact zeros, so trajectories are independent of their batchmates.
+def _evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
+    """Record functionals of a batch from its normals, ``normals[i, k]`` the
+    two of trajectory i at step k, with the drift of :func:`run_het_ensemble`.
+    Every operation is row-wise or a contraction within a row, so
+    trajectories do not depend on their batchmates.
     """
-    n_traj, dim = psi.shape
-    n = np.arange(dim, dtype=float)
-    root = np.sqrt(n[1:])
-    decay = np.exp(-0.5 * p.kappa_dt * n)
+    jj = np.arange(1, coeffs.shape[0])
     phi = lowering_drag(0.5 * p.kappa_dt)
     sqk = np.sqrt(p.kappa_o)
     noise = np.sqrt(0.5 * p.dt)
-    damp = np.exp(-0.5 * p.kappa_o * p.step_times())
-    zeta = np.zeros(n_traj, dtype=complex)
-    term = np.empty_like(psi)
-    nxt = np.empty_like(psi)
+    times = p.step_times()
+    damp = np.exp(-0.5 * p.kappa_o * times)
+    zeta = np.zeros(normals.shape[0], dtype=complex)
     for k in range(p.n_steps):
-        a_mean = np.einsum("d,bd,bd->b", root, psi[:, :-1].conj(), psi[:, 1:])
-        dw = sqk * a_mean * p.dt + (normals[:, k, 0] + 1j * normals[:, k, 1]) * noise
+        table = _weight_table(coeffs, times[k], p.kappa_o)
+        powers, q, w = _weight_terms(table, phi * np.conj(zeta))
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise NumericError(f"Born weight left (0, inf) at step {k}")
+        dwdc = np.einsum("nj,j,nj->n", powers[:, :-1], jj, q[:, 1:])
+        dw = sqk * (damp[k] * dwdc / w) * p.dt + (normals[:, k, 0] + 1j * normals[:, k, 1]) * noise
         zeta += sqk * dw * damp[k]
-        u = phi * sqk * np.conj(dw)
-        acc = psi.copy()
-        np.copyto(term, psi)
-        for j in range(1, dim):
-            np.multiply(term[:, 1:], root, out=nxt[:, :-1])
-            nxt[:, -1] = 0.0
-            np.multiply(nxt, (u / j)[:, None], out=term)
-            acc += term
-            done = np.einsum("bi,bi->b", term.view(float), term.view(float)) < 1e-34
-            term[done] = 0.0
-            if done.all():
-                break
-        np.multiply(acc, decay, out=psi)
-        renormalize_rows(psi)
     return zeta
 
 
@@ -546,32 +546,28 @@ def run_het_ensemble(
 ) -> np.ndarray:
     """Record functionals of ``n_traj`` trajectories, one stream per index.
 
-    The state enters the record law only through the Born factor
-    ``Tr(K_T^dag K_T rho)``, which is linear in rho, so the law of a mixture
-    ``sum_k w_k |v_k><v_k|`` is the same mixture of pure-state laws.
-    Vectors (one component of weight 1) and density matrices (their
-    eigencomponents, eigenvalues clipped at 0) thus share one sampler:
-    trajectory i draws its ``2 n_steps`` normals, then one uniform that
-    picks component k with probability ``w_k``, and evolves it as a pure
-    state.  Trajectory i depends only on ``(seed, i)``, so results are
-    byte-identical for any batch size or thread count.
+    The disentangled increments compose exactly: after k steps the
+    conditional state is ``K rho K^dag`` normalized, with
+    ``K = e^{-a^dag a kappa_o t_k/2} e^{c a}`` and ``c = phi conj(zeta_k)``,
+    where ``zeta_k`` is the record functional so far and
+    ``phi = lowering_drag(kappa_o dt/2)``.  So the state enters only through
+    the Born weight ``W(c) = Tr(K^dag K rho)``, a polynomial in (c, c*), and
+    the drift is ``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``.  Vectors
+    (as their pure density) and density matrices share this one sampler;
+    no state is evolved.  Trajectory i reads ``2 n_steps`` normals from
+    ``stream(seed, i)`` and nothing else, so results are byte-identical for
+    any batch size or thread count.
     """
     state = np.asarray(initial, dtype=complex)
     if state.ndim == 1:
-        weights, vectors = np.ones(1), validate_state(state)[None, :] / np.linalg.norm(state)
+        rho = pure_density(state / np.linalg.norm(validate_state(state)))
     else:
-        evals, evecs = np.linalg.eigh(validate_density(state))
-        weights, vectors = np.clip(evals, 0.0, None), np.ascontiguousarray(evecs.T)
-    bounds = np.cumsum(weights / np.sum(weights))[:-1]
-
-    def evolve(draws: np.ndarray) -> np.ndarray:
-        pick = np.searchsorted(bounds, draws[:, -1], side="right")
-        normals = draws[:, :-1].reshape(-1, p.n_steps, 2)  # a view: a copy doubles the draws
-        return _evolve_het_batch(vectors[pick], p, normals)
-
+        rho = validate_density(state)
+    coeffs = _weight_coeffs(rho)
     return run_ensemble(
-        lambda rng: np.append(rng.standard_normal(2 * p.n_steps), rng.random()),
-        evolve, n_traj, seed, n_threads, batch, complex,
+        lambda rng: rng.standard_normal(2 * p.n_steps),
+        lambda draws: _evolve_het_batch(coeffs, p, draws.reshape(-1, p.n_steps, 2)),
+        n_traj, seed, n_threads, batch, complex,
     )
 
 

@@ -327,12 +327,13 @@ def sample_trajectory(
     return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
 
 
-def _jump_table(pop0: np.ndarray, p: InstrumentParams, floor: float):
+def _jump_table(pop0: np.ndarray, p: InstrumentParams):
     """``prob[k, n]``, the jump probability at step k after n jumps, and
-    ``collapse[k, n, jumped]``, the transitions that leave a norm below
-    ``floor`` (None when no trajectory can take one).  A collapsing jump has
-    probability below ``kappa_o dt * floor / stay[k, n+1]``, about 1e-16 or
-    less, so in practice only a uniform of exactly 0.0 (odds 2^-53) takes one.
+    ``collapse[k, n, jumped]``, the transitions that leave a trace (squared
+    norm) below ``NORM_COLLAPSE`` (None when no trajectory can take one).  A
+    collapsing jump has probability below
+    ``kappa_o dt * NORM_COLLAPSE / stay[k, n+1]``, about 1e-16 or less, so in
+    practice only a uniform of exactly 0.0 (odds 2^-53) takes one.
 
     Row n of ``w``, the normalized populations after n jumps, is built from
     row n-1, so no factorial overflows; each step damps and renormalizes
@@ -355,8 +356,8 @@ def _jump_table(pop0: np.ndarray, p: InstrumentParams, floor: float):
         w *= decay
         stay[k, :-1] = np.sum(w, axis=1)
         w /= np.where(stay[k, :-1] > 0.0, stay[k, :-1], 1.0)[:, None]
-    jumped = (prob > 0.0) & ~(prob / p.kappa_dt * stay[:, 1:] >= floor)
-    collapse = np.stack([~(stay[:, :-1] >= floor), jumped], axis=-1) & live[:, None]
+    jumped = (prob > 0.0) & ~(prob / p.kappa_dt * stay[:, 1:] >= NORM_COLLAPSE)
+    collapse = np.stack([~(stay[:, :-1] >= NORM_COLLAPSE), jumped], axis=-1) & live[:, None]
     return prob, (collapse if collapse.any() else None)
 
 
@@ -382,10 +383,10 @@ def run_photo_ensemble(initial: np.ndarray, p: InstrumentParams, n_traj: int, se
     states share the table, which reads only the initial populations.
     """
     state = np.asarray(initial, dtype=complex)
-    if state.ndim == 1:  # the guard bounds a vector's 2-norm, a density matrix's trace
-        pop0, floor = np.abs(validate_state(state)) ** 2, NORM_COLLAPSE**2
+    if state.ndim == 1:
+        pop0 = np.abs(validate_state(state)) ** 2
     else:
-        pop0, floor = np.real(np.diag(validate_density(state))), NORM_COLLAPSE
-    table = _jump_table(pop0 / np.sum(pop0), p, floor)
+        pop0 = np.real(np.diag(validate_density(state)))
+    table = _jump_table(pop0 / np.sum(pop0), p)
     return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: _count_jumps(table, u),
                         n_traj, seed, n_threads, batch, np.int64)

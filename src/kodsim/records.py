@@ -91,6 +91,9 @@ def chi_square_gof(
 
     Bins whose expected count falls below ``min_expected`` are merged,
     smallest expectation first (the usual tail merge), before the test.
+    Expectations within 1e-9 relative of the smallest count as tied and the
+    lowest-index one merges first, so roundoff in the model pmf cannot
+    reorder the merge.
     """
     counts = hist.counts
     total = float(np.sum(counts))
@@ -111,7 +114,8 @@ def chi_square_gof(
     obs = counts.astype(float).tolist()
     exp = expected.tolist()
     while len(exp) > 1 and min(exp) < min_expected:
-        i = int(np.argmin(exp))
+        low = min(exp) * (1.0 + 1e-9)
+        i = next(k for k, e in enumerate(exp) if e <= low)
         spill_e = exp.pop(i)
         spill_o = obs.pop(i)
         j = i - 1 if i > 0 else 0

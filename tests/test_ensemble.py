@@ -1,8 +1,7 @@
-"""Shared ensemble driver and renormalization guards."""
+"""Shared ensemble driver and the renormalization guard."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from kodsim import ensemble
 from kodsim.exceptions import NumericError
@@ -25,11 +24,6 @@ def test_partition_and_batching_do_not_change_results():
 
 def test_renormalize_guards_fire_on_collapse_and_nan():
     with pytest.raises(NumericError):
-        ensemble.renormalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(NumericError):
-        ensemble.renormalize_rows(np.array([[np.nan, 0.0]], dtype=complex))
+        ensemble.renormalize_density(np.diag([1e-20, 0.0]).astype(complex), step=3)
     with pytest.raises(NumericError):
         ensemble.renormalize_density(np.diag([np.nan, 0.0]).astype(complex), step=3)
-    rows = np.array([[3.0, 4.0]], dtype=complex)
-    ensemble.renormalize_rows(rows)
-    assert_allclose(rows, [[0.6, 0.8]], atol=1e-15)

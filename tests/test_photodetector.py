@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import ensemble, fock, photodetector as pd, records
+from kodsim import fock, photodetector as pd, records
 from kodsim.exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -420,7 +420,7 @@ class TestCountSampler:
     def test_ordinary_states_need_no_collapse_check(self):
         p = params(kappa_T=LN2, dim=16)
         for pop0 in (np.abs(fock.fock_state(16, 5)) ** 2, np.abs(fock.coherent_state(16, 1.0)) ** 2):
-            prob, collapse = pd._jump_table(pop0 / pop0.sum(), p, ensemble.NORM_COLLAPSE)
+            prob, collapse = pd._jump_table(pop0 / pop0.sum(), p)
             assert collapse is None
             assert prob.shape == (p.n_steps, 16) and np.all(prob >= 0.0)
 
@@ -429,12 +429,32 @@ class TestCountSampler:
         # about 1e-30, which only a uniform of exactly 0.0 can select
         p = params(kappa_T=0.05, dim=6)
         pop0 = np.array([1.0, 1e-30, 0.0, 0.0, 0.0, 0.0])
-        table = pd._jump_table(pop0, p, ensemble.NORM_COLLAPSE)
+        table = pd._jump_table(pop0, p)
         assert table[1] is not None
         with pytest.raises(NumericError):
             pd._count_jumps(table, np.zeros((3, p.n_steps)))
         uniforms = np.full((3, p.n_steps), 2.0**-53)
         assert np.array_equal(pd._count_jumps(table, uniforms), np.zeros(3, dtype=np.int64))
+
+    def test_vector_and_its_density_share_the_floor(self, monkeypatch):
+        # a jump from |0> + 1e-10|1> leaves a squared norm of about 1e-20,
+        # below NORM_COLLAPSE whichever form the state arrives in
+        p = params(kappa_T=0.05, dim=6)
+        psi = fock.fock_state(6, 0) + 1e-10 * fock.fock_state(6, 1)
+        psi /= np.linalg.norm(psi)
+        tables = []
+        build = pd._jump_table
+
+        def record(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(pd, "_jump_table", record)
+        for state in (psi, fock.pure_density(psi)):
+            pd.run_photo_ensemble(state, p, 3, seed=1)
+        (prob_vec, collapse_vec), (prob_rho, collapse_rho) = tables
+        assert np.array_equal(prob_vec, prob_rho)
+        assert collapse_vec is not None and np.array_equal(collapse_vec, collapse_rho)
 
     def test_high_truncation_matches_dense_sampler(self):
         # (m + n)!/m! overflows a double for dim >= 171
@@ -443,7 +463,7 @@ class TestCountSampler:
         psi = np.zeros(dim, dtype=complex)
         psi[[150, 190]] = [0.6, 0.8]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            prob, _ = pd._jump_table(np.abs(psi) ** 2, p, ensemble.NORM_COLLAPSE**2)
+            prob, _ = pd._jump_table(np.abs(psi) ** 2, p)
             counts = pd.run_photo_ensemble(psi, p, 4, seed=2)
         assert np.all(np.isfinite(prob))
         assert counts.sum() > 0

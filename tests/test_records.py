@@ -92,6 +92,18 @@ def test_chi_square_merges_thin_tails():
     assert 0.0 <= p <= 1.0
 
 
+def test_chi_square_merge_ignores_ulp_ties():
+    # bins 3 and 4 expect 2.8086 each: which merges first must not hinge on
+    # a one-ulp nudge of either (argmin gave p 0.167 or 0.208)
+    pmf = np.array([0.146696, 0.328984, 0.320228, 0.052012, 0.052012, 0.100068])
+    hist = records.Histogram(records.integer_edges(5), np.array([7.0, 11, 23, 1, 4, 8]))
+    base = records.chi_square_gof(hist, pmf)
+    for direction in (np.inf, -np.inf):
+        nudged = pmf.copy()
+        nudged[4] = np.nextafter(nudged[4], direction)
+        assert records.chi_square_gof(hist, nudged) == pytest.approx(base, rel=1e-12)
+
+
 def test_chi_square_rejects_empty():
     hist = records.Histogram(records.integer_edges(3), np.zeros(4))
     with pytest.raises(DataError):
