@@ -17,15 +17,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import __version__, fock, heterodyne as het, photodetector as pd, verify
 from .exceptions import ConfigError, KodsimError
-from .params import InstrumentParams
-from .records import Histogram, chi_square_gof, integer_edges, stream, tv_distance
+from .params import InstrumentParams, screened_integral
+from .records import chi_square_gof, stream, tv_distance
 from .report import Check, VerificationReport
 
 DEFAULT_SEED = 12345
@@ -54,7 +54,8 @@ def _as_complex(value, where: str) -> complex:
 # Config schemas map each key to ``(resolver, default)``, or to a nested
 # schema for an object that defaults to ``{}``.  A resolver takes the raw
 # value and the key's dotted name and returns the resolved value or raises
-# ConfigError naming the key.
+# ConfigError naming the key.  A callable default is computed from the keys
+# resolved before it.
 
 
 def _cast(cast, noun: str, value, where: str):
@@ -98,6 +99,8 @@ def _resolve(raw, schema: dict, where: str = "") -> dict:
             out[key] = _resolve(raw.get(key, {}), spec, name)
         else:
             resolve, default = spec
+            if key not in raw and callable(default):
+                default = default(out)
             out[key] = resolve(raw.get(key, default), name)
     return out
 
@@ -107,6 +110,13 @@ def _count(value, where: str) -> int:
     if n < 0:
         raise ConfigError(f"{where} must be >= 0")
     return n
+
+
+def _rate(value, where: str) -> float:
+    rate = _FLOAT(value, where)
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ConfigError(f"{where} must be a positive finite number, got {rate}")
+    return rate
 
 
 def _kod(value, where: str) -> str:
@@ -167,6 +177,35 @@ def _groups(value, where: str) -> list[str] | None:
     return groups
 
 
+_DEFECT_SWEEP = {
+    "kappa_T": (_FLOATS, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "dim": (_INT, 40), "sub_dim": (_INT, 20),
+}
+_CURVE = {"t_max": (_FLOAT, lambda spec: 5.0 / spec["kappa_o"]), "points": (_count, 101)}
+SERIES = {
+    "effective-mean": _CURVE,
+    "effective-covariance": _CURVE,
+    "beta-cooling": {
+        "kappa_T": (_FLOATS, [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0]), "samples": (_count, 100_000),
+    },
+    "projector-defect-photo": {**_DEFECT_SWEEP, "n": (_INT, 0)},
+    "projector-defect-het": {**_DEFECT_SWEEP, "zeta": (_as_complex, 0.5)},
+}
+
+
+def _series(value, where: str) -> tuple[dict, ...]:
+    """Each plot series spec resolved against the schema of its name."""
+    out = []
+    for spec in _list(_raw, value, where):
+        if not isinstance(spec, dict) or "name" not in spec:
+            raise ConfigError(f"each {where} spec needs a 'name'")
+        name = spec["name"]
+        if not isinstance(name, str) or name not in SERIES:
+            raise ConfigError(f"unknown series {name!r}")
+        schema = {"name": (_raw, name), "kappa_o": (_rate, 1.0), **SERIES[name]}
+        out.append(_resolve(spec, schema, where))
+    return tuple(out)
+
+
 _COMMON = {
     "params": {"kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, LN2), "dim": (_INT, 40)},
     "seed": (_INT, DEFAULT_SEED),
@@ -214,6 +253,18 @@ class ExperimentConfig:
 
     kind: str
     resolved: dict
+    # the plot series resolved against their schemas; ``resolved`` keeps
+    # them as given, as it keeps ``thresholds``, so config hashes hold
+    series: tuple[dict, ...] = field(init=False)
+
+    def __post_init__(self):
+        series = self.resolved["series"]
+        if not series and self.kind == "povm-convergence":
+            # each swept n and zeta, on the series' own default kappa_T grid
+            series = [{"name": "projector-defect-photo", "n": n} for n in self.resolved["photo_ns"]] + [
+                {"name": "projector-defect-het", "zeta": z} for z in self.resolved["het_zetas"]
+            ]
+        object.__setattr__(self, "series", _series(series or [], "series"))
 
     def instrument_params(self) -> InstrumentParams:
         p = self.resolved["params"]
@@ -319,20 +370,11 @@ def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list
     if n_traj > 0:
         empirical = np.bincount(counts, minlength=n_max + 1) / n_traj
         # method C: state-independent draws, importance-weighted
-        rng_c = stream(r["seed"], n_traj)
-        draws = rng_c.poisson(pd.effective_mean(p.T, p.kappa_o), size=n_traj)
-        w_table = pd.ostensible_weights(rho, p.T, p, n_max=n_max)
-        weights = np.where(draws <= n_max, w_table[np.minimum(draws, n_max)], 0.0)
-        total_w = float(np.sum(weights))
-        ostensible = np.bincount(
-            draws[draws <= n_max], weights=weights[draws <= n_max], minlength=n_max + 1
-        ) / (total_w if total_w > 0 else 1.0)
+        draws = stream(r["seed"], n_traj).poisson(screened_integral(p.T, p.kappa_o), size=n_traj)
+        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
         tv_a = tv_distance(empirical[: n_max + 1], born)
         tv_c = tv_distance(ostensible, born)
-        hist = Histogram.from_samples(
-            np.minimum(counts, n_max), integer_edges(n_max)
-        )
-        p_val = chi_square_gof(hist, born)
+        p_val = chi_square_gof(np.bincount(np.minimum(counts, n_max), minlength=n_max + 1), born)
         thr = r["thresholds"]
         checks = [
             Check("tv-method-a-vs-born", tv_a, _scaled_gate(thr, "tv_method_a", TV_A_ANCHOR, n_traj)),
@@ -412,8 +454,7 @@ def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[
         probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
-        hist = Histogram(integer_edges(counts_flat.size - 1), counts_flat)
-        p_val = chi_square_gof(hist, probs_flat)
+        p_val = chi_square_gof(counts_flat, probs_flat)
         checks.append(
             Check("chi-square-2d-p-value", p_val, float(thr.get("p_value", P_VALUE_MIN)), comparison=">=")
         )
@@ -457,18 +498,10 @@ def run_evolve_kod(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
 def run_povm_convergence(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
     r = cfg.resolved
     base = r["params"]
-    sweep = [("photodetector", n, f"n={n}") for n in r["photo_ns"]] + [
-        ("heterodyne", zeta, f"zeta={zeta:g}") for zeta in r["het_zetas"]
-    ]
-    rows = []
-    checks = []
-    for instrument, at, label in sweep:
-        defects = verify.projector_defects(
-            instrument, at, r["kappa_T_values"], base["kappa_o"], base["dt"],
-            base["dim"], r["sub_dim"],
-        )
-        rows.extend((instrument, label, kt, d) for kt, d in zip(r["kappa_T_values"], defects))
-        checks.append(verify.projector_scaling_check(instrument, at, defects))
+    checks, rows = verify.projector_sweep(
+        r["photo_ns"], r["het_zetas"], r["kappa_T_values"], base["kappa_o"], base["dt"],
+        base["dim"], r["sub_dim"],
+    )
     write_csv(
         os.path.join(out_dir, "defects.csv"),
         ["instrument", "label", "kappa_T", "defect"],
@@ -477,70 +510,37 @@ def run_povm_convergence(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
     return checks
 
 
-def emit_plot_data(
-    report: VerificationReport, series_specs: list[dict], out_dir: str
-) -> list[str]:
-    """Write one two-column CSV per requested series."""
-    try:
-        series_specs = list(series_specs)
-    except TypeError:
-        raise ConfigError("series must be a list") from None
-    paths = []
-    for spec in series_specs:
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise ConfigError("each series spec needs a 'name'")
-        spec = dict(spec)
-        name = spec.pop("name")
-        kappa_o = _FLOAT(spec.pop("kappa_o", 1.0), "series.kappa_o")
-        if not (np.isfinite(kappa_o) and kappa_o > 0.0):
-            raise ConfigError(f"series.kappa_o must be a positive finite number, got {kappa_o}")
-        if name in ("effective-mean", "effective-covariance"):
-            t_max = _FLOAT(spec.pop("t_max", 5.0 / kappa_o), "series.t_max")
-            points = _INT(spec.pop("points", 101), "series.points")
-            t = np.linspace(0.0, t_max, points)
-            vals = -np.expm1(-kappa_o * t)
-            header = ["t", "value"]
-            rows = zip(t, vals)
-        elif name == "beta-cooling":
-            kappa_T = _FLOATS(spec.pop("kappa_T", [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0]), "series.kappa_T")
-            samples = _INT(spec.pop("samples", 100_000), "series.samples")
-            vals = [
-                het.covariance_cooling(kt / kappa_o, kappa_o, samples, stream(report.seed, 7_000 + i))[1]
-                for i, kt in enumerate(kappa_T)
-            ]
-            header = ["kappa_T", "cov_beta"]
-            rows = zip(kappa_T, vals)
-        elif name in ("projector-defect-photo", "projector-defect-het"):
-            kappa_T = _FLOATS(spec.pop("kappa_T", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "series.kappa_T")
-            dim = _INT(spec.pop("dim", 40), "series.dim")
-            sub_dim = _INT(spec.pop("sub_dim", 20), "series.sub_dim")
-            if name == "projector-defect-photo":
-                instrument, at = "photodetector", _INT(spec.pop("n", 0), "series.n")
-                tag = f"n{at}"
-            else:
-                instrument = "heterodyne"
-                at = _as_complex(spec.pop("zeta", 0.5), "series.zeta")
-                tag = f"zeta{abs(at):g}"
-            defects = verify.projector_defects(
-                instrument, at, kappa_T, kappa_o, 1e-3 / kappa_o, dim, sub_dim
-            )
-            name = f"{name}-{tag}"
-            header = ["kappa_T", "defect"]
-            rows = zip(kappa_T, defects)
-        else:
-            raise ConfigError(f"unknown series {name!r}")
-        if spec:
-            raise ConfigError(f"unknown keys in series {name!r}: {sorted(spec)}")
-        path = os.path.join(out_dir, name.replace("-", "_") + ".csv")
-        write_csv(path, header, rows)
-        paths.append(path)
-    return paths
+def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
+    """File stem, header and rows of one resolved plot series."""
+    name, kappa_o = spec["name"], spec["kappa_o"]
+    if name in ("effective-mean", "effective-covariance"):
+        t = np.linspace(0.0, spec["t_max"], spec["points"])
+        return name, ["t", "value"], [(x, screened_integral(x, kappa_o)) for x in t]
+    if name == "beta-cooling":
+        vals = [
+            het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"], stream(seed, 7_000 + i))[1]
+            for i, kt in enumerate(spec["kappa_T"])
+        ]
+        return name, ["kappa_T", "cov_beta"], list(zip(spec["kappa_T"], vals))
+    if name == "projector-defect-photo":
+        instrument, at, tag = "photodetector", spec["n"], f"n{spec['n']}"
+    else:
+        instrument, at, tag = "heterodyne", spec["zeta"], f"zeta{abs(spec['zeta']):g}"
+    defects = verify.projector_defects(
+        instrument, at, spec["kappa_T"], kappa_o, 1e-3 / kappa_o, spec["dim"], spec["sub_dim"]
+    )
+    return f"{name}-{tag}", ["kappa_T", "defect"], list(zip(spec["kappa_T"], defects))
 
 
 def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> VerificationReport:
-    """Execute one experiment; writes all output files into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Execute one experiment; writes all output files into ``out_dir``.
+
+    The plot series are computed first, so a series that cannot be
+    computed fails the run before any file is written.
+    """
     r = cfg.resolved
+    tables = [series_table(spec, r["seed"]) for spec in cfg.series]
+    os.makedirs(out_dir, exist_ok=True)
     if cfg.kind == "photodetect-ensemble":
         checks = run_photodetect(cfg, out_dir, n_threads)
     elif cfg.kind == "heterodyne-ensemble":
@@ -555,14 +555,8 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
         checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
     )
     write_report(out_dir, report)
-    series = r["series"]
-    if not series and cfg.kind == "povm-convergence":
-        # each swept n and zeta, on the series' own default kappa_T grid
-        series = [{"name": "projector-defect-photo", "n": n} for n in r["photo_ns"]] + [
-            {"name": "projector-defect-het", "zeta": z} for z in r["het_zetas"]
-        ]
-    if series:
-        emit_plot_data(report, series, out_dir)
+    for stem, header, rows in tables:
+        write_csv(os.path.join(out_dir, stem.replace("-", "_") + ".csv"), header, rows)
     return report
 
 

@@ -1,6 +1,6 @@
 """Ensemble driver shared by both instruments, the norm-collapse floor of
-the samplers, and the trace renormalization of the dense heterodyne
-reference.  The heterodyne batch sampler renormalizes nothing: after k
+the samplers, and the trace renormalization of both dense reference
+samplers.  The heterodyne batch sampler renormalizes nothing: after k
 steps its conditional state is ``e^{-a^dag a kappa_o t_k/2} e^{c a} rho
 (...)^dag`` normalized, with ``c = phi conj(zeta_k)`` fixed by the record
 functional so far, so it reads the drift ``Tr(a rho_k)`` from the Born

@@ -34,7 +34,7 @@ class StepTooCoarseError(KodsimError, ValueError):
 
 
 class BinSpecError(KodsimError, ValueError):
-    """Histogram bin specifications do not match."""
+    """Binned tables or a pmf and its bins do not match."""
 
 
 class DataError(KodsimError, ValueError):

@@ -17,6 +17,9 @@ import scipy.linalg
 
 from .exceptions import DomainError, InvalidDimensionError, NumericError
 
+STATE_NORM_TOL = 1e-10  # see validate_state
+DENSITY_TRACE_TOL = 1e-8  # see validate_density
+
 
 def make_lowering(dim: int) -> np.ndarray:
     """Lowering operator ``a`` with elements a[n-1, n] = sqrt(n)."""
@@ -183,23 +186,23 @@ def subblock_norm_diff(op_a: np.ndarray, op_b: np.ndarray, sub_dim: int) -> floa
     return float(np.linalg.norm(diff, ord=2))
 
 
-def validate_state(vec: np.ndarray, eps_trunc: float = 1e-10) -> np.ndarray:
-    """Check a state vector is 1-D with norm in (0, 1 + eps_trunc]."""
+def validate_state(vec: np.ndarray) -> np.ndarray:
+    """Check a state vector is 1-D with norm in (0, 1 + STATE_NORM_TOL]."""
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 1 or vec.shape[0] < 2:
         raise InvalidDimensionError(f"bad state shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
     if not norm > 0.0:  # zero, or NaN from a non-finite entry
         raise DomainError(f"state norm {norm} is not positive")
-    if norm > 1.0 + eps_trunc:
-        raise DomainError(f"state norm {norm} exceeds 1 + {eps_trunc}")
+    if norm > 1.0 + STATE_NORM_TOL:
+        raise DomainError(f"state norm {norm} exceeds 1 + {STATE_NORM_TOL}")
     return vec
 
 
-def validate_density(rho: np.ndarray, eps_trunc: float = 1e-8) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density matrix.
 
-    Tolerances: 1e-12 max-entry hermiticity defect, eps_trunc on the trace
+    Tolerances: 1e-12 max-entry hermiticity defect, DENSITY_TRACE_TOL on the trace
     (coherent states lose a truncation tail), eigenvalue floor -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -211,8 +214,8 @@ def validate_density(rho: np.ndarray, eps_trunc: float = 1e-8) -> np.ndarray:
     if herm > 1e-12:
         raise DomainError(f"hermiticity defect {herm} > 1e-12")
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > eps_trunc:
-        raise DomainError(f"trace {tr} deviates from 1 by more than {eps_trunc}")
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        raise DomainError(f"trace {tr} deviates from 1 by more than {DENSITY_TRACE_TOL}")
     eigmin = float(np.min(scipy.linalg.eigvalsh(rho)))
     if eigmin < -1e-10:
         raise DomainError(f"negative eigenvalue {eigmin} below -1e-10")

@@ -49,18 +49,17 @@ from .fock import (
     validate_density,
     validate_state,
 )
-from .params import InstrumentParams
+from .params import InstrumentParams, screened_integral
+
+RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 
 
-def effective_covariance(T: float, kappa_o: float) -> float:
-    """Effective covariance ``Sigma(T) = 1 - exp(-kappa_o T)``.
-
-    Sublinear in T for the same reason the photon-count mean is: the
-    screened observation rate.
-    """
-    if np.isnan(T) or T < 0.0:
-        raise DomainError(f"need T >= 0, got {T}")
-    return float(-np.expm1(-kappa_o * T))
+def _density_width(T: float, kappa_o: float) -> float:
+    """Sigma(T), the covariance of D_T, which has no density at T = 0."""
+    sigma = screened_integral(T, kappa_o)
+    if sigma <= 0.0:
+        raise DomainError("need T > 0")
+    return sigma
 
 
 def wiener_increment(rng: np.random.Generator, dt: float) -> complex:
@@ -164,9 +163,7 @@ class GaussianKOD:
 
 def kod_gaussian(T: float, kappa_o: float) -> GaussianKOD:
     """Analytic Kraus-operator distribution; delta-flagged at T = 0."""
-    if T < 0.0:
-        raise DomainError(f"need T >= 0, got {T}")
-    return GaussianKOD(sigma=effective_covariance(T, kappa_o))
+    return GaussianKOD(sigma=screened_integral(T, kappa_o))
 
 
 def _heat_banded(n: int, coef: float) -> np.ndarray:
@@ -205,7 +202,6 @@ def evolve_kod_diffusion(
     extent: float = 5.0,
     steps: int = 200,
     sigma0_sq: float = 1e-3,
-    resolve_scale: float = 1.5,
 ) -> GaussianKOD:
     """Integrate the screened diffusion of the amplitude density.
 
@@ -227,7 +223,7 @@ def evolve_kod_diffusion(
     h = 0.05 grid), which survives to a ~1e-3 error at the horizon.  Since
     Gaussians diffuse in closed form, the initial condition is therefore
     widened analytically until its per-axis standard deviation reaches
-    ``resolve_scale * h`` and the discrete stepping starts from there; the
+    ``RESOLVE_SCALE * h`` and the discrete stepping starts from there; the
     covariance bookkeeping is exact and only the discrete-operator error
     remains.
 
@@ -243,8 +239,8 @@ def evolve_kod_diffusion(
         raise DomainError(f"need 0 < sigma0_sq < 1, got {sigma0_sq}")
     if kappa_o < 0.0 or T < 0.0:
         raise DomainError("need kappa_o >= 0 and T >= 0")
-    sig = lambda t: float(-np.expm1(-kappa_o * t))
-    resolved_sq = 2.0 * (resolve_scale * h) ** 2
+    sig = lambda t: screened_integral(t, kappa_o)
+    resolved_sq = 2.0 * (RESOLVE_SCALE * h) ** 2
     t_start = 0.0
     start_sigma_sq = sigma0_sq
     if kappa_o > 0.0 and sigma0_sq < resolved_sq:
@@ -276,7 +272,7 @@ def evolve_kod_diffusion(
     if ring * h**2 / np.pi > 1e-6:
         raise ExtentError("density reached the boundary ring; enlarge extent")
     return GaussianKOD(
-        sigma=effective_covariance(T, kappa_o) if kappa_o > 0 else 0.0,
+        sigma=sig(T),
         grid=u,
         h=h,
         extent=n_side * h,
@@ -332,9 +328,7 @@ def povm_completeness_het(
     (zeta, zeta*), which the product rule integrates exactly on the safe
     subblock.
     """
-    sigma = effective_covariance(T, p.kappa_o)
-    if sigma <= 0.0:
-        raise DomainError("need T > 0")
+    sigma = _density_width(T, p.kappa_o)
     nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
     decay = np.exp(-p.kappa_o * T * number_diag(p.dim))
     total = np.zeros((p.dim, p.dim), dtype=complex)
@@ -365,7 +359,7 @@ def povm_left_invariance_defect(
     number-exponential, manifestly invariant under left multiplication by
     displacements.
     """
-    sigma = effective_covariance(T, p.kappa_o)
+    sigma = screened_integral(T, p.kappa_o)
     disp = displacement_unitary(p.dim, alpha)
     target = disp @ number_exp(p.dim, p.kappa_o * T) @ disp.conj().T
     return subblock_norm_diff(
@@ -449,7 +443,7 @@ def born_pdf_quadrature(
 ) -> tuple[float, complex, float]:
     """(total mass, mean, central covariance) of the Born density by
     Gauss-Hermite quadrature."""
-    sigma = effective_covariance(T, p.kappa_o)
+    sigma = screened_integral(T, p.kappa_o)
     nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
     zet = np.sqrt(sigma) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
     wgt = (wts[:, None] * wts[None, :]).ravel() / np.pi
@@ -482,9 +476,7 @@ def sample_het_ostensible(
     T: float, kappa_o: float, rng: np.random.Generator
 ) -> complex:
     """Draw an amplitude from the state-independent density D_T."""
-    sigma = effective_covariance(T, kappa_o)
-    if sigma <= 0.0:
-        raise DomainError("need T > 0")
+    sigma = _density_width(T, kappa_o)
     g = rng.standard_normal(2)
     return complex(g[0], g[1]) * np.sqrt(0.5 * sigma)
 
@@ -587,7 +579,7 @@ class CartanCoordinates:
 
     @property
     def sigma_r(self) -> float:
-        return float(-np.expm1(-2.0 * self.r))
+        return screened_integral(self.r, 2.0)
 
 
 def cartan_transform(zeta: complex, r: float) -> CartanCoordinates:
@@ -598,7 +590,7 @@ def cartan_transform(zeta: complex, r: float) -> CartanCoordinates:
     """
     if not (np.isfinite(r) and r > 0.0):
         raise DomainError(f"need r > 0, got {r}")
-    sigma_r = float(-np.expm1(-2.0 * r))
+    sigma_r = screened_integral(r, 2.0)
     alpha = complex(zeta) / sigma_r
     return CartanCoordinates(
         alpha=alpha,
@@ -648,16 +640,14 @@ def trace_identity_defect(T: float, kappa_o: float, dim: int) -> float:
     The exact defect is the geometric tail sum_{n >= dim} e^{-n kappa_o T};
     compare against :func:`trace_tail_bound`.
     """
-    sigma = effective_covariance(T, kappa_o)
-    if sigma <= 0.0:
-        raise DomainError("need T > 0")
+    sigma = _density_width(T, kappa_o)
     trace = math.fsum(math.exp(-n * kappa_o * T) for n in range(dim))
     return abs(trace - 1.0 / sigma)
 
 
 def trace_tail_bound(T: float, kappa_o: float, dim: int) -> float:
     """Geometric tail ``e^{-dim kappa_o T} / (1 - e^{-kappa_o T})``."""
-    return float(np.exp(-dim * kappa_o * T) / effective_covariance(T, kappa_o))
+    return float(np.exp(-dim * kappa_o * T) / screened_integral(T, kappa_o))
 
 
 def groundstate_completeness(
@@ -670,9 +660,7 @@ def groundstate_completeness(
     amplitudes |alpha|^2 ~ 2 u_max^2 / Sigma; the truncation must hold the
     coherent states there or the integral silently sags (ExtentError).
     """
-    sigma = effective_covariance(T, kappa_o)
-    if sigma <= 0.0:
-        raise DomainError("need T > 0")
+    sigma = _density_width(T, kappa_o)
     nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
     peak = 2.0 * float(np.max(nodes)) ** 2 / sigma
     if dim < peak + 8.0 * np.sqrt(peak) + 10.0:
@@ -701,13 +689,9 @@ def covariance_cooling(
     Expected values 1/Sigma(T) and 1/(e^{kappa_o T} - 1): the beta
     covariance cools along the Bose-Einstein occupation curve.
     """
-    sigma = effective_covariance(T, kappa_o)
-    if sigma <= 0.0:
-        raise DomainError("need T > 0")
+    sigma = _density_width(T, kappa_o)
     g = rng.standard_normal((n_samples, 2))
     zetas = np.sqrt(0.5 * sigma) * (g[:, 0] + 1j * g[:, 1])
-    r = 0.5 * kappa_o * T
-    sigma_r = float(-np.expm1(-2.0 * r))
-    alphas = zetas / sigma_r
-    cov_alpha = float(np.mean(np.abs(alphas) ** 2))
-    return cov_alpha, float(np.exp(-2.0 * r)) * cov_alpha
+    # alpha = zeta / Sigma_r at r = kappa_o T / 2, where Sigma_r = Sigma(T)
+    cov_alpha = float(np.mean(np.abs(zetas / sigma) ** 2))
+    return cov_alpha, float(np.exp(-kappa_o * T)) * cov_alpha

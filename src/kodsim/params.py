@@ -1,4 +1,5 @@
-"""Instrument parameters shared by both detectors."""
+"""Instrument parameters shared by both detectors, and the screened
+integral ``1 - exp(-kappa_o T)`` that parameterizes both distributions."""
 
 from __future__ import annotations
 
@@ -11,6 +12,15 @@ from .exceptions import DomainError, InvalidDimensionError
 
 # weak-coupling step regime: per-step jump probabilities stay O(1e-2 * n)
 MAX_KAPPA_DT = 0.01
+
+
+def screened_integral(T: float, kappa_o: float) -> float:
+    """``1 - exp(-kappa_o T)``, the screened rate integrated over [0, T]: the
+    photon count's effective mean lambda(T) and the heterodyne amplitude's
+    effective covariance Sigma(T)."""
+    if not T >= 0.0:  # also catches NaN
+        raise DomainError(f"need T >= 0, got {T}")
+    return float(-np.expm1(-kappa_o * T))
 
 
 def _too_coarse(kappa_o: float, dt: float) -> bool:

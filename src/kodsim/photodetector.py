@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .ensemble import NORM_COLLAPSE, run_ensemble
+from .ensemble import NORM_COLLAPSE, renormalize_density, run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -41,17 +41,7 @@ from .fock import (
     validate_density,
     validate_state,
 )
-from .params import InstrumentParams
-
-
-def effective_mean(T: float, kappa_o: float) -> float:
-    """Effective Poisson mean ``lambda(T) = 1 - exp(-kappa_o T)``.
-
-    Sublinear in T: the coupling is screened by amplitude renormalization.
-    """
-    if np.isnan(T) or T < 0.0:
-        raise DomainError(f"need T >= 0, got {T}")
-    return float(-np.expm1(-kappa_o * T))
+from .params import InstrumentParams, screened_integral
 
 
 def screened_rate(t: float | np.ndarray, kappa_o: float):
@@ -160,7 +150,7 @@ class PoissonKOD:
 
 def kod_poisson(T: float, kappa_o: float) -> PoissonKOD:
     """Analytic Kraus-operator distribution, Poisson with mean lambda(T)."""
-    return PoissonKOD(lam=effective_mean(T, kappa_o))
+    return PoissonKOD(lam=screened_integral(T, kappa_o))
 
 
 def _kod_generator(t: float, weights: np.ndarray, kappa_o: float) -> np.ndarray:
@@ -206,14 +196,14 @@ def evolve_kod_poisson(
         )
     if float(np.min(weights)) < -1e-12:
         raise NumericError("negative weight beyond the roundoff floor")
-    return PoissonKOD(lam=effective_mean(T, kappa_o), weights=weights)
+    return PoissonKOD(lam=screened_integral(T, kappa_o), weights=weights)
 
 
 def kraus_class(n: int, T: float, p: InstrumentParams) -> np.ndarray:
     """Class Kraus operator ``K_T(n) = e^{lam/2} e^{-a^dag a kappa_o T/2} a^n``."""
     if not 0 <= n < p.dim:
         raise InvalidDimensionError(f"need 0 <= n < dim, got n={n}")
-    lam = effective_mean(T, p.kappa_o)
+    lam = screened_integral(T, p.kappa_o)
     return np.exp(0.5 * lam) * (
         number_exp(p.dim, 0.5 * p.kappa_o * T) @ lowering_power(p.dim, n)
     )
@@ -241,45 +231,45 @@ def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -
     return subblock_norm_diff(povm_element(n, T, p), projector(p.dim, n), sub_dim)
 
 
-def _damped_number_traces(rho_diag: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
-    """``Tr(a^dag^n e^{-a^dag a kappa_o T} a^n rho)`` for n = 0..n_max.
+def _count_rows(pop0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``w[n]``, the populations after n jumps normalized (``w[0] =
+    pop0``), and ``s[n]``, row n's sum before normalizing (``s[0] = 1``).
+    The populations ``(m+n)!/m! pop0[m+n]`` are ``s[1] ... s[n] w[n]``, but
+    row n is built from row n-1, so no factorial overflows."""
+    dim = pop0.size
+    m = np.arange(dim, dtype=float)
+    w = np.zeros((dim, dim))
+    s = np.ones(dim)
+    w[0] = pop0
+    for n in range(1, dim):
+        row = m[1:] * w[n - 1, 1:]
+        s[n] = np.sum(row)
+        w[n, :-1] = row / (s[n] or 1.0)
+    return w, s
 
-    Photon counting is blind to coherences, so only the diagonal of rho
-    enters: the trace is sum_j e^{-j kappa_o T} (j+n)!/j! rho[j+n, j+n].
-    The factorial ratio overflows for counts n >~ 150 at high truncation;
-    a trace that is not finite raises NumericError.
-    """
-    dim = rho_diag.size
-    if n_max >= dim:
-        raise InvalidDimensionError(f"need n_max < dim, got n_max={n_max}, dim={dim}")
-    damp = np.exp(-kappa_o * T * np.arange(dim))
-    out = np.empty(n_max + 1)
-    fact = np.ones(dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_max + 1):
-            if n > 0:
-                fact = fact[:-1] * np.arange(n, dim)
-            out[n] = float(np.real(np.sum(fact * damp[: dim - n] * rho_diag[n:])))
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmin(np.isfinite(out)))
-        raise NumericError(f"damped number trace overflows from n = {bad} (dim {dim})")
-    return out
+
+def _damped_rows(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int):
+    """``w[n] . e^{-m kappa_o T}`` and ``s[n]`` for n = 0..n_max from the
+    populations of rho (photon counting is blind to coherences)."""
+    pop0 = np.real(np.diag(validate_density(rho)))
+    if n_max >= pop0.size:
+        raise InvalidDimensionError(f"need n_max < dim, got n_max={n_max}, dim={pop0.size}")
+    w, s = _count_rows(pop0)
+    damp = np.exp(-p.kappa_o * T * np.arange(pop0.size))
+    return w[: n_max + 1] @ damp, s[: n_max + 1]
 
 
 def born_pmf(
     rho: np.ndarray, T: float, p: InstrumentParams, n_max: int | None = None
 ) -> np.ndarray:
-    """Jump-count statistics ``P(n|rho) = D_T(n) Tr(K_T(n)^dag K_T(n) rho)``."""
-    rho = validate_density(rho)
+    """Jump-count statistics ``P(n|rho) = D_T(n) Tr(K_T(n)^dag K_T(n) rho)``,
+    which is ``c_n w[n] . e^{-m kappa_o T}`` with the running product
+    ``c_n = c_{n-1} lambda s[n] / n`` (``c_0 = 1``): finite at any truncation."""
     if n_max is None:
         n_max = p.dim - 1
-    lam = effective_mean(T, p.kappa_o)
-    traces = _damped_number_traces(np.real(np.diag(rho)), T, p.kappa_o, n_max)
-    scale = np.empty(n_max + 1)
-    scale[0] = 1.0
-    for n in range(1, n_max + 1):
-        scale[n] = scale[n - 1] * lam / n
-    pmf = scale * traces
+    damped, s = _damped_rows(rho, T, p, n_max)
+    lam = screened_integral(T, p.kappa_o)
+    pmf = np.cumprod(np.append(1.0, lam * s[1:] / np.arange(1, n_max + 1))) * damped
     if float(np.min(pmf)) < -1e-10:
         raise NumericError(f"negative probability {np.min(pmf)}")
     return np.clip(pmf, 0.0, None)
@@ -288,12 +278,28 @@ def born_pmf(
 def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
     """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max.
 
-    Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.
+    Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.  They
+    grow like ``(m+n)!/m!``; one that overflows raises NumericError.
     """
-    rho = validate_density(rho)
-    lam = effective_mean(T, p.kappa_o)
-    traces = _damped_number_traces(np.real(np.diag(rho)), T, p.kappa_o, n_max)
-    return float(np.exp(lam)) * traces
+    damped, s = _damped_rows(rho, T, p, n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = float(np.exp(screened_integral(T, p.kappa_o))) * np.cumprod(s) * damped
+    if not np.all(np.isfinite(weights)):
+        bad = int(np.argmin(np.isfinite(weights)))
+        raise NumericError(f"ostensible weight overflows from n = {bad}")
+    return weights
+
+
+def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Method C: the pmf over 0..n_max of Poisson ``draws`` from D_T, each
+    weighted by ``weights[draw]``; draws beyond ``n_max = weights.size - 1``
+    carry no weight."""
+    n_max = weights.size - 1
+    kept = draws <= n_max
+    w = np.where(kept, weights[np.minimum(draws, n_max)], 0.0)
+    total = float(np.sum(w))
+    est = np.bincount(draws[kept], weights=w[kept], minlength=n_max + 1)
+    return est / (total if total > 0 else 1.0)
 
 
 def sample_trajectory(
@@ -320,10 +326,7 @@ def sample_trajectory(
             jump_times.append(k * p.dt)
         else:
             rho = rho * outer_decay
-        tr = float(np.real(np.trace(rho)))
-        if not tr >= NORM_COLLAPSE:  # also catches NaN
-            raise NumericError(f"state norm collapsed to {tr} at step {k}")
-        rho /= tr
+        renormalize_density(rho, k)
     return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
 
 
@@ -335,18 +338,14 @@ def _jump_table(pop0: np.ndarray, p: InstrumentParams):
     ``kappa_o dt * NORM_COLLAPSE / stay[k, n+1]``, about 1e-16 or less, so in
     practice only a uniform of exactly 0.0 (odds 2^-53) takes one.
 
-    Row n of ``w``, the normalized populations after n jumps, is built from
-    row n-1, so no factorial overflows; each step damps and renormalizes
-    the rows as a trajectory does.  Staying leaves the norm ``stay[k, n]``,
+    Row n of ``w`` holds the normalized populations after n jumps
+    (:func:`_count_rows`); each step damps and renormalizes the rows as a
+    trajectory does.  Staying leaves the norm ``stay[k, n]``,
     jumping ``prob[k, n] / (kappa_o dt) * stay[k, n+1]``.
     """
     dim = pop0.size
     m = np.arange(dim, dtype=float)
-    w = np.zeros((dim, dim))
-    w[0] = pop0
-    for n in range(1, dim):
-        row = m[1:] * w[n - 1, 1:]
-        w[n, :-1] = row / (np.sum(row) or 1.0)
+    w, _ = _count_rows(pop0)
     live = np.any(w != 0.0, axis=1)
     decay = np.exp(-p.kappa_dt * m)
     prob = np.empty((p.n_steps, dim))

@@ -7,12 +7,12 @@ matter how trajectories are batched or distributed across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.stats
 
 from .exceptions import BinSpecError, DataError, DomainError
+
+MIN_EXPECTED = 5.0  # see chi_square_gof
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -23,50 +23,6 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Binned counts plus the bin spec that produced them."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        if edges.ndim != 1 or counts.ndim != 1 or edges.size != counts.size + 1:
-            raise BinSpecError(
-                f"edges ({edges.size}) must be one longer than counts ({counts.size})"
-            )
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, edges: np.ndarray) -> "Histogram":
-        samples = np.asarray(samples, dtype=float)
-        edges = np.asarray(edges, dtype=float)
-        if samples.size and (
-            np.min(samples) < edges[0] or np.max(samples) >= edges[-1]
-        ):
-            raise BinSpecError("samples fall outside the bin edges")
-        counts, _ = np.histogram(samples, bins=edges)
-        return cls(edges=edges, counts=counts.astype(float))
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.counts))
-
-    def normalized(self) -> np.ndarray:
-        total = self.total
-        if total == 0.0:
-            raise DataError("empty histogram")
-        return self.counts / total
-
-
-def integer_edges(n_max: int) -> np.ndarray:
-    """Edges putting each integer 0..n_max in its own bin."""
-    return np.arange(n_max + 2) - 0.5
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -84,18 +40,16 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     )
 
 
-def chi_square_gof(
-    hist: Histogram, probs: np.ndarray, min_expected: float = 5.0
-) -> float:
-    """Chi-square goodness-of-fit p-value of counts against a model pmf.
+def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> float:
+    """Chi-square goodness-of-fit p-value of binned counts against a model pmf.
 
-    Bins whose expected count falls below ``min_expected`` are merged,
+    Bins whose expected count falls below ``MIN_EXPECTED`` are merged,
     smallest expectation first (the usual tail merge), before the test.
     Expectations within 1e-9 relative of the smallest count as tied and the
     lowest-index one merges first, so roundoff in the model pmf cannot
     reorder the merge.
     """
-    counts = hist.counts
+    counts = np.asarray(counts, dtype=float)
     total = float(np.sum(counts))
     if total == 0.0:
         raise DataError("empty histogram")
@@ -111,9 +65,9 @@ def chi_square_gof(
     if norm <= 0.0:
         raise DomainError("model pmf sums to zero")
     expected = total * probs / norm
-    obs = counts.astype(float).tolist()
+    obs = counts.tolist()
     exp = expected.tolist()
-    while len(exp) > 1 and min(exp) < min_expected:
+    while len(exp) > 1 and min(exp) < MIN_EXPECTED:
         low = min(exp) * (1.0 + 1e-9)
         i = next(k for k, e in enumerate(exp) if e <= low)
         spill_e = exp.pop(i)

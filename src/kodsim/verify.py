@@ -239,13 +239,7 @@ def _scaling_factor(defects: list[float]) -> float:
 
 
 def projector_defects(
-    instrument: str,
-    at,
-    kappa_T_values,
-    kappa_o: float = 1.0,
-    dt: float = 1e-3,
-    dim: int = 40,
-    sub_dim: int = 20,
+    instrument: str, at, kappa_T_values, kappa_o: float, dt: float, dim: int, sub_dim: int
 ) -> list[float]:
     """Distance of one POVM element from its projector at each kappa_o T:
     the photodetector's at jump count ``at``, the heterodyne's at amplitude
@@ -261,28 +255,27 @@ def projector_defects(
     return defects
 
 
-def projector_scaling_check(instrument: str, at, defects: list[float]) -> Check:
-    """Defects along a kappa_o T sweep in unit steps must shrink like e^{-kappa_o T}."""
-    tag = f"n{at}" if instrument == "photodetector" else f"zeta{at:g}"
-    return Check(
-        f"projector-scaling-{instrument}-{tag}", _scaling_factor(defects), SCALING_FACTOR
-    )
+def projector_sweep(
+    photo_ns, het_zetas, kappa_T_values, kappa_o: float, dt: float, dim: int, sub_dim: int
+) -> tuple[list[Check], list[tuple]]:
+    """Per jump count in ``photo_ns``, then amplitude in ``het_zetas``: a check
+    that the projector defects shrink like e^{-kappa_o T} along a sweep in
+    unit steps, and the rows ``(instrument, label, kappa_T, defect)``."""
+    sweep = [("photodetector", n, f"n={n}") for n in photo_ns] + [
+        ("heterodyne", zeta, f"zeta={zeta:g}") for zeta in het_zetas
+    ]
+    checks, rows = [], []
+    for instrument, at, label in sweep:
+        defects = projector_defects(instrument, at, kappa_T_values, kappa_o, dt, dim, sub_dim)
+        rows.extend((instrument, label, kt, d) for kt, d in zip(kappa_T_values, defects))
+        name = f"projector-scaling-{instrument}-{label.replace('=', '')}"
+        checks.append(Check(name, _scaling_factor(defects), SCALING_FACTOR))
+    return checks, rows
 
 
-def projector_scaling_checks(
-    dim: int = 40, sub_dim: int = 20, kappa_T_values=(2.0, 3.0, 4.0, 5.0)
-) -> list[Check]:
-    """Scaling checks for jump counts 0..2 and amplitudes 0 and 0.5."""
-    sweep = [("photodetector", n) for n in (0, 1, 2)] + [
-        ("heterodyne", zeta) for zeta in (0.0, 0.5)
-    ]
-    return [
-        projector_scaling_check(
-            instrument, at,
-            projector_defects(instrument, at, kappa_T_values, dim=dim, sub_dim=sub_dim),
-        )
-        for instrument, at in sweep
-    ]
+def projector_scaling_checks() -> list[Check]:
+    """Scaling checks for n = 0..2 and zeta = 0, 0.5 over kappa_o T = 2..5."""
+    return projector_sweep((0, 1, 2), (0.0, 0.5), (2.0, 3.0, 4.0, 5.0), 1.0, 1e-3, 40, 20)[0]
 
 
 ALL_GROUPS = {

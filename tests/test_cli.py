@@ -240,12 +240,46 @@ class TestPlotSeries:
             assert abs(value / expected - 1.0) < 0.03
 
     def test_unknown_series_rejected(self, tmp_path):
-        cfg = cli.resolve_config(
-            "verify-identities",
-            {"checks": ["trace"], "series": [{"name": "mystery"}]},
-        )
         with pytest.raises(ConfigError):
-            cli.run(cfg, str(tmp_path))
+            cli.resolve_config(
+                "verify-identities",
+                {"checks": ["trace"], "series": [{"name": "mystery"}]},
+            )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"name": "effective-mean", "pointz": 5},
+            {"name": "effective-mean", "points": -1},
+            {"name": "projector-defect-photo", "n": 2, "sub_dim": 2},
+        ],
+    )
+    def test_bad_series_leaves_no_file(self, tmp_path, capsys, spec):
+        # a series is checked before the run, not after report.json says PASS
+        cfg = {"checks": ["trace"], "series": [spec]}
+        assert run_main(tmp_path, "verify-identities", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "kind, cfg_dict, digest",
+        [
+            (
+                "verify-identities",
+                {"checks": ["trace"], "series": [
+                    {"name": "effective-mean", "points": 51},
+                    {"name": "projector-defect-het", "zeta": [0.5, 0.1], "kappa_o": 2},
+                ]},
+                "7b6c68b553773e12",
+            ),
+            ("povm-convergence", {"series": [{"name": "beta-cooling", "samples": 1000}]},
+             "e6dfc015438f8ce7"),
+        ],
+    )
+    def test_series_keep_their_hash(self, kind, cfg_dict, digest):
+        # series are stored as given, so their hashes match earlier releases
+        assert cli.resolve_config(kind, cfg_dict).config_hash() == digest
 
     @pytest.mark.parametrize("kappa_o", [0, -1.0, "nan", "inf"])
     def test_non_positive_series_rate_exits_two(self, tmp_path, capsys, kappa_o):

@@ -17,7 +17,7 @@ from kodsim.exceptions import (
     InvalidRecordError,
     NumericError,
 )
-from kodsim.params import InstrumentParams
+from kodsim.params import InstrumentParams, screened_integral
 
 LN2 = math.log(2.0)
 
@@ -121,17 +121,17 @@ class TestRecordReduction:
 
 class TestEffectiveMean:
     def test_zero_horizon(self):
-        assert pd.effective_mean(0.0, 1.0) == 0.0
+        assert screened_integral(0.0, 1.0) == 0.0
 
     def test_half_life(self):
-        assert abs(pd.effective_mean(LN2, 1.0) - 0.5) < 1e-15
+        assert abs(screened_integral(LN2, 1.0) - 0.5) < 1e-15
 
     def test_saturates(self):
-        assert abs(pd.effective_mean(1e6, 1.0) - 1.0) < 1e-15
+        assert abs(screened_integral(1e6, 1.0) - 1.0) < 1e-15
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(DomainError):
-            pd.effective_mean(-1.0, 1.0)
+            screened_integral(-1.0, 1.0)
 
 
 class TestPoissonKOD:
@@ -204,7 +204,7 @@ class TestPOVM:
     def test_weighted_class_identity(self):
         # D_T(n) K^dag K = (lam^n/n!) a^dag^n e^{-n kappa T} a^n, built directly
         p = params(kappa_T=0.8, dim=30)
-        n, lam = 3, pd.effective_mean(0.8, 1.0)
+        n, lam = 3, screened_integral(0.8, 1.0)
         lhs = pd.povm_element(n, 0.8, p)
         an = fock.lowering_power(30, n)
         rhs = (lam**n / math.factorial(n)) * (
@@ -279,15 +279,24 @@ class TestBornStatistics:
                 pd.ostensible_weights(rho, LN2, p, n_max=n_max)
 
     def test_factorial_overflow_raises_instead_of_nan(self):
-        # (j+n)!/j! overflows for n >= 150 at dim 200; the references used
-        # to return NaN there, which the negativity check lets through
+        # the weights Tr(K^dag K rho) of Fock 190 grow like 190!/(190-n)! and
+        # overflow from n = 153; they used to come back NaN, which the
+        # negativity check lets through
         p = params(kappa_T=0.05, dim=200)
         rho = fock.projector(200, 190)
         with pytest.raises(NumericError):
-            pd.born_pmf(rho, 0.05, p)
-        with pytest.raises(NumericError):
             pd.ostensible_weights(rho, 0.05, p, n_max=199)
         assert np.all(np.isfinite(pd.born_pmf(rho, 0.05, p, n_max=100)))
+
+    def test_high_truncation_stays_exact(self):
+        # built on the count rows, the pmf never forms a factorial: the
+        # vacuum gives exactly (1, 0, ...) and Fock 190 its binomial law
+        p = params(kappa_T=0.05, dim=200)
+        vacuum = pd.born_pmf(fock.projector(200, 0), 0.05, p)
+        assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
+        pmf = pd.born_pmf(fock.projector(200, 190), 0.05, p)
+        expected = scipy.stats.binom.pmf(np.arange(200), 190, screened_integral(0.05, 1.0))
+        assert np.max(np.abs(pmf - expected)) < 1e-12
 
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
@@ -353,9 +362,8 @@ class TestSamplers:
     def test_method_a_chi_square_against_born(self):
         p = params(kappa_T=LN2, dim=16)
         counts = pd.run_photo_ensemble(fock.fock_state(16, 5), p, 10**4, seed=12)
-        hist = records.Histogram.from_samples(counts, records.integer_edges(8))
         pmf = pd.born_pmf(fock.projector(16, 5), LN2, p, n_max=8)
-        assert records.chi_square_gof(hist, pmf) > 0.001
+        assert records.chi_square_gof(np.bincount(counts, minlength=9), pmf) > 0.001
 
 
 def oracle_counts(rho, p, n_traj, seed):
