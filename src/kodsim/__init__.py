@@ -21,7 +21,6 @@ from .exceptions import (
     InvalidRecordError,
     KodsimError,
     NumericError,
-    StepTooCoarseError,
     TruncationError,
 )
 from .params import InstrumentParams
@@ -38,6 +37,5 @@ __all__ = [
     "InvalidDimensionError",
     "InvalidRecordError",
     "NumericError",
-    "StepTooCoarseError",
     "TruncationError",
 ]

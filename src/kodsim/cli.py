@@ -1,6 +1,7 @@
 """Experiment runner: parses a JSON config, dispatches to instrument
-simulations and identity verifications, writes CSV tables and plot data,
-and returns a machine-readable pass/fail report.
+simulations and identity verifications, and returns a machine-readable
+pass/fail report.  Each runner computes its checks and tables; :func:`run`
+alone writes them, once the whole run has succeeded.
 
 Outputs are byte-reproducible: floats are written via ``repr`` (shortest
 round-trip), JSON keys are sorted, newlines are LF, and nothing
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -29,24 +30,29 @@ from .records import chi_square_gof, stream, tv_distance
 from .report import Check, VerificationReport
 
 DEFAULT_SEED = 12345
-# statistical gates are anchored at the sample sizes they were calibrated
-# for and loosen as 1/sqrt(N) below them
-TV_A_ANCHOR = (0.01, 100_000)
-TV_C_ANCHOR = (0.02, 100_000)
-COV_ANCHOR = (0.03, 10_000)
-P_VALUE_MIN = 1e-3
+# Statistical gates by kind, ``key -> (gate, anchor)``: the keys a config's
+# ``thresholds`` may override.  A gate with an anchor N0 is calibrated at N0
+# trajectories and scales as sqrt(N0/N) at N.
+GATES = {
+    "photodetect-ensemble": {
+        "tv_method_a": (0.01, 100_000), "tv_method_c": (0.02, 100_000), "p_value": (1e-3, None),
+    },
+    "heterodyne-ensemble": {
+        "mean_sigmas": (3.0, None), "covariance_rel": (0.03, 10_000), "p_value": (1e-3, None),
+    },
+}
 
 LN2 = math.log(2.0)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where} must be a number or [re, im] pair")
 
@@ -59,7 +65,12 @@ def _as_complex(value, where: str) -> complex:
 
 
 def _cast(cast, noun: str, value, where: str):
+    """``cast(value)``; a boolean is no number or string, and a float cast to
+    an integer must be integral."""
     try:
+        if isinstance(value, bool) or (cast is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be {noun}") from None
@@ -71,6 +82,12 @@ def _list(item, value, where: str) -> list:
     except TypeError:
         raise ConfigError(f"{where} must be a list") from None
     return [item(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false")
+    return value
 
 
 _FLOAT = partial(_cast, float, "a number")
@@ -153,7 +170,7 @@ def _state(value, where: str) -> dict:
     return _resolve(value, {"kind": (_raw, kind), **_STATES[kind]}, where)
 
 
-def _thresholds(gates: tuple[str, ...], value, where: str) -> dict:
+def _thresholds(gates: dict, value, where: str) -> dict:
     """Gate overrides, kept as given; each key must be one of the kind's
     ``gates`` and its value a number."""
     if not isinstance(value, dict):
@@ -210,7 +227,6 @@ _COMMON = {
     "params": {"kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, LN2), "dim": (_INT, 40)},
     "seed": (_INT, DEFAULT_SEED),
     "sub_dim": (_INT, 20),
-    "thresholds": (partial(_thresholds, ()), {}),
     "series": (_raw, []),
 }
 SCHEMAS = {
@@ -218,18 +234,16 @@ SCHEMAS = {
         "initial_state": (_state, {"kind": "fock", "n": 5}),
         "trajectories": (_count, 10_000),
         "n_max": (_INT, 12),
-        "thresholds": (partial(_thresholds, ("tv_method_a", "tv_method_c", "p_value")), {}),
     },
     "heterodyne-ensemble": {
         "initial_state": (_state, {"kind": "coherent", "alpha": 1.0}),
         "trajectories": (_count, 10_000),
         "quad_order": (_INT, 32),
         "bins": (_INT, 8),
-        "thresholds": (partial(_thresholds, ("mean_sigmas", "covariance_rel", "p_value")), {}),
     },
     "evolve-kod": {
         "kod": (_kod, "poisson"),
-        "convergence": (partial(_cast, bool, "a boolean"), True),
+        "convergence": (_flag, True),
         "n_max": (_INT, 40),
         "steps": (_INT, 1000),
         "grid": {
@@ -255,16 +269,7 @@ class ExperimentConfig:
     resolved: dict
     # the plot series resolved against their schemas; ``resolved`` keeps
     # them as given, as it keeps ``thresholds``, so config hashes hold
-    series: tuple[dict, ...] = field(init=False)
-
-    def __post_init__(self):
-        series = self.resolved["series"]
-        if not series and self.kind == "povm-convergence":
-            # each swept n and zeta, on the series' own default kappa_T grid
-            series = [{"name": "projector-defect-photo", "n": n} for n in self.resolved["photo_ns"]] + [
-                {"name": "projector-defect-het", "zeta": z} for z in self.resolved["het_zetas"]
-            ]
-        object.__setattr__(self, "series", _series(series or [], "series"))
+    series: tuple[dict, ...]
 
     def instrument_params(self) -> InstrumentParams:
         p = self.resolved["params"]
@@ -289,10 +294,12 @@ def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> Ex
             raise ConfigError(f"config kind {value!r} does not match command {kind!r}")
         return kind
 
-    resolved = _resolve(raw, {"kind": (same_kind, kind), **_COMMON, **SCHEMAS[kind]})
+    thresholds = (partial(_thresholds, GATES.get(kind, {})), {})
+    schema = {"kind": (same_kind, kind), **_COMMON, "thresholds": thresholds, **SCHEMAS[kind]}
+    resolved = _resolve(raw, schema)
     if seed_override is not None:
         resolved["seed"] = int(seed_override)
-    return ExperimentConfig(kind=kind, resolved=resolved)
+    return ExperimentConfig(kind, resolved, _series(resolved["series"] or [], "series"))
 
 
 def build_initial_state(state: dict, dim: int) -> np.ndarray:
@@ -331,87 +338,64 @@ def write_report(out_dir: str, report: VerificationReport) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
-    write_csv(
-        os.path.join(out_dir, "checks.csv"),
-        ["name", "measured", "threshold", "comparison", "passed"],
-        [
-            (c.name, c.measured, c.threshold, c.comparison, str(c.passed).lower())
-            for c in report.checks
-        ],
-    )
     return path
 
 
-def _scaled_gate(thresholds: dict, key: str, anchor: tuple[float, int], n: int) -> float:
-    if key in thresholds:
-        return float(thresholds[key])
-    gate, n_anchor = anchor
-    return gate * math.sqrt(n_anchor / max(n, 1))
+def _gate(cfg: ExperimentConfig, key: str) -> float:
+    """A gate's override if the config sets one, else its :data:`GATES` value
+    at the run's trajectory count."""
+    if key in cfg.resolved["thresholds"]:
+        return float(cfg.resolved["thresholds"][key])
+    gate, anchor = GATES[cfg.kind][key]
+    return gate if anchor is None else gate * math.sqrt(anchor / cfg.resolved["trajectories"])
 
 
-def run_photodetect(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[Check]:
+def _ensemble_setup(cfg: ExperimentConfig):
+    """Params, initial state, its density matrix and the trajectory count."""
     p = cfg.instrument_params()
-    r = cfg.resolved
-    initial = build_initial_state(r["initial_state"], p.dim)
+    initial = build_initial_state(cfg.resolved["initial_state"], p.dim)
     rho = initial if initial.ndim == 2 else fock.pure_density(initial)
-    n_traj = r["trajectories"]
-    n_max = r["n_max"]
+    return p, initial, rho, cfg.resolved["trajectories"]
 
+
+# A runner maps ``(cfg, n_threads)`` to ``(checks, tables)``, a table being
+# ``(file stem, header, rows)``; it writes nothing.
+
+
+def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
+    p, initial, rho, n_traj = _ensemble_setup(cfg)
+    seed, n_max = cfg.resolved["seed"], cfg.resolved["n_max"]
     kod_pmf = pd.kod_poisson(p.T, p.kappa_o).pmf_array(n_max)
     born = pd.born_pmf(rho, p.T, p, n_max=n_max)
-    counts = pd.run_photo_ensemble(initial, p, n_traj, r["seed"], n_threads)
-    write_csv(
-        os.path.join(out_dir, "counts.csv"),
-        ["trajectory", "jumps"],
-        ((i, int(c)) for i, c in enumerate(counts)),
-    )
-
+    counts = pd.run_photo_ensemble(initial, p, n_traj, seed, n_threads)
     checks: list[Check] = []
     if n_traj > 0:
         empirical = np.bincount(counts, minlength=n_max + 1) / n_traj
         # method C: state-independent draws, importance-weighted
-        draws = stream(r["seed"], n_traj).poisson(screened_integral(p.T, p.kappa_o), size=n_traj)
+        draws = stream(seed, n_traj).poisson(screened_integral(p.T, p.kappa_o), size=n_traj)
         ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
-        tv_a = tv_distance(empirical[: n_max + 1], born)
-        tv_c = tv_distance(ostensible, born)
         p_val = chi_square_gof(np.bincount(np.minimum(counts, n_max), minlength=n_max + 1), born)
-        thr = r["thresholds"]
         checks = [
-            Check("tv-method-a-vs-born", tv_a, _scaled_gate(thr, "tv_method_a", TV_A_ANCHOR, n_traj)),
-            Check("tv-method-c-vs-born", tv_c, _scaled_gate(thr, "tv_method_c", TV_C_ANCHOR, n_traj)),
-            Check("chi-square-p-value", p_val, float(thr.get("p_value", P_VALUE_MIN)), comparison=">="),
+            Check("tv-method-a-vs-born", tv_distance(empirical[: n_max + 1], born),
+                  _gate(cfg, "tv_method_a")),
+            Check("tv-method-c-vs-born", tv_distance(ostensible, born), _gate(cfg, "tv_method_c")),
+            Check("chi-square-p-value", p_val, _gate(cfg, "p_value"), comparison=">="),
         ]
     else:
-        empirical = np.full(n_max + 1, None)
-        ostensible = np.full(n_max + 1, None)
-
-    write_csv(
-        os.path.join(out_dir, "pmf.csv"),
-        ["n", "kod_pmf", "born_pmf", "empirical_pmf", "ostensible_pmf"],
-        (
-            (n, kod_pmf[n], born[n], empirical[n], ostensible[n])
-            for n in range(n_max + 1)
-        ),
-    )
-    return checks
+        empirical = ostensible = np.full(n_max + 1, None)
+    pmf = ((n, kod_pmf[n], born[n], empirical[n], ostensible[n]) for n in range(n_max + 1))
+    return checks, [
+        ("counts", ["trajectory", "jumps"], ((i, int(c)) for i, c in enumerate(counts))),
+        ("pmf", ["n", "kod_pmf", "born_pmf", "empirical_pmf", "ostensible_pmf"], pmf),
+    ]
 
 
-def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[Check]:
-    p = cfg.instrument_params()
-    r = cfg.resolved
-    initial = build_initial_state(r["initial_state"], p.dim)
-    rho = initial if initial.ndim == 2 else fock.pure_density(initial)
-    n_traj = r["trajectories"]
+def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
+    p, initial, rho, n_traj = _ensemble_setup(cfg)
+    total, mean_ref, cov_ref = het.born_pdf_quadrature(rho, p.T, p, cfg.resolved["quad_order"])
+    zetas = het.run_het_ensemble(initial, p, n_traj, cfg.resolved["seed"], n_threads)
 
-    total, mean_ref, cov_ref = het.born_pdf_quadrature(rho, p.T, p, r["quad_order"])
-    zetas = het.run_het_ensemble(initial, p, n_traj, r["seed"], n_threads)
-    write_csv(
-        os.path.join(out_dir, "zetas.csv"),
-        ["trajectory", "re", "im"],
-        ((i, z.real, z.imag) for i, z in enumerate(zetas)),
-    )
-
-    n_bins = r["bins"]
+    n_bins = cfg.resolved["bins"]
     half = 3.5 * math.sqrt(cov_ref / 2.0)
     edges_re = mean_ref.real + np.linspace(-half, half, n_bins + 1)
     edges_im = mean_ref.imag + np.linspace(-half, half, n_bins + 1)
@@ -426,56 +410,42 @@ def run_heterodyne(cfg: ExperimentConfig, out_dir: str, n_threads: int) -> list[
     if n_traj > 0:
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
         empirical = hist2d * np.pi / (n_traj * area)
-    else:
-        empirical = np.full((n_bins, n_bins), None)
-    write_csv(
-        os.path.join(out_dir, "density.csv"),
-        ["re", "im", "empirical_density", "born_density"],
-        (
-            (mid_re[i], mid_im[j], empirical[i, j], born_mid[i, j])
-            for i in range(n_bins)
-            for j in range(n_bins)
-        ),
-    )
-
-    if n_traj > 0:
         mean = complex(np.mean(zetas))
         cov = float(np.mean(np.abs(zetas - mean) ** 2))
-        thr = r["thresholds"]
-        mean_gate = float(thr.get("mean_sigmas", 3.0)) * math.sqrt(cov_ref / n_traj)
-        checks.append(Check("mean-vs-born", abs(mean - mean_ref), mean_gate))
-        checks.append(
-            Check(
-                "covariance-vs-born",
-                abs(cov / cov_ref - 1.0),
-                _scaled_gate(thr, "covariance_rel", COV_ANCHOR, n_traj),
-            )
-        )
         probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
-        p_val = chi_square_gof(counts_flat, probs_flat)
-        checks.append(
-            Check("chi-square-2d-p-value", p_val, float(thr.get("p_value", P_VALUE_MIN)), comparison=">=")
-        )
-    return checks
+        checks += [
+            Check("mean-vs-born", abs(mean - mean_ref),
+                  _gate(cfg, "mean_sigmas") * math.sqrt(cov_ref / n_traj)),
+            Check("covariance-vs-born", abs(cov / cov_ref - 1.0), _gate(cfg, "covariance_rel")),
+            Check("chi-square-2d-p-value", chi_square_gof(counts_flat, probs_flat),
+                  _gate(cfg, "p_value"), comparison=">="),
+        ]
+    else:
+        empirical = np.full((n_bins, n_bins), None)
+    density = (
+        (mid_re[i], mid_im[j], empirical[i, j], born_mid[i, j])
+        for i in range(n_bins)
+        for j in range(n_bins)
+    )
+    return checks, [
+        ("zetas", ["trajectory", "re", "im"], ((i, z.real, z.imag) for i, z in enumerate(zetas))),
+        ("density", ["re", "im", "empirical_density", "born_density"], density),
+    ]
 
 
-def run_evolve_kod(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
+def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
     p = cfg.instrument_params()
     r = cfg.resolved
     g = r["grid"]
     if r["kod"] == "poisson":
         kod = pd.evolve_kod_poisson(p.T, p.kappa_o, n_max=r["n_max"], steps=r["steps"])
         target = verify.kod_target(kod)
-        write_csv(
-            os.path.join(out_dir, "kod.csv"),
-            ["n", "evolved", "analytic", "abs_err"],
-            (
-                (n, kod.weights[n], target[n], abs(kod.weights[n] - target[n]))
-                for n in range(r["n_max"] + 1)
-            ),
-        )
+        table = ("kod", ["n", "evolved", "analytic", "abs_err"], (
+            (n, kod.weights[n], target[n], abs(kod.weights[n] - target[n]))
+            for n in range(r["n_max"] + 1)
+        ))
     else:
         kod = het.evolve_kod_diffusion(
             p.T, p.kappa_o, h=g["h"], extent=g["extent"], steps=g["steps"],
@@ -483,31 +453,42 @@ def run_evolve_kod(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
         )
         ax = kod.axis()
         target = verify.kod_target(kod)
-        write_csv(
-            os.path.join(out_dir, "kod_grid.csv"),
-            ["re", "im", "evolved", "analytic"],
-            (
-                (ax[i], ax[j], kod.grid[i, j], target[i, j])
-                for i in range(ax.size)
-                for j in range(ax.size)
-            ),
-        )
-    return verify.kod_checks(kod, p.T, p.kappa_o, g["extent"], r["convergence"])
+        table = ("kod_grid", ["re", "im", "evolved", "analytic"], (
+            (ax[i], ax[j], kod.grid[i, j], target[i, j])
+            for i in range(ax.size)
+            for j in range(ax.size)
+        ))
+    return verify.kod_checks(kod, p.T, p.kappa_o, g["extent"], r["convergence"]), [table]
 
 
-def run_povm_convergence(cfg: ExperimentConfig, out_dir: str) -> list[Check]:
+def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
     r = cfg.resolved
     base = r["params"]
     checks, rows = verify.projector_sweep(
         r["photo_ns"], r["het_zetas"], r["kappa_T_values"], base["kappa_o"], base["dt"],
         base["dim"], r["sub_dim"],
     )
-    write_csv(
-        os.path.join(out_dir, "defects.csv"),
-        ["instrument", "label", "kappa_T", "defect"],
-        rows,
-    )
-    return checks
+    tables = [("defects", ["instrument", "label", "kappa_T", "defect"], rows)]
+    if not cfg.series:
+        # each swept n and zeta, on the series' own default kappa_T grid
+        specs = [{"name": "projector-defect-photo", "n": n} for n in r["photo_ns"]] + [
+            {"name": "projector-defect-het", "zeta": z} for z in r["het_zetas"]
+        ]
+        tables += [series_table(spec, r["seed"]) for spec in _series(specs, "series")]
+    return checks, tables
+
+
+def run_verify_identities(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
+    return verify.run_identity_checks(cfg.resolved["seed"], cfg.resolved["checks"]), []
+
+
+RUNNERS = {
+    "photodetect-ensemble": run_photodetect,
+    "heterodyne-ensemble": run_heterodyne,
+    "evolve-kod": run_evolve_kod,
+    "verify-identities": run_verify_identities,
+    "povm-convergence": run_povm_convergence,
+}
 
 
 def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
@@ -533,29 +514,24 @@ def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
 
 
 def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> VerificationReport:
-    """Execute one experiment; writes all output files into ``out_dir``.
+    """Execute one experiment, then write all its files into ``out_dir``.
 
-    The plot series are computed first, so a series that cannot be
-    computed fails the run before any file is written.
+    The plot series and the kind's runner compute everything first, so a
+    run that raises writes nothing.
     """
     r = cfg.resolved
-    tables = [series_table(spec, r["seed"]) for spec in cfg.series]
-    os.makedirs(out_dir, exist_ok=True)
-    if cfg.kind == "photodetect-ensemble":
-        checks = run_photodetect(cfg, out_dir, n_threads)
-    elif cfg.kind == "heterodyne-ensemble":
-        checks = run_heterodyne(cfg, out_dir, n_threads)
-    elif cfg.kind == "evolve-kod":
-        checks = run_evolve_kod(cfg, out_dir)
-    elif cfg.kind == "povm-convergence":
-        checks = run_povm_convergence(cfg, out_dir)
-    else:
-        checks = verify.run_identity_checks(r["seed"], r["checks"])
+    series = [series_table(spec, r["seed"]) for spec in cfg.series]
+    checks, tables = RUNNERS[cfg.kind](cfg, n_threads)
     report = VerificationReport(
         checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
     )
+    os.makedirs(out_dir, exist_ok=True)
     write_report(out_dir, report)
-    for stem, header, rows in tables:
+    check_rows = [
+        (c.name, c.measured, c.threshold, c.comparison, str(c.passed).lower()) for c in checks
+    ]
+    checks_table = ("checks", ["name", "measured", "threshold", "comparison", "passed"], check_rows)
+    for stem, header, rows in [checks_table, *tables, *series]:
         write_csv(os.path.join(out_dir, stem.replace("-", "_") + ".csv"), header, rows)
     return report
 

@@ -29,10 +29,6 @@ class InvalidRecordError(KodsimError, ValueError):
     """Measurement record inconsistent with the instrument parameters."""
 
 
-class StepTooCoarseError(KodsimError, ValueError):
-    """Per-step probability too large for a faithful point-process sample."""
-
-
 class BinSpecError(KodsimError, ValueError):
     """Binned tables or a pmf and its bins do not match."""
 

@@ -52,6 +52,7 @@ from .fock import (
 from .params import InstrumentParams, screened_integral
 
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
+CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
 
 
 def _density_width(T: float, kappa_o: float) -> float:
@@ -128,15 +129,13 @@ class GaussianKOD:
 
     ``sigma`` parameterizes the analytic density (1/sigma) e^{-|z|^2/sigma}
     taken against d^2 z / pi; ``grid`` optionally carries a numerically
-    evolved counterpart on a square mesh of spacing ``h`` and half-width
-    ``extent``.  sigma == 0 flags the initial delta distribution, which has
-    no density.
+    evolved counterpart on a square mesh of spacing ``h``.  sigma == 0 flags
+    the initial delta distribution, which has no density.
     """
 
     sigma: float
     grid: np.ndarray | None = None
     h: float | None = None
-    extent: float | None = None
     regularization: float | None = None
 
     @property
@@ -271,13 +270,7 @@ def evolve_kod_diffusion(
     ring = np.sum(u[0]) + np.sum(u[-1]) + np.sum(u[1:-1, 0]) + np.sum(u[1:-1, -1])
     if ring * h**2 / np.pi > 1e-6:
         raise ExtentError("density reached the boundary ring; enlarge extent")
-    return GaussianKOD(
-        sigma=sig(T),
-        grid=u,
-        h=h,
-        extent=n_side * h,
-        regularization=sigma0_sq,
-    )
+    return GaussianKOD(sigma=sig(T), grid=u, h=h, regularization=sigma0_sq)
 
 
 def kraus_class_het(zeta: complex, T: float, p: InstrumentParams) -> np.ndarray:
@@ -600,20 +593,19 @@ def cartan_transform(zeta: complex, r: float) -> CartanCoordinates:
     )
 
 
-def cartan_dim(zeta: complex, r: float, sub_dim: int) -> int:
+def cartan_dim(zeta: complex, r: float) -> int:
     """Truncation large enough for the polar factors at these coordinates.
 
     The displaced intermediates live near level |alpha|^2 with spread
     ~sqrt(|alpha|^2), far above |zeta| itself when r is small.
     """
     amp = abs(cartan_transform(zeta, r).alpha)
-    return max(sub_dim + 20, math.ceil(amp**2 + 8.0 * amp + sub_dim + 10))
+    return max(CARTAN_SUB_DIM + 20, math.ceil(amp**2 + 8.0 * amp + CARTAN_SUB_DIM + 10))
 
 
-def cartan_identity_defect(
-    zeta: complex, r: float, dim: int | None = None, sub_dim: int = 20
-) -> float:
-    """Subblock defect of the polar decomposition of ``e^{-a^dag a r} e^{a zeta*}``.
+def cartan_identity_defect(zeta: complex, r: float, dim: int | None = None) -> float:
+    """Subblock defect of the polar decomposition of ``e^{-a^dag a r} e^{a zeta*}``
+    on the leading ``CARTAN_SUB_DIM`` levels.
 
     Compares against ``D_beta exp(-a^dag a r + scalar_log) D_alpha^{-1}``
     with every factor built in the truncated space.  Displacements use the
@@ -623,15 +615,15 @@ def cartan_identity_defect(
     """
     coords = cartan_transform(zeta, r)
     if dim is None:
-        dim = cartan_dim(zeta, r, sub_dim)
-    if dim < sub_dim:
-        raise InvalidDimensionError(f"dim {dim} below sub_dim {sub_dim}")
+        dim = cartan_dim(zeta, r)
+    if dim < CARTAN_SUB_DIM:
+        raise InvalidDimensionError(f"dim {dim} below sub_dim {CARTAN_SUB_DIM}")
     lhs = number_exp(dim, r) @ exp_lowering(dim, np.conj(zeta))
     mid = np.diag(np.exp(-np.arange(dim) * r + coords.scalar_log)).astype(complex)
     disp_beta = displacement_unitary(dim, coords.beta)
     disp_alpha_inv = displacement_unitary(dim, -coords.alpha)
     rhs = disp_beta @ mid @ disp_alpha_inv
-    return subblock_norm_diff(lhs, rhs, sub_dim)
+    return subblock_norm_diff(lhs, rhs, CARTAN_SUB_DIM)
 
 
 def trace_identity_defect(T: float, kappa_o: float, dim: int) -> float:
@@ -650,18 +642,16 @@ def trace_tail_bound(T: float, kappa_o: float, dim: int) -> float:
     return float(np.exp(-dim * kappa_o * T) / screened_integral(T, kappa_o))
 
 
-def groundstate_completeness(
-    T: float, kappa_o: float, dim: int, quad_order: int = 32
-) -> float:
+def groundstate_completeness(T: float, kappa_o: float, dim: int) -> float:
     """Signed deviation of ``integral d^2alpha/pi <alpha|e^{-a^dag a kappa_o T}|alpha>``
-    from ``1/Sigma(T)``.
+    from ``1/Sigma(T)``, by a 32-point Gauss-Hermite rule per axis.
 
     The integrand equals e^{-|alpha|^2 Sigma}, so the quadrature reaches
     amplitudes |alpha|^2 ~ 2 u_max^2 / Sigma; the truncation must hold the
     coherent states there or the integral silently sags (ExtentError).
     """
     sigma = _density_width(T, kappa_o)
-    nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
+    nodes, wts = np.polynomial.hermite.hermgauss(32)
     peak = 2.0 * float(np.max(nodes)) ** 2 / sigma
     if dim < peak + 8.0 * np.sqrt(peak) + 10.0:
         raise ExtentError(

@@ -216,11 +216,9 @@ def povm_element(n: int, T: float, p: InstrumentParams) -> np.ndarray:
     return d_n * (k.conj().T @ k)
 
 
-def povm_completeness(
-    T: float, p: InstrumentParams, sub_dim: int, n_max: int | None = None
-) -> float:
-    """Subblock defect of ``sum_n E_T(n)`` against the identity."""
-    total = sum(povm_element(n, T, p) for n in range(p.dim if n_max is None else n_max + 1))
+def povm_completeness(T: float, p: InstrumentParams, sub_dim: int) -> float:
+    """Subblock defect of ``sum_n E_T(n)``, n < dim, against the identity."""
+    total = sum(povm_element(n, T, p) for n in range(p.dim))
     return subblock_norm_diff(total, np.eye(p.dim), sub_dim)
 
 
@@ -292,13 +290,11 @@ def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: in
 
 def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Method C: the pmf over 0..n_max of Poisson ``draws`` from D_T, each
-    weighted by ``weights[draw]``; draws beyond ``n_max = weights.size - 1``
-    carry no weight."""
-    n_max = weights.size - 1
-    kept = draws <= n_max
-    w = np.where(kept, weights[np.minimum(draws, n_max)], 0.0)
-    total = float(np.sum(w))
-    est = np.bincount(draws[kept], weights=w[kept], minlength=n_max + 1)
+    weighted by ``weights[draw]``, as count times weight per bin (one
+    rounding per bin, not per draw); draws beyond ``n_max = weights.size -
+    1`` carry no weight."""
+    est = np.bincount(draws[draws < weights.size], minlength=weights.size) * weights
+    total = float(np.sum(est))
     return est / (total if total > 0 else 1.0)
 
 

@@ -4,7 +4,7 @@ The ``*_check(s)`` functions return :class:`~kodsim.report.Check` rows; the
 CLI's ``verify-identities`` command runs them all, and ``evolve-kod`` and
 ``povm-convergence`` reuse the KOD and projector checks on their own
 configurations.  Thresholds are the package's acceptance gates, not
-tunables.
+tunables, and so are the sizes the checks run at.
 """
 
 from __future__ import annotations
@@ -29,34 +29,35 @@ GROUNDSTATE_TOL = 1e-6
 LEFT_INVARIANCE_TOL = 1e-8
 SCALING_FACTOR = 2.0
 LN2 = math.log(2.0)
+# truncation of the operator identities and their truncation-safe subblock
+DIM = 40
+SUB_DIM = 20
 
 
 def _random_disk(rng: np.random.Generator, radius: float) -> complex:
     return radius * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
 
 
-def renormalization_checks(
-    seed: int, dim: int = 40, n_random: int = 100
-) -> list[Check]:
-    """Both amplitude-renormalization identities over random (r, c).
+def renormalization_checks(seed: int) -> list[Check]:
+    """Both amplitude-renormalization identities over 100 random (r, c).
 
     c stays inside the unit disk so operator norms keep the roundoff floor
     two orders below the 1e-12 gate; the identities themselves are exact
     under truncation because lowering operators never reach the top row.
     """
     rng = stream(seed, 0)
-    a = fock.make_lowering(dim)
+    a = fock.make_lowering(DIM)
     worst_photo = 0.0
     worst_het = 0.0
-    for _ in range(n_random):
+    for _ in range(100):
         r = 3.0 * rng.random()
         c = _random_disk(rng, 1.0)
-        decay = fock.number_exp(dim, r)
+        decay = fock.number_exp(DIM, r)
         lhs = a @ decay
         rhs = decay @ a * np.exp(-r)
         worst_photo = max(worst_photo, float(np.linalg.norm(lhs - rhs, 2)))
-        lhs = fock.exp_lowering(dim, c) @ decay
-        rhs = decay @ fock.exp_lowering(dim, c * np.exp(-r))
+        lhs = fock.exp_lowering(DIM, c) @ decay
+        rhs = decay @ fock.exp_lowering(DIM, c * np.exp(-r))
         worst_het = max(worst_het, float(np.linalg.norm(lhs - rhs, 2)))
     return [
         Check("renormalization-photodetector", worst_photo, RENORM_TOL),
@@ -64,10 +65,12 @@ def renormalization_checks(
     ]
 
 
-def record_reduction_checks(seed: int, dim: int = 40, sub_dim: int = 25) -> list[Check]:
-    """Time-ordered step products against their standard-order forms."""
+def record_reduction_checks(seed: int) -> list[Check]:
+    """Time-ordered step products against their standard-order forms on the
+    leading 25 levels."""
     rng = stream(seed, 1)
-    p = InstrumentParams.fit_steps(kappa_o=1.0, T=1.0, dt=1e-3, dim=dim)
+    sub_dim = 25
+    p = InstrumentParams.fit_steps(kappa_o=1.0, T=1.0, dt=1e-3, dim=DIM)
     worst_photo = 0.0
     for n_jumps in (1, 3, 5):
         steps = np.sort(rng.choice(p.n_steps, size=n_jumps, replace=False))
@@ -81,7 +84,7 @@ def record_reduction_checks(seed: int, dim: int = 40, sub_dim: int = 25) -> list
     worst_exact = 0.0
     worst_plain = 0.0
     for n_steps in (3, 10):
-        ph = InstrumentParams(kappa_o=1.0, dt=p.dt, T=n_steps * p.dt, dim=dim)
+        ph = InstrumentParams(kappa_o=1.0, dt=p.dt, T=n_steps * p.dt, dim=DIM)
         incs = (rng.standard_normal(n_steps) + 1j * rng.standard_normal(n_steps))
         incs *= np.sqrt(0.5 * ph.dt)
         rec = het.HeterodyneRecord(increments=incs, dt=ph.dt, T=ph.T)
@@ -120,14 +123,12 @@ def kod_error(kod: pd.PoissonKOD | het.GaussianKOD) -> float:
     return float(np.max(np.abs(evolved - kod_target(kod))))
 
 
-def kod_poisson_halving_ratio(
-    T: float, kappa_o: float, n_max: int = 40, steps: int = 100
-) -> float:
-    """Error ratio under step halving, measured where truncation error still
-    dominates roundoff (the 1000-step error sits at the 1e-15 floor)."""
+def kod_poisson_halving_ratio(T: float, kappa_o: float, n_max: int = 40) -> float:
+    """Error ratio from 100 to 200 steps, measured where truncation error
+    still dominates roundoff (the 1000-step error sits at the 1e-15 floor)."""
     return kod_error(
-        pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=steps)
-    ) / kod_error(pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=2 * steps))
+        pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=100)
+    ) / kod_error(pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=200))
 
 
 def kod_diffusion_halving_ratio(
@@ -176,32 +177,32 @@ def kod_checks(
     return checks
 
 
-def completeness_checks(
-    kappa_T: float = 1.0, dim: int = 40, sub_dim: int = 20, quad_order: int = 32
-) -> list[Check]:
-    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=kappa_T, dim=dim)
+def completeness_checks() -> list[Check]:
+    """Both POVMs summed against the identity at kappa_o T = 1."""
+    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=DIM)
     return [
         Check(
             "povm-completeness-photodetector",
-            pd.povm_completeness(kappa_T, p, sub_dim, n_max=dim - 1),
+            pd.povm_completeness(1.0, p, SUB_DIM),
             COMPLETENESS_PHOTO_TOL,
         ),
         Check(
             "povm-completeness-heterodyne",
-            het.povm_completeness_het(kappa_T, p, sub_dim, quad_order),
+            het.povm_completeness_het(1.0, p, SUB_DIM, 32),
             COMPLETENESS_HET_TOL,
         ),
     ]
 
 
-def cartan_checks(seed: int, n_random: int = 100, sub_dim: int = 20) -> list[Check]:
-    """Polar-decomposition defect over random (zeta, r), |zeta| <= 2, r in [0.1, 3]."""
+def cartan_checks(seed: int) -> list[Check]:
+    """Polar-decomposition defect over 100 random (zeta, r), |zeta| <= 2,
+    r in [0.1, 3]."""
     rng = stream(seed, 2)
     worst = 0.0
-    for _ in range(n_random):
+    for _ in range(100):
         r = 0.1 + 2.9 * rng.random()
         zeta = _random_disk(rng, 2.0)
-        worst = max(worst, het.cartan_identity_defect(zeta, r, sub_dim=sub_dim))
+        worst = max(worst, het.cartan_identity_defect(zeta, r))
     return [Check("cartan-identity", worst, CARTAN_TOL)]
 
 
@@ -210,22 +211,21 @@ def trace_checks() -> list[Check]:
     defect = het.trace_identity_defect(LN2, 1.0, 50)
     # the exact defect IS the geometric tail; allow a factor 2 of roundoff
     bound = 2.0 * het.trace_tail_bound(LN2, 1.0, 50)
-    dev = abs(het.groundstate_completeness(LN2, 1.0, dim=340, quad_order=32))
+    dev = abs(het.groundstate_completeness(LN2, 1.0, dim=340))
     return [
         Check("trace-identity", defect, bound),
         Check("groundstate-completeness", dev, GROUNDSTATE_TOL),
     ]
 
 
-def left_invariance_checks(
-    seed: int, kappa_T: float = 1.0, dim: int = 40, sub_dim: int = 20
-) -> list[Check]:
+def left_invariance_checks(seed: int) -> list[Check]:
+    """Left-invariance defect at kappa_o T = 1 over 10 random alpha, |alpha| <= 1.2."""
     rng = stream(seed, 3)
-    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=kappa_T, dim=dim)
+    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=DIM)
     worst = 0.0
     for _ in range(10):
         alpha = _random_disk(rng, 1.2)
-        worst = max(worst, het.povm_left_invariance_defect(alpha, kappa_T, p, sub_dim))
+        worst = max(worst, het.povm_left_invariance_defect(alpha, 1.0, p, SUB_DIM))
     return [Check("povm-left-invariance", worst, LEFT_INVARIANCE_TOL)]
 
 
@@ -275,12 +275,12 @@ def projector_sweep(
 
 def projector_scaling_checks() -> list[Check]:
     """Scaling checks for n = 0..2 and zeta = 0, 0.5 over kappa_o T = 2..5."""
-    return projector_sweep((0, 1, 2), (0.0, 0.5), (2.0, 3.0, 4.0, 5.0), 1.0, 1e-3, 40, 20)[0]
+    return projector_sweep((0, 1, 2), (0.0, 0.5), (2.0, 3.0, 4.0, 5.0), 1.0, 1e-3, DIM, SUB_DIM)[0]
 
 
 ALL_GROUPS = {
-    "renormalization": lambda seed: renormalization_checks(seed),
-    "record-reduction": lambda seed: record_reduction_checks(seed),
+    "renormalization": renormalization_checks,
+    "record-reduction": record_reduction_checks,
     "kod-poisson": lambda seed: kod_checks(
         pd.evolve_kod_poisson(LN2, 1.0, n_max=40, steps=1000), LN2, 1.0, mass=False
     ),
@@ -289,9 +289,9 @@ ALL_GROUPS = {
         mass=False,
     ),
     "completeness": lambda seed: completeness_checks(),
-    "cartan": lambda seed: cartan_checks(seed),
+    "cartan": cartan_checks,
     "trace": lambda seed: trace_checks(),
-    "left-invariance": lambda seed: left_invariance_checks(seed),
+    "left-invariance": left_invariance_checks,
     "projector-scaling": lambda seed: projector_scaling_checks(),
 }
 

@@ -22,7 +22,7 @@ def criterion(num: int, label: str, passed: bool, detail: str):
 
 
 def test_criterion_01_renormalization_identities():
-    checks = verify.renormalization_checks(seed=12345, dim=40, n_random=100)
+    checks = verify.renormalization_checks(seed=12345)
     worst = max(c.measured for c in checks)
     criterion(
         1,
@@ -119,7 +119,7 @@ def test_criterion_05_heterodyne_born_statistics():
 
 def test_criterion_06_povm_completeness():
     p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=40)
-    photo = pd.povm_completeness(1.0, p, sub_dim=20, n_max=39)
+    photo = pd.povm_completeness(1.0, p, sub_dim=20)
     hetero = het.povm_completeness_het(1.0, p, sub_dim=20, quad_order=32)
     criterion(
         6,
@@ -131,7 +131,7 @@ def test_criterion_06_povm_completeness():
 
 
 def test_criterion_07_cartan_identity():
-    checks = verify.cartan_checks(seed=12345, n_random=100)
+    checks = verify.cartan_checks(seed=12345)
     worst = checks[0].measured
     criterion(
         7,
@@ -146,7 +146,7 @@ def test_criterion_08_trace_identity():
     defect = het.trace_identity_defect(LN2, 1.0, 50)
     bound = 2.0 * het.trace_tail_bound(LN2, 1.0, 50)
     sigma = screened_integral(LN2, 1.0)
-    dev = het.groundstate_completeness(LN2, 1.0, dim=340, quad_order=32)
+    dev = het.groundstate_completeness(LN2, 1.0, dim=340)
     integral = dev + 1.0 / sigma
     criterion(
         8,

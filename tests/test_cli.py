@@ -392,7 +392,17 @@ OUTPUT_LAYOUTS = [
     OUTPUT_LAYOUTS,
     ids=[f"{case[0]}-{i}" for i, case in enumerate(OUTPUT_LAYOUTS)],
 )
-def test_output_layout_pinned(tmp_path, kind, cfg_dict, tables, check_names):
+def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, check_names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runner wrote a file")
+
+    # the runner alone returns every table and check and writes nothing
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "write_csv", refuse)
+        patch.setattr(cli, "write_report", refuse)
+        checks, returned = cli.RUNNERS[kind](cli.resolve_config(kind, cfg_dict), 1)
+    assert {f"{stem.replace('-', '_')}.csv": head for stem, head, _ in returned} == tables
+    assert [c.name for c in checks] == check_names
     report = cli.run(cli.resolve_config(kind, cfg_dict), str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == sorted(["report.json", "checks.csv", *tables])
     for name, header in dict(tables, **{"checks.csv": CHECKS_HEADER}).items():
@@ -428,6 +438,46 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, kind, cfg_dict)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_failed_run_writes_nothing(tmp_path, capsys):
+    # the method-C weights of Fock 190 overflow after the ensemble has run
+    cfg = {"params": {"dim": 200}, "initial_state": {"kind": "fock", "n": 190},
+           "n_max": 199, "trajectories": 10}
+    assert run_main(tmp_path, "photodetect-ensemble", cfg) == 2
+    assert "ostensible weight overflows from n = 153" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "kind, cfg_dict, key",
+    [
+        ("photodetect-ensemble", {"n_max": 8.9}, "n_max"),
+        ("photodetect-ensemble", {"trajectories": 99.99}, "trajectories"),
+        ("photodetect-ensemble", {"trajectories": True}, "trajectories"),
+        ("photodetect-ensemble", {"params": {"kappa_o": True}}, "params.kappa_o"),
+        ("heterodyne-ensemble", {"initial_state": {"kind": "coherent", "alpha": True}},
+         "initial_state.alpha"),
+        ("evolve-kod", {"convergence": "false"}, "convergence"),
+        ("evolve-kod", {"convergence": 0}, "convergence"),
+        ("verify-identities", {"series": [{"name": "effective-mean", "points": 2.7}]},
+         "series.points"),
+    ],
+)
+def test_lossy_config_value_rejected(tmp_path, capsys, kind, cfg_dict, key):
+    # no silent truncation to an integer, no boolean as a number, no string as a boolean
+    with pytest.raises(ConfigError, match=key):
+        cli.resolve_config(kind, cfg_dict)
+    assert run_main(tmp_path, kind, cfg_dict) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+
+def test_integral_float_and_quoted_integer_keep_their_hash():
+    cfg = {"trajectories": 1000.0, "n_max": "12", "params": {"dim": 16.0, "kappa_o": "1"}}
+    plain = {"trajectories": 1000, "n_max": 12, "params": {"dim": 16, "kappa_o": 1.0}}
+    for raw in (cfg, plain):
+        assert cli.resolve_config("photodetect-ensemble", raw).config_hash() == "824e11583684c742"
 
 
 def test_non_finite_state_file_exits_two(tmp_path, capsys):

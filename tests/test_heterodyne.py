@@ -564,17 +564,17 @@ class TestCartan:
         assert het.cartan_identity_defect(0.0, 0.9, dim=30) < 1e-13
 
     def test_identity_reference_point(self):
-        assert het.cartan_identity_defect(1.0 + 0.5j, 0.7, dim=40, sub_dim=20) < 1e-9
+        assert het.cartan_identity_defect(1.0 + 0.5j, 0.7, dim=40) < 1e-9
 
     def test_identity_phase_covariance(self):
-        base = het.cartan_identity_defect(1.3, 0.8, sub_dim=20)
+        base = het.cartan_identity_defect(1.3, 0.8)
         for theta in (0.7, 2.2, 4.0):
-            rotated = het.cartan_identity_defect(1.3 * np.exp(1j * theta), 0.8, sub_dim=20)
+            rotated = het.cartan_identity_defect(1.3 * np.exp(1j * theta), 0.8)
             assert abs(rotated - base) < 1e-10
 
     def test_identity_small_r_large_amplitude(self):
         # alpha = zeta / Sigma_r reaches ~11 here; the truncation must follow
-        assert het.cartan_identity_defect(2.0, 0.1, sub_dim=20) < 1e-9
+        assert het.cartan_identity_defect(2.0, 0.1) < 1e-9
 
 
 class TestTraceIdentity:
@@ -591,7 +591,7 @@ class TestTraceIdentity:
         assert d50 <= d40 * math.exp(-10.0 * 0.2) * 1.01
 
     def test_groundstate_quadrature(self):
-        dev = het.groundstate_completeness(LN2, 1.0, dim=340, quad_order=32)
+        dev = het.groundstate_completeness(LN2, 1.0, dim=340)
         assert abs(dev) < 1e-6
 
     def test_groundstate_integrand_closed_form(self):
@@ -605,7 +605,7 @@ class TestTraceIdentity:
 
     def test_groundstate_rejects_small_dim(self):
         with pytest.raises(ExtentError):
-            het.groundstate_completeness(LN2, 1.0, dim=40, quad_order=32)
+            het.groundstate_completeness(LN2, 1.0, dim=40)
 
 
 class TestCovarianceCooling:

@@ -2,6 +2,7 @@
 jump-count distribution, POVM structure, Born statistics, and samplers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestPOVM:
 
     def test_completeness(self):
         p = params(kappa_T=1.0, dim=40)
-        assert pd.povm_completeness(1.0, p, sub_dim=20, n_max=39) < 1e-8
+        assert pd.povm_completeness(1.0, p, sub_dim=20) < 1e-8
 
     def test_projector_convergence_limit(self):
         p = params(kappa_T=30.0, dim=40)
@@ -306,6 +307,19 @@ class TestBornStatistics:
         kod = pd.kod_poisson(LN2, 1.0)
         weights = pd.ostensible_weights(rho, LN2, p, n_max=12)
         assert_allclose(pmf, kod.pmf_array(12) * weights, rtol=1e-12, atol=1e-15)
+
+    def test_ostensible_pmf_is_count_times_weight(self):
+        # criterion 3's method-C draws against the exact count x weight per
+        # bin; a sum of one weight per draw drifts by about 2e-13
+        p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
+        weights = pd.ostensible_weights(fock.projector(16, 5), LN2, p, n_max=8)
+        draws = records.stream(48, 0).poisson(0.5, size=10**5)
+        est = pd.ostensible_pmf(draws, weights)
+        counts = np.bincount(draws, minlength=weights.size)[: weights.size]
+        exact = [int(c) * Fraction(w) for c, w in zip(counts, weights)]
+        total = sum(exact)
+        for e, x in zip(est, exact):
+            assert abs(Fraction(e) - x / total) <= Fraction(1e-15) * x / total
 
 
 class TestSamplers:
