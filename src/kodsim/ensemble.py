@@ -1,6 +1,5 @@
-"""Ensemble driver shared by both instruments, the norm-collapse floor of
-the samplers, and the trace renormalization of both dense reference
-samplers.  The heterodyne batch sampler renormalizes nothing: after k
+"""Ensemble driver shared by both instruments and the norm-collapse floor
+of the samplers.  The heterodyne batch sampler renormalizes nothing: after k
 steps its conditional state is ``e^{-a^dag a kappa_o t_k/2} e^{c a} rho
 (...)^dag`` normalized, with ``c = phi conj(zeta_k)`` fixed by the record
 functional so far, so it reads the drift ``Tr(a rho_k)`` from the Born
@@ -17,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .exceptions import NumericError
 from .records import stream
 
 # smallest trace (squared norm, for a vector) a sampler may renormalize
@@ -49,11 +47,3 @@ def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: in
         with ThreadPoolExecutor(max_workers=len(pairs)) as pool:
             parts = list(pool.map(lambda b: chunk(*b), pairs))
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-
-def renormalize_density(rho: np.ndarray, step: int) -> None:
-    """Scale a density matrix to unit trace, in place."""
-    tr = float(np.real(np.trace(rho)))
-    if not tr >= NORM_COLLAPSE:  # also catches NaN
-        raise NumericError(f"state norm collapsed to {tr} at step {step}")
-    rho /= tr

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DomainError, InvalidDimensionError, NumericError
+from .exceptions import DomainError, InvalidDimensionError
 
 STATE_NORM_TOL = 1e-10  # see validate_state
 DENSITY_TRACE_TOL = 1e-8  # see validate_density
@@ -74,11 +74,6 @@ def exp_lowering(dim: int, c: complex) -> np.ndarray:
     return out
 
 
-def exp_raising(dim: int, c: complex) -> np.ndarray:
-    """Exponential ``exp(c a^dag)``; transpose of :func:`exp_lowering`."""
-    return exp_lowering(dim, c).T.copy()
-
-
 def lowering_power(dim: int, n: int) -> np.ndarray:
     """``a^n`` built analytically: entries sqrt((m+n)!/m!) at (m, m+n)."""
     if not 0 <= n < dim:
@@ -94,30 +89,15 @@ def lowering_power(dim: int, n: int) -> np.ndarray:
     return out
 
 
-def displacement(dim: int, alpha: complex) -> np.ndarray:
-    """Displacement ``D_alpha = exp(alpha a^dag - alpha* a)``.
-
-    Computed through the disentangled product
-    ``e^{-|alpha|^2/2} e^{alpha a^dag} e^{-alpha* a}`` with exact triangular
-    factors.  Valid for ``|alpha|^2 << dim``; the factors cancel
-    catastrophically once the displaced state reaches the truncation edge,
-    so callers probing large amplitudes should audit unitarity with
-    :func:`subblock_norm_diff`.
-    """
-    alpha = complex(alpha)
-    return np.exp(-0.5 * abs(alpha) ** 2) * (
-        exp_raising(dim, alpha) @ exp_lowering(dim, -np.conj(alpha))
-    )
-
-
 def displacement_unitary(dim: int, alpha: complex) -> np.ndarray:
     """Displacement via eigendecomposition of its tridiagonal generator.
 
     The generator ``alpha a^dag - alpha* a`` is phase-gauged to ``-iT`` with
     ``T`` real symmetric tridiagonal, so ``D_alpha = P V e^{-i theta} V^T P*``
     with an ordinary Hermitian eigensolve.  All intermediates stay bounded,
-    which keeps this usable at amplitudes where the disentangled product of
-    :func:`displacement` loses every digit (|alpha|^2 approaching dim).
+    which keeps this usable at amplitudes where the disentangled product
+    ``e^{-|alpha|^2/2} e^{alpha a^dag} e^{-alpha* a}`` loses every digit
+    (|alpha|^2 approaching dim).
     """
     if dim < 2:
         raise InvalidDimensionError(f"need dim >= 2, got {dim}")
@@ -138,6 +118,8 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
     if dim < 2:
         raise InvalidDimensionError(f"need dim >= 2, got {dim}")
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise DomainError(f"need a finite amplitude, got {alpha}")
     amps = np.empty(dim, dtype=complex)
     amps[0] = 1.0
     for n in range(1, dim):
@@ -158,21 +140,6 @@ def projector(dim: int, n: int) -> np.ndarray:
     """Rank-one projector ``|n><n|``."""
     vec = fock_state(dim, n)
     return np.outer(vec, vec.conj())
-
-
-def matrix_exp(op: np.ndarray) -> np.ndarray:
-    """General dense matrix exponential (scaling-and-squaring Pade).
-
-    Used as the oracle route for identity checks; the structured
-    constructors above are the fast routes it gets compared against.
-    """
-    op = np.asarray(op, dtype=complex)
-    if not np.all(np.isfinite(op)):
-        raise NumericError("matrix_exp input has non-finite entries")
-    out = scipy.linalg.expm(op)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matrix_exp overflowed")
-    return out
 
 
 def subblock_norm_diff(op_a: np.ndarray, op_b: np.ndarray, sub_dim: int) -> float:

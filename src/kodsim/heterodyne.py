@@ -1,4 +1,4 @@
-"""Heterodyne instrument: Wiener-increment Kraus operators, the record
+"""Heterodyne instrument: records of Wiener increments and their record
 functional, the Gaussian distribution of Kraus operators with its screened
 diffusion, POVM completeness, the polar/Cartan coordinate change of the
 class operators, the trace identity it implies, and covariance cooling.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ensemble import renormalize_density, run_ensemble
+from .ensemble import run_ensemble
 from .exceptions import (
     DomainError,
     ExtentError,
@@ -40,8 +40,6 @@ from .fock import (
     coherent_state,
     displacement_unitary,
     exp_lowering,
-    make_lowering,
-    matrix_exp,
     number_diag,
     number_exp,
     pure_density,
@@ -61,14 +59,6 @@ def _density_width(T: float, kappa_o: float) -> float:
     if sigma <= 0.0:
         raise DomainError("need T > 0")
     return sigma
-
-
-def wiener_increment(rng: np.random.Generator, dt: float) -> complex:
-    """Complex Wiener increment: E[dw]=0, E[|dw|^2]=dt, E[dw^2]=0."""
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise DomainError(f"need dt > 0, got {dt}")
-    g = rng.standard_normal(2)
-    return complex(g[0], g[1]) * np.sqrt(0.5 * dt)
 
 
 @dataclass(frozen=True)
@@ -102,17 +92,6 @@ def record_functional(rec: HeterodyneRecord, kappa_o: float) -> complex:
     """
     damp = np.exp(-0.5 * kappa_o * rec.step_times())
     return complex(np.sqrt(kappa_o) * np.sum(rec.increments * damp))
-
-
-def kraus_increment(dw: complex, p: InstrumentParams) -> np.ndarray:
-    """Conditional operator ``L(dw) = exp(-a^dag a kappa_o dt/2 + a sqrt(kappa_o) dw*)``.
-
-    Exact exponential of the combined triangular generator, so identity
-    checks see no first-order splitting artifact.
-    """
-    gen = -0.5 * p.kappa_dt * np.diag(number_diag(p.dim)).astype(complex)
-    gen += np.sqrt(p.kappa_o) * np.conj(dw) * make_lowering(p.dim)
-    return matrix_exp(gen)
 
 
 def lowering_drag(r: float) -> float:
@@ -230,6 +209,8 @@ def evolve_kod_diffusion(
     density actually reaches the boundary ring the extent was too small and
     an ExtentError is raised.
     """
+    if not (math.isfinite(h) and math.isfinite(extent)):
+        raise DomainError(f"need finite h and extent, got h={h}, extent={extent}")
     if extent < 5.0:
         raise ExtentError(f"need extent >= 5, got {extent}")
     if h <= 0.0 or steps < 1:
@@ -291,16 +272,6 @@ def standard_form_kraus_het(
     phi = lowering_drag(0.5 * p.kappa_dt)
     zeta = record_functional(rec, p.kappa_o)
     return kraus_class_het(phi * zeta, rec.T, p)
-
-
-def time_ordered_product_het(
-    rec: HeterodyneRecord, p: InstrumentParams
-) -> np.ndarray:
-    """Brute-force product of per-increment operators, latest leftmost."""
-    out = np.eye(p.dim, dtype=complex)
-    for dw in rec.increments:
-        out = kraus_increment(dw, p) @ out
-    return out
 
 
 def povm_element_het(zeta: complex, T: float, p: InstrumentParams) -> np.ndarray:
@@ -436,6 +407,8 @@ def born_pdf_quadrature(
 ) -> tuple[float, complex, float]:
     """(total mass, mean, central covariance) of the Born density by
     Gauss-Hermite quadrature."""
+    if quad_order < 1:
+        raise DomainError(f"need quad_order >= 1, got {quad_order}")
     sigma = screened_integral(T, p.kappa_o)
     nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
     zet = np.sqrt(sigma) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
@@ -472,29 +445,6 @@ def sample_het_ostensible(
     sigma = _density_width(T, kappa_o)
     g = rng.standard_normal(2)
     return complex(g[0], g[1]) * np.sqrt(0.5 * sigma)
-
-
-def sample_het_trajectory(
-    rho: np.ndarray, p: InstrumentParams, rng: np.random.Generator
-) -> HeterodyneRecord:
-    """Conditional evolution under the true-statistics increment law.
-
-    Each step draws dw from a complex Gaussian with mean
-    ``sqrt(kappa_o) Tr(a rho_t) dt`` and variance dt (exact to O(dt)), then
-    applies L(dw) renormalized.  Two normal variates are consumed per step.
-    """
-    rho = validate_density(rho).copy()
-    root = np.sqrt(np.arange(1, p.dim))
-    incs = np.empty(p.n_steps, dtype=complex)
-    sqk = np.sqrt(p.kappa_o)
-    for k in range(p.n_steps):
-        a_mean = complex(np.sum(root * np.diag(rho, k=-1)))
-        dw = sqk * a_mean * p.dt + wiener_increment(rng, p.dt)
-        op = kraus_increment(dw, p)
-        rho = op @ rho @ op.conj().T
-        renormalize_density(rho, k)
-        incs[k] = dw
-    return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
 
 
 def _evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Photon-counting instrument: per-step Kraus operators, record reduction,
 the Poisson distribution of Kraus operators with its screened evolution,
-POVM elements, Born statistics, a dense trajectory sampler, and the
-count-indexed jump sampler of the ensembles.  Photon counting is blind to
-coherences and the state after n jumps does not depend on their times, so
-pure and mixed states share one table of jump probabilities over (step, n).
+POVM elements, Born statistics, and the count-indexed jump sampler of the
+ensembles.  Photon counting is blind to coherences and the state after n
+jumps does not depend on their times, so pure and mixed states share one
+table of jump probabilities over (step, n).
 
 Conventions fixed here:
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .ensemble import NORM_COLLAPSE, renormalize_density, run_ensemble
+from .ensemble import NORM_COLLAPSE, run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -34,7 +34,6 @@ from .exceptions import (
 from .fock import (
     lowering_power,
     make_lowering,
-    number_diag,
     number_exp,
     projector,
     subblock_norm_diff,
@@ -107,17 +106,6 @@ def reduce_record(rec: PhotoRecord, p: InstrumentParams) -> tuple[int, float]:
     n = rec.n_jumps
     weight = p.kappa_dt**n * float(np.exp(-p.kappa_o * np.sum(rec.jump_times)))
     return n, weight
-
-
-def time_ordered_product(rec: PhotoRecord, p: InstrumentParams) -> np.ndarray:
-    """Brute-force product of the per-step Kraus operators, latest leftmost."""
-    idx = set(_grid_indices(rec, p).tolist())
-    k0 = kraus_no_jump(p)
-    kj = jump_step_operator(p)
-    out = np.eye(p.dim, dtype=complex)
-    for k in range(p.n_steps):
-        out = (kj if k in idx else k0) @ out
-    return out
 
 
 def standard_form_kraus(rec: PhotoRecord, p: InstrumentParams) -> np.ndarray:
@@ -250,8 +238,8 @@ def _damped_rows(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int):
     """``w[n] . e^{-m kappa_o T}`` and ``s[n]`` for n = 0..n_max from the
     populations of rho (photon counting is blind to coherences)."""
     pop0 = np.real(np.diag(validate_density(rho)))
-    if n_max >= pop0.size:
-        raise InvalidDimensionError(f"need n_max < dim, got n_max={n_max}, dim={pop0.size}")
+    if not 0 <= n_max < pop0.size:
+        raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={pop0.size}")
     w, s = _count_rows(pop0)
     damp = np.exp(-p.kappa_o * T * np.arange(pop0.size))
     return w[: n_max + 1] @ damp, s[: n_max + 1]
@@ -296,34 +284,6 @@ def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     est = np.bincount(draws[draws < weights.size], minlength=weights.size) * weights
     total = float(np.sum(est))
     return est / (total if total > 0 else 1.0)
-
-
-def sample_trajectory(
-    rho: np.ndarray, p: InstrumentParams, rng: np.random.Generator
-) -> PhotoRecord:
-    """Sequential conditional evolution of a (possibly mixed) state.
-
-    Each step jumps with probability ``Tr(K1^dag K1 rho_t)`` and applies the
-    selected operation renormalized.  One uniform is consumed per step, so
-    a record is a pure function of the stream.
-    """
-    rho = validate_density(rho).copy()
-    n = number_diag(p.dim)
-    decay = np.exp(-0.5 * p.kappa_dt * n)
-    outer_decay = np.outer(decay, decay)
-    jump_times = []
-    for k in range(p.n_steps):
-        p_jump = p.kappa_dt * float(np.real(np.sum(n * np.diag(rho))))
-        if rng.random() < p_jump:
-            lowered = np.zeros_like(rho)
-            root = np.sqrt(np.outer(n[1:], n[1:]))
-            lowered[:-1, :-1] = root * rho[1:, 1:]
-            rho = lowered * outer_decay
-            jump_times.append(k * p.dt)
-        else:
-            rho = rho * outer_decay
-        renormalize_density(rho, k)
-    return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
 
 
 def _jump_table(pop0: np.ndarray, p: InstrumentParams):

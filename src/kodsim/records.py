@@ -28,16 +28,15 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Total-variation distance between two pmfs over the same bins.
 
-    Mass missing from either table (a tail beyond its last bin) counts
-    toward the distance.
+    Mass missing from a table (a tail beyond its last bin) is one more,
+    shared, bin: a tail both tables lack counts once, by the difference of
+    their masses.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise BinSpecError(f"pmfs over {p.size} and {q.size} bins")
-    return float(
-        0.5 * (np.sum(np.abs(p - q)) + abs(1 - np.sum(p)) + abs(1 - np.sum(q)))
-    )
+    return float(0.5 * (np.sum(np.abs(p - q)) + abs(np.sum(p) - np.sum(q))))
 
 
 def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> float:

@@ -5,6 +5,11 @@ CLI's ``verify-identities`` command runs them all, and ``evolve-kod`` and
 ``povm-convergence`` reuse the KOD and projector checks on their own
 configurations.  Thresholds are the package's acceptance gates, not
 tunables, and so are the sizes the checks run at.
+
+The brute-force constructions the record-reduction checks compare against
+live here and nowhere else in the package: the time-ordered products of
+per-step operators, one dense ``scipy.linalg.expm`` per heterodyne
+increment.  No sampler or reference on a CLI ensemble path uses them.
 """
 
 from __future__ import annotations
@@ -12,9 +17,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import fock, heterodyne as het, photodetector as pd
+from .exceptions import NumericError
+from .fock import make_lowering, number_diag
 from .params import InstrumentParams
+from .photodetector import _grid_indices, jump_step_operator, kraus_no_jump
 from .records import stream
 from .report import Check
 
@@ -32,6 +41,54 @@ LN2 = math.log(2.0)
 # truncation of the operator identities and their truncation-safe subblock
 DIM = 40
 SUB_DIM = 20
+
+
+def matrix_exp(op: np.ndarray) -> np.ndarray:
+    """General dense matrix exponential (scaling-and-squaring Pade).
+
+    Used as the oracle route for identity checks; the structured
+    constructors of :mod:`kodsim.fock` are the fast routes it gets compared
+    against.
+    """
+    op = np.asarray(op, dtype=complex)
+    if not np.all(np.isfinite(op)):
+        raise NumericError("matrix_exp input has non-finite entries")
+    out = scipy.linalg.expm(op)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("matrix_exp overflowed")
+    return out
+
+
+def kraus_increment(dw: complex, p: InstrumentParams) -> np.ndarray:
+    """Conditional operator ``L(dw) = exp(-a^dag a kappa_o dt/2 + a sqrt(kappa_o) dw*)``.
+
+    Exact exponential of the combined triangular generator, so identity
+    checks see no first-order splitting artifact.
+    """
+    gen = -0.5 * p.kappa_dt * np.diag(number_diag(p.dim)).astype(complex)
+    gen += np.sqrt(p.kappa_o) * np.conj(dw) * make_lowering(p.dim)
+    return matrix_exp(gen)
+
+
+def time_ordered_product(rec: pd.PhotoRecord, p: InstrumentParams) -> np.ndarray:
+    """Brute-force product of the per-step Kraus operators, latest leftmost."""
+    idx = set(_grid_indices(rec, p).tolist())
+    k0 = kraus_no_jump(p)
+    kj = jump_step_operator(p)
+    out = np.eye(p.dim, dtype=complex)
+    for k in range(p.n_steps):
+        out = (kj if k in idx else k0) @ out
+    return out
+
+
+def time_ordered_product_het(
+    rec: het.HeterodyneRecord, p: InstrumentParams
+) -> np.ndarray:
+    """Brute-force product of per-increment operators, latest leftmost."""
+    out = np.eye(p.dim, dtype=complex)
+    for dw in rec.increments:
+        out = kraus_increment(dw, p) @ out
+    return out
 
 
 def _random_disk(rng: np.random.Generator, radius: float) -> complex:
@@ -75,7 +132,7 @@ def record_reduction_checks(seed: int) -> list[Check]:
     for n_jumps in (1, 3, 5):
         steps = np.sort(rng.choice(p.n_steps, size=n_jumps, replace=False))
         rec = pd.PhotoRecord(jump_times=steps * p.dt, T=p.T)
-        brute = pd.time_ordered_product(rec, p)
+        brute = time_ordered_product(rec, p)
         std = pd.standard_form_kraus(rec, p)
         scale = float(np.linalg.norm(std[:sub_dim, :sub_dim], 2))
         worst_photo = max(
@@ -88,7 +145,7 @@ def record_reduction_checks(seed: int) -> list[Check]:
         incs = (rng.standard_normal(n_steps) + 1j * rng.standard_normal(n_steps))
         incs *= np.sqrt(0.5 * ph.dt)
         rec = het.HeterodyneRecord(increments=incs, dt=ph.dt, T=ph.T)
-        brute = het.time_ordered_product_het(rec, ph)
+        brute = time_ordered_product_het(rec, ph)
         exact = het.standard_form_kraus_het(rec, ph)
         plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, ph)
         scale = float(np.linalg.norm(exact[:sub_dim, :sub_dim], 2))
@@ -123,7 +180,7 @@ def kod_error(kod: pd.PoissonKOD | het.GaussianKOD) -> float:
     return float(np.max(np.abs(evolved - kod_target(kod))))
 
 
-def kod_poisson_halving_ratio(T: float, kappa_o: float, n_max: int = 40) -> float:
+def kod_poisson_halving_ratio(T: float, kappa_o: float, n_max: int) -> float:
     """Error ratio from 100 to 200 steps, measured where truncation error
     still dominates roundoff (the 1000-step error sits at the 1e-15 floor)."""
     return kod_error(
@@ -132,11 +189,7 @@ def kod_poisson_halving_ratio(T: float, kappa_o: float, n_max: int = 40) -> floa
 
 
 def kod_diffusion_halving_ratio(
-    T: float,
-    kappa_o: float,
-    h: float = 0.05,
-    extent: float = 5.0,
-    sigma0_sq: float = 1e-3,
+    T: float, kappa_o: float, h: float, extent: float, sigma0_sq: float
 ) -> float:
     """Error ratio when h is halved; long step counts push the
     Crank-Nicolson error below the spatial error on both grids."""

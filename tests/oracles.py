@@ -1,0 +1,149 @@
+"""Brute-force references the tests check the package against.
+
+Each builds by the textbook route what a package function computes by a
+faster one: dense per-step conditional evolution of a density matrix (one
+``scipy.linalg.expm`` per heterodyne increment, through
+:func:`kodsim.verify.kraus_increment`), the disentangled displacement
+product, and the 2-D alternating-direction diffusion loop.  Nothing in
+``kodsim`` imports them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from kodsim import heterodyne as het, records
+from kodsim.ensemble import NORM_COLLAPSE
+from kodsim.exceptions import DomainError, NumericError
+from kodsim.fock import exp_lowering, number_diag, validate_density
+from kodsim.heterodyne import HeterodyneRecord
+from kodsim.params import InstrumentParams
+from kodsim.photodetector import PhotoRecord
+from kodsim.verify import kraus_increment
+
+
+def renormalize_density(rho: np.ndarray, step: int) -> None:
+    """Scale a density matrix to unit trace, in place."""
+    tr = float(np.real(np.trace(rho)))
+    if not tr >= NORM_COLLAPSE:  # also catches NaN
+        raise NumericError(f"state norm collapsed to {tr} at step {step}")
+    rho /= tr
+
+
+def wiener_increment(rng: np.random.Generator, dt: float) -> complex:
+    """Complex Wiener increment: E[dw]=0, E[|dw|^2]=dt, E[dw^2]=0."""
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"need dt > 0, got {dt}")
+    g = rng.standard_normal(2)
+    return complex(g[0], g[1]) * np.sqrt(0.5 * dt)
+
+
+def displacement(dim: int, alpha: complex) -> np.ndarray:
+    """Displacement ``D_alpha = exp(alpha a^dag - alpha* a)``.
+
+    Computed through the disentangled product
+    ``e^{-|alpha|^2/2} e^{alpha a^dag} e^{-alpha* a}`` with exact triangular
+    factors.  Valid for ``|alpha|^2 << dim``; the factors cancel
+    catastrophically once the displaced state reaches the truncation edge,
+    so callers probing large amplitudes should audit unitarity with
+    :func:`kodsim.fock.subblock_norm_diff`.
+    """
+    alpha = complex(alpha)
+    return np.exp(-0.5 * abs(alpha) ** 2) * (
+        exp_lowering(dim, alpha).T @ exp_lowering(dim, -np.conj(alpha))
+    )
+
+
+def sample_trajectory(
+    rho: np.ndarray, p: InstrumentParams, rng: np.random.Generator
+) -> PhotoRecord:
+    """Sequential conditional evolution of a (possibly mixed) state.
+
+    Each step jumps with probability ``Tr(K1^dag K1 rho_t)`` and applies the
+    selected operation renormalized.  One uniform is consumed per step, so
+    a record is a pure function of the stream.
+    """
+    rho = validate_density(rho).copy()
+    n = number_diag(p.dim)
+    decay = np.exp(-0.5 * p.kappa_dt * n)
+    outer_decay = np.outer(decay, decay)
+    jump_times = []
+    for k in range(p.n_steps):
+        p_jump = p.kappa_dt * float(np.real(np.sum(n * np.diag(rho))))
+        if rng.random() < p_jump:
+            lowered = np.zeros_like(rho)
+            root = np.sqrt(np.outer(n[1:], n[1:]))
+            lowered[:-1, :-1] = root * rho[1:, 1:]
+            rho = lowered * outer_decay
+            jump_times.append(k * p.dt)
+        else:
+            rho = rho * outer_decay
+        renormalize_density(rho, k)
+    return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
+
+
+def sample_het_trajectory(
+    rho: np.ndarray, p: InstrumentParams, rng: np.random.Generator
+) -> HeterodyneRecord:
+    """Conditional evolution under the true-statistics increment law.
+
+    Each step draws dw from a complex Gaussian with mean
+    ``sqrt(kappa_o) Tr(a rho_t) dt`` and variance dt (exact to O(dt)), then
+    applies L(dw) renormalized.  Two normal variates are consumed per step.
+    """
+    rho = validate_density(rho).copy()
+    root = np.sqrt(np.arange(1, p.dim))
+    incs = np.empty(p.n_steps, dtype=complex)
+    sqk = np.sqrt(p.kappa_o)
+    for k in range(p.n_steps):
+        a_mean = complex(np.sum(root * np.diag(rho, k=-1)))
+        dw = sqk * a_mean * p.dt + wiener_increment(rng, p.dt)
+        op = kraus_increment(dw, p)
+        rho = op @ rho @ op.conj().T
+        renormalize_density(rho, k)
+        incs[k] = dw
+    return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
+
+
+def oracle_counts(rho, p, n_traj, seed):
+    """Jump counts of the dense density-matrix sampler, trajectory by trajectory."""
+    return np.array(
+        [sample_trajectory(rho, p, records.stream(seed, i)).n_jumps for i in range(n_traj)]
+    )
+
+
+def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
+    """Oracle: the 2-D alternating-direction loop on the full grid, each
+    step one implicit solve along axis 0 and one along axis 1, from the
+    same widened initial Gaussian as ``evolve_kod_diffusion``."""
+    sig = lambda t: float(-np.expm1(-kappa_o * t))
+    resolved_sq = 2.0 * (resolve_scale * h) ** 2
+    t_start, start_sq = 0.0, sigma0_sq
+    if kappa_o > 0.0 and sigma0_sq < resolved_sq:
+        t_start = min(T, float(-np.log1p(sigma0_sq - resolved_sq) / kappa_o))
+        start_sq = sigma0_sq + sig(t_start)
+    n_side = round(extent / h)
+    sq = ((np.arange(2 * n_side + 1) - n_side) * h) ** 2
+    u = np.exp(-(sq[:, None] + sq[None, :]) / start_sq) / start_sq
+    u /= np.sum(u) * h**2 / np.pi
+    main = np.full(sq.size, -30.0)
+    main[[0, -1]] = -15.0
+    main[[1, -2]] = -31.0
+
+    def explicit_half(w, coef):  # I + coef 12 h^2 L along axis 0
+        v = main[:, None] * w
+        v[:-1] += 16.0 * w[1:]
+        v[1:] += 16.0 * w[:-1]
+        v[:-2] -= w[2:]
+        v[2:] -= w[:-2]
+        return w + coef * v
+
+    for k in range(steps):
+        t0 = t_start + k * (T - t_start) / steps
+        t1 = t_start + (k + 1) * (T - t_start) / steps
+        coef = 0.5 * (sig(t1) - sig(t0)) / 4.0 / (12.0 * h**2)
+        ab = het._heat_banded(sq.size, coef)
+        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u, coef))
+        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u.T.copy(), coef)).T
+    return u

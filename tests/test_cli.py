@@ -1,14 +1,17 @@
 """Experiment runner: config validation, output files, reproducibility."""
 
+import ast
 import csv
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from kodsim import cli, fock, heterodyne, photodetector
+from kodsim import cli, fock, verify
 from kodsim.exceptions import ConfigError
 
 
@@ -431,6 +434,18 @@ def run_main(tmp_path, kind, cfg_dict):
         ),
         # counts up to n_max = 12 cannot occur in 8 Fock levels
         ("photodetect-ensemble", {"trajectories": 10, "params": {"dim": 8}}),
+        # out-of-range numbers, each refused where its value lands
+        ("photodetect-ensemble", {"thresholds": {"p_value": "nan"}, "trajectories": 10,
+                                  "params": {"dim": 8}, "n_max": 7}),
+        ("photodetect-ensemble", {"thresholds": {"p_value": math.nan}, "trajectories": 10,
+                                  "params": {"dim": 8}, "n_max": 7}),
+        ("evolve-kod", {"kod": "gaussian", "grid": {"h": "nan"}}),
+        ("evolve-kod", {"kod": "gaussian", "grid": {"extent": "inf"}}),
+        ("heterodyne-ensemble", {"quad_order": 0, "trajectories": 10, "params": {"dim": 12}}),
+        ("heterodyne-ensemble", {"bins": 0, "trajectories": 10, "params": {"dim": 12}}),
+        ("heterodyne-ensemble", {"bins": -2, "trajectories": 10, "params": {"dim": 12}}),
+        ("photodetect-ensemble", {"n_max": -1, "trajectories": 10, "params": {"dim": 8}}),
+        ("povm-convergence", {"het_zetas": ["inf"]}),
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, kind, cfg_dict):
@@ -438,6 +453,28 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, kind, cfg_dict)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_photodetect_tail_beyond_n_max_is_one_bin(tmp_path, capsys):
+    # Fock 10 with n_max = 6: about 17% of the counts exceed n_max, and the
+    # Born pmf holds none of that mass in its last bin
+    cfg = {"params": {"dim": 16}, "initial_state": {"kind": "fock", "n": 10}, "n_max": 6,
+           "trajectories": 20000}
+    run_main(tmp_path, "photodetect-ensemble", cfg)
+    _, rows = read_csv(tmp_path / "out" / "checks.csv")
+    passed = {row[0]: row[4] for row in rows}
+    assert passed["tv-method-a-vs-born"] == "true"
+    assert passed["chi-square-p-value"] == "true"
+
+
+def test_default_projector_series_use_the_run_truncation(tmp_path, capsys):
+    # n = 25 fits the run's sub_dim 30, not the series' default 20
+    cfg = {"params": {"dim": 60}, "sub_dim": 30, "photo_ns": [25], "het_zetas": [0.5],
+           "kappa_T_values": [2.0, 3.0]}
+    assert run_main(tmp_path, "povm-convergence", cfg) != 2
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(tmp_path / "out" / "projector_defect_photo_n25.csv")
+    assert header == ["kappa_T", "defect"] and len(rows) == 6
 
 
 def test_failed_run_writes_nothing(tmp_path, capsys):
@@ -514,21 +551,42 @@ def test_valid_thresholds_keep_their_hash():
     assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "23eed762740f23f8"
 
 
-def test_ensembles_never_reach_dense_oracles(tmp_path, monkeypatch):
-    # the dense per-step samplers are test references: both CLI ensembles
-    # must finish a mixed state without them (whatever their gates say)
-    reached = []
+# brute-force constructions that live in kodsim.verify or tests/oracles.py
+ORACLES = {
+    "time_ordered_product", "time_ordered_product_het", "kraus_increment", "matrix_exp",
+    "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
+    "displacement", "exp_raising", "adi_2d", "oracle_counts",
+}
+PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 
-    def oracle(name):
-        def refuse(*args, **kwargs):
-            reached.append(name)
-            raise RuntimeError(f"{name} reached from the CLI")
-        return refuse
 
-    for module, name in ((heterodyne, "sample_het_trajectory"),
-                         (heterodyne, "kraus_increment"),
-                         (photodetector, "sample_trajectory")):
-        monkeypatch.setattr(module, name, oracle(name))
+def module_names(path):
+    """Every name a module defines, imports, reads or reads as an attribute."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_oracles_stay_out_of_production(tmp_path, monkeypatch):
+    src = pathlib.Path(cli.__file__).parent
+    modules = {path.stem: set(module_names(path)) for path in src.glob("*.py")}
+    assert PRODUCTION <= set(modules)
+    for module in PRODUCTION:
+        assert not modules[module] & ORACLES, module
+    assert [m for m in modules if modules[m] & {"expm", "matrix_exp"}] == ["verify"]
+
+    # both CLI ensembles finish a mixed state with every dense exponential refusing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI ensemble reached a dense exponential")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(verify, "kraus_increment", refuse)
     path = tmp_path / "mixed.npy"
     rho = 0.5 * fock.pure_density(fock.coherent_state(10, 0.5)) + 0.5 * fock.projector(10, 2)
     np.save(path, rho)
@@ -541,4 +599,3 @@ def test_ensembles_never_reach_dense_oracles(tmp_path, monkeypatch):
             {"trajectories": 50, "params": {"dim": 10}, "initial_state": state, **extra}))
         cli.main([kind, "--config", str(cfg_path), "--out", str(out)])
         assert (out / "report.json").is_file()
-    assert reached == []

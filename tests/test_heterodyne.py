@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -18,6 +17,7 @@ from kodsim.exceptions import (
     NumericError,
 )
 from kodsim.params import InstrumentParams, screened_integral
+from oracles import adi_2d, sample_het_trajectory, wiener_increment
 
 LN2 = math.log(2.0)
 
@@ -30,7 +30,7 @@ class TestWienerIncrements:
     def test_moments(self):
         rng = records.stream(31, 0)
         dt = 1e-3
-        draws = np.array([het.wiener_increment(rng, dt) for _ in range(10**6)])
+        draws = np.array([wiener_increment(rng, dt) for _ in range(10**6)])
         assert abs(draws.mean()) < 4 * 10**-4.5
         second = np.mean(np.abs(draws) ** 2)
         assert abs(second / dt - 1.0) < 0.01
@@ -39,14 +39,14 @@ class TestWienerIncrements:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(DomainError):
-            het.wiener_increment(records.stream(0, 0), 0.0)
+            wiener_increment(records.stream(0, 0), 0.0)
 
 
 class TestKrausIncrement:
     def test_zero_increment_is_pure_decay(self):
         p = params(dim=12)
         assert_allclose(
-            het.kraus_increment(0.0, p),
+            verify.kraus_increment(0.0, p),
             fock.number_exp(12, 0.5 * p.kappa_dt),
             atol=1e-15,
         )
@@ -55,7 +55,7 @@ class TestKrausIncrement:
         # <0|L(dw)|1> = sqrt(kappa) dw* (1 + O(kappa dt))
         p = params(dim=10)
         dw = 0.03 - 0.02j
-        elem = het.kraus_increment(dw, p)[0, 1]
+        elem = verify.kraus_increment(dw, p)[0, 1]
         lead = np.sqrt(p.kappa_o) * np.conj(dw)
         assert abs(elem / lead - 1.0) < p.kappa_dt
 
@@ -177,42 +177,6 @@ class TestGaussianKOD:
             kod.density(0.1)
 
 
-def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
-    """Oracle: the 2-D alternating-direction loop on the full grid, each
-    step one implicit solve along axis 0 and one along axis 1, from the
-    same widened initial Gaussian as ``evolve_kod_diffusion``."""
-    sig = lambda t: float(-np.expm1(-kappa_o * t))
-    resolved_sq = 2.0 * (resolve_scale * h) ** 2
-    t_start, start_sq = 0.0, sigma0_sq
-    if kappa_o > 0.0 and sigma0_sq < resolved_sq:
-        t_start = min(T, float(-np.log1p(sigma0_sq - resolved_sq) / kappa_o))
-        start_sq = sigma0_sq + sig(t_start)
-    n_side = round(extent / h)
-    sq = ((np.arange(2 * n_side + 1) - n_side) * h) ** 2
-    u = np.exp(-(sq[:, None] + sq[None, :]) / start_sq) / start_sq
-    u /= np.sum(u) * h**2 / np.pi
-    main = np.full(sq.size, -30.0)
-    main[[0, -1]] = -15.0
-    main[[1, -2]] = -31.0
-
-    def explicit_half(w, coef):  # I + coef 12 h^2 L along axis 0
-        v = main[:, None] * w
-        v[:-1] += 16.0 * w[1:]
-        v[1:] += 16.0 * w[:-1]
-        v[:-2] -= w[2:]
-        v[2:] -= w[:-2]
-        return w + coef * v
-
-    for k in range(steps):
-        t0 = t_start + k * (T - t_start) / steps
-        t1 = t_start + (k + 1) * (T - t_start) / steps
-        coef = 0.5 * (sig(t1) - sig(t0)) / 4.0 / (12.0 * h**2)
-        ab = het._heat_banded(sq.size, coef)
-        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u, coef))
-        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u.T.copy(), coef)).T
-    return u
-
-
 class TestDiffusion:
     def test_zero_rate_leaves_initial_condition(self):
         kod = het.evolve_kod_diffusion(1.0, 0.0, h=0.1, extent=5.0, steps=50,
@@ -276,7 +240,7 @@ class TestClassOperators:
     def test_any_record_reduces_to_dragged_form(self, incs):
         p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=len(incs) * 1e-3, dim=20)
         rec = het.HeterodyneRecord(np.array(incs), p.dt, p.T)
-        brute = het.time_ordered_product_het(rec, p)
+        brute = verify.time_ordered_product_het(rec, p)
         dragged = het.standard_form_kraus_het(rec, p)
         scale = float(np.linalg.norm(dragged[:20, :20], 2))
         assert fock.subblock_norm_diff(brute, dragged, 20) / scale < 1e-12
@@ -290,7 +254,7 @@ class TestClassOperators:
         g = rng.standard_normal((3, 2))
         incs = (g[:, 0] + 1j * g[:, 1]) * np.sqrt(0.5 * p3.dt)
         rec = het.HeterodyneRecord(incs, p3.dt, p3.T)
-        brute = het.time_ordered_product_het(rec, p3)
+        brute = verify.time_ordered_product_het(rec, p3)
         dragged = het.standard_form_kraus_het(rec, p3)
         plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, p3)
         scale = np.linalg.norm(dragged[:25, :25], 2)
@@ -440,11 +404,11 @@ class TestSamplers:
         # amplitude alpha0 e^{-kappa t/2} independent of the noise
         p = params(kappa_T=0.05, dim=25)
         rho0 = fock.pure_density(fock.coherent_state(25, 1.0))
-        rec = het.sample_het_trajectory(rho0, p, records.stream(6, 0))
+        rec = sample_het_trajectory(rho0, p, records.stream(6, 0))
         rho = rho0.copy()
         a = fock.make_lowering(25)
         for k, dw in enumerate(rec.increments):
-            op = het.kraus_increment(dw, p)
+            op = verify.kraus_increment(dw, p)
             rho = op @ rho @ op.conj().T
             rho /= np.trace(rho).real
             purity = float(np.trace(rho @ rho).real)
@@ -470,7 +434,7 @@ class TestSamplers:
         rho = state if state.ndim == 2 else fock.pure_density(state)
         zetas = het.run_het_ensemble(state, p, 12, seed=8)
         for i, z in enumerate(zetas):
-            rec = het.sample_het_trajectory(rho, p, records.stream(8, i))
+            rec = sample_het_trajectory(rho, p, records.stream(8, i))
             assert abs(z - het.record_functional(rec, p.kappa_o)) < 1e-12
 
     def test_vector_and_its_density_give_identical_trajectories(self):

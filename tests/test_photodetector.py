@@ -19,6 +19,7 @@ from kodsim.exceptions import (
     NumericError,
 )
 from kodsim.params import InstrumentParams, screened_integral
+from oracles import oracle_counts, sample_trajectory
 
 LN2 = math.log(2.0)
 
@@ -325,14 +326,14 @@ class TestBornStatistics:
 class TestSamplers:
     def test_vacuum_gives_empty_record(self):
         p = params(kappa_T=0.05, dim=6)
-        rec = pd.sample_trajectory(fock.projector(6, 0), p, records.stream(0, 0))
+        rec = sample_trajectory(fock.projector(6, 0), p, records.stream(0, 0))
         assert rec.n_jumps == 0
 
     def test_trajectory_deterministic(self):
         p = params(kappa_T=0.3, dim=10)
         rho = fock.projector(10, 4)
-        r1 = pd.sample_trajectory(rho, p, records.stream(8, 3))
-        r2 = pd.sample_trajectory(rho, p, records.stream(8, 3))
+        r1 = sample_trajectory(rho, p, records.stream(8, 3))
+        r2 = sample_trajectory(rho, p, records.stream(8, 3))
         assert np.array_equal(r1.jump_times, r2.jump_times)
 
     def test_jump_count_bounded_by_photon_number(self):
@@ -378,13 +379,6 @@ class TestSamplers:
         counts = pd.run_photo_ensemble(fock.fock_state(16, 5), p, 10**4, seed=12)
         pmf = pd.born_pmf(fock.projector(16, 5), LN2, p, n_max=8)
         assert records.chi_square_gof(np.bincount(counts, minlength=9), pmf) > 0.001
-
-
-def oracle_counts(rho, p, n_traj, seed):
-    """Jump counts of the dense density-matrix sampler, trajectory by trajectory."""
-    return np.array(
-        [pd.sample_trajectory(rho, p, records.stream(seed, i)).n_jumps for i in range(n_traj)]
-    )
 
 
 def superposition(dim):

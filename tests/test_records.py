@@ -61,6 +61,12 @@ def test_tv_counts_missing_tail_mass():
     assert records.tv_distance([0.5, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
 
 
+def test_tv_counts_a_shared_tail_once():
+    # both tables lack the same 0.2 beyond their last bin: they agree
+    assert records.tv_distance([0.5, 0.3], [0.5, 0.3]) == 0.0
+    assert records.tv_distance([0.5, 0.3], [0.4, 0.3]) == pytest.approx(0.1)
+
+
 def test_chi_square_exact_match_is_one():
     probs = np.array([0.25, 0.25, 0.5])
     assert records.chi_square_gof(400 * probs, probs) == pytest.approx(1.0)
