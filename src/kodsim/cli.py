@@ -188,6 +188,13 @@ def _thresholds(gates: dict, value, where: str) -> dict:
     return dict(value)
 
 
+def _sweep(value, where: str) -> list[float]:
+    values = _FLOATS(value, where)
+    if len(values) < 2 or not all(np.diff(values) > 0.0):
+        raise ConfigError(f"{where} must hold two or more strictly increasing numbers")
+    return values
+
+
 def _groups(value, where: str) -> list[str] | None:
     if value is None:
         return None
@@ -206,7 +213,8 @@ SERIES = {
     "effective-mean": _CURVE,
     "effective-covariance": _CURVE,
     "beta-cooling": {
-        "kappa_T": (_FLOATS, [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0]), "samples": (_count, 100_000),
+        "kappa_T": (_FLOATS, [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0]),
+        "samples": (partial(_at_least, 1), 100_000),
     },
     "projector-defect-photo": {**_DEFECT_SWEEP, "n": (_INT, 0)},
     "projector-defect-het": {**_DEFECT_SWEEP, "zeta": (_as_complex, 0.5)},
@@ -257,7 +265,7 @@ SCHEMAS = {
     },
     "verify-identities": {"checks": (_groups, None)},
     "povm-convergence": {
-        "kappa_T_values": (_FLOATS, [2.0, 3.0, 4.0, 5.0]),
+        "kappa_T_values": (_sweep, [2.0, 3.0, 4.0, 5.0]),
         "photo_ns": (_INTS, [0, 1, 2]),
         "het_zetas": (_FLOATS, [0.0, 0.5]),
     },
@@ -307,7 +315,7 @@ def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> Ex
 
 
 def build_initial_state(state: dict, dim: int) -> np.ndarray:
-    """State vector or density matrix from its config description."""
+    """State vector or density matrix from its config description; intakes check it."""
     if state["kind"] == "fock":
         return fock.fock_state(dim, state["n"])
     if state["kind"] == "coherent":
@@ -317,10 +325,13 @@ def build_initial_state(state: dict, dim: int) -> np.ndarray:
                 f"|alpha|^2 = {abs(alpha)**2:.2f} too large for truncation {dim}"
             )
         return fock.coherent_state(dim, alpha)
-    data = np.load(state["path"])
-    if data.ndim == 1:
-        return fock.validate_state(data)
-    return fock.validate_density(data)
+    try:
+        data = np.load(state["path"])
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"initial_state.path: cannot load {state['path']}: {exc}") from None
+    if not (isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.number)):
+        raise ConfigError(f"initial_state.path: {state['path']} holds no numeric array")
+    return data
 
 
 def _fmt(value) -> str:
@@ -354,12 +365,11 @@ def _gate(cfg: ExperimentConfig, key: str) -> float:
     return gate if anchor is None else gate * math.sqrt(anchor / cfg.resolved["trajectories"])
 
 
-def _ensemble_setup(cfg: ExperimentConfig):
-    """Params, initial state, its density matrix and the trajectory count."""
+def _ensemble_setup(cfg: ExperimentConfig, intake):
+    """Params, the initial state as the instrument reads it, trajectory count."""
     p = cfg.instrument_params()
-    initial = build_initial_state(cfg.resolved["initial_state"], p.dim)
-    rho = initial if initial.ndim == 2 else fock.pure_density(initial)
-    return p, initial, rho, cfg.resolved["trajectories"]
+    state = intake(build_initial_state(cfg.resolved["initial_state"], p.dim))
+    return p, state, cfg.resolved["trajectories"]
 
 
 # A runner maps ``(cfg, n_threads)`` to ``(checks, tables)``, a table being
@@ -367,18 +377,18 @@ def _ensemble_setup(cfg: ExperimentConfig):
 
 
 def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
-    p, initial, rho, n_traj = _ensemble_setup(cfg)
+    p, rows, n_traj = _ensemble_setup(cfg, pd.count_rows)
     seed, n_max = cfg.resolved["seed"], cfg.resolved["n_max"]
     kod_pmf = pd.kod_poisson(p.T, p.kappa_o).pmf_array(n_max)
-    born = pd.born_pmf(rho, p.T, p, n_max=n_max)
-    counts = pd.run_photo_ensemble(initial, p, n_traj, seed, n_threads)
+    born = pd.born_pmf(rows, p.T, p, n_max=n_max)
+    counts = pd.run_photo_ensemble(rows, p, n_traj, seed, n_threads)
     checks: list[Check] = []
     if n_traj > 0:
         observed = np.bincount(counts, minlength=n_max + 1)[: n_max + 1]
         empirical = observed / n_traj
         # method C: state-independent draws, importance-weighted
         draws = stream(seed, n_traj).poisson(screened_integral(p.T, p.kappa_o), size=n_traj)
-        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
+        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rows, p.T, p, n_max=n_max))
         # counts above n_max, and the Born mass there, form one tail bin
         p_val = chi_square_gof(np.append(observed, n_traj - observed.sum()),
                                np.append(born, max(0.0, 1.0 - born.sum())))
@@ -397,9 +407,9 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
 
 
 def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
-    p, initial, rho, n_traj = _ensemble_setup(cfg)
-    total, mean_ref, cov_ref = het.born_pdf_quadrature(rho, p.T, p, cfg.resolved["quad_order"])
-    zetas = het.run_het_ensemble(initial, p, n_traj, cfg.resolved["seed"], n_threads)
+    p, born, n_traj = _ensemble_setup(cfg, het.born_density)
+    total, mean_ref, cov_ref = het.born_pdf_quadrature(born, p.T, p, cfg.resolved["quad_order"])
+    zetas = het.run_het_ensemble(born, p, n_traj, cfg.resolved["seed"], n_threads)
 
     n_bins = cfg.resolved["bins"]
     half = 3.5 * math.sqrt(cov_ref / 2.0)
@@ -409,7 +419,7 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
     mid_im = 0.5 * (edges_im[:-1] + edges_im[1:])
     area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
     born_mid = het.born_pdf(
-        rho, (mid_re[:, None] + 1j * mid_im[None, :]).ravel(), p.T, p
+        born, (mid_re[:, None] + 1j * mid_im[None, :]).ravel(), p.T, p
     ).reshape(n_bins, n_bins)
 
     checks = [Check("born-density-mass", abs(total - 1.0), 1e-6)]
@@ -418,7 +428,7 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
         empirical = hist2d * np.pi / (n_traj * area)
         mean = complex(np.mean(zetas))
         cov = float(np.mean(np.abs(zetas - mean) ** 2))
-        probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
+        probs = het.born_bin_probs(born, edges_re, edges_im, p.T, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         checks += [
@@ -464,7 +474,7 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
             for i in range(ax.size)
             for j in range(ax.size)
         ))
-    return verify.kod_checks(kod, p.T, p.kappa_o, g["extent"], r["convergence"]), [table]
+    return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"]), [table]
 
 
 def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:

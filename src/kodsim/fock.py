@@ -1,8 +1,10 @@
 """Truncated Fock-space operator toolkit.
 
 Operators are dense complex ``(d, d)`` arrays in the number basis
-``|0>, ..., |d-1>``; states are length-``d`` complex vectors.  Everything
-here is a pure function of its inputs and returns fresh arrays.
+``|0>, ..., |d-1>``; states are length-``d`` complex vectors or ``(d, d)``
+density matrices, and :func:`density` is the one place that tells them
+apart.  Everything here is a pure function of its inputs and returns fresh
+arrays.
 
 Truncation artifacts collect in the top rows/columns (raising operators
 and displacements leak amplitude into the highest levels), so operator
@@ -17,8 +19,8 @@ import scipy.linalg
 
 from .exceptions import DomainError, InvalidDimensionError
 
-STATE_NORM_TOL = 1e-10  # see validate_state
-DENSITY_TRACE_TOL = 1e-8  # see validate_density
+STATE_NORM_TOL = 1e-10  # see density
+DENSITY_TRACE_TOL = 1e-8  # see density
 
 
 def make_lowering(dim: int) -> np.ndarray:
@@ -153,26 +155,20 @@ def subblock_norm_diff(op_a: np.ndarray, op_b: np.ndarray, sub_dim: int) -> floa
     return float(np.linalg.norm(diff, ord=2))
 
 
-def validate_state(vec: np.ndarray) -> np.ndarray:
-    """Check a state vector is 1-D with norm in (0, 1 + STATE_NORM_TOL]."""
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim != 1 or vec.shape[0] < 2:
-        raise InvalidDimensionError(f"bad state shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
-    if not norm > 0.0:  # zero, or NaN from a non-finite entry
-        raise DomainError(f"state norm {norm} is not positive")
-    if norm > 1.0 + STATE_NORM_TOL:
-        raise DomainError(f"state norm {norm} exceeds 1 + {STATE_NORM_TOL}")
-    return vec
+def density(state: np.ndarray) -> np.ndarray:
+    """Density matrix of a state vector or density matrix, checked.
 
-
-def validate_density(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix.
-
-    Tolerances: 1e-12 max-entry hermiticity defect, DENSITY_TRACE_TOL on the trace
-    (coherent states lose a truncation tail), eigenvalue floor -1e-10.
-    """
-    rho = np.asarray(rho, dtype=complex)
+    A vector ``psi`` becomes ``psi psi^dag``, not normalized, and its norm
+    must not exceed 1 + STATE_NORM_TOL; a matrix is taken as given.  Either
+    must then be Hermitian to 1e-12 per entry, of unit trace to
+    DENSITY_TRACE_TOL (coherent states lose a truncation tail) and positive
+    down to an eigenvalue floor of -1e-10."""
+    rho = np.array(state, dtype=complex)
+    if rho.ndim == 1:
+        norm = float(np.linalg.norm(rho))
+        if norm > 1.0 + STATE_NORM_TOL:
+            raise DomainError(f"state norm {norm} exceeds 1 + {STATE_NORM_TOL}")
+        rho = np.outer(rho, rho.conj())
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
         raise InvalidDimensionError(f"bad density shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
@@ -187,9 +183,3 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
     if eigmin < -1e-10:
         raise DomainError(f"negative eigenvalue {eigmin} below -1e-10")
     return rho
-
-
-def pure_density(vec: np.ndarray) -> np.ndarray:
-    """Density matrix of a (normalized) pure state."""
-    vec = validate_state(vec)
-    return np.outer(vec, vec.conj())

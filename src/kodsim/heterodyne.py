@@ -14,8 +14,8 @@ The instrument evolves on its own: after a record with partial functional
 ``zeta_k`` the conditional state is ``K rho K^dag`` normalized, with
 ``K = e^{-a^dag a kappa_o t_k/2} e^{c a}`` and ``c = phi conj(zeta_k)``.  The
 system enters only through the Born weight ``W(c) = Tr(K^dag K rho)``, a
-polynomial in (c, c*) whose coefficients :func:`_weight_coeffs` builds once
-per call.  It gives the Born references and, through
+polynomial in (c, c*) whose coefficients :func:`born_density` builds once
+per state.  It gives the Born references and, through
 ``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``, the drift of the ensemble
 sampler, which therefore evolves no state.
 """
@@ -38,18 +38,17 @@ from .exceptions import (
 )
 from .fock import (
     coherent_state,
+    density,
     displacement_unitary,
     exp_lowering,
     number_diag,
     number_exp,
-    pure_density,
     subblock_norm_diff,
-    validate_density,
-    validate_state,
 )
 from .params import InstrumentParams, screened_integral
 
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
+MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
 CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
 
 
@@ -211,8 +210,8 @@ def evolve_kod_diffusion(
     """
     if not (math.isfinite(h) and math.isfinite(extent)):
         raise DomainError(f"need finite h and extent, got h={h}, extent={extent}")
-    if extent < 5.0:
-        raise ExtentError(f"need extent >= 5, got {extent}")
+    if extent < MIN_EXTENT:
+        raise ExtentError(f"need extent >= {MIN_EXTENT:g}, got {extent}")
     if h <= 0.0 or steps < 1:
         raise DomainError(f"need h > 0 and steps >= 1, got h={h}, steps={steps}")
     if not 0.0 < sigma0_sq < 1.0:
@@ -331,32 +330,37 @@ def povm_left_invariance_defect(
     )
 
 
-def _weight_coeffs(rho: np.ndarray) -> np.ndarray:
-    """Coefficients ``C[m, j, l] = g_j(m) g_l(m) rho[m+j, m+l]`` of the Born
-    weight, zero where ``m+j`` or ``m+l`` leaves the truncation, with
-    ``g_j(m) = sqrt((m+j)!/m!)/j!``.
+@dataclass(frozen=True)
+class BornDensity:
+    """A state as the heterodyne instrument reads it: the coefficients
+    ``C[m, j, l] = g_j(m) g_l(m) rho[m+j, m+l]`` of its Born weight, zero where
+    ``m+j`` or ``m+l`` leaves the truncation, ``g_j(m) = sqrt((m+j)!/m!)/j!``.
+    With ``T_t = sum_m e^{-m kappa_o t} C[m]`` the weight of the class operator
+    ``e^{-a^dag a kappa_o t/2} e^{c a}`` is ``W_t(c) = Tr(K^dag K rho) =
+    sum_{j,l} c^j conj(c)^l T_t[j, l]``, entire in (c, c*) because the class
+    operators are lowering-only."""
 
-    With ``T_t = sum_m e^{-m kappa_o t} C[m]`` the weight of the class
-    operator ``e^{-a^dag a kappa_o t/2} e^{c a}`` is
-    ``W_t(c) = Tr(K^dag K rho) = sum_{j,l} c^j conj(c)^l T_t[j, l]``; it is
-    entire in (c, c*) because the class operators are lowering-only.
-    """
+    coeffs: np.ndarray
+
+    def table(self, t: float, kappa_o: float) -> np.ndarray:
+        """``T_t[j, l]``, summed over m in order on the real and imaginary
+        parts (real arithmetic is 3-4x faster)."""
+        dim = self.coeffs.shape[0]
+        damp = np.exp(-kappa_o * t * np.arange(dim))
+        flat = np.einsum("m,mx->x", damp, self.coeffs.reshape(dim, -1).view(float))
+        return flat.view(complex).reshape(dim, dim)
+
+
+def born_density(state: np.ndarray) -> BornDensity:
+    """The Born weight of a state vector or density matrix (:func:`fock.density`)."""
+    rho = density(state)
     dim = rho.shape[0]
     m = np.arange(dim)[:, None]
     j = np.arange(dim)[None, :]
     steps = np.where(j > 0, np.sqrt(m + j) / np.maximum(j, 1), 1.0)
     g = np.where(m + j < dim, np.cumprod(steps, axis=1), 0.0)
     idx = np.minimum(m + j, dim - 1)
-    return g[:, :, None] * g[:, None, :] * rho[idx[:, :, None], idx[:, None, :]]
-
-
-def _weight_table(coeffs: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
-    """``T_t[j, l] = sum_m e^{-m kappa_o t} C[m, j, l]``, summed over m in
-    order on the real and imaginary parts (real arithmetic is 3-4x faster)."""
-    dim = coeffs.shape[0]
-    damp = np.exp(-kappa_o * t * np.arange(dim))
-    flat = np.einsum("m,mx->x", damp, coeffs.reshape(dim, -1).view(float))
-    return flat.view(complex).reshape(dim, dim)
+    return BornDensity(g[:, :, None] * g[:, None, :] * rho[idx[:, :, None], idx[:, None, :]])
 
 
 def _powers(c: np.ndarray, dim: int) -> np.ndarray:
@@ -380,22 +384,21 @@ def _weight_terms(table: np.ndarray, c: np.ndarray):
 
 
 def het_born_weights(
-    rho: np.ndarray, zetas: np.ndarray, T: float, p: InstrumentParams
+    born: BornDensity, zetas: np.ndarray, T: float, p: InstrumentParams
 ) -> np.ndarray:
     """``Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes."""
-    table = _weight_table(_weight_coeffs(validate_density(rho)), T, p.kappa_o)
     zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    return _weight_terms(table, zetas.conj())[2]
+    return _weight_terms(born.table(T, p.kappa_o), zetas.conj())[2]
 
 
 def born_pdf(
-    rho: np.ndarray, zeta, T: float, p: InstrumentParams
+    born: BornDensity, zeta, T: float, p: InstrumentParams
 ) -> float | np.ndarray:
     """Born density ``P(zeta|rho) = D_T(zeta) Tr(K_T(zeta)^dag K_T(zeta) rho)``
     against d^2 zeta / pi."""
     kod = kod_gaussian(T, p.kappa_o)
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    vals = kod.density(zetas) * het_born_weights(rho, zetas, T, p)
+    vals = kod.density(zetas) * het_born_weights(born, zetas, T, p)
     if float(np.min(vals)) < -1e-10:
         raise NumericError(f"negative density {np.min(vals)}")
     vals = np.clip(vals, 0.0, None)
@@ -403,7 +406,7 @@ def born_pdf(
 
 
 def born_pdf_quadrature(
-    rho: np.ndarray, T: float, p: InstrumentParams, quad_order: int = 32
+    born: BornDensity, T: float, p: InstrumentParams, quad_order: int = 32
 ) -> tuple[float, complex, float]:
     """(total mass, mean, central covariance) of the Born density by
     Gauss-Hermite quadrature."""
@@ -413,14 +416,14 @@ def born_pdf_quadrature(
     nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
     zet = np.sqrt(sigma) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
     wgt = (wts[:, None] * wts[None, :]).ravel() / np.pi
-    vals = het_born_weights(rho, zet, T, p)
+    vals = het_born_weights(born, zet, T, p)
     total = float(np.sum(wgt * vals))
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
     return total, mean, cov
 
 
-def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
+def born_bin_probs(born: BornDensity, edges_re, edges_im, T: float,
                    p: InstrumentParams) -> np.ndarray:
     """Born probability of each rectangular bin ``[edges_re[i], edges_re[i+1]]
     x [edges_im[j], edges_im[j+1]]``: an 8-point Gauss-Legendre rule per
@@ -433,7 +436,7 @@ def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
         return 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * gl_x, half
 
     (x, half_x), (y, half_y) = axis(edges_re), axis(edges_im)
-    vals = born_pdf(rho, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, p)
+    vals = born_pdf(born, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, p)
     vals = vals.reshape(x.shape + y.shape)
     return np.einsum("k,l,ikjl->ij", gl_w, gl_w, vals) * np.outer(half_x, half_y) / np.pi
 
@@ -447,13 +450,13 @@ def sample_het_ostensible(
     return complex(g[0], g[1]) * np.sqrt(0.5 * sigma)
 
 
-def _evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
+def _evolve_het_batch(born: BornDensity, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
     """Record functionals of a batch from its normals, ``normals[i, k]`` the
     two of trajectory i at step k, with the drift of :func:`run_het_ensemble`.
     Every operation is row-wise or a contraction within a row, so
     trajectories do not depend on their batchmates.
     """
-    jj = np.arange(1, coeffs.shape[0])
+    jj = np.arange(1, born.coeffs.shape[0])
     phi = lowering_drag(0.5 * p.kappa_dt)
     sqk = np.sqrt(p.kappa_o)
     noise = np.sqrt(0.5 * p.dt)
@@ -461,7 +464,7 @@ def _evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarr
     damp = np.exp(-0.5 * p.kappa_o * times)
     zeta = np.zeros(normals.shape[0], dtype=complex)
     for k in range(p.n_steps):
-        table = _weight_table(coeffs, times[k], p.kappa_o)
+        table = born.table(times[k], p.kappa_o)
         powers, q, w = _weight_terms(table, phi * np.conj(zeta))
         if not np.all(np.isfinite(w) & (w > 0.0)):
             raise NumericError(f"Born weight left (0, inf) at step {k}")
@@ -472,7 +475,7 @@ def _evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarr
 
 
 def run_het_ensemble(
-    initial: np.ndarray,
+    born: BornDensity,
     p: InstrumentParams,
     n_traj: int,
     seed: int,
@@ -481,27 +484,15 @@ def run_het_ensemble(
 ) -> np.ndarray:
     """Record functionals of ``n_traj`` trajectories, one stream per index.
 
-    The disentangled increments compose exactly: after k steps the
-    conditional state is ``K rho K^dag`` normalized, with
-    ``K = e^{-a^dag a kappa_o t_k/2} e^{c a}`` and ``c = phi conj(zeta_k)``,
-    where ``zeta_k`` is the record functional so far and
-    ``phi = lowering_drag(kappa_o dt/2)``.  So the state enters only through
-    the Born weight ``W(c) = Tr(K^dag K rho)``, a polynomial in (c, c*), and
-    the drift is ``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``.  Vectors
-    (as their pure density) and density matrices share this one sampler;
-    no state is evolved.  Trajectory i reads ``2 n_steps`` normals from
-    ``stream(seed, i)`` and nothing else, so results are byte-identical for
-    any batch size or thread count.
+    The disentangled increments compose exactly (module docstring, with
+    ``phi = lowering_drag(kappa_o dt/2)``), so the drift reads the Born
+    weight alone and no state is evolved.  Trajectory i reads ``2 n_steps``
+    normals from ``stream(seed, i)`` and nothing else, so results are
+    byte-identical for any batch size or thread count.
     """
-    state = np.asarray(initial, dtype=complex)
-    if state.ndim == 1:
-        rho = pure_density(state / np.linalg.norm(validate_state(state)))
-    else:
-        rho = validate_density(state)
-    coeffs = _weight_coeffs(rho)
     return run_ensemble(
         lambda rng: rng.standard_normal(2 * p.n_steps),
-        lambda draws: _evolve_het_batch(coeffs, p, draws.reshape(-1, p.n_steps, 2)),
+        lambda draws: _evolve_het_batch(born, p, draws.reshape(-1, p.n_steps, 2)),
         n_traj, seed, n_threads, batch, complex,
     )
 
@@ -629,6 +620,8 @@ def covariance_cooling(
     Expected values 1/Sigma(T) and 1/(e^{kappa_o T} - 1): the beta
     covariance cools along the Bose-Einstein occupation curve.
     """
+    if n_samples < 1:
+        raise DomainError(f"need n_samples >= 1, got {n_samples}")
     sigma = _density_width(T, kappa_o)
     g = rng.standard_normal((n_samples, 2))
     zetas = np.sqrt(0.5 * sigma) * (g[:, 0] + 1j * g[:, 1])

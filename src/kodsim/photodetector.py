@@ -32,13 +32,12 @@ from .exceptions import (
     TruncationError,
 )
 from .fock import (
+    density,
     lowering_power,
     make_lowering,
     number_exp,
     projector,
     subblock_norm_diff,
-    validate_density,
-    validate_state,
 )
 from .params import InstrumentParams, screened_integral
 
@@ -217,11 +216,21 @@ def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -
     return subblock_norm_diff(povm_element(n, T, p), projector(p.dim, n), sub_dim)
 
 
-def _count_rows(pop0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``w[n]``, the populations after n jumps normalized (``w[0] =
-    pop0``), and ``s[n]``, row n's sum before normalizing (``s[0] = 1``).
-    The populations ``(m+n)!/m! pop0[m+n]`` are ``s[1] ... s[n] w[n]``, but
-    row n is built from row n-1, so no factorial overflows."""
+@dataclass(frozen=True)
+class CountRows:
+    """A state as photon counting reads it.  Row ``w[n]`` holds the
+    populations after n jumps normalized (``w[0] = pop0``), ``s[n]`` its sum
+    before normalizing (``s[0] = 1``).  The populations ``(m+n)!/m! pop0[m+n]``
+    are ``s[1] ... s[n] w[n]``, but row n is built from row n-1, so no
+    factorial overflows."""
+
+    w: np.ndarray
+    s: np.ndarray
+
+
+def count_rows(state: np.ndarray) -> CountRows:
+    """The count rows of a state vector or density matrix (:func:`fock.density`)."""
+    pop0 = np.real(np.diag(density(state)))
     dim = pop0.size
     m = np.arange(dim, dtype=float)
     w = np.zeros((dim, dim))
@@ -231,29 +240,27 @@ def _count_rows(pop0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row = m[1:] * w[n - 1, 1:]
         s[n] = np.sum(row)
         w[n, :-1] = row / (s[n] or 1.0)
-    return w, s
+    return CountRows(w, s)
 
 
-def _damped_rows(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int):
-    """``w[n] . e^{-m kappa_o T}`` and ``s[n]`` for n = 0..n_max from the
-    populations of rho (photon counting is blind to coherences)."""
-    pop0 = np.real(np.diag(validate_density(rho)))
-    if not 0 <= n_max < pop0.size:
-        raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={pop0.size}")
-    w, s = _count_rows(pop0)
-    damp = np.exp(-p.kappa_o * T * np.arange(pop0.size))
-    return w[: n_max + 1] @ damp, s[: n_max + 1]
+def _damped_rows(rows: CountRows, T: float, p: InstrumentParams, n_max: int):
+    """``w[n] . e^{-m kappa_o T}`` and ``s[n]`` for n = 0..n_max."""
+    dim = rows.s.size
+    if not 0 <= n_max < dim:
+        raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={dim}")
+    damp = np.exp(-p.kappa_o * T * np.arange(dim))
+    return rows.w[: n_max + 1] @ damp, rows.s[: n_max + 1]
 
 
 def born_pmf(
-    rho: np.ndarray, T: float, p: InstrumentParams, n_max: int | None = None
+    rows: CountRows, T: float, p: InstrumentParams, n_max: int | None = None
 ) -> np.ndarray:
     """Jump-count statistics ``P(n|rho) = D_T(n) Tr(K_T(n)^dag K_T(n) rho)``,
     which is ``c_n w[n] . e^{-m kappa_o T}`` with the running product
     ``c_n = c_{n-1} lambda s[n] / n`` (``c_0 = 1``): finite at any truncation."""
     if n_max is None:
         n_max = p.dim - 1
-    damped, s = _damped_rows(rho, T, p, n_max)
+    damped, s = _damped_rows(rows, T, p, n_max)
     lam = screened_integral(T, p.kappa_o)
     pmf = np.cumprod(np.append(1.0, lam * s[1:] / np.arange(1, n_max + 1))) * damped
     if float(np.min(pmf)) < -1e-10:
@@ -261,13 +268,13 @@ def born_pmf(
     return np.clip(pmf, 0.0, None)
 
 
-def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
+def ostensible_weights(rows: CountRows, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
     """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max.
 
     Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.  They
     grow like ``(m+n)!/m!``; one that overflows raises NumericError.
     """
-    damped, s = _damped_rows(rho, T, p, n_max)
+    damped, s = _damped_rows(rows, T, p, n_max)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = float(np.exp(screened_integral(T, p.kappa_o))) * np.cumprod(s) * damped
     if not np.all(np.isfinite(weights)):
@@ -286,7 +293,7 @@ def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return est / (total if total > 0 else 1.0)
 
 
-def _jump_table(pop0: np.ndarray, p: InstrumentParams):
+def _jump_table(rows: CountRows, p: InstrumentParams):
     """``prob[k, n]``, the jump probability at step k after n jumps, and
     ``collapse[k, n, jumped]``, the transitions that leave a trace (squared
     norm) below ``NORM_COLLAPSE`` (None when no trajectory can take one).  A
@@ -294,14 +301,13 @@ def _jump_table(pop0: np.ndarray, p: InstrumentParams):
     ``kappa_o dt * NORM_COLLAPSE / stay[k, n+1]``, about 1e-16 or less, so in
     practice only a uniform of exactly 0.0 (odds 2^-53) takes one.
 
-    Row n of ``w`` holds the normalized populations after n jumps
-    (:func:`_count_rows`); each step damps and renormalizes the rows as a
-    trajectory does.  Staying leaves the norm ``stay[k, n]``,
-    jumping ``prob[k, n] / (kappa_o dt) * stay[k, n+1]``.
+    Each step damps and renormalizes the count rows as a trajectory does.
+    Staying leaves the norm ``stay[k, n]``, jumping
+    ``prob[k, n] / (kappa_o dt) * stay[k, n+1]``.
     """
-    dim = pop0.size
+    dim = rows.s.size
     m = np.arange(dim, dtype=float)
-    w, _ = _count_rows(pop0)
+    w = rows.w.copy()
     live = np.any(w != 0.0, axis=1)
     decay = np.exp(-p.kappa_dt * m)
     prob = np.empty((p.n_steps, dim))
@@ -328,20 +334,15 @@ def _count_jumps(table, uniforms: np.ndarray) -> np.ndarray:
     return counts
 
 
-def run_photo_ensemble(initial: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
+def run_photo_ensemble(rows: CountRows, p: InstrumentParams, n_traj: int, seed: int,
                        n_threads: int = 1, batch: int = 8192) -> np.ndarray:
     """Jump counts for ``n_traj`` trajectories, one stream per index.
 
     Trajectory i jumps at step k when uniform k of ``stream(seed, i)`` is
     below the jump table's entry for its count so far, so results are
     byte-identical for any thread count or batch size.  Pure and mixed
-    states share the table, which reads only the initial populations.
+    states share the table, which reads only the count rows.
     """
-    state = np.asarray(initial, dtype=complex)
-    if state.ndim == 1:
-        pop0 = np.abs(validate_state(state)) ** 2
-    else:
-        pop0 = np.real(np.diag(validate_density(state)))
-    table = _jump_table(pop0 / np.sum(pop0), p)
+    table = _jump_table(rows, p)
     return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: _count_jumps(table, u),
                         n_traj, seed, n_threads, batch, np.int64)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fock, heterodyne as het, photodetector as pd
-from .exceptions import NumericError
+from .exceptions import DomainError, NumericError
 from .fock import make_lowering, number_diag
 from .params import InstrumentParams
 from .photodetector import _grid_indices, jump_step_operator, kraus_no_jump
@@ -206,13 +206,12 @@ def kod_checks(
     kod: pd.PoissonKOD | het.GaussianKOD,
     T: float,
     kappa_o: float,
-    extent: float = 5.0,
     convergence: bool = True,
     mass: bool = True,
 ) -> list[Check]:
     """An evolved KOD against its closed form, then optionally its mass and
-    the error ratio under step halving (Poisson) or h-halving (Gaussian,
-    on a mesh of half-width ``extent``)."""
+    the error ratio under step halving (Poisson) or h-halving (Gaussian, on
+    the KOD's own mesh)."""
     if isinstance(kod, pd.PoissonKOD):
         checks = [Check("kod-poisson-evolution", kod_error(kod), KOD_POISSON_TOL)]
         if mass:
@@ -225,6 +224,8 @@ def kod_checks(
     if mass:
         checks.append(Check("kod-mass", abs(kod.grid_mass() - 1.0), 1e-8))
     if convergence:
+        # the mesh's half-width, or MIN_EXTENT where rounding left it below (same mesh)
+        extent = max(float(kod.axis()[-1]), het.MIN_EXTENT)
         ratio = kod_diffusion_halving_ratio(T, kappa_o, kod.h, extent, kod.regularization)
         checks.append(Check("kod-diffusion-h-halving", ratio, 3.5, comparison=">="))
     return checks
@@ -282,11 +283,12 @@ def left_invariance_checks(seed: int) -> list[Check]:
     return [Check("povm-left-invariance", worst, LEFT_INVARIANCE_TOL)]
 
 
-def _scaling_factor(defects: list[float]) -> float:
-    """Worst multiplicative deviation of consecutive defect ratios from e^{-1}."""
+def _scaling_factor(kappa_T_values, defects: list[float]) -> float:
+    """Worst multiplicative deviation of consecutive defect ratios from
+    e^{-(kappa_T_b - kappa_T_a)}."""
     worst = 1.0
-    for a, b in zip(defects[:-1], defects[1:]):
-        ratio = (b / a) * math.e
+    for kt_a, kt_b, a, b in zip(kappa_T_values, kappa_T_values[1:], defects, defects[1:]):
+        ratio = (b / a) * math.exp(kt_b - kt_a)
         worst = max(worst, ratio, 1.0 / ratio)
     return worst
 
@@ -312,8 +314,11 @@ def projector_sweep(
     photo_ns, het_zetas, kappa_T_values, kappa_o: float, dt: float, dim: int, sub_dim: int
 ) -> tuple[list[Check], list[tuple]]:
     """Per jump count in ``photo_ns``, then amplitude in ``het_zetas``: a check
-    that the projector defects shrink like e^{-kappa_o T} along a sweep in
-    unit steps, and the rows ``(instrument, label, kappa_T, defect)``."""
+    that the projector defects shrink like e^{-kappa_o T} along a sweep of at
+    least two strictly increasing ``kappa_T_values``, and the rows
+    ``(instrument, label, kappa_T, defect)``."""
+    if len(kappa_T_values) < 2 or not all(np.diff(kappa_T_values) > 0.0):
+        raise DomainError(f"need two or more increasing kappa_T values, got {kappa_T_values}")
     sweep = [("photodetector", n, f"n={n}") for n in photo_ns] + [
         ("heterodyne", zeta, f"zeta={zeta:g}") for zeta in het_zetas
     ]
@@ -322,7 +327,7 @@ def projector_sweep(
         defects = projector_defects(instrument, at, kappa_T_values, kappa_o, dt, dim, sub_dim)
         rows.extend((instrument, label, kt, d) for kt, d in zip(kappa_T_values, defects))
         name = f"projector-scaling-{instrument}-{label.replace('=', '')}"
-        checks.append(Check(name, _scaling_factor(defects), SCALING_FACTOR))
+        checks.append(Check(name, _scaling_factor(kappa_T_values, defects), SCALING_FACTOR))
     return checks, rows
 
 

@@ -16,7 +16,7 @@ import scipy.linalg
 from kodsim import heterodyne as het, records
 from kodsim.ensemble import NORM_COLLAPSE
 from kodsim.exceptions import DomainError, NumericError
-from kodsim.fock import exp_lowering, number_diag, validate_density
+from kodsim.fock import density, exp_lowering, number_diag
 from kodsim.heterodyne import HeterodyneRecord
 from kodsim.params import InstrumentParams
 from kodsim.photodetector import PhotoRecord
@@ -64,7 +64,7 @@ def sample_trajectory(
     selected operation renormalized.  One uniform is consumed per step, so
     a record is a pure function of the stream.
     """
-    rho = validate_density(rho).copy()
+    rho = density(rho).copy()
     n = number_diag(p.dim)
     decay = np.exp(-0.5 * p.kappa_dt * n)
     outer_decay = np.outer(decay, decay)
@@ -92,7 +92,7 @@ def sample_het_trajectory(
     ``sqrt(kappa_o) Tr(a rho_t) dt`` and variance dt (exact to O(dt)), then
     applies L(dw) renormalized.  Two normal variates are consumed per step.
     """
-    rho = validate_density(rho).copy()
+    rho = density(rho).copy()
     root = np.sqrt(np.arange(1, p.dim))
     incs = np.empty(p.n_steps, dtype=complex)
     sqk = np.sqrt(p.kappa_o)

@@ -47,18 +47,18 @@ def test_criterion_02_poisson_kod_evolution():
 def test_criterion_03_binomial_born_statistics():
     p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
     rho5 = fock.projector(16, 5)
-    pmf = pd.born_pmf(rho5, LN2, p, n_max=8)
+    pmf = pd.born_pmf(pd.count_rows(rho5), LN2, p, n_max=8)
     exact = abs(pmf[5] - 1.0 / 32.0) < 1e-12
     binom = scipy.stats.binom.pmf(np.arange(9), 5, 0.5)
 
-    counts = pd.run_photo_ensemble(fock.fock_state(16, 5), p, 10**5, seed=42,
+    counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 10**5, seed=42,
                                    n_threads=4)
     hist = np.bincount(counts, minlength=9)
     tv_a = records.tv_distance(hist / counts.size, binom)
     p_val = records.chi_square_gof(hist, pmf)
 
     draws = records.stream(48, 0).poisson(0.5, size=10**5)
-    est = pd.ostensible_pmf(draws, pd.ostensible_weights(rho5, LN2, p, n_max=8))
+    est = pd.ostensible_pmf(draws, pd.ostensible_weights(pd.count_rows(rho5), LN2, p, n_max=8))
     tv_c = records.tv_distance(est, binom)
 
     criterion(
@@ -90,9 +90,8 @@ def test_criterion_04_gaussian_kod_evolution():
 
 def test_criterion_05_heterodyne_born_statistics():
     p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
-    rho = fock.pure_density(fock.coherent_state(16, 1.0))
-    zetas = het.run_het_ensemble(fock.coherent_state(16, 1.0), p, 10**4, seed=7,
-                                 n_threads=4)
+    born = het.born_density(fock.coherent_state(16, 1.0))
+    zetas = het.run_het_ensemble(born, p, 10**4, seed=7, n_threads=4)
     sigma = screened_integral(LN2, 1.0)
     mean = complex(np.mean(zetas))
     cov = float(np.mean(np.abs(zetas - mean) ** 2))
@@ -103,7 +102,7 @@ def test_criterion_05_heterodyne_born_statistics():
     edges_re = 0.5 + np.linspace(-half, half, 9)
     edges_im = np.linspace(-half, half, 9)
     hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-    probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
+    probs = het.born_bin_probs(born, edges_re, edges_im, LN2, p)
     counts_flat = np.append(hist2d.ravel(), 10**4 - hist2d.sum())
     probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
     p_val = records.chi_square_gof(counts_flat, probs_flat)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kodsim import cli, fock, verify
-from kodsim.exceptions import ConfigError
+from kodsim import cli, fock, heterodyne as het, photodetector as pd, verify
+from kodsim.exceptions import ConfigError, DomainError
 
 
 def read_csv(path):
@@ -421,6 +421,15 @@ def run_main(tmp_path, kind, cfg_dict):
     return cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
 
 
+# .npy files np.load reads as no numeric array, by name
+BAD_STATE_FILES = {
+    "strings.npy": lambda path: np.save(path, np.array(["a", "b"])),
+    "objects.npy": lambda path: np.save(path, np.array([1, None], dtype=object),
+                                        allow_pickle=True),
+    "junk.npy": lambda path: path.write_bytes(b"not an npy file"),
+}
+
+
 @pytest.mark.parametrize(
     "kind, cfg_dict",
     [
@@ -446,13 +455,81 @@ def run_main(tmp_path, kind, cfg_dict):
         ("heterodyne-ensemble", {"bins": -2, "trajectories": 10, "params": {"dim": 12}}),
         ("photodetect-ensemble", {"n_max": -1, "trajectories": 10, "params": {"dim": 8}}),
         ("povm-convergence", {"het_zetas": ["inf"]}),
+        # state files that hold no numeric array (see BAD_STATE_FILES)
+        *(("photodetect-ensemble", {"trajectories": 10, "params": {"dim": 8}, "n_max": 7,
+                                    "initial_state": {"kind": "file", "path": name}})
+          for name in ("strings.npy", "objects.npy", "junk.npy")),
+        # a scaling check needs two or more strictly increasing kappa_T values
+        ("povm-convergence", {"kappa_T_values": [2.0]}),
+        ("povm-convergence", {"kappa_T_values": []}),
+        ("povm-convergence", {"kappa_T_values": [3.0, 2.0]}),
+        ("verify-identities", {"checks": ["trace"],
+                               "series": [{"name": "beta-cooling", "samples": 0}]}),
     ],
 )
-def test_bad_input_exits_two_without_traceback(tmp_path, capsys, kind, cfg_dict):
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, kind, cfg_dict):
+    monkeypatch.chdir(tmp_path)
+    for name, write in BAD_STATE_FILES.items():
+        write(tmp_path / name)
     assert run_main(tmp_path, kind, cfg_dict) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+INTAKES = {"photodetect-ensemble": (pd, "count_rows"), "heterodyne-ensemble": (het, "born_density")}
+SMALL_RUNS = {
+    "photodetect-ensemble": {"trajectories": 50, "params": {"dim": 10}, "n_max": 6,
+                             "initial_state": {"kind": "fock", "n": 3}},
+    "heterodyne-ensemble": {"trajectories": 20, "params": {"dim": 10}, "quad_order": 16,
+                            "bins": 4, "initial_state": {"kind": "coherent", "alpha": 0.5}},
+}
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["vector", "file"])
+@pytest.mark.parametrize("kind", sorted(INTAKES))
+def test_ensemble_run_takes_the_state_in_once(tmp_path, monkeypatch, kind, from_file):
+    # one run checks its state once and builds one Born value, which every
+    # reference and the sampler then read
+    module, intake = INTAKES[kind]
+    calls = {"density": 0, intake: 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    density = counted("density", fock.density)
+    for bound in (fock, pd, het):
+        monkeypatch.setattr(bound, "density", density)
+    monkeypatch.setattr(module, intake, counted(intake, getattr(module, intake)))
+    cfg_dict = dict(SMALL_RUNS[kind])
+    if from_file:
+        path = tmp_path / "mixed.npy"
+        np.save(path, 0.5 * fock.projector(10, 0) + 0.5 * fock.projector(10, 2))
+        cfg_dict["initial_state"] = {"kind": "file", "path": str(path)}
+    cli.run(cli.resolve_config(kind, cfg_dict), str(tmp_path / "out"))
+    assert calls == {"density": 1, intake: 1}
+
+
+@pytest.mark.parametrize("kind", sorted(INTAKES))
+def test_intakes_reject_a_half_norm_vector(kind):
+    module, intake = INTAKES[kind]
+    with pytest.raises(DomainError):
+        getattr(module, intake)(0.5 * fock.fock_state(6, 1))
+
+
+def test_projector_scaling_follows_the_sweep_spacing(tmp_path, capsys):
+    # the defects shrink by e^{-2} across a step of 2 in kappa_T; the check
+    # used to compare every ratio with e^{-1}
+    cfg = {"kappa_T_values": [2.0, 4.0], "photo_ns": [0], "het_zetas": [0.5]}
+    assert run_main(tmp_path, "povm-convergence", cfg) == 0
+    checks, _ = verify.projector_sweep([0], [0.5], [2.0, 2.5, 3.0, 3.5], 1.0, 1e-3, 40, 20)
+    assert all(c.measured < 1.1 for c in checks)
+    for values in ([2.0], [], [2.0, 2.0]):
+        with pytest.raises(DomainError):
+            verify.projector_sweep([0], [], values, 1.0, 1e-3, 40, 20)
 
 
 def test_photodetect_tail_beyond_n_max_is_one_bin(tmp_path, capsys):
@@ -588,7 +665,7 @@ def test_oracles_stay_out_of_production(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     monkeypatch.setattr(verify, "kraus_increment", refuse)
     path = tmp_path / "mixed.npy"
-    rho = 0.5 * fock.pure_density(fock.coherent_state(10, 0.5)) + 0.5 * fock.projector(10, 2)
+    rho = 0.5 * fock.density(fock.coherent_state(10, 0.5)) + 0.5 * fock.projector(10, 2)
     np.save(path, rho)
     state = {"kind": "file", "path": str(path)}
     for kind, extra in (("heterodyne-ensemble", {"quad_order": 24}),

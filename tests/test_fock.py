@@ -214,20 +214,20 @@ def test_subblock_norm_diff_basics():
 
 def test_validate_density_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        fock.validate_density(np.array([[0.5, 0.3], [0.2, 0.5]]))  # not hermitian
+        fock.density(np.array([[0.5, 0.3], [0.2, 0.5]]))  # not hermitian
     with pytest.raises(DomainError):
-        fock.validate_density(np.diag([0.9, 0.3]))  # trace != 1
+        fock.density(np.diag([0.9, 0.3]))  # trace != 1
     with pytest.raises(DomainError):
-        fock.validate_density(np.diag([1.2, -0.2]))  # negative eigenvalue
+        fock.density(np.diag([1.2, -0.2]))  # negative eigenvalue
 
 
 def test_validators_reject_zero_and_non_finite_states():
     with pytest.raises(DomainError):
-        fock.validate_state(np.zeros(4))
+        fock.density(np.zeros(4))
     with pytest.raises(DomainError):
-        fock.validate_state(np.array([np.nan, 1.0, 0.0]))
+        fock.density(np.array([np.nan, 1.0, 0.0]))
     with pytest.raises(DomainError):
-        fock.validate_density(np.diag([np.nan, 1.0]))
+        fock.density(np.diag([np.nan, 1.0]))
 
 
 def test_lowering_power_matches_repeated_product():

@@ -213,6 +213,13 @@ class TestDiffusion:
         with pytest.raises(ExtentError):
             het.evolve_kod_diffusion(1.0, 1.0, h=0.05, extent=3.0, steps=50)
 
+    def test_halving_check_reads_the_mesh(self):
+        # h = 0.15 puts 33 cells, 4.95, on each side of a requested extent of 5
+        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.15, extent=5.0, steps=20)
+        assert kod.axis()[-1] < het.MIN_EXTENT
+        checks = verify.kod_checks(kod, LN2, 1.0)
+        assert [c.name for c in checks][-1] == "kod-diffusion-h-halving"
+
     def test_rejects_unresolvable_horizon(self):
         with pytest.raises(ExtentError):
             het.evolve_kod_diffusion(1e-4, 1.0, h=0.05, extent=5.0, steps=50,
@@ -309,7 +316,7 @@ class TestBornDensity:
         kod = het.kod_gaussian(1.0, 1.0)
         zs = np.array([0.0, 0.3 + 0.1j, -0.8j])
         assert_allclose(
-            het.born_pdf(fock.projector(20, 0), zs, 1.0, p),
+            het.born_pdf(het.born_density(fock.projector(20, 0)), zs, 1.0, p),
             kod.density(zs),
             rtol=1e-12,
         )
@@ -319,17 +326,17 @@ class TestBornDensity:
         # covariance Sigma
         p = params(kappa_T=LN2, dim=40)
         alpha0 = 1.0
-        rho = fock.pure_density(fock.coherent_state(40, alpha0))
+        rho = fock.density(fock.coherent_state(40, alpha0))
         sigma = screened_integral(LN2, 1.0)
         zs = (0.2 + 0.1j, 0.5, 0.9 - 0.4j)
         for zeta in zs:
             expected = np.exp(-abs(zeta - sigma * alpha0) ** 2 / sigma) / sigma
-            assert abs(het.born_pdf(rho, zeta, LN2, p) - expected) < 1e-8
+            assert abs(het.born_pdf(het.born_density(rho), zeta, LN2, p) - expected) < 1e-8
 
     def test_normalization_by_quadrature(self):
         p = params(kappa_T=LN2, dim=30)
-        rho = fock.pure_density(fock.coherent_state(30, 0.8 + 0.3j))
-        total, _, _ = het.born_pdf_quadrature(rho, LN2, p)
+        rho = fock.density(fock.coherent_state(30, 0.8 + 0.3j))
+        total, _, _ = het.born_pdf_quadrature(het.born_density(rho), LN2, p)
         assert abs(total - 1.0) < 1e-6
 
     def test_bin_probs_match_per_cell_rule(self):
@@ -337,11 +344,12 @@ class TestBornDensity:
         p = params(kappa_T=LN2, dim=12)
         rng = records.stream(5, 0)
         raw = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        rho = 0.5 * fock.pure_density(raw / np.linalg.norm(raw)) + 0.5 * fock.projector(12, 1)
+        rho = 0.5 * fock.density(raw / np.linalg.norm(raw)) + 0.5 * fock.projector(12, 1)
         edges_re = np.array([-1.5, -0.4, 0.0, 0.7, 2.0])
         edges_im = np.array([-1.0, 0.2, 1.1])
         gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
+        born = het.born_density(rho)
+        probs = het.born_bin_probs(born, edges_re, edges_im, LN2, p)
         assert probs.shape == (4, 2)
         for i in range(4):
             for j in range(2):
@@ -349,7 +357,7 @@ class TestBornDensity:
                 hy = 0.5 * (edges_im[j + 1] - edges_im[j])
                 xc = 0.5 * (edges_re[i] + edges_re[i + 1]) + hx * gl_x
                 yc = 0.5 * (edges_im[j] + edges_im[j + 1]) + hy * gl_x
-                vals = het.born_pdf(rho, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p)
+                vals = het.born_pdf(born, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p)
                 cell = np.einsum("k,l,kl->", gl_w, gl_w, vals.reshape(8, 8)) * hx * hy / np.pi
                 assert abs(probs[i, j] - cell) <= 1e-13 * cell
 
@@ -361,17 +369,17 @@ class TestBornDensity:
         raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = np.zeros(16, dtype=complex)
         psi[:4] = raw / np.linalg.norm(raw)
-        rho = fock.pure_density(psi)
-        total, mean_ref, cov_ref = het.born_pdf_quadrature(rho, LN2, p)
+        born = het.born_density(psi)
+        total, mean_ref, cov_ref = het.born_pdf_quadrature(born, LN2, p)
         assert abs(total - 1.0) < 1e-6
 
         n_traj = 10**4
-        zetas = het.run_het_ensemble(psi, p, n_traj, seed=100, n_threads=4)
+        zetas = het.run_het_ensemble(born, p, n_traj, seed=100, n_threads=4)
         half = 3.5 * np.sqrt(cov_ref / 2.0)
         edges_re = mean_ref.real + np.linspace(-half, half, 9)
         edges_im = mean_ref.imag + np.linspace(-half, half, 9)
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
+        probs = het.born_bin_probs(born, edges_re, edges_im, LN2, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         assert records.chi_square_gof(counts_flat, probs_flat) > 0.001
@@ -380,7 +388,7 @@ class TestBornDensity:
 class TestSamplers:
     def test_vacuum_matches_ostensible_statistics(self):
         p = params(kappa_T=LN2, dim=4)
-        zetas = het.run_het_ensemble(fock.fock_state(4, 0), p, 10**4, seed=3)
+        zetas = het.run_het_ensemble(het.born_density(fock.fock_state(4, 0)), p, 10**4, seed=3)
         sigma = screened_integral(LN2, 1.0)
         assert abs(np.mean(zetas)) < 3.0 * np.sqrt(sigma / 10**4)
         cov = float(np.mean(np.abs(zetas - zetas.mean()) ** 2))
@@ -388,22 +396,23 @@ class TestSamplers:
 
     def test_coherent_mean(self):
         p = params(kappa_T=LN2, dim=16)
-        zetas = het.run_het_ensemble(fock.coherent_state(16, 1.0), p, 4000, seed=21)
+        born = het.born_density(fock.coherent_state(16, 1.0))
+        zetas = het.run_het_ensemble(born, p, 4000, seed=21)
         sigma = screened_integral(LN2, 1.0)
         assert abs(np.mean(zetas) - 0.5) < 3.0 * np.sqrt(sigma / 4000)
 
     def test_trajectory_deterministic_and_thread_invariant(self):
         p = params(kappa_T=0.05, dim=12)
         psi = fock.coherent_state(12, 0.8)
-        base = het.run_het_ensemble(psi, p, 300, seed=14)
-        again = het.run_het_ensemble(psi, p, 300, seed=14, n_threads=3)
+        base = het.run_het_ensemble(het.born_density(psi), p, 300, seed=14)
+        again = het.run_het_ensemble(het.born_density(psi), p, 300, seed=14, n_threads=3)
         assert np.array_equal(base, again)
 
     def test_coherent_state_stays_coherent(self):
         # replay the conditioned state along a sampled record: purity 1 and
         # amplitude alpha0 e^{-kappa t/2} independent of the noise
         p = params(kappa_T=0.05, dim=25)
-        rho0 = fock.pure_density(fock.coherent_state(25, 1.0))
+        rho0 = fock.density(fock.coherent_state(25, 1.0))
         rec = sample_het_trajectory(rho0, p, records.stream(6, 0))
         rho = rho0.copy()
         a = fock.make_lowering(25)
@@ -421,9 +430,9 @@ class TestSamplers:
         [
             fock.coherent_state(16, 0.8 + 0.3j),
             fock.fock_state(16, 3),
-            fock.pure_density(fock.coherent_state(16, 0.8 + 0.3j)),
+            fock.density(fock.coherent_state(16, 0.8 + 0.3j)),
             0.3 * fock.projector(16, 0) + 0.7 * fock.projector(16, 3),
-            0.5 * fock.pure_density(fock.coherent_state(16, np.exp(0.7j)))
+            0.5 * fock.density(fock.coherent_state(16, np.exp(0.7j)))
             + 0.5 * fock.projector(16, 3),
         ],
         ids=["coherent", "fock3", "coherent-density", "fock-mixture", "coherent-fock-mixture"],
@@ -431,8 +440,8 @@ class TestSamplers:
     def test_batch_matches_dense_oracle_per_trajectory(self, state):
         # the batch sampler reproduces the dense expm sampler draw for draw
         p = params(kappa_T=0.05, dim=16)
-        rho = state if state.ndim == 2 else fock.pure_density(state)
-        zetas = het.run_het_ensemble(state, p, 12, seed=8)
+        rho = fock.density(state)
+        zetas = het.run_het_ensemble(het.born_density(state), p, 12, seed=8)
         for i, z in enumerate(zetas):
             rec = sample_het_trajectory(rho, p, records.stream(8, i))
             assert abs(z - het.record_functional(rec, p.kappa_o)) < 1e-12
@@ -444,16 +453,16 @@ class TestSamplers:
         psi[[0, 3]] = [0.6, 0.8j]
         for state in (psi, fock.coherent_state(16, 0.8 + 0.3j)):
             assert np.linalg.norm(state) == 1.0
-            zetas = het.run_het_ensemble(state, p, 20, seed=4)
-            again = het.run_het_ensemble(fock.pure_density(state), p, 20, seed=4)
+            zetas = het.run_het_ensemble(het.born_density(state), p, 20, seed=4)
+            again = het.run_het_ensemble(het.born_density(fock.density(state)), p, 20, seed=4)
             assert np.array_equal(zetas, again)
 
     def test_overflowing_record_raises(self):
         p = params(kappa_T=0.05, dim=8)
-        coeffs = het._weight_coeffs(fock.pure_density(fock.coherent_state(8, 0.5)))
+        born = het.born_density(fock.coherent_state(8, 0.5))
         normals = np.full((3, p.n_steps, 2), 1e200)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
-            het._evolve_het_batch(coeffs, p, normals)
+            het._evolve_het_batch(born, p, normals)
 
     def test_batch_size_and_threads_do_not_change_trajectories(self):
         # every operation is row-wise, so a trajectory never sees its
@@ -462,20 +471,22 @@ class TestSamplers:
         # rerun one at a time here
         p = params(kappa_T=LN2, dim=40)
         psi = (fock.fock_state(40, 0) + fock.fock_state(40, 12)) / math.sqrt(2.0)
-        base = het.run_het_ensemble(psi, p, 600, seed=3)
-        assert np.array_equal(het.run_het_ensemble(psi, p, 34, seed=3, batch=1), base[:34])
+        born = het.born_density(psi)
+        base = het.run_het_ensemble(born, p, 600, seed=3)
+        assert np.array_equal(het.run_het_ensemble(born, p, 34, seed=3, batch=1), base[:34])
         q = params(kappa_T=0.05, dim=8)
-        mixed = 0.6 * fock.pure_density(fock.coherent_state(8, 0.5)) + 0.4 * fock.projector(8, 2)
-        base = het.run_het_ensemble(mixed, q, 40, seed=9)
+        mixed = 0.6 * fock.density(fock.coherent_state(8, 0.5)) + 0.4 * fock.projector(8, 2)
+        born = het.born_density(mixed)
+        base = het.run_het_ensemble(born, q, 40, seed=9)
         for batch in (1, 7, 4096):
             for n_threads in (1, 2, 3):
-                again = het.run_het_ensemble(mixed, q, 40, 9, n_threads, batch)
+                again = het.run_het_ensemble(born, q, 40, 9, n_threads, batch)
                 assert np.array_equal(again, base)
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.02, dim=8)
         with pytest.raises(DomainError):
-            het.run_het_ensemble(np.zeros(8, dtype=complex), p, 5, seed=2)
+            het.run_het_ensemble(het.born_density(np.zeros(8, dtype=complex)), p, 5, seed=2)
 
     def test_ostensible_sampler_covariance(self):
         rng = records.stream(51, 0)
@@ -487,17 +498,17 @@ class TestSamplers:
     def test_ostensible_weights_vacuum_unity(self):
         p = params(kappa_T=LN2, dim=12)
         zs = np.array([0.1, 0.4 - 0.2j, 1.0j])
-        weights = het.het_born_weights(fock.projector(12, 0), zs, LN2, p)
+        weights = het.het_born_weights(het.born_density(fock.projector(12, 0)), zs, LN2, p)
         assert_allclose(weights, np.ones(3), rtol=1e-13)
 
     def test_ostensible_importance_weighting(self):
         # weighted mean of D_T draws reproduces the Born mean Sigma alpha0
         p = params(kappa_T=LN2, dim=16)
-        rho = fock.pure_density(fock.coherent_state(16, 1.0))
+        rho = fock.density(fock.coherent_state(16, 1.0))
         rng = records.stream(52, 0)
         g = rng.standard_normal((10**5, 2))
         draws = np.sqrt(0.25) * (g[:, 0] + 1j * g[:, 1])
-        weights = het.het_born_weights(rho, draws, LN2, p)
+        weights = het.het_born_weights(het.born_density(rho), draws, LN2, p)
         mean = np.sum(weights * draws) / np.sum(weights)
         assert abs(mean - 0.5) < 3.0 * np.sqrt(0.5 / 10**5) * 2.0
 
@@ -577,6 +588,11 @@ class TestCovarianceCooling:
         cov_a, cov_b = het.covariance_cooling(LN2, 1.0, 10**5, records.stream(61, 0))
         assert abs(cov_a / 2.0 - 1.0) < 0.03
         assert abs(cov_b / 1.0 - 1.0) < 0.03
+
+    def test_needs_a_sample(self):
+        # an empty sample used to give NaN covariances
+        with pytest.raises(DomainError):
+            het.covariance_cooling(1.0, 1.0, 0, records.stream(61, 3))
 
     def test_beta_vanishes_at_long_times(self):
         _, cov_b = het.covariance_cooling(8.0, 1.0, 10**4, records.stream(61, 1))

@@ -253,21 +253,21 @@ class TestPOVM:
 class TestBornStatistics:
     def test_vacuum_never_fires(self):
         p = params(dim=10)
-        pmf = pd.born_pmf(fock.projector(10, 0), 1.0, p)
+        pmf = pd.born_pmf(pd.count_rows(fock.projector(10, 0)), 1.0, p)
         assert pmf[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(pmf[1:]) == 0.0
 
     def test_five_photon_binomial(self):
         p = params(kappa_T=LN2, dim=40)
-        pmf = pd.born_pmf(fock.projector(40, 5), LN2, p)
+        pmf = pd.born_pmf(pd.count_rows(fock.projector(40, 5)), LN2, p)
         expected = scipy.stats.binom.pmf(np.arange(40), 5, 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-10
         assert pmf[5] == pytest.approx(1.0 / 32.0, abs=1e-12)
 
     def test_coherent_input_poisson_counts(self):
         p = params(kappa_T=LN2, dim=40)
-        rho = fock.pure_density(fock.coherent_state(40, 1.0))
-        pmf = pd.born_pmf(rho, LN2, p)
+        rho = fock.density(fock.coherent_state(40, 1.0))
+        pmf = pd.born_pmf(pd.count_rows(rho), LN2, p)
         expected = scipy.stats.poisson.pmf(np.arange(40), 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-8
 
@@ -276,9 +276,9 @@ class TestBornStatistics:
         rho = fock.projector(8, 2)
         for n_max in (8, 12):
             with pytest.raises(InvalidDimensionError):
-                pd.born_pmf(rho, LN2, p, n_max=n_max)
+                pd.born_pmf(pd.count_rows(rho), LN2, p, n_max=n_max)
             with pytest.raises(InvalidDimensionError):
-                pd.ostensible_weights(rho, LN2, p, n_max=n_max)
+                pd.ostensible_weights(pd.count_rows(rho), LN2, p, n_max=n_max)
 
     def test_factorial_overflow_raises_instead_of_nan(self):
         # the weights Tr(K^dag K rho) of Fock 190 grow like 190!/(190-n)! and
@@ -287,33 +287,33 @@ class TestBornStatistics:
         p = params(kappa_T=0.05, dim=200)
         rho = fock.projector(200, 190)
         with pytest.raises(NumericError):
-            pd.ostensible_weights(rho, 0.05, p, n_max=199)
-        assert np.all(np.isfinite(pd.born_pmf(rho, 0.05, p, n_max=100)))
+            pd.ostensible_weights(pd.count_rows(rho), 0.05, p, n_max=199)
+        assert np.all(np.isfinite(pd.born_pmf(pd.count_rows(rho), 0.05, p, n_max=100)))
 
     def test_high_truncation_stays_exact(self):
         # built on the count rows, the pmf never forms a factorial: the
         # vacuum gives exactly (1, 0, ...) and Fock 190 its binomial law
         p = params(kappa_T=0.05, dim=200)
-        vacuum = pd.born_pmf(fock.projector(200, 0), 0.05, p)
+        vacuum = pd.born_pmf(pd.count_rows(fock.projector(200, 0)), 0.05, p)
         assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
-        pmf = pd.born_pmf(fock.projector(200, 190), 0.05, p)
+        pmf = pd.born_pmf(pd.count_rows(fock.projector(200, 190)), 0.05, p)
         expected = scipy.stats.binom.pmf(np.arange(200), 190, screened_integral(0.05, 1.0))
         assert np.max(np.abs(pmf - expected)) < 1e-12
 
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
         p = params(kappa_T=LN2, dim=20)
-        rho = fock.pure_density(fock.coherent_state(20, 0.7))
-        pmf = pd.born_pmf(rho, LN2, p, n_max=12)
+        rho = fock.density(fock.coherent_state(20, 0.7))
+        pmf = pd.born_pmf(pd.count_rows(rho), LN2, p, n_max=12)
         kod = pd.kod_poisson(LN2, 1.0)
-        weights = pd.ostensible_weights(rho, LN2, p, n_max=12)
+        weights = pd.ostensible_weights(pd.count_rows(rho), LN2, p, n_max=12)
         assert_allclose(pmf, kod.pmf_array(12) * weights, rtol=1e-12, atol=1e-15)
 
     def test_ostensible_pmf_is_count_times_weight(self):
         # criterion 3's method-C draws against the exact count x weight per
         # bin; a sum of one weight per draw drifts by about 2e-13
         p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
-        weights = pd.ostensible_weights(fock.projector(16, 5), LN2, p, n_max=8)
+        weights = pd.ostensible_weights(pd.count_rows(fock.projector(16, 5)), LN2, p, n_max=8)
         draws = records.stream(48, 0).poisson(0.5, size=10**5)
         est = pd.ostensible_pmf(draws, weights)
         counts = np.bincount(draws, minlength=weights.size)[: weights.size]
@@ -338,46 +338,46 @@ class TestSamplers:
 
     def test_jump_count_bounded_by_photon_number(self):
         p = params(kappa_T=LN2, dim=16)
-        counts = pd.run_photo_ensemble(fock.fock_state(16, 5), p, 3000, seed=5)
+        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 3000, seed=5)
         assert counts.max() <= 5
 
     def test_ensemble_matches_binomial(self):
         p = params(kappa_T=LN2, dim=16)
-        counts = pd.run_photo_ensemble(fock.fock_state(16, 5), p, 10**4, seed=5)
+        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 10**4, seed=5)
         emp = np.bincount(counts, minlength=6) / counts.size
         tv = 0.5 * np.sum(np.abs(emp - scipy.stats.binom.pmf(np.arange(6), 5, 0.5)))
         assert tv < 0.03
 
     def test_ensemble_thread_invariance(self):
         p = params(kappa_T=0.2, dim=12)
-        base = pd.run_photo_ensemble(fock.fock_state(12, 3), p, 500, seed=4)
+        base = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(12, 3)), p, 500, seed=4)
         for threads in (2, 5):
             other = pd.run_photo_ensemble(
-                fock.fock_state(12, 3), p, 500, seed=4, n_threads=threads
+                pd.count_rows(fock.fock_state(12, 3)), p, 500, seed=4, n_threads=threads
             )
             assert np.array_equal(base, other)
 
     def test_mixed_state_path(self):
         p = params(kappa_T=0.1, dim=8)
         rho = 0.5 * fock.projector(8, 0) + 0.5 * fock.projector(8, 2)
-        counts = pd.run_photo_ensemble(rho, p, 50, seed=6)
+        counts = pd.run_photo_ensemble(pd.count_rows(rho), p, 50, seed=6)
         assert counts.shape == (50,)
         assert counts.max() <= 2
 
     def test_zero_trajectories(self):
         p = params(dim=8)
-        counts = pd.run_photo_ensemble(fock.fock_state(8, 1), p, 0, seed=1)
+        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(8, 1)), p, 0, seed=1)
         assert counts.size == 0
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.1, dim=8)
         with pytest.raises(DomainError):
-            pd.run_photo_ensemble(np.zeros(8, dtype=complex), p, 5, seed=1)
+            pd.run_photo_ensemble(pd.count_rows(np.zeros(8, dtype=complex)), p, 5, seed=1)
 
     def test_method_a_chi_square_against_born(self):
         p = params(kappa_T=LN2, dim=16)
-        counts = pd.run_photo_ensemble(fock.fock_state(16, 5), p, 10**4, seed=12)
-        pmf = pd.born_pmf(fock.projector(16, 5), LN2, p, n_max=8)
+        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 10**4, seed=12)
+        pmf = pd.born_pmf(pd.count_rows(fock.projector(16, 5)), LN2, p, n_max=8)
         assert records.chi_square_gof(np.bincount(counts, minlength=9), pmf) > 0.001
 
 
@@ -388,22 +388,22 @@ def superposition(dim):
 
 
 def near_pure(dim):
-    # purity 1 - 1e-11: inside validate_density, but not pure to 1e-12
+    # purity 1 - 1e-11: inside fock.density's checks, but not pure to 1e-12
     psi = fock.coherent_state(dim, 0.8 + 0.3j)
     eps = 5e-12
-    return (1 - eps) * fock.pure_density(psi) + eps * fock.projector(dim, 3)
+    return (1 - eps) * fock.density(psi) + eps * fock.projector(dim, 3)
 
 
 def benchmark_style_mixture(dim):
     # 1/2 |alpha><alpha| + 1/2 |3><3| with |alpha| = 1
-    return 0.5 * fock.pure_density(fock.coherent_state(dim, np.exp(0.7j))) + 0.5 * fock.projector(dim, 3)
+    return 0.5 * fock.density(fock.coherent_state(dim, np.exp(0.7j))) + 0.5 * fock.projector(dim, 3)
 
 
 ORACLE_STATES = {
     "fock": lambda d: fock.fock_state(d, 4),
     "coherent": lambda d: fock.coherent_state(d, 1.0),
     "vector": superposition,
-    "pure-density": lambda d: fock.pure_density(superposition(d)),
+    "pure-density": lambda d: fock.density(superposition(d)),
     "near-pure-density": near_pure,
     "mixture": benchmark_style_mixture,
 }
@@ -416,10 +416,10 @@ class TestCountSampler:
     def test_counts_match_dense_sampler(self, name):
         p = params(kappa_T=LN2, dim=12, dt=1e-2)
         state = ORACLE_STATES[name](12)
-        rho = fock.pure_density(state) if state.ndim == 1 else state
+        rho = fock.density(state)
         if name == "near-pure-density":
             assert abs(np.real(np.trace(rho @ rho)) - 1.0) > 1e-12
-        counts = pd.run_photo_ensemble(state, p, 300, seed=17)
+        counts = pd.run_photo_ensemble(pd.count_rows(state), p, 300, seed=17)
         assert counts.dtype == np.int64
         assert counts.sum() > 0
         assert np.array_equal(counts, oracle_counts(rho, p, 300, seed=17))
@@ -427,16 +427,17 @@ class TestCountSampler:
     def test_batch_and_thread_invariance(self):
         p = params(kappa_T=LN2, dim=16)
         rho = benchmark_style_mixture(16)
-        base = pd.run_photo_ensemble(rho, p, 60, seed=3)
+        rows = pd.count_rows(rho)
+        base = pd.run_photo_ensemble(rows, p, 60, seed=3)
         for batch in (1, 7, 8192):
             for threads in (1, 2, 3):
-                other = pd.run_photo_ensemble(rho, p, 60, seed=3, n_threads=threads, batch=batch)
+                other = pd.run_photo_ensemble(rows, p, 60, seed=3, n_threads=threads, batch=batch)
                 assert np.array_equal(base, other)
 
     def test_ordinary_states_need_no_collapse_check(self):
         p = params(kappa_T=LN2, dim=16)
-        for pop0 in (np.abs(fock.fock_state(16, 5)) ** 2, np.abs(fock.coherent_state(16, 1.0)) ** 2):
-            prob, collapse = pd._jump_table(pop0 / pop0.sum(), p)
+        for state in (fock.fock_state(16, 5), fock.coherent_state(16, 1.0)):
+            prob, collapse = pd._jump_table(pd.count_rows(state), p)
             assert collapse is None
             assert prob.shape == (p.n_steps, 16) and np.all(prob >= 0.0)
 
@@ -445,7 +446,7 @@ class TestCountSampler:
         # about 1e-30, which only a uniform of exactly 0.0 can select
         p = params(kappa_T=0.05, dim=6)
         pop0 = np.array([1.0, 1e-30, 0.0, 0.0, 0.0, 0.0])
-        table = pd._jump_table(pop0, p)
+        table = pd._jump_table(pd.count_rows(np.diag(pop0)), p)
         assert table[1] is not None
         with pytest.raises(NumericError):
             pd._count_jumps(table, np.zeros((3, p.n_steps)))
@@ -466,8 +467,8 @@ class TestCountSampler:
             return tables[-1]
 
         monkeypatch.setattr(pd, "_jump_table", record)
-        for state in (psi, fock.pure_density(psi)):
-            pd.run_photo_ensemble(state, p, 3, seed=1)
+        for state in (psi, fock.density(psi)):
+            pd.run_photo_ensemble(pd.count_rows(state), p, 3, seed=1)
         (prob_vec, collapse_vec), (prob_rho, collapse_rho) = tables
         assert np.array_equal(prob_vec, prob_rho)
         assert collapse_vec is not None and np.array_equal(collapse_vec, collapse_rho)
@@ -479,8 +480,8 @@ class TestCountSampler:
         psi = np.zeros(dim, dtype=complex)
         psi[[150, 190]] = [0.6, 0.8]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            prob, _ = pd._jump_table(np.abs(psi) ** 2, p)
-            counts = pd.run_photo_ensemble(psi, p, 4, seed=2)
+            prob, _ = pd._jump_table(pd.count_rows(psi), p)
+            counts = pd.run_photo_ensemble(pd.count_rows(psi), p, 4, seed=2)
         assert np.all(np.isfinite(prob))
         assert counts.sum() > 0
-        assert np.array_equal(counts, oracle_counts(fock.pure_density(psi), p, 4, seed=2))
+        assert np.array_equal(counts, oracle_counts(fock.density(psi), p, 4, seed=2))
