@@ -331,6 +331,11 @@ def build_initial_state(state: dict, dim: int) -> np.ndarray:
         raise ConfigError(f"initial_state.path: cannot load {state['path']}: {exc}") from None
     if not (isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.number)):
         raise ConfigError(f"initial_state.path: {state['path']} holds no numeric array")
+    if data.shape not in ((dim,), (dim, dim)):
+        raise ConfigError(
+            f"initial_state.path: {state['path']} has shape {data.shape}, "
+            f"not ({dim},) or ({dim}, {dim}) for params.dim {dim}"
+        )
     return data
 
 

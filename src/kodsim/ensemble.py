@@ -5,9 +5,12 @@ steps its conditional state is ``e^{-a^dag a kappa_o t_k/2} e^{c a} rho
 functional so far, so it reads the drift ``Tr(a rho_k)`` from the Born
 weight polynomial in c instead of evolving a state.
 
-Trajectory ``i`` reads only its own stream ``stream(seed, i)``, so the
-thread count and the batch size only partition the work: results are
-byte-identical for any choice of either.
+Trajectory ``i`` reads only its own stream ``stream(seed, i)`` and is always
+computed in the block of rows ``[BLOCK*(i // BLOCK), BLOCK*(i // BLOCK) +
+BLOCK)``: batch sizes round up to whole blocks and thread bounds sit on
+block edges.  A kernel whose output row depends only on its own input row
+and its fixed place in a fixed-shape block, such as one BLAS product per
+block, is then byte-identical for any thread count or batch size.
 """
 
 from __future__ import annotations
@@ -20,16 +23,23 @@ from .records import stream
 
 # smallest trace (squared norm, for a vector) a sampler may renormalize
 NORM_COLLAPSE = 1e-14
+# rows per block: trajectory i always sits at row i % BLOCK of block i // BLOCK
+BLOCK = 64
 
 
 def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: int, dtype):
     """Results of ``n_traj`` trajectories as one array of ``dtype``.
 
     ``draw`` takes trajectory i's stream and returns its draws; ``evolve``
-    maps the stacked draws of up to ``batch`` consecutive trajectories to
-    their results.  Index ranges of about equal size run on ``n_threads``
-    worker threads.
+    maps the stacked draws of consecutive trajectories to their results.
+    ``batch`` is rounded up to a multiple of :data:`BLOCK`, and whole blocks
+    are split about evenly over ``n_threads`` worker threads, so every batch
+    starts on a block edge and only the last one may end inside a block.
     """
+    batch = BLOCK * max(1, -(-batch // BLOCK))
+    n_blocks = -(-n_traj // BLOCK)
+    edges = np.linspace(0, n_blocks, max(1, n_threads) + 1).astype(int) * BLOCK
+    bounds = np.minimum(edges, n_traj)
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo, dtype=dtype)
@@ -39,7 +49,6 @@ def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, batch: in
             out[b0 - lo : b1 - lo] = evolve(draws)
         return out
 
-    bounds = np.linspace(0, n_traj, max(1, n_threads) + 1).astype(int)
     pairs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     if len(pairs) <= 1:
         parts = [chunk(lo, hi) for lo, hi in pairs]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ensemble import run_ensemble
+from .ensemble import BLOCK, run_ensemble
 from .exceptions import (
     DomainError,
     ExtentError,
@@ -366,20 +366,33 @@ def born_density(state: np.ndarray) -> BornDensity:
 def _powers(c: np.ndarray, dim: int) -> np.ndarray:
     """Rows ``(1, c, c^2, ..., c^{dim-1})``, one per entry of ``c``.
 
-    Each row is accumulated along itself, never down a column, so its bits
-    do not depend on how many rows share the array.
+    Column j is column j-1 times c, an element-wise product, so a row's
+    bits depend on its own c alone, never on how many rows share the array.
     """
-    steps = np.empty((c.size, dim), dtype=complex)
-    steps[:, 0] = 1.0
-    steps[:, 1:] = c[:, None]
-    return np.cumprod(steps, axis=1)
+    powers = np.empty((c.size, dim), dtype=complex)
+    powers[:, 0] = 1.0
+    for j in range(1, dim):
+        np.multiply(powers[:, j - 1], c, out=powers[:, j])
+    return powers
 
 
 def _weight_terms(table: np.ndarray, c: np.ndarray):
     """``(powers, q, W)`` per row: the powers of c, ``q = T conj(powers)``
-    and the weight ``W(c) = Re sum_j c^j q_j``."""
-    powers = _powers(c, table.shape[0])
-    q = np.einsum("jl,nl->nj", table, powers.conj())
+    and the weight ``W(c) = Re sum_j c^j q_j``.
+
+    ``q`` is one BLAS product per block of :data:`BLOCK` rows, the last
+    block padded with zero rows that are sliced off again.  Rows sit in
+    blocks from index 0 on, and the ensemble driver starts every batch on a
+    block edge, so a row keeps its place in a block of fixed shape and its
+    bits do not depend on the batch size, the thread count or BLAS's own
+    threads.
+    """
+    dim = table.shape[0]
+    n = c.size
+    powers = _powers(c, dim)
+    lhs = np.zeros((n + (-n % BLOCK), dim), dtype=complex)
+    np.conjugate(powers, out=lhs[:n])
+    q = np.matmul(lhs.reshape(-1, BLOCK, dim), table.T).reshape(-1, dim)[:n]
     return powers, q, np.einsum("nj,nj->n", powers, q).real
 
 
@@ -453,8 +466,10 @@ def sample_het_ostensible(
 def _evolve_het_batch(born: BornDensity, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
     """Record functionals of a batch from its normals, ``normals[i, k]`` the
     two of trajectory i at step k, with the drift of :func:`run_het_ensemble`.
-    Every operation is row-wise or a contraction within a row, so
-    trajectories do not depend on their batchmates.
+    Every operation is row-wise except ``q`` in :func:`_weight_terms`, one
+    BLAS product per block of :data:`~kodsim.ensemble.BLOCK` rows counted
+    from the batch's first row.  The ensemble driver starts every batch on
+    a block edge, so a trajectory does not depend on its batchmates.
     """
     jj = np.arange(1, born.coeffs.shape[0])
     phi = lowering_drag(0.5 * p.kappa_dt)
@@ -487,8 +502,11 @@ def run_het_ensemble(
     The disentangled increments compose exactly (module docstring, with
     ``phi = lowering_drag(kappa_o dt/2)``), so the drift reads the Born
     weight alone and no state is evolved.  Trajectory i reads ``2 n_steps``
-    normals from ``stream(seed, i)`` and nothing else, so results are
-    byte-identical for any batch size or thread count.
+    normals from ``stream(seed, i)`` and nothing else, and is always
+    computed at row ``i % BLOCK`` of the 64-row block ``i // BLOCK``
+    (:func:`~kodsim.ensemble.run_ensemble` rounds ``batch`` up to whole
+    blocks), so the per-block BLAS product, and with it the results, are
+    byte-identical for any batch size, thread count or BLAS thread count.
     """
     return run_ensemble(
         lambda rng: rng.standard_normal(2 * p.n_steps),

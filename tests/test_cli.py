@@ -421,12 +421,15 @@ def run_main(tmp_path, kind, cfg_dict):
     return cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
 
 
-# .npy files np.load reads as no numeric array, by name
+# .npy files no run may take, by name
 BAD_STATE_FILES = {
     "strings.npy": lambda path: np.save(path, np.array(["a", "b"])),
     "objects.npy": lambda path: np.save(path, np.array([1, None], dtype=object),
                                         allow_pickle=True),
     "junk.npy": lambda path: path.write_bytes(b"not an npy file"),
+    # numeric arrays of the wrong size for params.dim 12 or 40
+    "density10.npy": lambda path: np.save(path, np.eye(10) / 10.0),
+    "vector10.npy": lambda path: np.save(path, np.full(10, 10**-0.5)),
 }
 
 
@@ -465,6 +468,14 @@ BAD_STATE_FILES = {
         ("povm-convergence", {"kappa_T_values": [3.0, 2.0]}),
         ("verify-identities", {"checks": ["trace"],
                                "series": [{"name": "beta-cooling", "samples": 0}]}),
+        # a state file whose size is not params.dim
+        ("heterodyne-ensemble", {"trajectories": 20, "params": {"dim": 40}, "bins": 4,
+                                 "quad_order": 16,
+                                 "initial_state": {"kind": "file", "path": "density10.npy"}}),
+        ("photodetect-ensemble", {"trajectories": 200, "params": {"dim": 12}, "n_max": 7,
+                                  "initial_state": {"kind": "file", "path": "density10.npy"}}),
+        ("photodetect-ensemble", {"trajectories": 200, "params": {"dim": 12}, "n_max": 7,
+                                  "initial_state": {"kind": "file", "path": "vector10.npy"}}),
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, kind, cfg_dict):

@@ -2,6 +2,10 @@
 amplitude density, POVM completeness, Born density, and samplers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,18 @@ LN2 = math.log(2.0)
 
 def params(kappa_T=1.0, dim=40, dt=1e-3):
     return InstrumentParams.fit_steps(kappa_o=1.0, T=kappa_T, dt=dt, dim=dim)
+
+
+# ensembles that cross block edges (ensemble.BLOCK = 64 rows) at a short horizon
+BLOCK_DIMS = (40, 120)
+BLOCK_TRAJ = 257
+
+
+def blocks_case(dim):
+    """A mixed state with a dense weight table, at kappa_T = 0.05."""
+    rho = (0.6 * fock.density(fock.coherent_state(dim, 1.5 + 0.5j))
+           + 0.4 * fock.projector(dim, 2))
+    return het.born_density(rho), params(kappa_T=0.05, dim=dim)
 
 
 class TestWienerIncrements:
@@ -465,23 +481,45 @@ class TestSamplers:
             het._evolve_het_batch(born, p, normals)
 
     def test_batch_size_and_threads_do_not_change_trajectories(self):
-        # every operation is row-wise, so a trajectory never sees its
-        # batchmates.  An earlier sampler's batch-wide stopping test changed
-        # 9 of these 600 at batch=1, 3 of them among the first 34, which are
-        # rerun one at a time here
+        # every operation is row-wise or one product per fixed 64-row block,
+        # so a trajectory never sees its batchmates.  An earlier sampler's
+        # batch-wide stopping test changed 9 of these 600 at batch=1, 3 of
+        # them among the first 34, which are rerun here
         p = params(kappa_T=LN2, dim=40)
         psi = (fock.fock_state(40, 0) + fock.fock_state(40, 12)) / math.sqrt(2.0)
         born = het.born_density(psi)
         base = het.run_het_ensemble(born, p, 600, seed=3)
         assert np.array_equal(het.run_het_ensemble(born, p, 34, seed=3, batch=1), base[:34])
-        q = params(kappa_T=0.05, dim=8)
-        mixed = 0.6 * fock.density(fock.coherent_state(8, 0.5)) + 0.4 * fock.projector(8, 2)
-        born = het.born_density(mixed)
-        base = het.run_het_ensemble(born, q, 40, seed=9)
-        for batch in (1, 7, 4096):
-            for n_threads in (1, 2, 3):
-                again = het.run_het_ensemble(born, q, 40, 9, n_threads, batch)
-                assert np.array_equal(again, base)
+        # four blocks and one row: thread bounds and batch edges move between
+        # block edges, and some batch sizes leave the last row alone.  A BLAS
+        # product shaped by the batch takes a lone row as a matrix-vector
+        # product, whose bits differ
+        for dim in BLOCK_DIMS:
+            born, q = blocks_case(dim)
+            base = het.run_het_ensemble(born, q, BLOCK_TRAJ, seed=9)
+            for batch in (1, 7, 64, 65, 4096):
+                for n_threads in (1, 2, 3):
+                    again = het.run_het_ensemble(born, q, BLOCK_TRAJ, 9, n_threads, batch)
+                    assert np.array_equal(again, base), (dim, batch, n_threads)
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_blas_threads_do_not_change_trajectories(self, tmp_path, blas_threads):
+        # BLAS reads its thread count when numpy loads, so a fresh interpreter
+        # runs the same ensembles, 2 threads at batch 65
+        out = tmp_path / "zetas.npy"
+        script = (
+            "import sys, numpy as np\n"
+            "from kodsim import heterodyne as het\n"
+            "from test_heterodyne import BLOCK_DIMS, BLOCK_TRAJ, blocks_case\n"
+            "np.save(sys.argv[1], np.stack([het.run_het_ensemble(*blocks_case(d), BLOCK_TRAJ, 9, 2, 65)\n"
+            "                               for d in BLOCK_DIMS]))\n"
+        )
+        paths = [Path(het.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(map(str, paths)))
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        here = [het.run_het_ensemble(*blocks_case(d), BLOCK_TRAJ, 9) for d in BLOCK_DIMS]
+        assert np.array_equal(np.load(out), np.stack(here))
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.02, dim=8)
