@@ -42,8 +42,6 @@ GATES = {
     },
 }
 
-LN2 = math.log(2.0)
-
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -77,11 +75,11 @@ def _cast(cast, noun: str, value, where: str):
 
 
 def _list(item, value, where: str) -> list:
-    try:
-        values = list(value)
-    except TypeError:
-        raise ConfigError(f"{where} must be a list") from None
-    return [item(v, f"{where}[{i}]") for i, v in enumerate(values)]
+    """Each entry of a JSON array resolved by ``item``; a string or an object
+    is no list."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list")
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def _flag(value, where: str) -> bool:
@@ -206,14 +204,15 @@ def _groups(value, where: str) -> list[str] | None:
 
 
 _DEFECT_SWEEP = {
-    "kappa_T": (_FLOATS, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), "dim": (_INT, 40), "sub_dim": (_INT, 20),
+    "kappa_T": (_FLOATS, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    "dim": (_INT, verify.DIM), "sub_dim": (_INT, verify.SUB_DIM),
 }
 _CURVE = {"t_max": (_FLOAT, lambda spec: 5.0 / spec["kappa_o"]), "points": (_count, 101)}
 SERIES = {
     "effective-mean": _CURVE,
     "effective-covariance": _CURVE,
     "beta-cooling": {
-        "kappa_T": (_FLOATS, [0.25, 0.5, LN2, 1.0, 1.5, 2.0, 3.0]),
+        "kappa_T": (_FLOATS, [0.25, 0.5, verify.LN2, 1.0, 1.5, 2.0, 3.0]),
         "samples": (partial(_at_least, 1), 100_000),
     },
     "projector-defect-photo": {**_DEFECT_SWEEP, "n": (_INT, 0)},
@@ -236,11 +235,16 @@ def _series(value, where: str) -> tuple[dict, ...]:
 
 
 _COMMON = {
-    "params": {"kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, LN2), "dim": (_INT, 40)},
-    "seed": (_INT, DEFAULT_SEED),
-    "sub_dim": (_INT, 20),
+    "params": {
+        "kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, verify.LN2),
+        "dim": (_INT, verify.DIM),
+    },
+    "seed": (_count, DEFAULT_SEED),
+    "sub_dim": (_INT, verify.SUB_DIM),
     "series": (_raw, []),
 }
+# evolve-kod and povm-convergence default to the sizes of the identity
+# groups, so at their defaults they run the kod-* and projector-scaling checks
 SCHEMAS = {
     "photodetect-ensemble": {
         "initial_state": (_state, {"kind": "fock", "n": 5}),
@@ -250,24 +254,24 @@ SCHEMAS = {
     "heterodyne-ensemble": {
         "initial_state": (_state, {"kind": "coherent", "alpha": 1.0}),
         "trajectories": (_count, 10_000),
-        "quad_order": (_INT, 32),
+        "quad_order": (_INT, verify.QUAD_ORDER),
         "bins": (partial(_at_least, 1), 8),
     },
     "evolve-kod": {
         "kod": (_kod, "poisson"),
         "convergence": (_flag, True),
-        "n_max": (_INT, 40),
-        "steps": (_INT, 1000),
+        "n_max": (_INT, verify.KOD_N_MAX),
+        "steps": (_INT, verify.KOD_STEPS),
         "grid": {
-            "h": (_FLOAT, 0.05), "extent": (_FLOAT, 5.0), "steps": (_INT, 200),
-            "sigma0_sq": (_FLOAT, 1e-3),
+            "h": (_FLOAT, verify.KOD_H), "extent": (_FLOAT, verify.KOD_EXTENT),
+            "steps": (_INT, verify.KOD_GRID_STEPS), "sigma0_sq": (_FLOAT, verify.KOD_SIGMA0_SQ),
         },
     },
     "verify-identities": {"checks": (_groups, None)},
     "povm-convergence": {
-        "kappa_T_values": (_sweep, [2.0, 3.0, 4.0, 5.0]),
-        "photo_ns": (_INTS, [0, 1, 2]),
-        "het_zetas": (_FLOATS, [0.0, 0.5]),
+        "kappa_T_values": (_sweep, verify.PROJECTOR_KAPPA_TS),
+        "photo_ns": (_INTS, verify.PROJECTOR_NS),
+        "het_zetas": (_FLOATS, verify.PROJECTOR_ZETAS),
     },
 }
 KINDS = tuple(SCHEMAS)
@@ -310,7 +314,7 @@ def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> Ex
     schema = {"kind": (same_kind, kind), **_COMMON, "thresholds": thresholds, **SCHEMAS[kind]}
     resolved = _resolve(raw, schema)
     if seed_override is not None:
-        resolved["seed"] = int(seed_override)
+        resolved["seed"] = _count(seed_override, "--seed")
     return ExperimentConfig(kind, resolved, _series(resolved["series"] or [], "series"))
 
 
@@ -427,7 +431,7 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
         born, (mid_re[:, None] + 1j * mid_im[None, :]).ravel(), p.T, p
     ).reshape(n_bins, n_bins)
 
-    checks = [Check("born-density-mass", abs(total - 1.0), 1e-6)]
+    checks = [Check("born-density-mass", abs(total - 1.0), verify.BORN_MASS_TOL)]
     if n_traj > 0:
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
         empirical = hist2d * np.pi / (n_traj * area)
@@ -479,7 +483,7 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
             for i in range(ax.size)
             for j in range(ax.size)
         ))
-    return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"]), [table]
+    return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"], mass=True), [table]
 
 
 def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:

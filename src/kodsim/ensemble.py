@@ -1,9 +1,5 @@
 """Ensemble driver shared by both instruments and the norm-collapse floor
-of the samplers.  The heterodyne batch sampler renormalizes nothing: after k
-steps its conditional state is ``e^{-a^dag a kappa_o t_k/2} e^{c a} rho
-(...)^dag`` normalized, with ``c = phi conj(zeta_k)`` fixed by the record
-functional so far, so it reads the drift ``Tr(a rho_k)`` from the Born
-weight polynomial in c instead of evolving a state.
+of the samplers.
 
 Trajectory ``i`` reads only its own stream ``stream(seed, i)`` and is always
 computed in the block of rows ``[BLOCK*(i // BLOCK), BLOCK*(i // BLOCK) +

@@ -49,6 +49,7 @@ from .params import InstrumentParams, screened_integral
 
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
+KOD_MASS_TOL = 1e-8  # largest mass drift evolve_kod_diffusion allows at any step
 CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
 
 
@@ -143,42 +144,21 @@ def kod_gaussian(T: float, kappa_o: float) -> GaussianKOD:
     return GaussianKOD(sigma=screened_integral(T, kappa_o))
 
 
-def _heat_banded(n: int, coef: float) -> np.ndarray:
-    """Banded form of ``I - coef * 12 h^2 L`` for solve_banded, with L the
-    conservative 4th-order Neumann Laplacian (coef = c / (12 h^2))."""
+def _heat_banded(n: int) -> np.ndarray:
+    """Banded form of ``12 h^2 L`` for solve_banded, with L the conservative
+    4th-order Neumann Laplacian on n points."""
     main = np.full(n, -30.0)
     main[[0, -1]] = -15.0
     main[[1, -2]] = -31.0
-    ab = np.empty((5, n))
-    ab[0] = coef
-    ab[1] = -16.0 * coef
-    ab[2] = 1.0 - coef * main
-    ab[3] = -16.0 * coef
-    ab[4] = coef
-    return ab
-
-
-def _heat_apply(u: np.ndarray, coef: float) -> np.ndarray:
-    """Apply ``I + coef * 12 h^2 L`` to a 1-D profile (same L as above)."""
-    n = u.size
-    main = np.full(n, -30.0)
-    main[[0, -1]] = -15.0
-    main[[1, -2]] = -31.0
-    v = main * u
-    v[:-1] += 16.0 * u[1:]
-    v[1:] += 16.0 * u[:-1]
-    v[:-2] -= u[2:]
-    v[2:] -= u[:-2]
-    return u + coef * v
+    band = np.empty((5, n))
+    band[[0, 4]] = -1.0
+    band[[1, 3]] = 16.0
+    band[2] = main
+    return band
 
 
 def evolve_kod_diffusion(
-    T: float,
-    kappa_o: float,
-    h: float = 0.05,
-    extent: float = 5.0,
-    steps: int = 200,
-    sigma0_sq: float = 1e-3,
+    T: float, kappa_o: float, h: float, extent: float, steps: int, sigma0_sq: float
 ) -> GaussianKOD:
     """Integrate the screened diffusion of the amplitude density.
 
@@ -194,6 +174,9 @@ def evolve_kod_diffusion(
     Gaussian is separable, ``g(x) g(y)``.  The 2-D iterate is therefore
     exactly ``outer(v, v)`` with ``v`` the 1-D profile stepped by that
     operator, so only ``v`` is evolved; its mass is ``(sum v)^2 h^2 / pi``.
+    The Crank-Nicolson step ``(I - cL) v' = (I + cL) v`` needs no explicit
+    half: since ``I + cL = 2I - (I - cL)``, it is
+    ``v' = 2 solve(I - cL, v) - v``, one banded solve per step.
 
     A Gaussian narrower than the mesh aliases several percent of its mass
     when sampled (sigma0_sq = 1e-3 puts ~0.45 h of standard deviation on an
@@ -234,6 +217,7 @@ def evolve_kod_diffusion(
     axis = (np.arange(2 * n_side + 1) - n_side) * h
     v = np.exp(-(axis**2) / start_sigma_sq) / np.sqrt(start_sigma_sq)
     v /= np.sum(v) * h / np.sqrt(np.pi)
+    band = _heat_banded(axis.size)
     for k in range(steps):
         t0 = t_start + k * (T - t_start) / steps
         t1 = t_start + (k + 1) * (T - t_start) / steps
@@ -241,10 +225,11 @@ def evolve_kod_diffusion(
         coef = 0.5 * dtau / (12.0 * h**2)
         if coef == 0.0:
             continue
-        ab = _heat_banded(axis.size, coef)
-        v = scipy.linalg.solve_banded((2, 2), ab, _heat_apply(v, coef))
+        ab = -coef * band
+        ab[2] += 1.0
+        v = 2.0 * scipy.linalg.solve_banded((2, 2), ab, v) - v
         mass = float(np.sum(v)) ** 2 * h**2 / np.pi
-        if abs(mass - 1.0) > 1e-8:
+        if abs(mass - 1.0) > KOD_MASS_TOL:
             raise NumericError(f"mass drifted to {mass} at step {k}")
     u = np.outer(v, v)
     ring = np.sum(u[0]) + np.sum(u[-1]) + np.sum(u[1:-1, 0]) + np.sum(u[1:-1, -1])
@@ -281,9 +266,16 @@ def povm_element_het(zeta: complex, T: float, p: InstrumentParams) -> np.ndarray
     return float(kod.density(zeta)) * (k.conj().T @ k)
 
 
-def povm_completeness_het(
-    T: float, p: InstrumentParams, sub_dim: int, quad_order: int = 32
-) -> float:
+def _hermite_2d(quad_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product Gauss-Hermite rule on the plane: points ``x + iy`` and
+    weights ``w_x w_y`` against ``e^{-x^2-y^2} dx dy``, x-major."""
+    if quad_order < 1:
+        raise DomainError(f"need quad_order >= 1, got {quad_order}")
+    nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
+    return (nodes[:, None] + 1j * nodes[None, :]).ravel(), (wts[:, None] * wts[None, :]).ravel()
+
+
+def povm_completeness_het(T: float, p: InstrumentParams, sub_dim: int, quad_order: int) -> float:
     """Subblock defect of the POVM quadrature against the identity.
 
     Gauss-Hermite nodes rescaled to the Gaussian width absorb the
@@ -292,14 +284,11 @@ def povm_completeness_het(
     subblock.
     """
     sigma = _density_width(T, p.kappa_o)
-    nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
     decay = np.exp(-p.kappa_o * T * number_diag(p.dim))
     total = np.zeros((p.dim, p.dim), dtype=complex)
-    for i, x in enumerate(nodes):
-        for j, y in enumerate(nodes):
-            zeta = np.sqrt(sigma) * complex(x, y)
-            e_low = exp_lowering(p.dim, np.conj(zeta))
-            total += (wts[i] * wts[j]) * (e_low.conj().T @ (decay[:, None] * e_low))
+    for point, weight in zip(*_hermite_2d(quad_order)):
+        e_low = exp_lowering(p.dim, np.conj(np.sqrt(sigma) * point))
+        total += weight * (e_low.conj().T @ (decay[:, None] * e_low))
     total /= np.pi
     return subblock_norm_diff(total, np.eye(p.dim), sub_dim)
 
@@ -419,16 +408,14 @@ def born_pdf(
 
 
 def born_pdf_quadrature(
-    born: BornDensity, T: float, p: InstrumentParams, quad_order: int = 32
+    born: BornDensity, T: float, p: InstrumentParams, quad_order: int
 ) -> tuple[float, complex, float]:
     """(total mass, mean, central covariance) of the Born density by
     Gauss-Hermite quadrature."""
-    if quad_order < 1:
-        raise DomainError(f"need quad_order >= 1, got {quad_order}")
     sigma = screened_integral(T, p.kappa_o)
-    nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
-    zet = np.sqrt(sigma) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
-    wgt = (wts[:, None] * wts[None, :]).ravel() / np.pi
+    points, weights = _hermite_2d(quad_order)
+    zet = np.sqrt(sigma) * points
+    wgt = weights / np.pi
     vals = het_born_weights(born, zet, T, p)
     total = float(np.sum(wgt * vals))
     mean = complex(np.sum(wgt * vals * zet) / total)
@@ -610,21 +597,20 @@ def groundstate_completeness(T: float, kappa_o: float, dim: int) -> float:
     coherent states there or the integral silently sags (ExtentError).
     """
     sigma = _density_width(T, kappa_o)
-    nodes, wts = np.polynomial.hermite.hermgauss(32)
-    peak = 2.0 * float(np.max(nodes)) ** 2 / sigma
+    points, weight = _hermite_2d(32)
+    peak = 2.0 * float(np.max(points.real)) ** 2 / sigma
     if dim < peak + 8.0 * np.sqrt(peak) + 10.0:
         raise ExtentError(
             f"dim {dim} cannot hold coherent states at |alpha|^2 ~ {peak:.1f}"
         )
     if np.exp(-0.5 * peak) == 0.0:
         raise ExtentError("coherent amplitudes underflow at this quadrature extent")
-    alphas = ((nodes[:, None] + 1j * nodes[None, :]) / np.sqrt(sigma)).ravel()
+    alphas = points / np.sqrt(sigma)
     amps = np.empty((alphas.size, dim), dtype=complex)
     amps[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
     for n in range(1, dim):
         amps[:, n] = amps[:, n - 1] * alphas / np.sqrt(n)
     vals = (amps.real**2 + amps.imag**2) @ np.exp(-kappa_o * T * np.arange(dim))
-    weight = (wts[:, None] * wts[None, :]).ravel()
     gauss = np.exp(np.abs(alphas * np.sqrt(sigma)) ** 2)
     integral = float(np.sum(weight * vals * gauss) / (np.pi * sigma))
     return integral - 1.0 / sigma

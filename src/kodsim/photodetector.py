@@ -41,6 +41,8 @@ from .fock import (
 )
 from .params import InstrumentParams, screened_integral
 
+KOD_MASS_TOL = 1e-10  # largest mass drift evolve_kod_poisson allows at any step
+
 
 def screened_rate(t: float | np.ndarray, kappa_o: float):
     """Effective observation rate ``kappa(t) = kappa_o exp(-kappa_o t)``."""
@@ -150,14 +152,13 @@ def _kod_generator(t: float, weights: np.ndarray, kappa_o: float) -> np.ndarray:
     return out
 
 
-def evolve_kod_poisson(
-    T: float, kappa_o: float, n_max: int = 40, steps: int = 1000
-) -> PoissonKOD:
+def evolve_kod_poisson(T: float, kappa_o: float, n_max: int, steps: int) -> PoissonKOD:
     """Integrate the screened birth equation for the jump-count weights.
 
     Classical 4th-order fixed-step integration from D_0(n) = delta_{n,0}.
     Raises TruncationError if mass reaches the top bin, NumericError if the
-    conservative generator fails to conserve mass to 1e-10 at any step.
+    conservative generator fails to conserve mass to ``KOD_MASS_TOL`` at any
+    step.
     """
     if steps < 100:
         raise DomainError(f"need steps >= 100, got {steps}")
@@ -175,8 +176,8 @@ def evolve_kod_poisson(
         k3 = _kod_generator(t + 0.5 * h, weights + 0.5 * h * k2, kappa_o)
         k4 = _kod_generator(t + h, weights + h * k3, kappa_o)
         weights = weights + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(float(np.sum(weights)) - 1.0) > 1e-10:
-            raise NumericError(f"mass drifted beyond 1e-10 at step {i}")
+        if abs(float(np.sum(weights)) - 1.0) > KOD_MASS_TOL:
+            raise NumericError(f"mass drifted beyond {KOD_MASS_TOL:g} at step {i}")
     if weights[-1] > 1e-8:
         raise TruncationError(
             f"mass {weights[-1]} at n_max={n_max}; enlarge the range"

@@ -4,7 +4,9 @@ The ``*_check(s)`` functions return :class:`~kodsim.report.Check` rows; the
 CLI's ``verify-identities`` command runs them all, and ``evolve-kod`` and
 ``povm-convergence`` reuse the KOD and projector checks on their own
 configurations.  Thresholds are the package's acceptance gates, not
-tunables, and so are the sizes the checks run at.
+tunables, and so are the sizes the checks run at.  Those sizes are the
+defaults of ``evolve-kod`` and ``povm-convergence`` too, so at their
+defaults the two kinds run the ``kod-*`` and ``projector-scaling`` groups.
 
 The brute-force constructions the record-reduction checks compare against
 live here and nowhere else in the package: the time-ordered products of
@@ -29,11 +31,16 @@ from .report import Check
 
 RENORM_TOL = 1e-12
 RECORD_PRODUCT_TOL = 1e-8
+RECORD_PRODUCT_DRAGGED_TOL = 1e-10
 CARTAN_TOL = 1e-9
 COMPLETENESS_PHOTO_TOL = 1e-8
 COMPLETENESS_HET_TOL = 1e-6
 KOD_POISSON_TOL = 1e-8
 KOD_DIFFUSION_TOL = 1e-3
+# smallest error ratios under step halving (Poisson, 4th order) and h-halving
+KOD_POISSON_HALVING = 8.0
+KOD_DIFFUSION_HALVING = 3.5
+BORN_MASS_TOL = 1e-6
 GROUNDSTATE_TOL = 1e-6
 LEFT_INVARIANCE_TOL = 1e-8
 SCALING_FACTOR = 2.0
@@ -41,6 +48,20 @@ LN2 = math.log(2.0)
 # truncation of the operator identities and their truncation-safe subblock
 DIM = 40
 SUB_DIM = 20
+# Sizes of the KOD and projector-scaling groups, which are also the
+# defaults of ``evolve-kod`` and ``povm-convergence``: the Poisson range and
+# step count, the Gaussian mesh, and the projector sweep.
+KOD_N_MAX = 40
+KOD_STEPS = 1000
+KOD_H = 0.05
+KOD_EXTENT = 5.0
+KOD_GRID_STEPS = 200
+KOD_SIGMA0_SQ = 1e-3
+PROJECTOR_NS = (0, 1, 2)
+PROJECTOR_ZETAS = (0.0, 0.5)
+PROJECTOR_KAPPA_TS = (2.0, 3.0, 4.0, 5.0)
+# Gauss-Hermite points per axis of the heterodyne quadratures
+QUAD_ORDER = 32
 
 
 def matrix_exp(op: np.ndarray) -> np.ndarray:
@@ -157,7 +178,7 @@ def record_reduction_checks(seed: int) -> list[Check]:
         )
     return [
         Check("record-product-photodetector", worst_photo, RECORD_PRODUCT_TOL),
-        Check("record-product-heterodyne-dragged", worst_exact, 1e-10),
+        Check("record-product-heterodyne-dragged", worst_exact, RECORD_PRODUCT_DRAGGED_TOL),
         # the undragged comparison carries the O(kappa_o dt) drag factor
         Check("record-product-heterodyne-raw", worst_plain, p.kappa_dt),
     ]
@@ -206,28 +227,28 @@ def kod_checks(
     kod: pd.PoissonKOD | het.GaussianKOD,
     T: float,
     kappa_o: float,
-    convergence: bool = True,
-    mass: bool = True,
+    convergence: bool,
+    mass: bool,
 ) -> list[Check]:
-    """An evolved KOD against its closed form, then optionally its mass and
-    the error ratio under step halving (Poisson) or h-halving (Gaussian, on
-    the KOD's own mesh)."""
+    """An evolved KOD against its closed form, then optionally its mass (at
+    the solver's own per-step guard) and the error ratio under step halving
+    (Poisson) or h-halving (Gaussian, on the KOD's own mesh)."""
     if isinstance(kod, pd.PoissonKOD):
         checks = [Check("kod-poisson-evolution", kod_error(kod), KOD_POISSON_TOL)]
         if mass:
-            checks.append(Check("kod-mass", abs(float(np.sum(kod.weights)) - 1.0), 1e-10))
+            checks.append(Check("kod-mass", abs(float(np.sum(kod.weights)) - 1.0), pd.KOD_MASS_TOL))
         if convergence:
             ratio = kod_poisson_halving_ratio(T, kappa_o, kod.weights.size - 1)
-            checks.append(Check("kod-poisson-step-halving", ratio, 8.0, comparison=">="))
+            checks.append(Check("kod-poisson-step-halving", ratio, KOD_POISSON_HALVING, ">="))
         return checks
     checks = [Check("kod-diffusion-evolution", kod_error(kod), KOD_DIFFUSION_TOL)]
     if mass:
-        checks.append(Check("kod-mass", abs(kod.grid_mass() - 1.0), 1e-8))
+        checks.append(Check("kod-mass", abs(kod.grid_mass() - 1.0), het.KOD_MASS_TOL))
     if convergence:
         # the mesh's half-width, or MIN_EXTENT where rounding left it below (same mesh)
         extent = max(float(kod.axis()[-1]), het.MIN_EXTENT)
         ratio = kod_diffusion_halving_ratio(T, kappa_o, kod.h, extent, kod.regularization)
-        checks.append(Check("kod-diffusion-h-halving", ratio, 3.5, comparison=">="))
+        checks.append(Check("kod-diffusion-h-halving", ratio, KOD_DIFFUSION_HALVING, ">="))
     return checks
 
 
@@ -242,7 +263,7 @@ def completeness_checks() -> list[Check]:
         ),
         Check(
             "povm-completeness-heterodyne",
-            het.povm_completeness_het(1.0, p, SUB_DIM, 32),
+            het.povm_completeness_het(1.0, p, SUB_DIM, QUAD_ORDER),
             COMPLETENESS_HET_TOL,
         ),
     ]
@@ -333,18 +354,23 @@ def projector_sweep(
 
 def projector_scaling_checks() -> list[Check]:
     """Scaling checks for n = 0..2 and zeta = 0, 0.5 over kappa_o T = 2..5."""
-    return projector_sweep((0, 1, 2), (0.0, 0.5), (2.0, 3.0, 4.0, 5.0), 1.0, 1e-3, DIM, SUB_DIM)[0]
+    return projector_sweep(
+        PROJECTOR_NS, PROJECTOR_ZETAS, PROJECTOR_KAPPA_TS, 1.0, 1e-3, DIM, SUB_DIM
+    )[0]
 
 
 ALL_GROUPS = {
     "renormalization": renormalization_checks,
     "record-reduction": record_reduction_checks,
     "kod-poisson": lambda seed: kod_checks(
-        pd.evolve_kod_poisson(LN2, 1.0, n_max=40, steps=1000), LN2, 1.0, mass=False
+        pd.evolve_kod_poisson(LN2, 1.0, n_max=KOD_N_MAX, steps=KOD_STEPS), LN2, 1.0,
+        convergence=True, mass=False,
     ),
     "kod-diffusion": lambda seed: kod_checks(
-        het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, steps=200), LN2, 1.0,
-        mass=False,
+        het.evolve_kod_diffusion(
+            LN2, 1.0, h=KOD_H, extent=KOD_EXTENT, steps=KOD_GRID_STEPS, sigma0_sq=KOD_SIGMA0_SQ
+        ),
+        LN2, 1.0, convergence=True, mass=False,
     ),
     "completeness": lambda seed: completeness_checks(),
     "cartan": cartan_checks,

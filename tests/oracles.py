@@ -115,8 +115,9 @@ def oracle_counts(rho, p, n_traj, seed):
 
 def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
     """Oracle: the 2-D alternating-direction loop on the full grid, each
-    step one implicit solve along axis 0 and one along axis 1, from the
-    same widened initial Gaussian as ``evolve_kod_diffusion``."""
+    step one textbook Crank-Nicolson half-step along axis 0 and one along
+    axis 1 (explicit ``I + cL``, then a solve with ``I - cL``), from the same
+    widened initial Gaussian as ``evolve_kod_diffusion``."""
     sig = lambda t: float(-np.expm1(-kappa_o * t))
     resolved_sq = 2.0 * (resolve_scale * h) ** 2
     t_start, start_sq = 0.0, sigma0_sq
@@ -143,7 +144,8 @@ def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
         t0 = t_start + k * (T - t_start) / steps
         t1 = t_start + (k + 1) * (T - t_start) / steps
         coef = 0.5 * (sig(t1) - sig(t0)) / 4.0 / (12.0 * h**2)
-        ab = het._heat_banded(sq.size, coef)
+        ab = -coef * het._heat_banded(sq.size)
+        ab[2] += 1.0
         u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u, coef))
         u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u.T.copy(), coef)).T
     return u

@@ -2,7 +2,9 @@
 
 Each criterion prints one PASS/FAIL line (run with ``pytest -s`` to see
 them all even on success).  Statistical criteria use pinned seeds; the
-gates are the calibrated ones, not the seeds' actual draws.
+gates are the calibrated ones, not the seeds' actual draws.  Every gate is
+read from where the package defines it: the identity tolerances in
+:mod:`kodsim.verify`, the statistical gates in ``cli.GATES``.
 """
 
 import math
@@ -14,6 +16,11 @@ from kodsim import cli, fock, heterodyne as het, photodetector as pd, records, v
 from kodsim.params import InstrumentParams, screened_integral
 
 LN2 = math.log(2.0)
+
+
+def gate(kind: str, key: str) -> float:
+    """A statistical gate of ``cli.GATES`` at its calibration size."""
+    return cli.GATES[kind][key][0]
 
 
 def criterion(num: int, label: str, passed: bool, detail: str):
@@ -28,23 +35,28 @@ def test_criterion_01_renormalization_identities():
         1,
         "renormalization identities",
         all(c.passed for c in checks),
-        f"max operator defect {worst:.3e} < 1e-12 over 100 random (r, c), d=40",
+        f"max operator defect {worst:.3e} < {verify.RENORM_TOL:g} over 100 random (r, c), "
+        f"d={verify.DIM}",
     )
 
 
 def test_criterion_02_poisson_kod_evolution():
-    err = verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, n_max=40, steps=1000))
-    errs = [verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, 40, s)) for s in (100, 200)]
+    n_max = verify.KOD_N_MAX
+    err = verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, n_max, verify.KOD_STEPS))
+    errs = [verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, n_max, s)) for s in (100, 200)]
     ratio = errs[0] / errs[1]
+    tol, halving = verify.KOD_POISSON_TOL, verify.KOD_POISSON_HALVING
     criterion(
         2,
         "Poisson distribution evolution",
-        err < 1e-8 and ratio >= 8.0,
-        f"max_n error {err:.3e} < 1e-8 at kappa_T=ln2; halving ratio {ratio:.1f} >= 8",
+        err < tol and ratio >= halving,
+        f"max_n error {err:.3e} < {tol:g} at kappa_T=ln2; halving ratio {ratio:.1f} "
+        f">= {halving:g}",
     )
 
 
 def test_criterion_03_binomial_born_statistics():
+    # the ensembles run at the gates' calibration size, 1e5 trajectories
     p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
     rho5 = fock.projector(16, 5)
     pmf = pd.born_pmf(pd.count_rows(rho5), LN2, p, n_max=8)
@@ -61,30 +73,34 @@ def test_criterion_03_binomial_born_statistics():
     est = pd.ostensible_pmf(draws, pd.ostensible_weights(pd.count_rows(rho5), LN2, p, n_max=8))
     tv_c = records.tv_distance(est, binom)
 
+    kind = "photodetect-ensemble"
+    gate_a, gate_c, gate_p = (gate(kind, key) for key in ("tv_method_a", "tv_method_c", "p_value"))
     criterion(
         3,
         "binomial Born statistics",
-        exact and tv_a <= 0.01 and tv_c <= 0.02 and p_val > 1e-3,
-        f"P(5)={pmf[5]:.6f}; method-A TV {tv_a:.4f} <= 0.01; "
-        f"method-C TV {tv_c:.4f} <= 0.02; chi-square p {p_val:.3f} > 0.001",
+        exact and tv_a <= gate_a and tv_c <= gate_c and p_val > gate_p,
+        f"P(5)={pmf[5]:.6f}; method-A TV {tv_a:.4f} <= {gate_a:g}; "
+        f"method-C TV {tv_c:.4f} <= {gate_c:g}; chi-square p {p_val:.3f} > {gate_p:g}",
     )
 
 
 def test_criterion_04_gaussian_kod_evolution():
     def max_err(h, steps):
         return verify.kod_error(
-            het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=steps,
-                                     sigma0_sq=1e-3)
+            het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=verify.KOD_EXTENT, steps=steps,
+                                     sigma0_sq=verify.KOD_SIGMA0_SQ)
         )
 
-    err = max_err(0.05, 200)
-    ratio = max_err(0.05, 800) / max_err(0.025, 1600)
+    h = verify.KOD_H
+    err = max_err(h, verify.KOD_GRID_STEPS)
+    ratio = max_err(h, 800) / max_err(0.5 * h, 1600)
+    tol, halving = verify.KOD_DIFFUSION_TOL, verify.KOD_DIFFUSION_HALVING
     criterion(
         4,
         "Gaussian distribution evolution",
-        err < 1e-3 and ratio >= 3.5,
-        f"max-norm error {err:.3e} < 1e-3 at h=0.05 (sigma0 corrected); "
-        f"h-halving ratio {ratio:.1f} >= 3.5",
+        err < tol and ratio >= halving,
+        f"max-norm error {err:.3e} < {tol:g} at h={h:g} (sigma0 corrected); "
+        f"h-halving ratio {ratio:.1f} >= {halving:g}",
     )
 
 
@@ -95,8 +111,13 @@ def test_criterion_05_heterodyne_born_statistics():
     sigma = screened_integral(LN2, 1.0)
     mean = complex(np.mean(zetas))
     cov = float(np.mean(np.abs(zetas - mean) ** 2))
-    mean_ok = abs(mean - 0.5) <= 3.0 * math.sqrt(sigma / 10**4)
-    cov_ok = abs(cov / sigma - 1.0) <= 0.03
+    # 1e4 trajectories, the covariance gate's calibration size
+    kind = "heterodyne-ensemble"
+    sigmas, cov_rel, gate_p = (
+        gate(kind, key) for key in ("mean_sigmas", "covariance_rel", "p_value")
+    )
+    mean_ok = abs(mean - 0.5) <= sigmas * math.sqrt(sigma / 10**4)
+    cov_ok = abs(cov / sigma - 1.0) <= cov_rel
 
     half = 3.5 * math.sqrt(sigma / 2.0)
     edges_re = 0.5 + np.linspace(-half, half, 9)
@@ -110,22 +131,24 @@ def test_criterion_05_heterodyne_born_statistics():
     criterion(
         5,
         "heterodyne Born statistics",
-        mean_ok and cov_ok and p_val > 1e-3,
-        f"mean {mean:.4f} within 3 sigma of 0.5; covariance {cov:.4f} within 3% "
-        f"of 0.5; 2-D chi-square p {p_val:.3f} > 0.001",
+        mean_ok and cov_ok and p_val > gate_p,
+        f"mean {mean:.4f} within {sigmas:g} sigma of 0.5; covariance {cov:.4f} within "
+        f"{cov_rel:.0%} of 0.5; 2-D chi-square p {p_val:.3f} > {gate_p:g}",
     )
 
 
 def test_criterion_06_povm_completeness():
-    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=40)
-    photo = pd.povm_completeness(1.0, p, sub_dim=20)
-    hetero = het.povm_completeness_het(1.0, p, sub_dim=20, quad_order=32)
+    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=verify.DIM)
+    photo = pd.povm_completeness(1.0, p, sub_dim=verify.SUB_DIM)
+    hetero = het.povm_completeness_het(1.0, p, sub_dim=verify.SUB_DIM,
+                                       quad_order=verify.QUAD_ORDER)
+    photo_tol, het_tol = verify.COMPLETENESS_PHOTO_TOL, verify.COMPLETENESS_HET_TOL
     criterion(
         6,
         "POVM completeness",
-        photo < 1e-6 and hetero < 1e-6,
-        f"photodetector sum defect {photo:.3e}, heterodyne quadrature defect "
-        f"{hetero:.3e}, both < 1e-6 at kappa_T=1, d=40, d'=20",
+        photo < photo_tol and hetero < het_tol,
+        f"photodetector sum defect {photo:.3e} < {photo_tol:g}, heterodyne quadrature "
+        f"defect {hetero:.3e} < {het_tol:g} at kappa_T=1, d={verify.DIM}, d'={verify.SUB_DIM}",
     )
 
 
@@ -136,7 +159,7 @@ def test_criterion_07_cartan_identity():
         7,
         "polar decomposition identity",
         checks[0].passed,
-        f"max defect {worst:.3e} < 1e-9 over 100 random (zeta, r), "
+        f"max defect {worst:.3e} < {verify.CARTAN_TOL:g} over 100 random (zeta, r), "
         f"|zeta|<=2, r in [0.1, 3]",
     )
 
@@ -150,9 +173,9 @@ def test_criterion_08_trace_identity():
     criterion(
         8,
         "trace identity and groundstate quadrature",
-        defect <= bound and abs(integral - 2.0) < 1e-6,
+        defect <= bound and abs(integral - 2.0) < verify.GROUNDSTATE_TOL,
         f"|Tr - 2| = {defect:.3e} within the geometric tail at d=50; "
-        f"quadrature value {integral:.8f} = 2 within 1e-6",
+        f"quadrature value {integral:.8f} = 2 within {verify.GROUNDSTATE_TOL:g}",
     )
 
 
@@ -185,7 +208,7 @@ def test_criterion_10_projector_convergence_scaling():
         "projector convergence scaling",
         all(c.passed for c in checks),
         f"defect ratios across kappa_T in 2..5 track e^-kappa_T within factor "
-        f"{worst:.2f} <= 2 for n in 0..2 and zeta in (0, 0.5)",
+        f"{worst:.2f} <= {verify.SCALING_FACTOR:g} for n in 0..2 and zeta in (0, 0.5)",
     )
 
 

@@ -415,10 +415,10 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     assert [c["name"] for c in data["checks"]] == check_names
 
 
-def run_main(tmp_path, kind, cfg_dict):
+def run_main(tmp_path, kind, cfg_dict, *args):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_dict))
-    return cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    return cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out"), *args])
 
 
 # .npy files no run may take, by name
@@ -476,13 +476,26 @@ BAD_STATE_FILES = {
                                   "initial_state": {"kind": "file", "path": "density10.npy"}}),
         ("photodetect-ensemble", {"trajectories": 200, "params": {"dim": 12}, "n_max": 7,
                                   "initial_state": {"kind": "file", "path": "vector10.npy"}}),
+        # a negative seed, in the config and on the command line (a pair is a
+        # config and the arguments that follow it)
+        ("photodetect-ensemble", {"seed": -3, "trajectories": 10, "params": {"dim": 8},
+                                  "n_max": 7}),
+        ("photodetect-ensemble", ({"trajectories": 10, "params": {"dim": 8}, "n_max": 7},
+                                  ("--seed", "-3"))),
+        # list keys take a JSON array, not any iterable
+        ("povm-convergence", {"photo_ns": "012"}),
+        ("povm-convergence", {"kappa_T_values": "2345"}),
+        ("povm-convergence", {"het_zetas": {"0": 1}}),
+        ("verify-identities", {"checks": ["trace"],
+                               "series": [{"name": "projector-defect-photo", "kappa_T": "12"}]}),
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, kind, cfg_dict):
     monkeypatch.chdir(tmp_path)
     for name, write in BAD_STATE_FILES.items():
         write(tmp_path / name)
-    assert run_main(tmp_path, kind, cfg_dict) == 2
+    cfg_dict, args = cfg_dict if isinstance(cfg_dict, tuple) else (cfg_dict, ())
+    assert run_main(tmp_path, kind, cfg_dict, *args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
@@ -687,3 +700,18 @@ def test_oracles_stay_out_of_production(tmp_path, monkeypatch):
             {"trajectories": 50, "params": {"dim": 10}, "initial_state": state, **extra}))
         cli.main([kind, "--config", str(cfg_path), "--out", str(out)])
         assert (out / "report.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "kind, cfg_dict, group",
+    [
+        ("evolve-kod", {}, "kod-poisson"),
+        ("evolve-kod", {"kod": "gaussian"}, "kod-diffusion"),
+        ("povm-convergence", {}, "projector-scaling"),
+    ],
+)
+def test_run_kinds_at_their_defaults_are_the_identity_groups(kind, cfg_dict, group):
+    # the two kinds default to the identity groups' sizes; only evolve-kod
+    # reports the KOD's mass
+    checks, _ = cli.RUNNERS[kind](cli.resolve_config(kind, cfg_dict), 1)
+    assert [c for c in checks if c.name != "kod-mass"] == verify.ALL_GROUPS[group](cli.DEFAULT_SEED)

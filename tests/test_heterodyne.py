@@ -208,7 +208,7 @@ class TestDiffusion:
 
     @pytest.mark.parametrize(
         "h, steps, sigma0_sq",
-        [(0.25, 20, 1e-3), (0.1, 40, 1e-3), (0.25, 20, 0.3)],
+        [(0.25, 20, 1e-3), (0.1, 40, 1e-3), (0.25, 20, 0.3), (0.05, 200, 1e-3)],
     )
     def test_separable_solve_matches_2d_adi(self, h, steps, sigma0_sq):
         # widened start (1e-3) and a start already resolved on the mesh (0.3)
@@ -227,13 +227,13 @@ class TestDiffusion:
 
     def test_rejects_small_extent(self):
         with pytest.raises(ExtentError):
-            het.evolve_kod_diffusion(1.0, 1.0, h=0.05, extent=3.0, steps=50)
+            het.evolve_kod_diffusion(1.0, 1.0, h=0.05, extent=3.0, steps=50, sigma0_sq=1e-3)
 
     def test_halving_check_reads_the_mesh(self):
         # h = 0.15 puts 33 cells, 4.95, on each side of a requested extent of 5
-        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.15, extent=5.0, steps=20)
+        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.15, extent=5.0, steps=20, sigma0_sq=1e-3)
         assert kod.axis()[-1] < het.MIN_EXTENT
-        checks = verify.kod_checks(kod, LN2, 1.0)
+        checks = verify.kod_checks(kod, LN2, 1.0, convergence=True, mass=True)
         assert [c.name for c in checks][-1] == "kod-diffusion-h-halving"
 
     def test_rejects_unresolvable_horizon(self):
@@ -352,7 +352,7 @@ class TestBornDensity:
     def test_normalization_by_quadrature(self):
         p = params(kappa_T=LN2, dim=30)
         rho = fock.density(fock.coherent_state(30, 0.8 + 0.3j))
-        total, _, _ = het.born_pdf_quadrature(het.born_density(rho), LN2, p)
+        total, _, _ = het.born_pdf_quadrature(het.born_density(rho), LN2, p, verify.QUAD_ORDER)
         assert abs(total - 1.0) < 1e-6
 
     def test_bin_probs_match_per_cell_rule(self):
@@ -386,7 +386,7 @@ class TestBornDensity:
         psi = np.zeros(16, dtype=complex)
         psi[:4] = raw / np.linalg.norm(raw)
         born = het.born_density(psi)
-        total, mean_ref, cov_ref = het.born_pdf_quadrature(born, LN2, p)
+        total, mean_ref, cov_ref = het.born_pdf_quadrature(born, LN2, p, verify.QUAD_ORDER)
         assert abs(total - 1.0) < 1e-6
 
         n_traj = 10**4
