@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, fock, heterodyne as het, photodetector as pd, verify
-from .exceptions import ConfigError, KodsimError
+from .exceptions import ConfigError, DomainError, KodsimError
 from .params import InstrumentParams, screened_integral
 from .records import chi_square_gof, stream, tv_distance
 from .report import Check, VerificationReport
@@ -544,8 +544,11 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     """Execute one experiment, then write all its files into ``out_dir``.
 
     The plot series and the kind's runner compute everything first, so a
-    run that raises writes nothing.
+    run that raises writes nothing; so does one on fewer than one thread,
+    whatever its kind.
     """
+    if n_threads < 1:
+        raise DomainError(f"need n_threads >= 1, got {n_threads}")
     r = cfg.resolved
     series = [series_table(spec, r["seed"]) for spec in cfg.series]
     checks, tables = RUNNERS[cfg.kind](cfg, n_threads)
@@ -563,14 +566,6 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     return report
 
 
-def _default_threads() -> int:
-    env = os.environ.get("INSTRUMENT_AUTONOMY_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="kodsim",
@@ -582,12 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", type=str, default=None, help="JSON config path")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", type=str, default="out", help="output directory")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (INSTRUMENT_AUTONOMY_THREADS as fallback)",
-        )
+        sp.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
     args = parser.parse_args(argv)
     try:
         raw = {}
@@ -595,8 +585,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         cfg = resolve_config(args.kind, raw, seed_override=args.seed)
-        threads = args.threads if args.threads is not None else _default_threads()
-        report = run(cfg, args.out, n_threads=threads)
+        report = run(cfg, args.out, n_threads=args.threads)
     except (KodsimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

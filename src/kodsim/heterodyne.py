@@ -373,8 +373,8 @@ def _weight_terms(table: np.ndarray, c: np.ndarray):
     block padded with zero rows that are sliced off again.  Rows sit in
     blocks from index 0 on, and the ensemble driver starts every batch on a
     block edge, so a row keeps its place in a block of fixed shape and its
-    bits do not depend on the batch size, the thread count or BLAS's own
-    threads.
+    bits do not depend on how many rows share the call, the thread count
+    or BLAS's own threads.
     """
     dim = table.shape[0]
     n = c.size
@@ -442,12 +442,14 @@ def born_bin_probs(born: BornDensity, edges_re, edges_im, T: float,
 
 
 def sample_het_ostensible(
-    T: float, kappa_o: float, rng: np.random.Generator
-) -> complex:
-    """Draw an amplitude from the state-independent density D_T."""
+    T: float, kappa_o: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` amplitudes drawn from the state-independent density D_T."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     sigma = _density_width(T, kappa_o)
-    g = rng.standard_normal(2)
-    return complex(g[0], g[1]) * np.sqrt(0.5 * sigma)
+    g = rng.standard_normal((n, 2))
+    return np.sqrt(0.5 * sigma) * (g[:, 0] + 1j * g[:, 1])
 
 
 def _evolve_het_batch(born: BornDensity, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
@@ -477,12 +479,7 @@ def _evolve_het_batch(born: BornDensity, p: InstrumentParams, normals: np.ndarra
 
 
 def run_het_ensemble(
-    born: BornDensity,
-    p: InstrumentParams,
-    n_traj: int,
-    seed: int,
-    n_threads: int = 1,
-    batch: int = 4096,
+    born: BornDensity, p: InstrumentParams, n_traj: int, seed: int, n_threads: int = 1
 ) -> np.ndarray:
     """Record functionals of ``n_traj`` trajectories, one stream per index.
 
@@ -491,14 +488,14 @@ def run_het_ensemble(
     weight alone and no state is evolved.  Trajectory i reads ``2 n_steps``
     normals from ``stream(seed, i)`` and nothing else, and is always
     computed at row ``i % BLOCK`` of the 64-row block ``i // BLOCK``
-    (:func:`~kodsim.ensemble.run_ensemble` rounds ``batch`` up to whole
-    blocks), so the per-block BLAS product, and with it the results, are
-    byte-identical for any batch size, thread count or BLAS thread count.
+    (:func:`~kodsim.ensemble.run_ensemble` runs whole-block batches), so
+    the per-block BLAS product, and with it the results, are byte-identical
+    for any thread count or BLAS thread count.
     """
     return run_ensemble(
         lambda rng: rng.standard_normal(2 * p.n_steps),
         lambda draws: _evolve_het_batch(born, p, draws.reshape(-1, p.n_steps, 2)),
-        n_traj, seed, n_threads, batch, complex,
+        n_traj, seed, n_threads, complex,
     )
 
 
@@ -624,11 +621,8 @@ def covariance_cooling(
     Expected values 1/Sigma(T) and 1/(e^{kappa_o T} - 1): the beta
     covariance cools along the Bose-Einstein occupation curve.
     """
-    if n_samples < 1:
-        raise DomainError(f"need n_samples >= 1, got {n_samples}")
-    sigma = _density_width(T, kappa_o)
-    g = rng.standard_normal((n_samples, 2))
-    zetas = np.sqrt(0.5 * sigma) * (g[:, 0] + 1j * g[:, 1])
+    zetas = sample_het_ostensible(T, kappa_o, n_samples, rng)
+    sigma = screened_integral(T, kappa_o)
     # alpha = zeta / Sigma_r at r = kappa_o T / 2, where Sigma_r = Sigma(T)
     cov_alpha = float(np.mean(np.abs(zetas / sigma) ** 2))
     return cov_alpha, float(np.exp(-kappa_o * T)) * cov_alpha

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .ensemble import NORM_COLLAPSE, run_ensemble
+from .ensemble import run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -294,56 +294,44 @@ def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return est / (total if total > 0 else 1.0)
 
 
-def _jump_table(rows: CountRows, p: InstrumentParams):
-    """``prob[k, n]``, the jump probability at step k after n jumps, and
-    ``collapse[k, n, jumped]``, the transitions that leave a trace (squared
-    norm) below ``NORM_COLLAPSE`` (None when no trajectory can take one).  A
-    collapsing jump has probability below
-    ``kappa_o dt * NORM_COLLAPSE / stay[k, n+1]``, about 1e-16 or less, so in
-    practice only a uniform of exactly 0.0 (odds 2^-53) takes one.
+def _jump_table(rows: CountRows, p: InstrumentParams) -> np.ndarray:
+    """``prob[k, n]``, the jump probability at step k after n jumps.
 
     Each step damps and renormalizes the count rows as a trajectory does.
-    Staying leaves the norm ``stay[k, n]``, jumping
-    ``prob[k, n] / (kappa_o dt) * stay[k, n+1]``.
+    A trajectory's state after n jumps is row n, whatever the jump times,
+    and :func:`count_rows` builds every row normalized, so no trajectory
+    renormalizes a state of its own and none can collapse.
     """
     dim = rows.s.size
     m = np.arange(dim, dtype=float)
     w = rows.w.copy()
-    live = np.any(w != 0.0, axis=1)
     decay = np.exp(-p.kappa_dt * m)
     prob = np.empty((p.n_steps, dim))
-    stay = np.ones((p.n_steps, dim + 1))
     for k in range(p.n_steps):
         prob[k] = p.kappa_dt * (w @ m)
         w *= decay
-        stay[k, :-1] = np.sum(w, axis=1)
-        w /= np.where(stay[k, :-1] > 0.0, stay[k, :-1], 1.0)[:, None]
-    jumped = (prob > 0.0) & ~(prob / p.kappa_dt * stay[:, 1:] >= NORM_COLLAPSE)
-    collapse = np.stack([~(stay[:, :-1] >= NORM_COLLAPSE), jumped], axis=-1) & live[:, None]
-    return prob, (collapse if collapse.any() else None)
+        norm = np.sum(w, axis=1)
+        w /= np.where(norm > 0.0, norm, 1.0)[:, None]
+    return prob
 
 
-def _count_jumps(table, uniforms: np.ndarray) -> np.ndarray:
+def _count_jumps(prob: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Jump counts of a batch from its ``(n_traj, n_steps)`` uniforms."""
-    prob, collapse = table
     counts = np.zeros(uniforms.shape[0], dtype=np.int64)
     for k, u in enumerate(uniforms.T):
-        jump = u < prob[k][counts]
-        if collapse is not None and np.any(collapse[k, counts, jump.view(np.int8)]):
-            raise NumericError(f"state norm collapsed at step {k}")
-        counts += jump
+        counts += u < prob[k][counts]
     return counts
 
 
 def run_photo_ensemble(rows: CountRows, p: InstrumentParams, n_traj: int, seed: int,
-                       n_threads: int = 1, batch: int = 8192) -> np.ndarray:
+                       n_threads: int = 1) -> np.ndarray:
     """Jump counts for ``n_traj`` trajectories, one stream per index.
 
     Trajectory i jumps at step k when uniform k of ``stream(seed, i)`` is
     below the jump table's entry for its count so far, so results are
-    byte-identical for any thread count or batch size.  Pure and mixed
-    states share the table, which reads only the count rows.
+    byte-identical for any thread count.  Pure and mixed states share the
+    table, which reads only the count rows.
     """
-    table = _jump_table(rows, p)
-    return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: _count_jumps(table, u),
-                        n_traj, seed, n_threads, batch, np.int64)
+    prob = _jump_table(rows, p)
+    return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: _count_jumps(prob, u),
+                        n_traj, seed, n_threads, np.int64)

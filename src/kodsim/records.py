@@ -15,7 +15,7 @@ from .exceptions import BinSpecError, DataError, DomainError
 MIN_EXPECTED = 5.0  # see chi_square_gof
 
 
-def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+def stream(seed: int, stream_id: int) -> np.random.Generator:
     """Independent random stream for one trajectory.
 
     Same ``(seed, stream_id)`` always yields the same sample sequence;

@@ -14,13 +14,15 @@ import numpy as np
 import scipy.linalg
 
 from kodsim import heterodyne as het, records
-from kodsim.ensemble import NORM_COLLAPSE
 from kodsim.exceptions import DomainError, NumericError
 from kodsim.fock import density, exp_lowering, number_diag
 from kodsim.heterodyne import HeterodyneRecord
 from kodsim.params import InstrumentParams
 from kodsim.photodetector import PhotoRecord
 from kodsim.verify import kraus_increment
+
+# smallest trace a dense sampler may renormalize
+NORM_COLLAPSE = 1e-14
 
 
 def renormalize_density(rho: np.ndarray, step: int) -> None:

@@ -311,11 +311,15 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("INSTRUMENT_AUTONOMY_THREADS", "3")
-        assert cli._default_threads() == 3
-        monkeypatch.setenv("INSTRUMENT_AUTONOMY_THREADS", "bogus")
-        assert cli._default_threads() == 1
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("kind", ["photodetect-ensemble", "verify-identities"])
+    def test_fewer_than_one_thread_exits_two(self, tmp_path, capsys, kind, threads):
+        out = tmp_path / "out"
+        assert cli.main([kind, "--out", str(out), "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need n_threads >= 1, got {threads}\n"
+        assert not out.exists()
 
 
 DEFAULT_HASHES = {
@@ -656,7 +660,7 @@ def test_valid_thresholds_keep_their_hash():
 ORACLES = {
     "time_ordered_product", "time_ordered_product_het", "kraus_increment", "matrix_exp",
     "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
-    "displacement", "exp_raising", "adi_2d", "oracle_counts",
+    "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
 }
 PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import fock, heterodyne as het, records, verify
+from kodsim import ensemble, fock, heterodyne as het, records, verify
+from kodsim.ensemble import BLOCK
 from kodsim.exceptions import (
     DomainError,
     ExtentError,
@@ -30,7 +31,7 @@ def params(kappa_T=1.0, dim=40, dt=1e-3):
     return InstrumentParams.fit_steps(kappa_o=1.0, T=kappa_T, dt=dt, dim=dim)
 
 
-# ensembles that cross block edges (ensemble.BLOCK = 64 rows) at a short horizon
+# ensembles that cross block edges (BLOCK = 64 rows) at a short horizon
 BLOCK_DIMS = (40, 120)
 BLOCK_TRAJ = 257
 
@@ -480,38 +481,42 @@ class TestSamplers:
         with np.errstate(all="ignore"), pytest.raises(NumericError):
             het._evolve_het_batch(born, p, normals)
 
-    def test_batch_size_and_threads_do_not_change_trajectories(self):
+    def test_batch_size_and_threads_do_not_change_trajectories(self, monkeypatch):
         # every operation is row-wise or one product per fixed 64-row block,
         # so a trajectory never sees its batchmates.  An earlier sampler's
         # batch-wide stopping test changed 9 of these 600 at batch=1, 3 of
-        # them among the first 34, which are rerun here
+        # them among the first 34, which are rerun here in one short block
         p = params(kappa_T=LN2, dim=40)
         psi = (fock.fock_state(40, 0) + fock.fock_state(40, 12)) / math.sqrt(2.0)
         born = het.born_density(psi)
         base = het.run_het_ensemble(born, p, 600, seed=3)
-        assert np.array_equal(het.run_het_ensemble(born, p, 34, seed=3, batch=1), base[:34])
+        monkeypatch.setattr(ensemble, "BATCH", BLOCK)
+        assert np.array_equal(het.run_het_ensemble(born, p, 34, seed=3), base[:34])
         # four blocks and one row: thread bounds and batch edges move between
         # block edges, and some batch sizes leave the last row alone.  A BLAS
         # product shaped by the batch takes a lone row as a matrix-vector
         # product, whose bits differ
         for dim in BLOCK_DIMS:
             born, q = blocks_case(dim)
+            monkeypatch.setattr(ensemble, "BATCH", 64 * BLOCK)
             base = het.run_het_ensemble(born, q, BLOCK_TRAJ, seed=9)
-            for batch in (1, 7, 64, 65, 4096):
+            for batch in (BLOCK, 2 * BLOCK, 64 * BLOCK):
+                monkeypatch.setattr(ensemble, "BATCH", batch)
                 for n_threads in (1, 2, 3):
-                    again = het.run_het_ensemble(born, q, BLOCK_TRAJ, 9, n_threads, batch)
+                    again = het.run_het_ensemble(born, q, BLOCK_TRAJ, 9, n_threads)
                     assert np.array_equal(again, base), (dim, batch, n_threads)
 
     @pytest.mark.parametrize("blas_threads", ["1", "2"])
     def test_blas_threads_do_not_change_trajectories(self, tmp_path, blas_threads):
         # BLAS reads its thread count when numpy loads, so a fresh interpreter
-        # runs the same ensembles, 2 threads at batch 65
+        # runs the same ensembles, 2 threads at batches of two blocks
         out = tmp_path / "zetas.npy"
         script = (
             "import sys, numpy as np\n"
-            "from kodsim import heterodyne as het\n"
+            "from kodsim import ensemble, heterodyne as het\n"
             "from test_heterodyne import BLOCK_DIMS, BLOCK_TRAJ, blocks_case\n"
-            "np.save(sys.argv[1], np.stack([het.run_het_ensemble(*blocks_case(d), BLOCK_TRAJ, 9, 2, 65)\n"
+            "ensemble.BATCH = 2 * ensemble.BLOCK\n"
+            "np.save(sys.argv[1], np.stack([het.run_het_ensemble(*blocks_case(d), BLOCK_TRAJ, 9, 2)\n"
             "                               for d in BLOCK_DIMS]))\n"
         )
         paths = [Path(het.__file__).resolve().parents[1], Path(__file__).resolve().parent]
@@ -527,10 +532,8 @@ class TestSamplers:
             het.run_het_ensemble(het.born_density(np.zeros(8, dtype=complex)), p, 5, seed=2)
 
     def test_ostensible_sampler_covariance(self):
-        rng = records.stream(51, 0)
-        draws = np.array(
-            [het.sample_het_ostensible(LN2, 1.0, rng) for _ in range(10**5)]
-        )
+        draws = het.sample_het_ostensible(LN2, 1.0, 10**5, records.stream(51, 0))
+        assert draws.shape == (10**5,) and draws.dtype == complex
         assert abs(np.mean(np.abs(draws) ** 2) / 0.5 - 1.0) < 0.02
 
     def test_ostensible_weights_vacuum_unity(self):

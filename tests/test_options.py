@@ -15,12 +15,9 @@ DEFAULTED = {
     ("cli", "run", "n_threads"),
     ("cli", "main", "argv"),
     ("heterodyne", "run_het_ensemble", "n_threads"),
-    ("heterodyne", "run_het_ensemble", "batch"),
     ("heterodyne", "cartan_identity_defect", "dim"),
     ("photodetector", "born_pmf", "n_max"),
     ("photodetector", "run_photo_ensemble", "n_threads"),
-    ("photodetector", "run_photo_ensemble", "batch"),
-    ("records", "stream", "stream_id"),
     ("verify", "run_identity_checks", "groups"),
 }
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import fock, photodetector as pd, records
+from kodsim import ensemble, fock, photodetector as pd, records
+from kodsim.ensemble import BLOCK
 from kodsim.exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -424,38 +425,46 @@ class TestCountSampler:
         assert counts.sum() > 0
         assert np.array_equal(counts, oracle_counts(rho, p, 300, seed=17))
 
-    def test_batch_and_thread_invariance(self):
+    def test_batch_and_thread_invariance(self, monkeypatch):
         p = params(kappa_T=LN2, dim=16)
         rho = benchmark_style_mixture(16)
         rows = pd.count_rows(rho)
-        base = pd.run_photo_ensemble(rows, p, 60, seed=3)
-        for batch in (1, 7, 8192):
+        base = pd.run_photo_ensemble(rows, p, 150, seed=3)
+        for batch in (BLOCK, 2 * BLOCK, 64 * BLOCK):
+            monkeypatch.setattr(ensemble, "BATCH", batch)
             for threads in (1, 2, 3):
-                other = pd.run_photo_ensemble(rows, p, 60, seed=3, n_threads=threads, batch=batch)
-                assert np.array_equal(base, other)
+                other = pd.run_photo_ensemble(rows, p, 150, seed=3, n_threads=threads)
+                assert np.array_equal(base, other), (batch, threads)
+
+    @pytest.mark.parametrize("n_threads", [0, -2])
+    def test_fewer_than_one_thread_raises(self, n_threads):
+        p = params(kappa_T=0.05, dim=6)
+        rows = pd.count_rows(fock.fock_state(6, 2))
+        with pytest.raises(DomainError):
+            pd.run_photo_ensemble(rows, p, 5, seed=1, n_threads=n_threads)
 
     def test_ordinary_states_need_no_collapse_check(self):
         p = params(kappa_T=LN2, dim=16)
         for state in (fock.fock_state(16, 5), fock.coherent_state(16, 1.0)):
-            prob, collapse = pd._jump_table(pd.count_rows(state), p)
-            assert collapse is None
+            prob = pd._jump_table(pd.count_rows(state), p)
             assert prob.shape == (p.n_steps, 16) and np.all(prob >= 0.0)
 
-    def test_collapsing_jump_raises(self):
-        # the only excited population is 1e-30: a jump leaves a norm of
-        # about 1e-30, which only a uniform of exactly 0.0 can select
+    def test_jump_onto_a_tiny_population_counts_exactly(self):
+        # the only excited population is 1e-30, so the first jump has
+        # probability about 1e-30 * kappa_o dt, which only a uniform of
+        # exactly 0.0 selects.  After it the state is |0>, row 1 of the count
+        # rows, built normalized: the count is exact and no norm collapses
         p = params(kappa_T=0.05, dim=6)
         pop0 = np.array([1.0, 1e-30, 0.0, 0.0, 0.0, 0.0])
-        table = pd._jump_table(pd.count_rows(np.diag(pop0)), p)
-        assert table[1] is not None
-        with pytest.raises(NumericError):
-            pd._count_jumps(table, np.zeros((3, p.n_steps)))
+        prob = pd._jump_table(pd.count_rows(np.diag(pop0)), p)
+        assert np.array_equal(pd._count_jumps(prob, np.zeros((3, p.n_steps))),
+                              np.ones(3, dtype=np.int64))
         uniforms = np.full((3, p.n_steps), 2.0**-53)
-        assert np.array_equal(pd._count_jumps(table, uniforms), np.zeros(3, dtype=np.int64))
+        assert np.array_equal(pd._count_jumps(prob, uniforms), np.zeros(3, dtype=np.int64))
 
     def test_vector_and_its_density_share_the_floor(self, monkeypatch):
-        # a jump from |0> + 1e-10|1> leaves a squared norm of about 1e-20,
-        # below NORM_COLLAPSE whichever form the state arrives in
+        # a jump from |0> + 1e-10|1> has probability about 1e-20 kappa_o dt;
+        # the vector and its density give one jump table
         p = params(kappa_T=0.05, dim=6)
         psi = fock.fock_state(6, 0) + 1e-10 * fock.fock_state(6, 1)
         psi /= np.linalg.norm(psi)
@@ -469,9 +478,8 @@ class TestCountSampler:
         monkeypatch.setattr(pd, "_jump_table", record)
         for state in (psi, fock.density(psi)):
             pd.run_photo_ensemble(pd.count_rows(state), p, 3, seed=1)
-        (prob_vec, collapse_vec), (prob_rho, collapse_rho) = tables
+        prob_vec, prob_rho = tables
         assert np.array_equal(prob_vec, prob_rho)
-        assert collapse_vec is not None and np.array_equal(collapse_vec, collapse_rho)
 
     def test_high_truncation_matches_dense_sampler(self):
         # (m + n)!/m! overflows a double for dim >= 171
@@ -480,7 +488,7 @@ class TestCountSampler:
         psi = np.zeros(dim, dtype=complex)
         psi[[150, 190]] = [0.6, 0.8]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            prob, _ = pd._jump_table(pd.count_rows(psi), p)
+            prob = pd._jump_table(pd.count_rows(psi), p)
             counts = pd.run_photo_ensemble(pd.count_rows(psi), p, 4, seed=2)
         assert np.all(np.isfinite(prob))
         assert counts.sum() > 0
