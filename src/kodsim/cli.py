@@ -254,7 +254,6 @@ SCHEMAS = {
     "heterodyne-ensemble": {
         "initial_state": (_state, {"kind": "coherent", "alpha": 1.0}),
         "trajectories": (_count, 10_000),
-        "quad_order": (_INT, verify.QUAD_ORDER),
         "bins": (partial(_at_least, 1), 8),
     },
     "evolve-kod": {
@@ -417,7 +416,7 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
 
 def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
     p, born, n_traj = _ensemble_setup(cfg, het.born_density)
-    total, mean_ref, cov_ref = het.born_pdf_quadrature(born, p.T, p, cfg.resolved["quad_order"])
+    mean_ref, cov_ref = born.moments(p.T, p.kappa_o)
     zetas = het.run_het_ensemble(born, p, n_traj, cfg.resolved["seed"], n_threads)
 
     n_bins = cfg.resolved["bins"]
@@ -427,20 +426,17 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
     mid_re = 0.5 * (edges_re[:-1] + edges_re[1:])
     mid_im = 0.5 * (edges_im[:-1] + edges_im[1:])
     area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
-    born_mid = het.born_pdf(
-        born, (mid_re[:, None] + 1j * mid_im[None, :]).ravel(), p.T, p
-    ).reshape(n_bins, n_bins)
+    probs = het.born_bin_probs(born, edges_re, edges_im, p.T, p)
 
-    checks = [Check("born-density-mass", abs(total - 1.0), verify.BORN_MASS_TOL)]
+    checks: list[Check] = []
     if n_traj > 0:
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
         empirical = hist2d * np.pi / (n_traj * area)
         mean = complex(np.mean(zetas))
         cov = float(np.mean(np.abs(zetas - mean) ** 2))
-        probs = het.born_bin_probs(born, edges_re, edges_im, p.T, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
-        checks += [
+        checks = [
             Check("mean-vs-born", abs(mean - mean_ref),
                   _gate(cfg, "mean_sigmas") * math.sqrt(cov_ref / n_traj)),
             Check("covariance-vs-born", abs(cov / cov_ref - 1.0), _gate(cfg, "covariance_rel")),
@@ -449,8 +445,10 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
         ]
     else:
         empirical = np.full((n_bins, n_bins), None)
+    # both columns are bin averages of a density against d^2 zeta / pi
+    born_avg = probs * np.pi / area
     density = (
-        (mid_re[i], mid_im[j], empirical[i, j], born_mid[i, j])
+        (mid_re[i], mid_im[j], empirical[i, j], born_avg[i, j])
         for i in range(n_bins)
         for j in range(n_bins)
     )
@@ -483,7 +481,7 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
             for i in range(ax.size)
             for j in range(ax.size)
         ))
-    return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"], mass=True), [table]
+    return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"]), [table]
 
 
 def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
@@ -525,8 +523,9 @@ def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
         t = np.linspace(0.0, spec["t_max"], spec["points"])
         return name, ["t", "value"], [(x, screened_integral(x, kappa_o)) for x in t]
     if name == "beta-cooling":
+        # two-word stream ids: no trajectory's or method C's one-word id equals them
         vals = [
-            het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"], stream(seed, 7_000 + i))[1]
+            het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"], stream(seed, (7_000, i)))[1]
             for i, kt in enumerate(spec["kappa_T"])
         ]
         return name, ["kappa_T", "cov_beta"], list(zip(spec["kappa_T"], vals))

@@ -339,6 +339,17 @@ class BornDensity:
         flat = np.einsum("m,mx->x", damp, self.coeffs.reshape(dim, -1).view(float))
         return flat.view(complex).reshape(dim, dim)
 
+    def moments(self, T: float, kappa_o: float) -> tuple[complex, float]:
+        """Mean and central covariance of the Born density, from the POVM's
+        first two moments ``Sigma(T) a`` and ``Sigma(T) (1 + Sigma(T) a^dag a)``:
+        ``C[m, 1, 0] = sqrt(m+1) rho[m+1, m]`` sums to ``Tr(a rho)`` and
+        ``C[m, 1, 1] = (m+1) rho[m+1, m+1]`` to ``Tr(a^dag a rho)``."""
+        sigma = screened_integral(T, kappa_o)
+        tr = float(np.sum(self.coeffs[:, 0, 0].real))
+        mean = complex(sigma * np.sum(self.coeffs[:, 1, 0]) / tr)
+        second = sigma * (1.0 + sigma * float(np.sum(self.coeffs[:, 1, 1].real)) / tr)
+        return mean, second - abs(mean) ** 2
+
 
 def born_density(state: np.ndarray) -> BornDensity:
     """The Born weight of a state vector or density matrix (:func:`fock.density`)."""
@@ -405,22 +416,6 @@ def born_pdf(
         raise NumericError(f"negative density {np.min(vals)}")
     vals = np.clip(vals, 0.0, None)
     return float(vals[0]) if np.isscalar(zeta) or np.ndim(zeta) == 0 else vals
-
-
-def born_pdf_quadrature(
-    born: BornDensity, T: float, p: InstrumentParams, quad_order: int
-) -> tuple[float, complex, float]:
-    """(total mass, mean, central covariance) of the Born density by
-    Gauss-Hermite quadrature."""
-    sigma = screened_integral(T, p.kappa_o)
-    points, weights = _hermite_2d(quad_order)
-    zet = np.sqrt(sigma) * points
-    wgt = weights / np.pi
-    vals = het_born_weights(born, zet, T, p)
-    total = float(np.sum(wgt * vals))
-    mean = complex(np.sum(wgt * vals * zet) / total)
-    cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
-    return total, mean, cov
 
 
 def born_bin_probs(born: BornDensity, edges_re, edges_im, T: float,

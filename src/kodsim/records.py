@@ -15,13 +15,16 @@ from .exceptions import BinSpecError, DataError, DomainError
 MIN_EXPECTED = 5.0  # see chi_square_gof
 
 
-def stream(seed: int, stream_id: int) -> np.random.Generator:
+def stream(seed: int, stream_id: int | tuple[int, ...]) -> np.random.Generator:
     """Independent random stream for one trajectory.
 
     Same ``(seed, stream_id)`` always yields the same sample sequence;
-    distinct stream ids are statistically independent.
+    distinct stream ids are statistically independent.  An id is one
+    integer or a tuple of them, and ``(7000, 0)`` is a different id from
+    ``7000``.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    key = stream_id if isinstance(stream_id, tuple) else (stream_id,)
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -40,7 +40,6 @@ KOD_DIFFUSION_TOL = 1e-3
 # smallest error ratios under step halving (Poisson, 4th order) and h-halving
 KOD_POISSON_HALVING = 8.0
 KOD_DIFFUSION_HALVING = 3.5
-BORN_MASS_TOL = 1e-6
 GROUNDSTATE_TOL = 1e-6
 LEFT_INVARIANCE_TOL = 1e-8
 SCALING_FACTOR = 2.0
@@ -60,7 +59,7 @@ KOD_SIGMA0_SQ = 1e-3
 PROJECTOR_NS = (0, 1, 2)
 PROJECTOR_ZETAS = (0.0, 0.5)
 PROJECTOR_KAPPA_TS = (2.0, 3.0, 4.0, 5.0)
-# Gauss-Hermite points per axis of the heterodyne quadratures
+# Gauss-Hermite points per axis of the heterodyne POVM completeness quadrature
 QUAD_ORDER = 32
 
 
@@ -224,26 +223,24 @@ def kod_diffusion_halving_ratio(
 
 
 def kod_checks(
-    kod: pd.PoissonKOD | het.GaussianKOD,
-    T: float,
-    kappa_o: float,
-    convergence: bool,
-    mass: bool,
+    kod: pd.PoissonKOD | het.GaussianKOD, T: float, kappa_o: float, convergence: bool
 ) -> list[Check]:
-    """An evolved KOD against its closed form, then optionally its mass (at
-    the solver's own per-step guard) and the error ratio under step halving
+    """An evolved KOD against its closed form, its mass (at the solver's own
+    per-step guard), then optionally the error ratio under step halving
     (Poisson) or h-halving (Gaussian, on the KOD's own mesh)."""
     if isinstance(kod, pd.PoissonKOD):
-        checks = [Check("kod-poisson-evolution", kod_error(kod), KOD_POISSON_TOL)]
-        if mass:
-            checks.append(Check("kod-mass", abs(float(np.sum(kod.weights)) - 1.0), pd.KOD_MASS_TOL))
+        checks = [
+            Check("kod-poisson-evolution", kod_error(kod), KOD_POISSON_TOL),
+            Check("kod-mass", abs(float(np.sum(kod.weights)) - 1.0), pd.KOD_MASS_TOL),
+        ]
         if convergence:
             ratio = kod_poisson_halving_ratio(T, kappa_o, kod.weights.size - 1)
             checks.append(Check("kod-poisson-step-halving", ratio, KOD_POISSON_HALVING, ">="))
         return checks
-    checks = [Check("kod-diffusion-evolution", kod_error(kod), KOD_DIFFUSION_TOL)]
-    if mass:
-        checks.append(Check("kod-mass", abs(kod.grid_mass() - 1.0), het.KOD_MASS_TOL))
+    checks = [
+        Check("kod-diffusion-evolution", kod_error(kod), KOD_DIFFUSION_TOL),
+        Check("kod-mass", abs(kod.grid_mass() - 1.0), het.KOD_MASS_TOL),
+    ]
     if convergence:
         # the mesh's half-width, or MIN_EXTENT where rounding left it below (same mesh)
         extent = max(float(kod.axis()[-1]), het.MIN_EXTENT)
@@ -364,13 +361,13 @@ ALL_GROUPS = {
     "record-reduction": record_reduction_checks,
     "kod-poisson": lambda seed: kod_checks(
         pd.evolve_kod_poisson(LN2, 1.0, n_max=KOD_N_MAX, steps=KOD_STEPS), LN2, 1.0,
-        convergence=True, mass=False,
+        convergence=True,
     ),
     "kod-diffusion": lambda seed: kod_checks(
         het.evolve_kod_diffusion(
             LN2, 1.0, h=KOD_H, extent=KOD_EXTENT, steps=KOD_GRID_STEPS, sigma0_sq=KOD_SIGMA0_SQ
         ),
-        LN2, 1.0, convergence=True, mass=False,
+        LN2, 1.0, convergence=True,
     ),
     "completeness": lambda seed: completeness_checks(),
     "cartan": cartan_checks,

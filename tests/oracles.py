@@ -4,8 +4,8 @@ Each builds by the textbook route what a package function computes by a
 faster one: dense per-step conditional evolution of a density matrix (one
 ``scipy.linalg.expm`` per heterodyne increment, through
 :func:`kodsim.verify.kraus_increment`), the disentangled displacement
-product, and the 2-D alternating-direction diffusion loop.  Nothing in
-``kodsim`` imports them.
+product, the 2-D alternating-direction diffusion loop, and the Born
+density's moments by quadrature.  Nothing in ``kodsim`` imports them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from kodsim import heterodyne as het, records
 from kodsim.exceptions import DomainError, NumericError
 from kodsim.fock import density, exp_lowering, number_diag
 from kodsim.heterodyne import HeterodyneRecord
-from kodsim.params import InstrumentParams
+from kodsim.params import InstrumentParams, screened_integral
 from kodsim.photodetector import PhotoRecord
 from kodsim.verify import kraus_increment
 
@@ -151,3 +151,17 @@ def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
         u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u, coef))
         u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u.T.copy(), coef)).T
     return u
+
+
+def born_pdf_quadrature(born, T, p, quad_order):
+    """(total mass, mean, central covariance) of the Born density by
+    Gauss-Hermite quadrature."""
+    sigma = screened_integral(T, p.kappa_o)
+    points, weights = het._hermite_2d(quad_order)
+    zet = np.sqrt(sigma) * points
+    wgt = weights / np.pi
+    vals = het.het_born_weights(born, zet, T, p)
+    total = float(np.sum(wgt * vals))
+    mean = complex(np.sum(wgt * vals * zet) / total)
+    cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
+    return total, mean, cov

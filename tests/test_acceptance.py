@@ -13,7 +13,7 @@ import numpy as np
 import scipy.stats
 
 from kodsim import cli, fock, heterodyne as het, photodetector as pd, records, verify
-from kodsim.params import InstrumentParams, screened_integral
+from kodsim.params import InstrumentParams
 
 LN2 = math.log(2.0)
 
@@ -41,17 +41,15 @@ def test_criterion_01_renormalization_identities():
 
 
 def test_criterion_02_poisson_kod_evolution():
-    n_max = verify.KOD_N_MAX
-    err = verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, n_max, verify.KOD_STEPS))
-    errs = [verify.kod_error(pd.evolve_kod_poisson(LN2, 1.0, n_max, s)) for s in (100, 200)]
-    ratio = errs[0] / errs[1]
-    tol, halving = verify.KOD_POISSON_TOL, verify.KOD_POISSON_HALVING
+    kod = pd.evolve_kod_poisson(LN2, 1.0, verify.KOD_N_MAX, verify.KOD_STEPS)
+    err, mass, ratio = verify.kod_checks(kod, LN2, 1.0, convergence=True)
     criterion(
         2,
         "Poisson distribution evolution",
-        err < tol and ratio >= halving,
-        f"max_n error {err:.3e} < {tol:g} at kappa_T=ln2; halving ratio {ratio:.1f} "
-        f">= {halving:g}",
+        err.passed and mass.passed and ratio.passed,
+        f"max_n error {err.measured:.3e} < {err.threshold:g} at kappa_T=ln2; mass drift "
+        f"{mass.measured:.1e} < {mass.threshold:g}; halving ratio {ratio.measured:.1f} "
+        f">= {ratio.threshold:g}",
     )
 
 
@@ -85,70 +83,45 @@ def test_criterion_03_binomial_born_statistics():
 
 
 def test_criterion_04_gaussian_kod_evolution():
-    def max_err(h, steps):
-        return verify.kod_error(
-            het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=verify.KOD_EXTENT, steps=steps,
-                                     sigma0_sq=verify.KOD_SIGMA0_SQ)
-        )
-
-    h = verify.KOD_H
-    err = max_err(h, verify.KOD_GRID_STEPS)
-    ratio = max_err(h, 800) / max_err(0.5 * h, 1600)
-    tol, halving = verify.KOD_DIFFUSION_TOL, verify.KOD_DIFFUSION_HALVING
+    kod = het.evolve_kod_diffusion(LN2, 1.0, h=verify.KOD_H, extent=verify.KOD_EXTENT,
+                                   steps=verify.KOD_GRID_STEPS, sigma0_sq=verify.KOD_SIGMA0_SQ)
+    err, mass, ratio = verify.kod_checks(kod, LN2, 1.0, convergence=True)
     criterion(
         4,
         "Gaussian distribution evolution",
-        err < tol and ratio >= halving,
-        f"max-norm error {err:.3e} < {tol:g} at h={h:g} (sigma0 corrected); "
-        f"h-halving ratio {ratio:.1f} >= {halving:g}",
+        err.passed and mass.passed and ratio.passed,
+        f"max-norm error {err.measured:.3e} < {err.threshold:g} at h={verify.KOD_H:g} "
+        f"(sigma0 corrected); mass drift {mass.measured:.1e} < {mass.threshold:g}; "
+        f"h-halving ratio {ratio.measured:.1f} >= {ratio.threshold:g}",
     )
 
 
 def test_criterion_05_heterodyne_born_statistics():
-    p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
-    born = het.born_density(fock.coherent_state(16, 1.0))
-    zetas = het.run_het_ensemble(born, p, 10**4, seed=7, n_threads=4)
-    sigma = screened_integral(LN2, 1.0)
-    mean = complex(np.mean(zetas))
-    cov = float(np.mean(np.abs(zetas - mean) ** 2))
     # 1e4 trajectories, the covariance gate's calibration size
-    kind = "heterodyne-ensemble"
-    sigmas, cov_rel, gate_p = (
-        gate(kind, key) for key in ("mean_sigmas", "covariance_rel", "p_value")
-    )
-    mean_ok = abs(mean - 0.5) <= sigmas * math.sqrt(sigma / 10**4)
-    cov_ok = abs(cov / sigma - 1.0) <= cov_rel
-
-    half = 3.5 * math.sqrt(sigma / 2.0)
-    edges_re = 0.5 + np.linspace(-half, half, 9)
-    edges_im = np.linspace(-half, half, 9)
-    hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-    probs = het.born_bin_probs(born, edges_re, edges_im, LN2, p)
-    counts_flat = np.append(hist2d.ravel(), 10**4 - hist2d.sum())
-    probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
-    p_val = records.chi_square_gof(counts_flat, probs_flat)
-
+    cfg = cli.resolve_config("heterodyne-ensemble", {
+        "params": {"dim": 16}, "initial_state": {"kind": "coherent", "alpha": 1.0},
+        "trajectories": 10**4, "seed": 7,
+    })
+    mean, cov, chi2 = cli.RUNNERS["heterodyne-ensemble"](cfg, 4)[0]
     criterion(
         5,
         "heterodyne Born statistics",
-        mean_ok and cov_ok and p_val > gate_p,
-        f"mean {mean:.4f} within {sigmas:g} sigma of 0.5; covariance {cov:.4f} within "
-        f"{cov_rel:.0%} of 0.5; 2-D chi-square p {p_val:.3f} > {gate_p:g}",
+        mean.passed and cov.passed and chi2.passed,
+        f"mean {mean.measured:.4f} <= {mean.threshold:.4f} (3 sigma) from the Born mean 0.5; "
+        f"covariance within {cov.measured:.2%} <= {cov.threshold:.0%} of 0.5; 2-D chi-square p "
+        f"{chi2.measured:.3f} >= {chi2.threshold:g}",
     )
 
 
 def test_criterion_06_povm_completeness():
-    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=verify.DIM)
-    photo = pd.povm_completeness(1.0, p, sub_dim=verify.SUB_DIM)
-    hetero = het.povm_completeness_het(1.0, p, sub_dim=verify.SUB_DIM,
-                                       quad_order=verify.QUAD_ORDER)
-    photo_tol, het_tol = verify.COMPLETENESS_PHOTO_TOL, verify.COMPLETENESS_HET_TOL
+    photo, hetero = verify.completeness_checks()
     criterion(
         6,
         "POVM completeness",
-        photo < photo_tol and hetero < het_tol,
-        f"photodetector sum defect {photo:.3e} < {photo_tol:g}, heterodyne quadrature "
-        f"defect {hetero:.3e} < {het_tol:g} at kappa_T=1, d={verify.DIM}, d'={verify.SUB_DIM}",
+        photo.passed and hetero.passed,
+        f"photodetector sum defect {photo.measured:.3e} < {photo.threshold:g}, heterodyne "
+        f"quadrature defect {hetero.measured:.3e} < {hetero.threshold:g} at kappa_T=1, "
+        f"d={verify.DIM}, d'={verify.SUB_DIM}",
     )
 
 
@@ -165,17 +138,13 @@ def test_criterion_07_cartan_identity():
 
 
 def test_criterion_08_trace_identity():
-    defect = het.trace_identity_defect(LN2, 1.0, 50)
-    bound = 2.0 * het.trace_tail_bound(LN2, 1.0, 50)
-    sigma = screened_integral(LN2, 1.0)
-    dev = het.groundstate_completeness(LN2, 1.0, dim=340)
-    integral = dev + 1.0 / sigma
+    trace, groundstate = verify.trace_checks()
     criterion(
         8,
         "trace identity and groundstate quadrature",
-        defect <= bound and abs(integral - 2.0) < verify.GROUNDSTATE_TOL,
-        f"|Tr - 2| = {defect:.3e} within the geometric tail at d=50; "
-        f"quadrature value {integral:.8f} = 2 within {verify.GROUNDSTATE_TOL:g}",
+        trace.passed and groundstate.passed,
+        f"|Tr - 2| = {trace.measured:.3e} within the geometric tail at d=50; quadrature "
+        f"value within {groundstate.measured:.1e} < {groundstate.threshold:g} of 2",
     )
 
 
@@ -236,7 +205,6 @@ def test_criterion_11_reproducibility(tmp_path):
         "trajectories": 1000,
         "params": {"dim": 12},
         "initial_state": {"kind": "coherent", "alpha": 1.0},
-        "quad_order": 24,
     }
     photo_hashes = {run_and_hash("photodetect-ensemble", photo_cfg, t) for t in (1, 4, 8)}
     het_hashes = {run_and_hash("heterodyne-ensemble", het_cfg, t) for t in (1, 4, 8)}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kodsim import cli, fock, heterodyne as het, photodetector as pd, verify
+from kodsim import cli, fock, heterodyne as het, photodetector as pd, records, verify
 from kodsim.exceptions import ConfigError, DomainError
 
 
@@ -151,7 +151,7 @@ class TestRuns:
     def test_heterodyne_run(self, tmp_path):
         cfg = cli.resolve_config(
             "heterodyne-ensemble",
-            {"trajectories": 500, "params": {"dim": 12}, "quad_order": 24,
+            {"trajectories": 500, "params": {"dim": 12},
              "initial_state": {"kind": "coherent", "alpha": 1.0}},
             seed_override=3,
         )
@@ -167,10 +167,28 @@ class TestRuns:
         gaps = [abs(float(r[2]) - float(r[3])) for r in rows]
         assert max(gaps) < 1.0
 
+    def test_density_born_column_is_the_bin_average(self, tmp_path):
+        # the Born column is the bin probability over the bin's area, the
+        # same average as the empirical column, not the density at the midpoint
+        cfg_dict = {"trajectories": 200, "params": {"dim": 12}, "bins": 5,
+                    "initial_state": {"kind": "coherent", "alpha": [0.6, -0.3]}}
+        cfg = cli.resolve_config("heterodyne-ensemble", cfg_dict)
+        cli.run(cfg, str(tmp_path))
+        p = cfg.instrument_params()
+        born = het.born_density(fock.coherent_state(12, 0.6 - 0.3j))
+        mean_ref, cov_ref = born.moments(p.T, p.kappa_o)
+        half = 3.5 * math.sqrt(cov_ref / 2.0)
+        edges_re = mean_ref.real + np.linspace(-half, half, 6)
+        edges_im = mean_ref.imag + np.linspace(-half, half, 6)
+        area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
+        probs = het.born_bin_probs(born, edges_re, edges_im, p.T, p)
+        _, rows = read_csv(tmp_path / "density.csv")
+        assert [float(r[3]) for r in rows] == list((probs * np.pi / area).ravel())
+
     def test_heterodyne_zero_trajectories(self, tmp_path):
         cfg = cli.resolve_config(
             "heterodyne-ensemble",
-            {"trajectories": 0, "params": {"dim": 12}, "quad_order": 24},
+            {"trajectories": 0, "params": {"dim": 12}},
         )
         report = cli.run(cfg, str(tmp_path))
         assert report.overall_pass
@@ -209,7 +227,7 @@ class TestRuns:
             cli.resolve_config("verify-identities", {}), str(tmp_path)
         )
         assert report.overall_pass
-        assert len(report.checks) == 20
+        assert len(report.checks) == 22
 
 
 class TestPlotSeries:
@@ -241,6 +259,22 @@ class TestPlotSeries:
         for kappa_T, value in ((float(r[0]), float(r[1])) for r in rows):
             expected = 1.0 / (math.exp(kappa_T) - 1.0)
             assert abs(value / expected - 1.0) < 0.03
+
+    def test_beta_cooling_streams_are_no_trajectory_streams(self, monkeypatch):
+        # trajectory i reads stream(seed, i) and method C stream(seed, N); at
+        # the default 10,000 trajectories no cooling sample may share one
+        keys = []
+
+        def cooling(T, kappa_o, n_samples, rng):
+            keys.append(rng.bit_generator.state["state"]["key"].tobytes())
+            return 0.0, 0.0
+
+        monkeypatch.setattr(het, "covariance_cooling", cooling)
+        spec = cli._series([{"name": "beta-cooling"}], "series")[0]
+        cli.series_table(spec, 9)
+        ids = {records.stream(9, i).bit_generator.state["state"]["key"].tobytes()
+               for i in range(10_001)}
+        assert len(keys) == len(spec["kappa_T"]) and not ids & set(keys)
 
     def test_unknown_series_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -324,7 +358,7 @@ class TestMain:
 
 DEFAULT_HASHES = {
     "photodetect-ensemble": "763a6c70d1e9b13a",
-    "heterodyne-ensemble": "e524b3ceaeaa9f2f",
+    "heterodyne-ensemble": "386425b5458ff081",
     "evolve-kod": "b3af7dbb4bfdc46f",
     "verify-identities": "fcff0ce2ce4efc0b",
     "povm-convergence": "2dd970473c70bde9",
@@ -350,12 +384,12 @@ OUTPUT_LAYOUTS = [
     ),
     (
         "heterodyne-ensemble",
-        {"trajectories": 100, "params": {"dim": 12}, "quad_order": 16, "bins": 4},
+        {"trajectories": 100, "params": {"dim": 12}, "bins": 4},
         {
             "zetas.csv": ["trajectory", "re", "im"],
             "density.csv": ["re", "im", "empirical_density", "born_density"],
         },
-        ["born-density-mass", "mean-vs-born", "covariance-vs-born", "chi-square-2d-p-value"],
+        ["mean-vs-born", "covariance-vs-born", "chi-square-2d-p-value"],
     ),
     (
         "evolve-kod",
@@ -457,7 +491,8 @@ BAD_STATE_FILES = {
                                   "params": {"dim": 8}, "n_max": 7}),
         ("evolve-kod", {"kod": "gaussian", "grid": {"h": "nan"}}),
         ("evolve-kod", {"kod": "gaussian", "grid": {"extent": "inf"}}),
-        ("heterodyne-ensemble", {"quad_order": 0, "trajectories": 10, "params": {"dim": 12}}),
+        # no quadrature order to set: the Born moments are exact
+        ("heterodyne-ensemble", {"quad_order": 32, "trajectories": 10, "params": {"dim": 12}}),
         ("heterodyne-ensemble", {"bins": 0, "trajectories": 10, "params": {"dim": 12}}),
         ("heterodyne-ensemble", {"bins": -2, "trajectories": 10, "params": {"dim": 12}}),
         ("photodetect-ensemble", {"n_max": -1, "trajectories": 10, "params": {"dim": 8}}),
@@ -474,7 +509,6 @@ BAD_STATE_FILES = {
                                "series": [{"name": "beta-cooling", "samples": 0}]}),
         # a state file whose size is not params.dim
         ("heterodyne-ensemble", {"trajectories": 20, "params": {"dim": 40}, "bins": 4,
-                                 "quad_order": 16,
                                  "initial_state": {"kind": "file", "path": "density10.npy"}}),
         ("photodetect-ensemble", {"trajectories": 200, "params": {"dim": 12}, "n_max": 7,
                                   "initial_state": {"kind": "file", "path": "density10.npy"}}),
@@ -509,8 +543,8 @@ INTAKES = {"photodetect-ensemble": (pd, "count_rows"), "heterodyne-ensemble": (h
 SMALL_RUNS = {
     "photodetect-ensemble": {"trajectories": 50, "params": {"dim": 10}, "n_max": 6,
                              "initial_state": {"kind": "fock", "n": 3}},
-    "heterodyne-ensemble": {"trajectories": 20, "params": {"dim": 10}, "quad_order": 16,
-                            "bins": 4, "initial_state": {"kind": "coherent", "alpha": 0.5}},
+    "heterodyne-ensemble": {"trajectories": 20, "params": {"dim": 10}, "bins": 4,
+                            "initial_state": {"kind": "coherent", "alpha": 0.5}},
 }
 
 
@@ -696,8 +730,7 @@ def test_oracles_stay_out_of_production(tmp_path, monkeypatch):
     rho = 0.5 * fock.density(fock.coherent_state(10, 0.5)) + 0.5 * fock.projector(10, 2)
     np.save(path, rho)
     state = {"kind": "file", "path": str(path)}
-    for kind, extra in (("heterodyne-ensemble", {"quad_order": 24}),
-                        ("photodetect-ensemble", {"n_max": 9})):
+    for kind, extra in (("heterodyne-ensemble", {}), ("photodetect-ensemble", {"n_max": 9})):
         out = tmp_path / kind
         cfg_path = tmp_path / f"{kind}.json"
         cfg_path.write_text(json.dumps(
@@ -715,7 +748,6 @@ def test_oracles_stay_out_of_production(tmp_path, monkeypatch):
     ],
 )
 def test_run_kinds_at_their_defaults_are_the_identity_groups(kind, cfg_dict, group):
-    # the two kinds default to the identity groups' sizes; only evolve-kod
-    # reports the KOD's mass
+    # the two kinds default to the identity groups' sizes, check for check
     checks, _ = cli.RUNNERS[kind](cli.resolve_config(kind, cfg_dict), 1)
-    assert [c for c in checks if c.name != "kod-mass"] == verify.ALL_GROUPS[group](cli.DEFAULT_SEED)
+    assert checks == verify.ALL_GROUPS[group](cli.DEFAULT_SEED)
