@@ -1,11 +1,9 @@
 """Ensemble driver shared by both instruments.
 
-Trajectory ``i`` reads only its own stream ``stream(seed, i)`` and is always
-computed in the block of rows ``[BLOCK*(i // BLOCK), BLOCK*(i // BLOCK) +
-BLOCK)``: batches are :data:`BATCH` rows, a whole number of blocks, and
-thread bounds sit on block edges.  A kernel whose output row depends only
-on its own input row and its fixed place in a fixed-shape block, such as
-one BLAS product per block, is then byte-identical for any thread count.
+Trajectory ``i`` reads only its own stream ``stream(seed, i)``, and every
+kernel the driver runs is row-wise: a trajectory's result depends on its
+own draws alone, never on which rows share its batch.  Results are then
+byte-identical for any thread count and any batch size.
 """
 
 from __future__ import annotations
@@ -17,10 +15,8 @@ import numpy as np
 from .exceptions import DomainError
 from .records import stream
 
-# rows per block: trajectory i always sits at row i % BLOCK of block i // BLOCK
-BLOCK = 64
-# rows per batch, whole blocks: the draws of one batch held at a time
-BATCH = 64 * BLOCK
+# rows per batch: the draws of one batch held at a time
+BATCH = 4096
 
 
 def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, dtype):
@@ -28,15 +24,13 @@ def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, dtype):
 
     ``draw`` takes trajectory i's stream and returns its draws; ``evolve``
     maps the stacked draws of consecutive trajectories to their results.
-    Whole blocks are split about evenly over ``n_threads >= 1`` worker
+    Trajectories are split about evenly over ``n_threads >= 1`` worker
     threads, and each worker evolves its share in batches of :data:`BATCH`
-    rows, so every batch starts on a block edge and only the last one may
-    end inside a block.
+    rows.
     """
     if n_threads < 1:
         raise DomainError(f"need n_threads >= 1, got {n_threads}")
-    n_blocks = -(-n_traj // BLOCK)
-    bounds = np.minimum(np.linspace(0, n_blocks, n_threads + 1).astype(int) * BLOCK, n_traj)
+    bounds = np.linspace(0, n_traj, n_threads + 1).astype(int)
 
     def chunk(lo: int, hi: int) -> np.ndarray:
         out = np.empty(hi - lo, dtype=dtype)
@@ -50,3 +44,11 @@ def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, dtype):
     with ThreadPoolExecutor(max_workers=max(1, len(pairs))) as pool:
         parts = list(pool.map(lambda b: chunk(*b), pairs))
     return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def draw_levels(pops: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One Fock level per uniform, by inverse CDF of the populations
+    ``pops`` (negative roundoff clipped): the least m whose cumulative
+    population exceeds the uniform times the total."""
+    levels = np.cumsum(np.clip(pops, 0.0, None))
+    return np.minimum(np.searchsorted(levels, uniforms * levels[-1], side="right"), pops.size - 1)

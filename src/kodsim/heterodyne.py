@@ -10,14 +10,15 @@ independent with variance dt/2 each.  The diffusion equation is written in
 coordinate, the unique choice consistent with the closed-form density
 ``(1/Sigma) exp(-|zeta|^2/Sigma)`` at covariance ``Sigma(T) = <|zeta|^2>``.
 
-The instrument evolves on its own: after a record with partial functional
-``zeta_k`` the conditional state is ``K rho K^dag`` normalized, with
-``K = e^{-a^dag a kappa_o t_k/2} e^{c a}`` and ``c = phi conj(zeta_k)``.  The
-system enters only through the Born weight ``W(c) = Tr(K^dag K rho)``, a
-polynomial in (c, c*) whose coefficients :func:`born_density` builds once
-per state.  It gives the Born references and, through
-``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``, the drift of the ensemble
-sampler, which therefore evolves no state.
+The instrument evolves on its own, and the system enters only through the
+Born rule at the horizon: a record reduces to its functional ``zeta``, of
+Born weight ``W(c) = Tr(K^dag K rho)`` at ``c = conj(zeta)``, with
+``K = e^{-a^dag a kappa_o T/2} e^{c a}``.  In ``alpha = zeta/Sigma(T)``
+coordinates the POVM is a displaced thermal state of occupation
+``nbar = 1/(e^{kappa_o T} - 1)`` (the left-invariance identity), the time of
+the instrument standing in for a temperature.  So the ensemble sampler
+draws ``zeta = Sigma(T)(gamma + beta)`` directly, with ``gamma`` from the
+Husimi function ``<gamma|rho|gamma>/pi`` and ``beta ~ CN(0, nbar)``.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
-from .ensemble import BLOCK, run_ensemble
+from .ensemble import draw_levels, run_ensemble
 from .exceptions import (
     DomainError,
     ExtentError,
@@ -51,6 +53,7 @@ RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
 KOD_MASS_TOL = 1e-8  # largest mass drift evolve_kod_diffusion allows at any step
 CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
+PHASE_BISECTIONS = 52  # halve [0, 2 pi] to below the spacing of doubles there
 
 
 def _density_width(T: float, kappa_o: float) -> float:
@@ -321,87 +324,60 @@ def povm_left_invariance_defect(
 
 @dataclass(frozen=True)
 class BornDensity:
-    """A state as the heterodyne instrument reads it: the coefficients
-    ``C[m, j, l] = g_j(m) g_l(m) rho[m+j, m+l]`` of its Born weight, zero where
-    ``m+j`` or ``m+l`` leaves the truncation, ``g_j(m) = sqrt((m+j)!/m!)/j!``.
-    With ``T_t = sum_m e^{-m kappa_o t} C[m]`` the weight of the class operator
-    ``e^{-a^dag a kappa_o t/2} e^{c a}`` is ``W_t(c) = Tr(K^dag K rho) =
-    sum_{j,l} c^j conj(c)^l T_t[j, l]``, entire in (c, c*) because the class
-    operators are lowering-only."""
+    """A state as the heterodyne instrument reads it, its density matrix
+    ``rho``: the Born references and the ensemble sampler read nothing else."""
 
-    coeffs: np.ndarray
-
-    def table(self, t: float, kappa_o: float) -> np.ndarray:
-        """``T_t[j, l]``, summed over m in order on the real and imaginary
-        parts (real arithmetic is 3-4x faster)."""
-        dim = self.coeffs.shape[0]
-        damp = np.exp(-kappa_o * t * np.arange(dim))
-        flat = np.einsum("m,mx->x", damp, self.coeffs.reshape(dim, -1).view(float))
-        return flat.view(complex).reshape(dim, dim)
+    rho: np.ndarray
 
     def moments(self, T: float, kappa_o: float) -> tuple[complex, float]:
         """Mean and central covariance of the Born density, from the POVM's
-        first two moments ``Sigma(T) a`` and ``Sigma(T) (1 + Sigma(T) a^dag a)``:
-        ``C[m, 1, 0] = sqrt(m+1) rho[m+1, m]`` sums to ``Tr(a rho)`` and
-        ``C[m, 1, 1] = (m+1) rho[m+1, m+1]`` to ``Tr(a^dag a rho)``."""
+        first two moments ``Sigma(T) a`` and ``Sigma(T) (1 + Sigma(T) a^dag a)``,
+        with ``Tr(a rho) = sum_m sqrt(m+1) rho[m+1, m]``."""
         sigma = screened_integral(T, kappa_o)
-        tr = float(np.sum(self.coeffs[:, 0, 0].real))
-        mean = complex(sigma * np.sum(self.coeffs[:, 1, 0]) / tr)
-        second = sigma * (1.0 + sigma * float(np.sum(self.coeffs[:, 1, 1].real)) / tr)
+        pops = np.diagonal(self.rho).real
+        tr = float(np.sum(pops))
+        lowered = np.sum(np.sqrt(np.arange(1, pops.size)) * np.diagonal(self.rho, -1))
+        mean = complex(sigma * lowered / tr)
+        second = sigma * (1.0 + sigma * float(np.sum(np.arange(pops.size) * pops)) / tr)
         return mean, second - abs(mean) ** 2
 
 
 def born_density(state: np.ndarray) -> BornDensity:
-    """The Born weight of a state vector or density matrix (:func:`fock.density`)."""
-    rho = density(state)
+    """A state vector or density matrix (:func:`fock.density`) as the
+    heterodyne instrument reads it."""
+    return BornDensity(density(state))
+
+
+def _weight_table(rho: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
+    """``T_t[j, l] = sum_m e^{-m kappa_o t} g_j(m) g_l(m) rho[m+j, m+l]``, with
+    ``g_j(m) = sqrt((m+j)!/m!)/j!``, summed one level m at a time in O(d^2)
+    memory.  The weight of the class operator ``e^{-a^dag a kappa_o t/2}
+    e^{c a}`` is ``W_t(c) = sum_{j,l} c^j conj(c)^l T_t[j, l]``, entire in
+    (c, c*) because the class operators are lowering-only."""
     dim = rho.shape[0]
     m = np.arange(dim)[:, None]
     j = np.arange(dim)[None, :]
-    steps = np.where(j > 0, np.sqrt(m + j) / np.maximum(j, 1), 1.0)
-    g = np.where(m + j < dim, np.cumprod(steps, axis=1), 0.0)
-    idx = np.minimum(m + j, dim - 1)
-    return BornDensity(g[:, :, None] * g[:, None, :] * rho[idx[:, :, None], idx[:, None, :]])
-
-
-def _powers(c: np.ndarray, dim: int) -> np.ndarray:
-    """Rows ``(1, c, c^2, ..., c^{dim-1})``, one per entry of ``c``.
-
-    Column j is column j-1 times c, an element-wise product, so a row's
-    bits depend on its own c alone, never on how many rows share the array.
-    """
-    powers = np.empty((c.size, dim), dtype=complex)
-    powers[:, 0] = 1.0
-    for j in range(1, dim):
-        np.multiply(powers[:, j - 1], c, out=powers[:, j])
-    return powers
-
-
-def _weight_terms(table: np.ndarray, c: np.ndarray):
-    """``(powers, q, W)`` per row: the powers of c, ``q = T conj(powers)``
-    and the weight ``W(c) = Re sum_j c^j q_j``.
-
-    ``q`` is one BLAS product per block of :data:`BLOCK` rows, the last
-    block padded with zero rows that are sliced off again.  Rows sit in
-    blocks from index 0 on, and the ensemble driver starts every batch on a
-    block edge, so a row keeps its place in a block of fixed shape and its
-    bits do not depend on how many rows share the call, the thread count
-    or BLAS's own threads.
-    """
-    dim = table.shape[0]
-    n = c.size
-    powers = _powers(c, dim)
-    lhs = np.zeros((n + (-n % BLOCK), dim), dtype=complex)
-    np.conjugate(powers, out=lhs[:n])
-    q = np.matmul(lhs.reshape(-1, BLOCK, dim), table.T).reshape(-1, dim)[:n]
-    return powers, q, np.einsum("nj,nj->n", powers, q).real
+    g = np.cumprod(np.where(j > 0, np.sqrt(m + j) / np.maximum(j, 1), 1.0), axis=1)
+    damp = np.exp(-kappa_o * t * np.arange(dim))
+    table = np.zeros((dim, dim), dtype=complex)
+    for level in range(dim):
+        top = dim - level
+        scale = damp[level] * np.outer(g[level, :top], g[level, :top])
+        table[:top, :top] += scale * rho[level:, level:]
+    return table
 
 
 def het_born_weights(
     born: BornDensity, zetas: np.ndarray, T: float, p: InstrumentParams
 ) -> np.ndarray:
-    """``Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes."""
+    """``Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes: with
+    ``c = conj(zeta)``, ``W = Re sum_j conj(zeta)^j q_j`` and
+    ``q_j = sum_l T_T[j, l] zeta^l``, contracted row by row (no BLAS)."""
     zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    return _weight_terms(born.table(T, p.kappa_o), zetas.conj())[2]
+    table = _weight_table(born.rho, T, p.kappa_o)
+    powers = np.vander(zetas, table.shape[0], increasing=True)
+    q = np.einsum("nl,jl->nj", powers, table)
+    return np.einsum("nj,nj->n", powers.conj(), q).real
 
 
 def born_pdf(
@@ -447,49 +423,75 @@ def sample_het_ostensible(
     return np.sqrt(0.5 * sigma) * (g[:, 0] + 1j * g[:, 1])
 
 
-def _evolve_het_batch(born: BornDensity, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
-    """Record functionals of a batch from its normals, ``normals[i, k]`` the
-    two of trajectory i at step k, with the drift of :func:`run_het_ensemble`.
-    Every operation is row-wise except ``q`` in :func:`_weight_terms`, one
-    BLAS product per block of :data:`~kodsim.ensemble.BLOCK` rows counted
-    from the batch's first row.  The ensemble driver starts every batch on
-    a block edge, so a trajectory does not depend on its batchmates.
+def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Amplitudes ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``,
+    one per row of the ``(n, 3)`` uniforms, each by inverse CDF.
+
+    The phase average leaves ``|gamma|^2`` the mixture
+    ``sum_n rho_nn Gamma(n+1)``: ``uniforms[:, 0]`` picks n from ``diag rho``
+    and ``uniforms[:, 1]`` inverts Gamma(n+1).  Given the radius r, the phase
+    density is ``f / (2 pi c_0)`` with ``f(theta) = c_0 + 2 Re sum_k c_k
+    e^{ik theta}``, ``c_k = sum_m rho[m, m+k] x_m x_{m+k}`` and
+    ``x_m = r^m e^{-r^2/2}/sqrt(m!)`` formed in log space.  Its CDF is in
+    closed form, and ``uniforms[:, 2]`` inverts it by
+    :data:`PHASE_BISECTIONS` bisection steps on every row.
+
+    Every operation is row-wise, and the bisection runs on real arrays:
+    numpy's in-place complex multiply rounds a lone element differently
+    from one in a longer array, which would tie a trajectory's bits to its
+    batch.
     """
-    jj = np.arange(1, born.coeffs.shape[0])
-    phi = lowering_drag(0.5 * p.kappa_dt)
-    sqk = np.sqrt(p.kappa_o)
-    noise = np.sqrt(0.5 * p.dt)
-    times = p.step_times()
-    damp = np.exp(-0.5 * p.kappa_o * times)
-    zeta = np.zeros(normals.shape[0], dtype=complex)
-    for k in range(p.n_steps):
-        table = born.table(times[k], p.kappa_o)
-        powers, q, w = _weight_terms(table, phi * np.conj(zeta))
-        if not np.all(np.isfinite(w) & (w > 0.0)):
-            raise NumericError(f"Born weight left (0, inf) at step {k}")
-        dwdc = np.einsum("nj,j,nj->n", powers[:, :-1], jj, q[:, 1:])
-        dw = sqk * (damp[k] * dwdc / w) * p.dt + (normals[:, k, 0] + 1j * normals[:, k, 1]) * noise
-        zeta += sqk * dw * damp[k]
-    return zeta
+    dim = rho.shape[0]
+    n = draw_levels(np.diagonal(rho).real, uniforms[:, 0])
+    radius_sq = scipy.special.gammaincinv(n + 1.0, uniforms[:, 1])[:, None]
+    m = np.arange(dim)
+    x = np.exp(0.5 * (scipy.special.xlogy(m, radius_sq) - radius_sq - scipy.special.gammaln(m + 1)))
+    c = np.stack([np.sum(np.diagonal(rho, k) * x[:, : dim - k] * x[:, k:], axis=1)
+                  for k in range(dim)], axis=1)
+    # at r = 0 the phase of gamma = 0 is immaterial: draw it uniform
+    c[radius_sq[:, 0] == 0.0] = np.eye(1, dim)
+    c_re, c_im = c.real, c.imag
+    if not np.all(c_re[:, 0] > 0.0):
+        raise NumericError("the Husimi function vanishes on a drawn circle")
+    # CDF(theta) = theta/(2 pi) + Re sum_k b_k (e^{ik theta} - 1), b_k = c_k/(i pi k c_0),
+    # its series summed by Horner's rule in z = e^{i theta}
+    scale = np.pi * np.arange(1, dim) * c_re[:, :1]
+    b_re, b_im = c_im[:, 1:] / scale, -c_re[:, 1:] / scale
+    shift = np.sum(b_re, axis=1)
+    b_re, b_im = b_re.T.copy(), b_im.T.copy()
+    lo = np.zeros(uniforms.shape[0])
+    hi = np.full(uniforms.shape[0], 2.0 * np.pi)
+    for _ in range(PHASE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        z_re, z_im = np.cos(mid), np.sin(mid)
+        s_re, s_im = b_re[-1], b_im[-1]
+        for coef_re, coef_im in zip(b_re[-2::-1], b_im[-2::-1]):
+            s_re, s_im = s_re * z_re - s_im * z_im + coef_re, s_re * z_im + s_im * z_re + coef_im
+        below = mid / (2.0 * np.pi) + (s_re * z_re - s_im * z_im - shift) < uniforms[:, 2]
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    theta = 0.5 * (lo + hi)
+    return np.sqrt(radius_sq[:, 0]) * (np.cos(theta) + 1j * np.sin(theta))
 
 
 def run_het_ensemble(
     born: BornDensity, p: InstrumentParams, n_traj: int, seed: int, n_threads: int = 1
 ) -> np.ndarray:
-    """Record functionals of ``n_traj`` trajectories, one stream per index.
+    """Record functionals at the horizon for ``n_traj`` trajectories, one
+    stream per index: ``zeta = Sigma(T)(gamma + beta)`` (module docstring).
 
-    The disentangled increments compose exactly (module docstring, with
-    ``phi = lowering_drag(kappa_o dt/2)``), so the drift reads the Born
-    weight alone and no state is evolved.  Trajectory i reads ``2 n_steps``
-    normals from ``stream(seed, i)`` and nothing else, and is always
-    computed at row ``i % BLOCK`` of the 64-row block ``i // BLOCK``
-    (:func:`~kodsim.ensemble.run_ensemble` runs whole-block batches), so
-    the per-block BLAS product, and with it the results, are byte-identical
-    for any thread count or BLAS thread count.
+    Trajectory i reads three uniforms, for ``gamma`` by
+    :func:`_husimi_amplitudes`, then two normals, for ``beta``, from
+    ``stream(seed, i)`` and nothing else.  Every operation is row-wise, so
+    results are byte-identical for any thread count; ``p.dt`` plays no part.
     """
+    sigma = screened_integral(p.T, p.kappa_o)
+    # Sigma beta has variance Sigma^2 nbar = Sigma e^{-kappa_o T}, finite at T = 0
+    noise = np.sqrt(0.5 * sigma * np.exp(-p.kappa_o * p.T))
     return run_ensemble(
-        lambda rng: rng.standard_normal(2 * p.n_steps),
-        lambda draws: _evolve_het_batch(born, p, draws.reshape(-1, p.n_steps, 2)),
+        lambda rng: np.append(rng.random(3), rng.standard_normal(2)),
+        lambda draws: (sigma * _husimi_amplitudes(born.rho, draws[:, :3])
+                       + noise * (draws[:, 3] + 1j * draws[:, 4])),
         n_traj, seed, n_threads, complex,
     )
 

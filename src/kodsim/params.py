@@ -88,7 +88,3 @@ class InstrumentParams:
         if _too_coarse(kappa_o, T / steps):
             steps = math.ceil(T / dt)
         return cls(kappa_o=kappa_o, dt=T / steps, T=T, dim=dim)
-
-    def step_times(self) -> np.ndarray:
-        """Left endpoints of the observation steps."""
-        return np.arange(self.n_steps) * self.dt

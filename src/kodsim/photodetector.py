@@ -1,9 +1,10 @@
 """Photon-counting instrument: per-step Kraus operators, record reduction,
 the Poisson distribution of Kraus operators with its screened evolution,
-POVM elements, Born statistics, and the count-indexed jump sampler of the
-ensembles.  Photon counting is blind to coherences and the state after n
-jumps does not depend on their times, so pure and mixed states share one
-table of jump probabilities over (step, n).
+POVM elements, Born statistics, and the ensemble sampler.  A record
+reduces to its count n, and at the horizon the POVM is binomial thinning
+of the photon number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
+``lambda = 1 - e^{-kappa_o T}``.  So the sampler draws the reduced record
+itself: a level m from ``diag rho``, then n from Binom(m, lambda).
 
 Conventions fixed here:
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from .ensemble import run_ensemble
+from .ensemble import draw_levels, run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -294,44 +295,33 @@ def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return est / (total if total > 0 else 1.0)
 
 
-def _jump_table(rows: CountRows, p: InstrumentParams) -> np.ndarray:
-    """``prob[k, n]``, the jump probability at step k after n jumps.
-
-    Each step damps and renormalizes the count rows as a trajectory does.
-    A trajectory's state after n jumps is row n, whatever the jump times,
-    and :func:`count_rows` builds every row normalized, so no trajectory
-    renormalizes a state of its own and none can collapse.
-    """
-    dim = rows.s.size
-    m = np.arange(dim, dtype=float)
-    w = rows.w.copy()
-    decay = np.exp(-p.kappa_dt * m)
-    prob = np.empty((p.n_steps, dim))
-    for k in range(p.n_steps):
-        prob[k] = p.kappa_dt * (w @ m)
-        w *= decay
-        norm = np.sum(w, axis=1)
-        w /= np.where(norm > 0.0, norm, 1.0)[:, None]
-    return prob
+def _binomial_cdf(dim: int, lam: float) -> np.ndarray:
+    """``cdf[m, n] = P(Binom(m, lam) <= n)`` for m, n < dim, +inf from
+    ``n = m`` on."""
+    m = np.arange(dim)
+    cdf = scipy.stats.binom.cdf(m, m[:, None], lam)
+    cdf[m >= m[:, None]] = np.inf
+    return cdf
 
 
-def _count_jumps(prob: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Jump counts of a batch from its ``(n_traj, n_steps)`` uniforms."""
-    counts = np.zeros(uniforms.shape[0], dtype=np.int64)
-    for k, u in enumerate(uniforms.T):
-        counts += u < prob[k][counts]
-    return counts
+def _thin(pops: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Counts of a batch from its ``(n_traj, 2)`` uniforms, each by inverse
+    CDF: the level m from ``uniforms[:, 0]`` and the populations, then the
+    count, the least n with ``cdf[m, n] >= uniforms[:, 1]``."""
+    m = draw_levels(pops, uniforms[:, 0])
+    return np.sum(cdf[m] < uniforms[:, 1:], axis=1)
 
 
 def run_photo_ensemble(rows: CountRows, p: InstrumentParams, n_traj: int, seed: int,
                        n_threads: int = 1) -> np.ndarray:
-    """Jump counts for ``n_traj`` trajectories, one stream per index.
+    """Jump counts at the horizon for ``n_traj`` trajectories, one stream
+    per index.
 
-    Trajectory i jumps at step k when uniform k of ``stream(seed, i)`` is
-    below the jump table's entry for its count so far, so results are
-    byte-identical for any thread count.  Pure and mixed states share the
-    table, which reads only the count rows.
+    Trajectory i reads two uniforms from ``stream(seed, i)`` and nothing
+    else, and every operation is row-wise, so results are byte-identical
+    for any thread count.  Pure and mixed states alike enter through their
+    populations ``rows.w[0]``; ``p.dt`` plays no part.
     """
-    prob = _jump_table(rows, p)
-    return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: _count_jumps(prob, u),
+    cdf = _binomial_cdf(rows.s.size, screened_integral(p.T, p.kappa_o))
+    return run_ensemble(lambda rng: rng.random(2), lambda u: _thin(rows.w[0], cdf, u),
                         n_traj, seed, n_threads, np.int64)

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# how trajectory i reads ``stream(seed, i)``: a new id for any change to a drawn record
+STREAM_SCHEME = "reduced-record/1"
+
 
 @dataclass(frozen=True)
 class Check:
@@ -60,5 +63,6 @@ class VerificationReport:
                 "seed": self.seed,
                 "version": self.version,
                 "config_hash": self.config_hash,
+                "stream_scheme": STREAM_SCHEME,
             },
         }

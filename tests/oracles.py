@@ -3,9 +3,15 @@
 Each builds by the textbook route what a package function computes by a
 faster one: dense per-step conditional evolution of a density matrix (one
 ``scipy.linalg.expm`` per heterodyne increment, through
-:func:`kodsim.verify.kraus_increment`), the disentangled displacement
-product, the 2-D alternating-direction diffusion loop, and the Born
-density's moments by quadrature.  Nothing in ``kodsim`` imports them.
+:func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
+both instruments, the disentangled displacement product, the 2-D
+alternating-direction diffusion loop, and the Born density's moments by
+quadrature.  Nothing in ``kodsim`` imports them.
+
+The stepped samplers take a trajectory through every step of the grid, as
+the instrument evolves, where the package draws the reduced record at the
+horizon from the Born law.  They keep the claim that trajectories
+reproduce that law under test.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from kodsim import heterodyne as het, records
+from kodsim.ensemble import run_ensemble
 from kodsim.exceptions import DomainError, NumericError
 from kodsim.fock import density, exp_lowering, number_diag
 from kodsim.heterodyne import HeterodyneRecord
 from kodsim.params import InstrumentParams, screened_integral
-from kodsim.photodetector import PhotoRecord
+from kodsim.photodetector import CountRows, PhotoRecord
 from kodsim.verify import kraus_increment
 
 # smallest trace a dense sampler may renormalize
@@ -112,6 +119,108 @@ def oracle_counts(rho, p, n_traj, seed):
     """Jump counts of the dense density-matrix sampler, trajectory by trajectory."""
     return np.array(
         [sample_trajectory(rho, p, records.stream(seed, i)).n_jumps for i in range(n_traj)]
+    )
+
+
+def jump_table(rows: CountRows, p: InstrumentParams) -> np.ndarray:
+    """``prob[k, n]``, the jump probability at step k after n jumps.
+
+    Each step damps and renormalizes the count rows as a trajectory does.
+    A trajectory's state after n jumps is row n, whatever the jump times,
+    and ``count_rows`` builds every row normalized, so no trajectory
+    renormalizes a state of its own and none can collapse.
+    """
+    dim = rows.s.size
+    m = np.arange(dim, dtype=float)
+    w = rows.w.copy()
+    decay = np.exp(-p.kappa_dt * m)
+    prob = np.empty((p.n_steps, dim))
+    for k in range(p.n_steps):
+        prob[k] = p.kappa_dt * (w @ m)
+        w *= decay
+        norm = np.sum(w, axis=1)
+        w /= np.where(norm > 0.0, norm, 1.0)[:, None]
+    return prob
+
+
+def count_jumps(prob: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Jump counts of a batch from its ``(n_traj, n_steps)`` uniforms."""
+    counts = np.zeros(uniforms.shape[0], dtype=np.int64)
+    for k, u in enumerate(uniforms.T):
+        counts += u < prob[k][counts]
+    return counts
+
+
+def stepped_counts(rows: CountRows, p: InstrumentParams, n_traj: int, seed: int,
+                   n_threads: int = 1) -> np.ndarray:
+    """Jump counts of the stepped count sampler: trajectory i jumps at step k
+    when uniform k of ``stream(seed, i)`` is below the jump table's entry
+    for its count so far."""
+    prob = jump_table(rows, p)
+    return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: count_jumps(prob, u),
+                        n_traj, seed, n_threads, np.int64)
+
+
+def born_coeffs(rho: np.ndarray) -> np.ndarray:
+    """``C[m, j, l] = g_j(m) g_l(m) rho[m+j, m+l]``, zero where ``m+j`` or
+    ``m+l`` leaves the truncation, ``g_j(m) = sqrt((m+j)!/m!)/j!``: the
+    weight table at any time t is ``sum_m e^{-m kappa_o t} C[m]``, in d^3
+    memory."""
+    dim = rho.shape[0]
+    m = np.arange(dim)[:, None]
+    j = np.arange(dim)[None, :]
+    steps = np.where(j > 0, np.sqrt(m + j) / np.maximum(j, 1), 1.0)
+    g = np.where(m + j < dim, np.cumprod(steps, axis=1), 0.0)
+    idx = np.minimum(m + j, dim - 1)
+    return g[:, :, None] * g[:, None, :] * rho[idx[:, :, None], idx[:, None, :]]
+
+
+def born_table(coeffs: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
+    """The weight table ``T_t[j, l]`` from the coefficients of :func:`born_coeffs`."""
+    dim = coeffs.shape[0]
+    return np.einsum("m,mjl->jl", np.exp(-kappa_o * t * np.arange(dim)), coeffs)
+
+
+def evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarray) -> np.ndarray:
+    """Record functionals of a batch from its normals, ``normals[i, k]`` the
+    two of trajectory i at step k.
+
+    After a record with partial functional ``zeta_k`` the conditional state
+    is ``K rho K^dag`` normalized, ``K = e^{-a^dag a kappa_o t_k/2} e^{c a}``
+    with ``c = phi conj(zeta_k)`` and ``phi = lowering_drag(kappa_o dt/2)``.
+    So each increment's drift ``sqrt(kappa_o) Tr(a rho_k) dt``, with
+    ``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``, reads the Born weight
+    alone, and no state is evolved.
+    """
+    jj = np.arange(1, coeffs.shape[0])
+    phi = het.lowering_drag(0.5 * p.kappa_dt)
+    sqk = np.sqrt(p.kappa_o)
+    noise = np.sqrt(0.5 * p.dt)
+    times = np.arange(p.n_steps) * p.dt
+    damp = np.exp(-0.5 * p.kappa_o * times)
+    zeta = np.zeros(normals.shape[0], dtype=complex)
+    for k in range(p.n_steps):
+        table = born_table(coeffs, times[k], p.kappa_o)
+        powers = np.vander(phi * np.conj(zeta), table.shape[0], increasing=True)
+        q = powers.conj() @ table.T
+        w = np.einsum("nj,nj->n", powers, q).real
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise NumericError(f"Born weight left (0, inf) at step {k}")
+        dwdc = np.einsum("nj,j,nj->n", powers[:, :-1], jj, q[:, 1:])
+        dw = sqk * (damp[k] * dwdc / w) * p.dt + (normals[:, k, 0] + 1j * normals[:, k, 1]) * noise
+        zeta += sqk * dw * damp[k]
+    return zeta
+
+
+def stepped_zetas(state: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
+                  n_threads: int = 1) -> np.ndarray:
+    """Record functionals of the stepped heterodyne sampler, trajectory i
+    reading ``2 n_steps`` normals from ``stream(seed, i)``."""
+    coeffs = born_coeffs(density(state))
+    return run_ensemble(
+        lambda rng: rng.standard_normal(2 * p.n_steps),
+        lambda draws: evolve_het_batch(coeffs, p, draws.reshape(-1, p.n_steps, 2)),
+        n_traj, seed, n_threads, complex,
     )
 
 

@@ -451,6 +451,21 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     assert [c.name for c in report.checks] == check_names
     data = json.loads((tmp_path / "report.json").read_text())
     assert [c["name"] for c in data["checks"]] == check_names
+    assert sorted(data["provenance"]) == ["config_hash", "seed", "stream_scheme", "version"]
+    assert data["provenance"]["stream_scheme"] == "reduced-record/1"
+
+
+@pytest.mark.parametrize("kind", ["photodetect-ensemble", "heterodyne-ensemble"])
+def test_dt_does_not_change_the_ensembles(tmp_path, kind):
+    # both ensembles draw the reduced record at the horizon, so params.dt
+    # reaches only the weak-coupling check and the config hash
+    tables = []
+    for dt in (1e-3, 4e-3):
+        cfg = cli.resolve_config(kind, {"trajectories": 300, "params": {"dim": 16, "dt": dt}})
+        cli.run(cfg, str(tmp_path / str(dt)))
+        tables.append({name: (tmp_path / str(dt) / name).read_bytes()
+                       for name in os.listdir(tmp_path / str(dt)) if name.endswith(".csv")})
+    assert len(tables[0]) == 3 and tables[0] == tables[1]
 
 
 def run_main(tmp_path, kind, cfg_dict, *args):
@@ -695,6 +710,8 @@ ORACLES = {
     "time_ordered_product", "time_ordered_product_het", "kraus_increment", "matrix_exp",
     "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
     "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
+    "jump_table", "count_jumps", "stepped_counts", "born_coeffs", "born_table",
+    "evolve_het_batch", "stepped_zetas",
 }
 PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 

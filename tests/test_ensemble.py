@@ -1,15 +1,14 @@
-"""Shared ensemble driver and the renormalization guard."""
+"""Shared ensemble driver, its row-wise kernels, and the renormalization guard."""
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
 
-from kodsim import ensemble
+from kodsim import ensemble, heterodyne as het, photodetector as pd
 from kodsim.exceptions import NumericError
 from oracles import renormalize_density
-
-
-def test_batch_is_whole_blocks():
-    assert ensemble.BATCH % ensemble.BLOCK == 0
 
 
 def test_partition_and_batching_do_not_change_results(monkeypatch):
@@ -19,15 +18,31 @@ def test_partition_and_batching_do_not_change_results(monkeypatch):
     def evolve(draws):
         return draws.sum(axis=1)
 
-    n_traj = 2 * ensemble.BLOCK + 5
+    n_traj = 133
     base = ensemble.run_ensemble(draw, evolve, n_traj, 4, 1, float)
-    for batch in (ensemble.BLOCK, 2 * ensemble.BLOCK, 64 * ensemble.BLOCK):
+    for batch in (1, 7, 64, ensemble.BATCH):
         monkeypatch.setattr(ensemble, "BATCH", batch)
         for threads in (1, 3, 4):
             other = ensemble.run_ensemble(draw, evolve, n_traj, 4, threads, float)
             assert np.array_equal(base, other), (batch, threads)
     empty = ensemble.run_ensemble(draw, evolve, 0, 4, 2, np.int64)
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+# everything the two ensembles run per batch or per trajectory
+KERNELS = (ensemble.run_ensemble, ensemble.draw_levels, pd._binomial_cdf, pd._thin,
+           pd.run_photo_ensemble, het._husimi_amplitudes, het.run_het_ensemble)
+# products that reduce across rows, through BLAS or a contraction that may call it
+CROSS_ROW = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "einsum_path"}
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=[k.__qualname__ for k in KERNELS])
+def test_ensemble_kernels_are_row_wise(kernel):
+    tree = ast.parse(inspect.getsource(kernel))
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.BinOp) or not isinstance(node.op, ast.MatMult)
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        assert name not in CROSS_ROW, name
 
 
 def test_renormalize_guards_fire_on_collapse_and_nan():

@@ -2,19 +2,18 @@
 amplitude density, POVM completeness, Born density, and samplers."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.optimize
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kodsim import ensemble, fock, heterodyne as het, records, verify
-from kodsim.ensemble import BLOCK
 from kodsim.exceptions import (
     DomainError,
     ExtentError,
@@ -22,7 +21,16 @@ from kodsim.exceptions import (
     NumericError,
 )
 from kodsim.params import InstrumentParams, screened_integral
-from oracles import adi_2d, born_pdf_quadrature, sample_het_trajectory, wiener_increment
+from oracles import (
+    adi_2d,
+    born_coeffs,
+    born_pdf_quadrature,
+    born_table,
+    evolve_het_batch,
+    sample_het_trajectory,
+    stepped_zetas,
+    wiener_increment,
+)
 
 LN2 = math.log(2.0)
 
@@ -31,16 +39,38 @@ def params(kappa_T=1.0, dim=40, dt=1e-3):
     return InstrumentParams.fit_steps(kappa_o=1.0, T=kappa_T, dt=dt, dim=dim)
 
 
-# ensembles that cross block edges (BLOCK = 64 rows) at a short horizon
-BLOCK_DIMS = (40, 120)
-BLOCK_TRAJ = 257
+def coherent_fock_mixture(dim):
+    return (0.5 * fock.density(fock.coherent_state(dim, np.exp(0.7j)))
+            + 0.5 * fock.projector(dim, 3))
 
 
-def blocks_case(dim):
-    """A mixed state with a dense weight table, at kappa_T = 0.05."""
-    rho = (0.6 * fock.density(fock.coherent_state(dim, 1.5 + 0.5j))
-           + 0.4 * fock.projector(dim, 2))
-    return het.born_density(rho), params(kappa_T=0.05, dim=dim)
+def random_mixed(dim, seed=17):
+    rng = records.stream(seed, 0)
+    g = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def husimi_by_hand(rho, u):
+    """gamma from three uniforms: the level by inverse CDF of diag rho, the
+    squared radius as the Gamma(n+1) quantile, and the phase by a root of
+    the quadrature CDF of <gamma|rho|gamma> on that circle."""
+    pops = np.real(np.diag(rho))
+    n = int(np.argmax(np.cumsum(pops) > u[0] * pops.sum()))
+    r = math.sqrt(scipy.special.gammaincinv(n + 1, u[1]))
+
+    def on_circle(theta):
+        v = fock.coherent_state(rho.shape[0], r * np.exp(1j * theta))
+        return float(np.real(v.conj() @ rho @ v))
+
+    def cdf(theta):
+        return scipy.integrate.quad(on_circle, 0.0, theta, epsabs=1e-14, epsrel=1e-13,
+                                    limit=200)[0]
+
+    total = cdf(2.0 * np.pi)
+    theta = scipy.optimize.brentq(lambda t: cdf(t) / total - u[2], 0.0, 2.0 * np.pi,
+                                  xtol=1e-13)
+    return r * np.exp(1j * theta)
 
 
 class TestWienerIncrements:
@@ -131,8 +161,9 @@ class TestRecordFunctionals:
         # the end-weighted functional has the same law by time reversal
         p = params(kappa_T=LN2, dim=4, dt=2e-3)
         runs = 10**5
-        damp_start = np.exp(-0.5 * p.step_times())
-        damp_end = np.exp(-0.5 * (p.T - p.step_times()))
+        times = np.arange(p.n_steps) * p.dt
+        damp_start = np.exp(-0.5 * times)
+        damp_end = np.exp(-0.5 * (p.T - times))
         rng = records.stream(19, 0)
         zeta2 = 0.0
         nu2 = 0.0
@@ -358,10 +389,7 @@ class TestBornDensity:
         # a random mixed state at d=16, Fock 30 at d=40: the POVM's moments
         # against the order-32 quadrature, exact for these polynomials
         if dim == 16:
-            rng = records.stream(17, 0)
-            g = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
-            rho = g @ g.conj().T
-            rho /= np.trace(rho).real
+            rho = random_mixed(dim)
         else:
             rho = fock.projector(dim, 30)
         p = params(kappa_T=kappa_T, dim=dim)
@@ -472,13 +500,53 @@ class TestSamplers:
         ids=["coherent", "fock3", "coherent-density", "fock-mixture", "coherent-fock-mixture"],
     )
     def test_batch_matches_dense_oracle_per_trajectory(self, state):
-        # the batch sampler reproduces the dense expm sampler draw for draw
+        # the stepped batch sampler reproduces the dense expm sampler draw for draw
         p = params(kappa_T=0.05, dim=16)
         rho = fock.density(state)
-        zetas = het.run_het_ensemble(het.born_density(state), p, 12, seed=8)
+        zetas = stepped_zetas(state, p, 12, seed=8)
         for i, z in enumerate(zetas):
             rec = sample_het_trajectory(rho, p, records.stream(8, i))
             assert abs(z - het.record_functional(rec, p.kappa_o)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "state",
+        [fock.coherent_state(16, 0.8 + 0.3j), fock.fock_state(16, 3), coherent_fock_mixture(16),
+         random_mixed(16)],
+        ids=["coherent", "fock3", "coherent-fock-mixture", "random-mixed"],
+    )
+    def test_each_amplitude_is_its_own_husimi_draw(self, state):
+        # trajectory i: Sigma(T) times gamma from its three uniforms, plus
+        # its two normals as thermal noise of occupation 1/(e^{kappa_o T} - 1)
+        p = params(kappa_T=LN2, dim=16)
+        rho = fock.density(state)
+        sigma = screened_integral(LN2, 1.0)
+        nbar = 1.0 / (math.exp(LN2) - 1.0)
+        zetas = het.run_het_ensemble(het.born_density(state), p, 6, seed=8)
+        for i, z in enumerate(zetas):
+            rng = records.stream(8, i)
+            u, g = rng.random(3), rng.standard_normal(2)
+            beta = math.sqrt(nbar / 2.0) * (g[0] + 1j * g[1])
+            assert abs(z - sigma * (husimi_by_hand(rho, u) + beta)) < 1e-9, i
+
+    @pytest.mark.parametrize(
+        "state", [fock.fock_state(16, 5), fock.coherent_state(16, 1.0), coherent_fock_mixture(16)],
+        ids=["fock5", "coherent", "mixture"],
+    )
+    def test_zero_radius_uniform_gives_the_origin(self, state):
+        # a Gamma quantile at a uniform of exactly 0 is r = 0, where the
+        # phase is immaterial even when no phase density exists (Fock 5)
+        uniforms = np.array([[0.3, 0.0, 0.7], [0.0, 0.0, 0.0], [0.9, 0.0, 1.0 - 2.0**-53]])
+        gamma = het._husimi_amplitudes(fock.density(state), uniforms)
+        assert np.array_equal(gamma, np.zeros(3, dtype=complex))
+
+    def test_vanishing_husimi_circle_raises(self):
+        # no intake admits the zero matrix, so it enters as a raw BornDensity
+        p = params(kappa_T=LN2, dim=4)
+        zero = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(NumericError):
+            het._husimi_amplitudes(zero, np.full((2, 3), 0.5))
+        with pytest.raises(NumericError):
+            het.run_het_ensemble(het.BornDensity(zero), p, 3, seed=1)
 
     def test_vector_and_its_density_give_identical_trajectories(self):
         # a unit vector reaches the sampler only as its pure density
@@ -493,65 +561,69 @@ class TestSamplers:
 
     def test_overflowing_record_raises(self):
         p = params(kappa_T=0.05, dim=8)
-        born = het.born_density(fock.coherent_state(8, 0.5))
+        coeffs = born_coeffs(fock.density(fock.coherent_state(8, 0.5)))
         normals = np.full((3, p.n_steps, 2), 1e200)
         with np.errstate(all="ignore"), pytest.raises(NumericError):
-            het._evolve_het_batch(born, p, normals)
+            evolve_het_batch(coeffs, p, normals)
 
     def test_batch_size_and_threads_do_not_change_trajectories(self, monkeypatch):
-        # every operation is row-wise or one product per fixed 64-row block,
-        # so a trajectory never sees its batchmates.  An earlier sampler's
-        # batch-wide stopping test changed 9 of these 600 at batch=1, 3 of
-        # them among the first 34, which are rerun here in one short block
+        # every operation is row-wise, so a trajectory never sees its
+        # batchmates.  An earlier sampler's batch-wide stopping test changed
+        # 9 of these 600 at batch=1, 3 of them among the first 34
         p = params(kappa_T=LN2, dim=40)
         psi = (fock.fock_state(40, 0) + fock.fock_state(40, 12)) / math.sqrt(2.0)
         born = het.born_density(psi)
         base = het.run_het_ensemble(born, p, 600, seed=3)
-        monkeypatch.setattr(ensemble, "BATCH", BLOCK)
+        monkeypatch.setattr(ensemble, "BATCH", 1)
         assert np.array_equal(het.run_het_ensemble(born, p, 34, seed=3), base[:34])
-        # four blocks and one row: thread bounds and batch edges move between
-        # block edges, and some batch sizes leave the last row alone.  A BLAS
-        # product shaped by the batch takes a lone row as a matrix-vector
-        # product, whose bits differ
-        for dim in BLOCK_DIMS:
-            born, q = blocks_case(dim)
-            monkeypatch.setattr(ensemble, "BATCH", 64 * BLOCK)
-            base = het.run_het_ensemble(born, q, BLOCK_TRAJ, seed=9)
-            for batch in (BLOCK, 2 * BLOCK, 64 * BLOCK):
+        # batch=1 makes every row a lone row, which a sum down a column or
+        # numpy's in-place complex multiply rounds unlike a row of a longer array
+        for dim in (16, 40):
+            born, q = het.born_density(random_mixed(dim)), params(kappa_T=0.05, dim=dim)
+            monkeypatch.setattr(ensemble, "BATCH", 4096)
+            base = het.run_het_ensemble(born, q, 257, seed=9)
+            for batch, n_traj in ((1, 12), (7, 40), (64, 257)):
                 monkeypatch.setattr(ensemble, "BATCH", batch)
                 for n_threads in (1, 2, 3):
-                    again = het.run_het_ensemble(born, q, BLOCK_TRAJ, 9, n_threads)
-                    assert np.array_equal(again, base), (dim, batch, n_threads)
-
-    @pytest.mark.parametrize("blas_threads", ["1", "2"])
-    def test_blas_threads_do_not_change_trajectories(self, tmp_path, blas_threads):
-        # BLAS reads its thread count when numpy loads, so a fresh interpreter
-        # runs the same ensembles, 2 threads at batches of two blocks
-        out = tmp_path / "zetas.npy"
-        script = (
-            "import sys, numpy as np\n"
-            "from kodsim import ensemble, heterodyne as het\n"
-            "from test_heterodyne import BLOCK_DIMS, BLOCK_TRAJ, blocks_case\n"
-            "ensemble.BATCH = 2 * ensemble.BLOCK\n"
-            "np.save(sys.argv[1], np.stack([het.run_het_ensemble(*blocks_case(d), BLOCK_TRAJ, 9, 2)\n"
-            "                               for d in BLOCK_DIMS]))\n"
-        )
-        paths = [Path(het.__file__).resolve().parents[1], Path(__file__).resolve().parent]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-                   PYTHONPATH=os.pathsep.join(map(str, paths)))
-        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
-        here = [het.run_het_ensemble(*blocks_case(d), BLOCK_TRAJ, 9) for d in BLOCK_DIMS]
-        assert np.array_equal(np.load(out), np.stack(here))
+                    again = het.run_het_ensemble(born, q, n_traj, 9, n_threads)
+                    assert np.array_equal(again, base[:n_traj]), (dim, batch, n_threads)
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.02, dim=8)
         with pytest.raises(DomainError):
             het.run_het_ensemble(het.born_density(np.zeros(8, dtype=complex)), p, 5, seed=2)
+        with pytest.raises(DomainError):
+            het.born_density(math.sqrt(0.5) * fock.fock_state(8, 1))
 
     def test_ostensible_sampler_covariance(self):
         draws = het.sample_het_ostensible(LN2, 1.0, 10**5, records.stream(51, 0))
         assert draws.shape == (10**5,) and draws.dtype == complex
         assert abs(np.mean(np.abs(draws) ** 2) / 0.5 - 1.0) < 0.02
+
+    def test_weight_table_matches_the_cubic_coefficients(self):
+        rho = random_mixed(16)
+        coeffs = born_coeffs(rho)
+        for t in (0.0, 0.3, LN2):
+            ref = born_table(coeffs, t, 1.0)
+            assert_allclose(het._weight_table(rho, t, 1.0), ref, rtol=0.0,
+                            atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_born_density_memory_is_quadratic(self):
+        # Fock 319 at d=320: a d^3 complex coefficient array would be 0.5 GB
+        dim = 320
+        p = params(kappa_T=LN2, dim=dim)
+        tracemalloc.start()
+        try:
+            born = het.born_density(fock.fock_state(dim, dim - 1))
+            weights = het.het_born_weights(born, np.array([0.5 + 0.2j, -1.0]), LN2, p)
+            mean, cov = born.moments(LN2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        sigma = screened_integral(LN2, 1.0)
+        assert mean == 0.0 and cov == pytest.approx(sigma * (1.0 + sigma * (dim - 1)), rel=1e-14)
+        assert np.all(np.isfinite(weights))
 
     def test_ostensible_weights_vacuum_unity(self):
         p = params(kappa_T=LN2, dim=12)

@@ -44,7 +44,6 @@ def test_rejects_bad_scalars():
 def test_zero_horizon_has_no_steps():
     p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=0.0, dim=5)
     assert p.n_steps == 0
-    assert p.step_times().size == 0
 
 
 def test_fit_steps_rounds_up_only_past_the_coupling_bound():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kodsim import ensemble, fock, photodetector as pd, records
-from kodsim.ensemble import BLOCK
 from kodsim.exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -20,7 +19,7 @@ from kodsim.exceptions import (
     NumericError,
 )
 from kodsim.params import InstrumentParams, screened_integral
-from oracles import oracle_counts, sample_trajectory
+from oracles import count_jumps, jump_table, oracle_counts, sample_trajectory, stepped_counts
 
 LN2 = math.log(2.0)
 
@@ -411,7 +410,8 @@ ORACLE_STATES = {
 
 
 class TestCountSampler:
-    """The count-indexed ensemble sampler against the dense sampler."""
+    """The exact count sampler by hand, and the stepped count sampler of
+    the oracles against the dense sampler."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
     def test_counts_match_dense_sampler(self, name):
@@ -420,17 +420,32 @@ class TestCountSampler:
         rho = fock.density(state)
         if name == "near-pure-density":
             assert abs(np.real(np.trace(rho @ rho)) - 1.0) > 1e-12
-        counts = pd.run_photo_ensemble(pd.count_rows(state), p, 300, seed=17)
+        counts = stepped_counts(pd.count_rows(state), p, 300, seed=17)
         assert counts.dtype == np.int64
         assert counts.sum() > 0
         assert np.array_equal(counts, oracle_counts(rho, p, 300, seed=17))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
+    def test_each_count_thins_its_own_draws(self, name):
+        # trajectory i: level m by inverse CDF of diag rho with its first
+        # uniform, then scipy's binomial quantile at its second
+        p = params(kappa_T=LN2, dim=12)
+        state = ORACLE_STATES[name](12)
+        pops = np.real(np.diag(fock.density(state)))
+        lam = screened_integral(LN2, 1.0)
+        counts = pd.run_photo_ensemble(pd.count_rows(state), p, 200, seed=17)
+        assert counts.dtype == np.int64
+        for i, count in enumerate(counts):
+            u = records.stream(17, i).random(2)
+            m = int(np.argmax(np.cumsum(pops) > u[0] * pops.sum()))
+            assert count == scipy.stats.binom.ppf(u[1], m, lam), i
 
     def test_batch_and_thread_invariance(self, monkeypatch):
         p = params(kappa_T=LN2, dim=16)
         rho = benchmark_style_mixture(16)
         rows = pd.count_rows(rho)
         base = pd.run_photo_ensemble(rows, p, 150, seed=3)
-        for batch in (BLOCK, 2 * BLOCK, 64 * BLOCK):
+        for batch in (1, 7, 64, 4096):
             monkeypatch.setattr(ensemble, "BATCH", batch)
             for threads in (1, 2, 3):
                 other = pd.run_photo_ensemble(rows, p, 150, seed=3, n_threads=threads)
@@ -446,7 +461,7 @@ class TestCountSampler:
     def test_ordinary_states_need_no_collapse_check(self):
         p = params(kappa_T=LN2, dim=16)
         for state in (fock.fock_state(16, 5), fock.coherent_state(16, 1.0)):
-            prob = pd._jump_table(pd.count_rows(state), p)
+            prob = jump_table(pd.count_rows(state), p)
             assert prob.shape == (p.n_steps, 16) and np.all(prob >= 0.0)
 
     def test_jump_onto_a_tiny_population_counts_exactly(self):
@@ -456,30 +471,29 @@ class TestCountSampler:
         # rows, built normalized: the count is exact and no norm collapses
         p = params(kappa_T=0.05, dim=6)
         pop0 = np.array([1.0, 1e-30, 0.0, 0.0, 0.0, 0.0])
-        prob = pd._jump_table(pd.count_rows(np.diag(pop0)), p)
-        assert np.array_equal(pd._count_jumps(prob, np.zeros((3, p.n_steps))),
+        prob = jump_table(pd.count_rows(np.diag(pop0)), p)
+        assert np.array_equal(count_jumps(prob, np.zeros((3, p.n_steps))),
                               np.ones(3, dtype=np.int64))
         uniforms = np.full((3, p.n_steps), 2.0**-53)
-        assert np.array_equal(pd._count_jumps(prob, uniforms), np.zeros(3, dtype=np.int64))
+        assert np.array_equal(count_jumps(prob, uniforms), np.zeros(3, dtype=np.int64))
+        # the exact sampler draws the level from the cumulative populations,
+        # where 1e-30 lies below a uniform's resolution: it counts from |0>
+        cdf = pd._binomial_cdf(6, screened_integral(0.05, 1.0))
+        uniforms = np.array([[0.0, 0.0], [0.0, 0.99], [1.0 - 2.0**-53, 0.01]])
+        assert np.array_equal(pd._thin(pop0, cdf, uniforms), np.zeros(3, dtype=np.int64))
 
-    def test_vector_and_its_density_share_the_floor(self, monkeypatch):
+    def test_vector_and_its_density_share_the_floor(self):
         # a jump from |0> + 1e-10|1> has probability about 1e-20 kappa_o dt;
-        # the vector and its density give one jump table
+        # the vector and its density give one jump table, the same
+        # populations and the same counts
         p = params(kappa_T=0.05, dim=6)
         psi = fock.fock_state(6, 0) + 1e-10 * fock.fock_state(6, 1)
         psi /= np.linalg.norm(psi)
-        tables = []
-        build = pd._jump_table
-
-        def record(*args):
-            tables.append(build(*args))
-            return tables[-1]
-
-        monkeypatch.setattr(pd, "_jump_table", record)
-        for state in (psi, fock.density(psi)):
-            pd.run_photo_ensemble(pd.count_rows(state), p, 3, seed=1)
-        prob_vec, prob_rho = tables
-        assert np.array_equal(prob_vec, prob_rho)
+        rows_vec, rows_rho = pd.count_rows(psi), pd.count_rows(fock.density(psi))
+        assert np.array_equal(jump_table(rows_vec, p), jump_table(rows_rho, p))
+        assert np.array_equal(rows_vec.w[0], rows_rho.w[0])
+        assert np.array_equal(pd.run_photo_ensemble(rows_vec, p, 50, seed=1),
+                              pd.run_photo_ensemble(rows_rho, p, 50, seed=1))
 
     def test_high_truncation_matches_dense_sampler(self):
         # (m + n)!/m! overflows a double for dim >= 171
@@ -488,8 +502,10 @@ class TestCountSampler:
         psi = np.zeros(dim, dtype=complex)
         psi[[150, 190]] = [0.6, 0.8]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            prob = pd._jump_table(pd.count_rows(psi), p)
-            counts = pd.run_photo_ensemble(pd.count_rows(psi), p, 4, seed=2)
+            prob = jump_table(pd.count_rows(psi), p)
+            counts = stepped_counts(pd.count_rows(psi), p, 4, seed=2)
+            exact = pd.run_photo_ensemble(pd.count_rows(psi), p, 400, seed=2)
         assert np.all(np.isfinite(prob))
         assert counts.sum() > 0
         assert np.array_equal(counts, oracle_counts(fock.density(psi), p, 4, seed=2))
+        assert 0 < exact.min() and exact.max() <= 190
