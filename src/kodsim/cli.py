@@ -318,7 +318,8 @@ def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> Ex
 
 
 def build_initial_state(state: dict, dim: int) -> np.ndarray:
-    """State vector or density matrix from its config description; intakes check it."""
+    """State vector or density matrix from its config description, for
+    :func:`fock.density` to check."""
     if state["kind"] == "fock":
         return fock.fock_state(dim, state["n"])
     if state["kind"] == "coherent":
@@ -373,11 +374,11 @@ def _gate(cfg: ExperimentConfig, key: str) -> float:
     return gate if anchor is None else gate * math.sqrt(anchor / cfg.resolved["trajectories"])
 
 
-def _ensemble_setup(cfg: ExperimentConfig, intake):
-    """Params, the initial state as the instrument reads it, trajectory count."""
+def _ensemble_setup(cfg: ExperimentConfig):
+    """Params, the initial state's checked density matrix, trajectory count."""
     p = cfg.instrument_params()
-    state = intake(build_initial_state(cfg.resolved["initial_state"], p.dim))
-    return p, state, cfg.resolved["trajectories"]
+    rho = fock.density(build_initial_state(cfg.resolved["initial_state"], p.dim))
+    return p, rho, cfg.resolved["trajectories"]
 
 
 # A runner maps ``(cfg, n_threads)`` to ``(checks, tables)``, a table being
@@ -385,18 +386,18 @@ def _ensemble_setup(cfg: ExperimentConfig, intake):
 
 
 def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
-    p, rows, n_traj = _ensemble_setup(cfg, pd.count_rows)
+    p, rho, n_traj = _ensemble_setup(cfg)
     seed, n_max = cfg.resolved["seed"], cfg.resolved["n_max"]
     kod_pmf = pd.kod_poisson(p.T, p.kappa_o).pmf_array(n_max)
-    born = pd.born_pmf(rows, p.T, p, n_max=n_max)
-    counts = pd.run_photo_ensemble(rows, p, n_traj, seed, n_threads)
+    born = pd.born_pmf(rho, p.T, p, n_max=n_max)
+    counts = pd.run_photo_ensemble(rho, p, n_traj, seed, n_threads)
     checks: list[Check] = []
     if n_traj > 0:
         observed = np.bincount(counts, minlength=n_max + 1)[: n_max + 1]
         empirical = observed / n_traj
         # method C: state-independent draws, importance-weighted
         draws = stream(seed, n_traj).poisson(screened_integral(p.T, p.kappa_o), size=n_traj)
-        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rows, p.T, p, n_max=n_max))
+        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
         # counts above n_max, and the Born mass there, form one tail bin
         p_val = chi_square_gof(np.append(observed, n_traj - observed.sum()),
                                np.append(born, max(0.0, 1.0 - born.sum())))
@@ -415,9 +416,9 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
 
 
 def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
-    p, born, n_traj = _ensemble_setup(cfg, het.born_density)
-    mean_ref, cov_ref = born.moments(p.T, p.kappa_o)
-    zetas = het.run_het_ensemble(born, p, n_traj, cfg.resolved["seed"], n_threads)
+    p, rho, n_traj = _ensemble_setup(cfg)
+    mean_ref, cov_ref = het.born_moments(rho, p.T, p.kappa_o)
+    zetas = het.run_het_ensemble(rho, p, n_traj, cfg.resolved["seed"], n_threads)
 
     n_bins = cfg.resolved["bins"]
     half = 3.5 * math.sqrt(cov_ref / 2.0)
@@ -426,7 +427,7 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
     mid_re = 0.5 * (edges_re[:-1] + edges_re[1:])
     mid_im = 0.5 * (edges_im[:-1] + edges_im[1:])
     area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
-    probs = het.born_bin_probs(born, edges_re, edges_im, p.T, p)
+    probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
 
     checks: list[Check] = []
     if n_traj > 0:

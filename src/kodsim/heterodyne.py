@@ -18,7 +18,9 @@ coordinates the POVM is a displaced thermal state of occupation
 ``nbar = 1/(e^{kappa_o T} - 1)`` (the left-invariance identity), the time of
 the instrument standing in for a temperature.  So the ensemble sampler
 draws ``zeta = Sigma(T)(gamma + beta)`` directly, with ``gamma`` from the
-Husimi function ``<gamma|rho|gamma>/pi`` and ``beta ~ CN(0, nbar)``.
+Husimi function ``<gamma|rho|gamma>/pi`` and ``beta ~ CN(0, nbar)``.  The
+Born references and the sampler read a state as its checked density matrix
+``rho`` (:func:`fock.density`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .exceptions import (
 )
 from .fock import (
     coherent_state,
-    density,
     displacement_unitary,
     exp_lowering,
     number_diag,
@@ -322,30 +323,17 @@ def povm_left_invariance_defect(
     )
 
 
-@dataclass(frozen=True)
-class BornDensity:
-    """A state as the heterodyne instrument reads it, its density matrix
-    ``rho``: the Born references and the ensemble sampler read nothing else."""
-
-    rho: np.ndarray
-
-    def moments(self, T: float, kappa_o: float) -> tuple[complex, float]:
-        """Mean and central covariance of the Born density, from the POVM's
-        first two moments ``Sigma(T) a`` and ``Sigma(T) (1 + Sigma(T) a^dag a)``,
-        with ``Tr(a rho) = sum_m sqrt(m+1) rho[m+1, m]``."""
-        sigma = screened_integral(T, kappa_o)
-        pops = np.diagonal(self.rho).real
-        tr = float(np.sum(pops))
-        lowered = np.sum(np.sqrt(np.arange(1, pops.size)) * np.diagonal(self.rho, -1))
-        mean = complex(sigma * lowered / tr)
-        second = sigma * (1.0 + sigma * float(np.sum(np.arange(pops.size) * pops)) / tr)
-        return mean, second - abs(mean) ** 2
-
-
-def born_density(state: np.ndarray) -> BornDensity:
-    """A state vector or density matrix (:func:`fock.density`) as the
-    heterodyne instrument reads it."""
-    return BornDensity(density(state))
+def born_moments(rho: np.ndarray, T: float, kappa_o: float) -> tuple[complex, float]:
+    """Mean and central covariance of the Born density, from the POVM's
+    first two moments ``Sigma(T) a`` and ``Sigma(T) (1 + Sigma(T) a^dag a)``,
+    with ``Tr(a rho) = sum_m sqrt(m+1) rho[m+1, m]``."""
+    sigma = screened_integral(T, kappa_o)
+    pops = np.diagonal(rho).real
+    tr = float(np.sum(pops))
+    lowered = np.sum(np.sqrt(np.arange(1, pops.size)) * np.diagonal(rho, -1))
+    mean = complex(sigma * lowered / tr)
+    second = sigma * (1.0 + sigma * float(np.sum(np.arange(pops.size) * pops)) / tr)
+    return mean, second - abs(mean) ** 2
 
 
 def _weight_table(rho: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
@@ -368,33 +356,42 @@ def _weight_table(rho: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
 
 
 def het_born_weights(
-    born: BornDensity, zetas: np.ndarray, T: float, p: InstrumentParams
+    rho: np.ndarray, zetas: np.ndarray, T: float, p: InstrumentParams
 ) -> np.ndarray:
     """``Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes: with
     ``c = conj(zeta)``, ``W = Re sum_j conj(zeta)^j q_j`` and
-    ``q_j = sum_l T_T[j, l] zeta^l``, contracted row by row (no BLAS)."""
+    ``q_j = sum_l T_T[j, l] zeta^l``, contracted row by row (no BLAS).
+
+    The powers ``zeta^l`` reach ``l = dim - 1`` and overflow a double once
+    ``|zeta|^(dim-1)`` does; a weight that is not finite raises NumericError.
+    """
     zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    table = _weight_table(born.rho, T, p.kappa_o)
-    powers = np.vander(zetas, table.shape[0], increasing=True)
-    q = np.einsum("nl,jl->nj", powers, table)
-    return np.einsum("nj,nj->n", powers.conj(), q).real
+    table = _weight_table(rho, T, p.kappa_o)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.vander(zetas, table.shape[0], increasing=True)
+        q = np.einsum("nl,jl->nj", powers, table)
+        weights = np.einsum("nj,nj->n", powers.conj(), q).real
+    if not np.all(np.isfinite(weights)):
+        bad = abs(zetas[np.argmin(np.isfinite(weights))])
+        raise NumericError(f"Born weight not finite at |zeta| = {bad:.3g}, dim {table.shape[0]}")
+    return weights
 
 
 def born_pdf(
-    born: BornDensity, zeta, T: float, p: InstrumentParams
+    rho: np.ndarray, zeta, T: float, p: InstrumentParams
 ) -> float | np.ndarray:
     """Born density ``P(zeta|rho) = D_T(zeta) Tr(K_T(zeta)^dag K_T(zeta) rho)``
     against d^2 zeta / pi."""
     kod = kod_gaussian(T, p.kappa_o)
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    vals = kod.density(zetas) * het_born_weights(born, zetas, T, p)
+    vals = kod.density(zetas) * het_born_weights(rho, zetas, T, p)
     if float(np.min(vals)) < -1e-10:
         raise NumericError(f"negative density {np.min(vals)}")
     vals = np.clip(vals, 0.0, None)
     return float(vals[0]) if np.isscalar(zeta) or np.ndim(zeta) == 0 else vals
 
 
-def born_bin_probs(born: BornDensity, edges_re, edges_im, T: float,
+def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
                    p: InstrumentParams) -> np.ndarray:
     """Born probability of each rectangular bin ``[edges_re[i], edges_re[i+1]]
     x [edges_im[j], edges_im[j+1]]``: an 8-point Gauss-Legendre rule per
@@ -407,7 +404,7 @@ def born_bin_probs(born: BornDensity, edges_re, edges_im, T: float,
         return 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * gl_x, half
 
     (x, half_x), (y, half_y) = axis(edges_re), axis(edges_im)
-    vals = born_pdf(born, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, p)
+    vals = born_pdf(rho, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, p)
     vals = vals.reshape(x.shape + y.shape)
     return np.einsum("k,l,ikjl->ij", gl_w, gl_w, vals) * np.outer(half_x, half_y) / np.pi
 
@@ -475,7 +472,7 @@ def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def run_het_ensemble(
-    born: BornDensity, p: InstrumentParams, n_traj: int, seed: int, n_threads: int = 1
+    rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int, n_threads: int = 1
 ) -> np.ndarray:
     """Record functionals at the horizon for ``n_traj`` trajectories, one
     stream per index: ``zeta = Sigma(T)(gamma + beta)`` (module docstring).
@@ -490,7 +487,7 @@ def run_het_ensemble(
     noise = np.sqrt(0.5 * sigma * np.exp(-p.kappa_o * p.T))
     return run_ensemble(
         lambda rng: np.append(rng.random(3), rng.standard_normal(2)),
-        lambda draws: (sigma * _husimi_amplitudes(born.rho, draws[:, :3])
+        lambda draws: (sigma * _husimi_amplitudes(rho, draws[:, :3])
                        + noise * (draws[:, 3] + 1j * draws[:, 4])),
         n_traj, seed, n_threads, complex,
     )

@@ -4,7 +4,9 @@ POVM elements, Born statistics, and the ensemble sampler.  A record
 reduces to its count n, and at the horizon the POVM is binomial thinning
 of the photon number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
 ``lambda = 1 - e^{-kappa_o T}``.  So the sampler draws the reduced record
-itself: a level m from ``diag rho``, then n from Binom(m, lambda).
+itself: a level m from ``diag rho``, then n from Binom(m, lambda).  The
+Born references and the sampler read a state as its checked density
+matrix ``rho`` (:func:`fock.density`).
 
 Conventions fixed here:
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from .ensemble import draw_levels, run_ensemble
 from .exceptions import (
@@ -33,7 +35,6 @@ from .exceptions import (
     TruncationError,
 )
 from .fock import (
-    density,
     lowering_power,
     make_lowering,
     number_exp,
@@ -131,8 +132,11 @@ class PoissonKOD:
     lam: float
     weights: np.ndarray | None = None
 
+    def log_pmf(self, n) -> np.ndarray:
+        return scipy.special.xlogy(n, self.lam) - scipy.special.gammaln(n + 1) - self.lam
+
     def pmf(self, n) -> np.ndarray:
-        return scipy.stats.poisson.pmf(n, self.lam)
+        return np.exp(self.log_pmf(n))
 
     def pmf_array(self, n_max: int) -> np.ndarray:
         return self.pmf(np.arange(n_max + 1))
@@ -218,67 +222,45 @@ def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -
     return subblock_norm_diff(povm_element(n, T, p), projector(p.dim, n), sub_dim)
 
 
-@dataclass(frozen=True)
-class CountRows:
-    """A state as photon counting reads it.  Row ``w[n]`` holds the
-    populations after n jumps normalized (``w[0] = pop0``), ``s[n]`` its sum
-    before normalizing (``s[0] = 1``).  The populations ``(m+n)!/m! pop0[m+n]``
-    are ``s[1] ... s[n] w[n]``, but row n is built from row n-1, so no
-    factorial overflows."""
-
-    w: np.ndarray
-    s: np.ndarray
-
-
-def count_rows(state: np.ndarray) -> CountRows:
-    """The count rows of a state vector or density matrix (:func:`fock.density`)."""
-    pop0 = np.real(np.diag(density(state)))
-    dim = pop0.size
-    m = np.arange(dim, dtype=float)
-    w = np.zeros((dim, dim))
-    s = np.ones(dim)
-    w[0] = pop0
-    for n in range(1, dim):
-        row = m[1:] * w[n - 1, 1:]
-        s[n] = np.sum(row)
-        w[n, :-1] = row / (s[n] or 1.0)
-    return CountRows(w, s)
-
-
-def _damped_rows(rows: CountRows, T: float, p: InstrumentParams, n_max: int):
-    """``w[n] . e^{-m kappa_o T}`` and ``s[n]`` for n = 0..n_max."""
-    dim = rows.s.size
+def _log_terms(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
+    """``ln p_m + L(m, n)`` for counts n = 0..n_max (rows) and levels m
+    (columns), with ``p_m = Re rho_mm`` and ``L(m, n) = lambda + ln m! -
+    ln (m-n)! - (m-n) kappa_o T``: the log of level m's share of
+    ``Tr(K_T(n)^dag K_T(n) rho)``, -inf where ``n > m`` or ``p_m = 0``."""
+    pops = np.diagonal(rho).real
+    dim = pops.size
     if not 0 <= n_max < dim:
         raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={dim}")
-    damp = np.exp(-p.kappa_o * T * np.arange(dim))
-    return rows.w[: n_max + 1] @ damp, rows.s[: n_max + 1]
+    m = np.arange(dim)
+    kept = m - np.arange(n_max + 1)[:, None]
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.clip(pops, 0.0, None))
+    logs = (log_p + screened_integral(T, kappa_o) + scipy.special.gammaln(m + 1)
+            - scipy.special.gammaln(np.maximum(kept, 0) + 1) - kept * kappa_o * T)
+    return np.where(kept >= 0, logs, -np.inf)
 
 
 def born_pmf(
-    rows: CountRows, T: float, p: InstrumentParams, n_max: int | None = None
+    rho: np.ndarray, T: float, p: InstrumentParams, n_max: int | None = None
 ) -> np.ndarray:
     """Jump-count statistics ``P(n|rho) = D_T(n) Tr(K_T(n)^dag K_T(n) rho)``,
-    which is ``c_n w[n] . e^{-m kappa_o T}`` with the running product
-    ``c_n = c_{n-1} lambda s[n] / n`` (``c_0 = 1``): finite at any truncation."""
+    which is ``sum_m p_m Binom(n; m, lambda)``, summed term by term in log
+    space (:func:`_log_terms`), so no factorial overflows at any truncation."""
     if n_max is None:
         n_max = p.dim - 1
-    damped, s = _damped_rows(rows, T, p, n_max)
-    lam = screened_integral(T, p.kappa_o)
-    pmf = np.cumprod(np.append(1.0, lam * s[1:] / np.arange(1, n_max + 1))) * damped
-    if float(np.min(pmf)) < -1e-10:
-        raise NumericError(f"negative probability {np.min(pmf)}")
-    return np.clip(pmf, 0.0, None)
+    log_d = PoissonKOD(screened_integral(T, p.kappa_o)).log_pmf(np.arange(n_max + 1))
+    return np.sum(np.exp(_log_terms(rho, T, p.kappa_o, n_max) + log_d[:, None]), axis=1)
 
 
-def ostensible_weights(rows: CountRows, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
-    """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max.
+def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
+    """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max,
+    :func:`born_pmf` without its ``D_T(n)`` factor.
 
     Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.  They
-    grow like ``(m+n)!/m!``; one that overflows raises NumericError.
+    grow like ``m!/(m-n)!``; one that overflows raises NumericError.
     """
-    damped, s = _damped_rows(rows, T, p, n_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = float(np.exp(screened_integral(T, p.kappa_o))) * np.cumprod(s) * damped
+    with np.errstate(over="ignore"):
+        weights = np.sum(np.exp(_log_terms(rho, T, p.kappa_o, n_max)), axis=1)
     if not np.all(np.isfinite(weights)):
         bad = int(np.argmin(np.isfinite(weights)))
         raise NumericError(f"ostensible weight overflows from n = {bad}")
@@ -299,7 +281,7 @@ def _binomial_cdf(dim: int, lam: float) -> np.ndarray:
     """``cdf[m, n] = P(Binom(m, lam) <= n)`` for m, n < dim, +inf from
     ``n = m`` on."""
     m = np.arange(dim)
-    cdf = scipy.stats.binom.cdf(m, m[:, None], lam)
+    cdf = scipy.special.bdtr(m, m[:, None], lam)
     cdf[m >= m[:, None]] = np.inf
     return cdf
 
@@ -312,7 +294,7 @@ def _thin(pops: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray
     return np.sum(cdf[m] < uniforms[:, 1:], axis=1)
 
 
-def run_photo_ensemble(rows: CountRows, p: InstrumentParams, n_traj: int, seed: int,
+def run_photo_ensemble(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
                        n_threads: int = 1) -> np.ndarray:
     """Jump counts at the horizon for ``n_traj`` trajectories, one stream
     per index.
@@ -320,8 +302,9 @@ def run_photo_ensemble(rows: CountRows, p: InstrumentParams, n_traj: int, seed: 
     Trajectory i reads two uniforms from ``stream(seed, i)`` and nothing
     else, and every operation is row-wise, so results are byte-identical
     for any thread count.  Pure and mixed states alike enter through their
-    populations ``rows.w[0]``; ``p.dt`` plays no part.
+    populations ``Re diag rho``; ``p.dt`` plays no part.
     """
-    cdf = _binomial_cdf(rows.s.size, screened_integral(p.T, p.kappa_o))
-    return run_ensemble(lambda rng: rng.random(2), lambda u: _thin(rows.w[0], cdf, u),
+    pops = np.diagonal(rho).real
+    cdf = _binomial_cdf(pops.size, screened_integral(p.T, p.kappa_o))
+    return run_ensemble(lambda rng: rng.random(2), lambda u: _thin(pops, cdf, u),
                         n_traj, seed, n_threads, np.int64)

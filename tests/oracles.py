@@ -25,7 +25,7 @@ from kodsim.exceptions import DomainError, NumericError
 from kodsim.fock import density, exp_lowering, number_diag
 from kodsim.heterodyne import HeterodyneRecord
 from kodsim.params import InstrumentParams, screened_integral
-from kodsim.photodetector import CountRows, PhotoRecord
+from kodsim.photodetector import PhotoRecord
 from kodsim.verify import kraus_increment
 
 # smallest trace a dense sampler may renormalize
@@ -122,19 +122,33 @@ def oracle_counts(rho, p, n_traj, seed):
     )
 
 
-def jump_table(rows: CountRows, p: InstrumentParams) -> np.ndarray:
+def count_rows(rho: np.ndarray) -> np.ndarray:
+    """``w[n]``, the populations ``(m+n)!/m! w[0][m+n]`` after n jumps,
+    normalized, with ``w[0] = Re diag rho``.  Row n is built from row n-1,
+    so no factorial overflows."""
+    w0 = np.diagonal(rho).real
+    dim = w0.size
+    m = np.arange(dim, dtype=float)
+    w = np.zeros((dim, dim))
+    w[0] = w0
+    for n in range(1, dim):
+        row = m[1:] * w[n - 1, 1:]
+        w[n, :-1] = row / (np.sum(row) or 1.0)
+    return w
+
+
+def jump_table(rho: np.ndarray, p: InstrumentParams) -> np.ndarray:
     """``prob[k, n]``, the jump probability at step k after n jumps.
 
     Each step damps and renormalizes the count rows as a trajectory does.
     A trajectory's state after n jumps is row n, whatever the jump times,
-    and ``count_rows`` builds every row normalized, so no trajectory
+    and :func:`count_rows` builds every row normalized, so no trajectory
     renormalizes a state of its own and none can collapse.
     """
-    dim = rows.s.size
-    m = np.arange(dim, dtype=float)
-    w = rows.w.copy()
+    w = count_rows(rho)
+    m = np.arange(w.shape[0], dtype=float)
     decay = np.exp(-p.kappa_dt * m)
-    prob = np.empty((p.n_steps, dim))
+    prob = np.empty((p.n_steps, m.size))
     for k in range(p.n_steps):
         prob[k] = p.kappa_dt * (w @ m)
         w *= decay
@@ -151,12 +165,12 @@ def count_jumps(prob: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return counts
 
 
-def stepped_counts(rows: CountRows, p: InstrumentParams, n_traj: int, seed: int,
+def stepped_counts(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
                    n_threads: int = 1) -> np.ndarray:
     """Jump counts of the stepped count sampler: trajectory i jumps at step k
     when uniform k of ``stream(seed, i)`` is below the jump table's entry
     for its count so far."""
-    prob = jump_table(rows, p)
+    prob = jump_table(rho, p)
     return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: count_jumps(prob, u),
                         n_traj, seed, n_threads, np.int64)
 
@@ -262,14 +276,14 @@ def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
     return u
 
 
-def born_pdf_quadrature(born, T, p, quad_order):
+def born_pdf_quadrature(rho, T, p, quad_order):
     """(total mass, mean, central covariance) of the Born density by
     Gauss-Hermite quadrature."""
     sigma = screened_integral(T, p.kappa_o)
     points, weights = het._hermite_2d(quad_order)
     zet = np.sqrt(sigma) * points
     wgt = weights / np.pi
-    vals = het.het_born_weights(born, zet, T, p)
+    vals = het.het_born_weights(rho, zet, T, p)
     total = float(np.sum(wgt * vals))
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)

@@ -57,18 +57,18 @@ def test_criterion_03_binomial_born_statistics():
     # the ensembles run at the gates' calibration size, 1e5 trajectories
     p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
     rho5 = fock.projector(16, 5)
-    pmf = pd.born_pmf(pd.count_rows(rho5), LN2, p, n_max=8)
+    pmf = pd.born_pmf(fock.density(rho5), LN2, p, n_max=8)
     exact = abs(pmf[5] - 1.0 / 32.0) < 1e-12
     binom = scipy.stats.binom.pmf(np.arange(9), 5, 0.5)
 
-    counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 10**5, seed=42,
+    counts = pd.run_photo_ensemble(fock.density(fock.fock_state(16, 5)), p, 10**5, seed=42,
                                    n_threads=4)
     hist = np.bincount(counts, minlength=9)
     tv_a = records.tv_distance(hist / counts.size, binom)
     p_val = records.chi_square_gof(hist, pmf)
 
     draws = records.stream(48, 0).poisson(0.5, size=10**5)
-    est = pd.ostensible_pmf(draws, pd.ostensible_weights(pd.count_rows(rho5), LN2, p, n_max=8))
+    est = pd.ostensible_pmf(draws, pd.ostensible_weights(fock.density(rho5), LN2, p, n_max=8))
     tv_c = records.tv_distance(est, binom)
 
     kind = "photodetect-ensemble"

@@ -6,12 +6,14 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from kodsim import cli, fock, heterodyne as het, photodetector as pd, records, verify
+from kodsim import cli, fock, heterodyne as het, records, verify
 from kodsim.exceptions import ConfigError, DomainError
 
 
@@ -175,13 +177,13 @@ class TestRuns:
         cfg = cli.resolve_config("heterodyne-ensemble", cfg_dict)
         cli.run(cfg, str(tmp_path))
         p = cfg.instrument_params()
-        born = het.born_density(fock.coherent_state(12, 0.6 - 0.3j))
-        mean_ref, cov_ref = born.moments(p.T, p.kappa_o)
+        rho = fock.density(fock.coherent_state(12, 0.6 - 0.3j))
+        mean_ref, cov_ref = het.born_moments(rho, p.T, p.kappa_o)
         half = 3.5 * math.sqrt(cov_ref / 2.0)
         edges_re = mean_ref.real + np.linspace(-half, half, 6)
         edges_im = mean_ref.imag + np.linspace(-half, half, 6)
         area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
-        probs = het.born_bin_probs(born, edges_re, edges_im, p.T, p)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
         _, rows = read_csv(tmp_path / "density.csv")
         assert [float(r[3]) for r in rows] == list((probs * np.pi / area).ravel())
 
@@ -554,7 +556,6 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, ki
     assert "Traceback" not in err
 
 
-INTAKES = {"photodetect-ensemble": (pd, "count_rows"), "heterodyne-ensemble": (het, "born_density")}
 SMALL_RUNS = {
     "photodetect-ensemble": {"trajectories": 50, "params": {"dim": 10}, "n_max": 6,
                              "initial_state": {"kind": "fock", "n": 3}},
@@ -564,37 +565,58 @@ SMALL_RUNS = {
 
 
 @pytest.mark.parametrize("from_file", [False, True], ids=["vector", "file"])
-@pytest.mark.parametrize("kind", sorted(INTAKES))
+@pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
 def test_ensemble_run_takes_the_state_in_once(tmp_path, monkeypatch, kind, from_file):
-    # one run checks its state once and builds one Born value, which every
-    # reference and the sampler then read
-    module, intake = INTAKES[kind]
-    calls = {"density": 0, intake: 0}
+    # one run checks its state once, and every reference and the sampler
+    # then read that one density matrix
+    calls = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def density(state):
+        calls.append(state)
+        return checked(state)
 
-    density = counted("density", fock.density)
-    for bound in (fock, pd, het):
-        monkeypatch.setattr(bound, "density", density)
-    monkeypatch.setattr(module, intake, counted(intake, getattr(module, intake)))
+    checked = fock.density
+    monkeypatch.setattr(fock, "density", density)
     cfg_dict = dict(SMALL_RUNS[kind])
     if from_file:
         path = tmp_path / "mixed.npy"
         np.save(path, 0.5 * fock.projector(10, 0) + 0.5 * fock.projector(10, 2))
         cfg_dict["initial_state"] = {"kind": "file", "path": str(path)}
     cli.run(cli.resolve_config(kind, cfg_dict), str(tmp_path / "out"))
-    assert calls == {"density": 1, intake: 1}
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("kind", sorted(INTAKES))
-def test_intakes_reject_a_half_norm_vector(kind):
-    module, intake = INTAKES[kind]
+@pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
+def test_intakes_reject_a_half_norm_vector(tmp_path, kind):
+    # the state's one intake, fock.density, refuses a vector of norm 0.5
+    path = tmp_path / "half.npy"
+    np.save(path, 0.5 * fock.fock_state(10, 1))
+    cfg_dict = {**SMALL_RUNS[kind], "initial_state": {"kind": "file", "path": str(path)}}
     with pytest.raises(DomainError):
-        getattr(module, intake)(0.5 * fock.fock_state(6, 1))
+        cli.run(cli.resolve_config(kind, cfg_dict), str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_cli_path_imports_scipy_stats(tmp_path):
+    # the package takes every distribution from scipy.special; importing
+    # scipy.stats was most of each CLI call's start-up.  A fresh interpreter
+    # imports kodsim.cli, then runs a small ensemble of each instrument to
+    # its verdict (at these sizes a gate may fail, exit 1)
+    for kind, cfg in SMALL_RUNS.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "import kodsim.cli\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        f"for kind in {sorted(SMALL_RUNS)!r}:\n"
+        "    assert kodsim.cli.main([kind, '--config', kind + '.json', '--out', kind]) in (0, 1)\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / kind / "report.json").is_file() for kind in SMALL_RUNS)
 
 
 def test_projector_scaling_follows_the_sweep_spacing(tmp_path, capsys):
@@ -632,11 +654,27 @@ def test_default_projector_series_use_the_run_truncation(tmp_path, capsys):
 
 
 def test_failed_run_writes_nothing(tmp_path, capsys):
-    # the method-C weights of Fock 190 overflow after the ensemble has run
+    # the method-C weights of Fock 190 overflow after the ensemble has run:
+    # at kappa_o T = ln 2, e^lambda 190!/(190-n)! 2^{n-190} first exceeds the
+    # largest double at n = 159
     cfg = {"params": {"dim": 200}, "initial_state": {"kind": "fock", "n": 190},
            "n_max": 199, "trajectories": 10}
     assert run_main(tmp_path, "photodetect-ensemble", cfg) == 2
-    assert "ostensible weight overflows from n = 153" in capsys.readouterr().err
+    assert "ostensible weight overflows from n = 159" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_unfinite_born_weight_exits_two(tmp_path, capsys):
+    # at d = 320 the powers zeta^319 of the Born weight overflow for
+    # |zeta| > 9.25, and the bins around Fock 300 reach |zeta| ~ 30: the run
+    # used to write NaN into density.csv and fail its chi-square with NaN
+    path = tmp_path / "fock300.npy"
+    np.save(path, fock.projector(320, 300))
+    cfg = {"params": {"dim": 320}, "initial_state": {"kind": "file", "path": str(path)},
+           "trajectories": 200}
+    assert run_main(tmp_path, "heterodyne-ensemble", cfg) == 2
+    assert "Born weight not finite" in capsys.readouterr().err
     out = tmp_path / "out"
     assert not out.exists() or not any(out.iterdir())
 

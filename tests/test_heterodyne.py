@@ -364,7 +364,7 @@ class TestBornDensity:
         kod = het.kod_gaussian(1.0, 1.0)
         zs = np.array([0.0, 0.3 + 0.1j, -0.8j])
         assert_allclose(
-            het.born_pdf(het.born_density(fock.projector(20, 0)), zs, 1.0, p),
+            het.born_pdf(fock.density(fock.projector(20, 0)), zs, 1.0, p),
             kod.density(zs),
             rtol=1e-12,
         )
@@ -379,7 +379,7 @@ class TestBornDensity:
         zs = (0.2 + 0.1j, 0.5, 0.9 - 0.4j)
         for zeta in zs:
             expected = np.exp(-abs(zeta - sigma * alpha0) ** 2 / sigma) / sigma
-            assert abs(het.born_pdf(het.born_density(rho), zeta, LN2, p) - expected) < 1e-8
+            assert abs(het.born_pdf(rho, zeta, LN2, p) - expected) < 1e-8
 
     @pytest.mark.parametrize(
         "dim, kappa_T", [(16, 0.1), (16, LN2), (16, 3.0), (40, LN2)],
@@ -393,9 +393,9 @@ class TestBornDensity:
         else:
             rho = fock.projector(dim, 30)
         p = params(kappa_T=kappa_T, dim=dim)
-        born = het.born_density(rho)
-        total, mean_q, cov_q = born_pdf_quadrature(born, kappa_T, p, verify.QUAD_ORDER)
-        mean, cov = born.moments(kappa_T, 1.0)
+        rho = fock.density(rho)
+        total, mean_q, cov_q = born_pdf_quadrature(rho, kappa_T, p, verify.QUAD_ORDER)
+        mean, cov = het.born_moments(rho, kappa_T, 1.0)
         assert abs(total - 1.0) < 1e-13
         assert abs(mean - mean_q) < 1e-13
         assert abs(cov - cov_q) < 1e-13
@@ -409,8 +409,8 @@ class TestBornDensity:
         edges_re = np.array([-1.5, -0.4, 0.0, 0.7, 2.0])
         edges_im = np.array([-1.0, 0.2, 1.1])
         gl_x, gl_w = np.polynomial.legendre.leggauss(8)
-        born = het.born_density(rho)
-        probs = het.born_bin_probs(born, edges_re, edges_im, LN2, p)
+        rho = fock.density(rho)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
         assert probs.shape == (4, 2)
         for i in range(4):
             for j in range(2):
@@ -418,7 +418,7 @@ class TestBornDensity:
                 hy = 0.5 * (edges_im[j + 1] - edges_im[j])
                 xc = 0.5 * (edges_re[i] + edges_re[i + 1]) + hx * gl_x
                 yc = 0.5 * (edges_im[j] + edges_im[j + 1]) + hy * gl_x
-                vals = het.born_pdf(born, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p)
+                vals = het.born_pdf(rho, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p)
                 cell = np.einsum("k,l,kl->", gl_w, gl_w, vals.reshape(8, 8)) * hx * hy / np.pi
                 assert abs(probs[i, j] - cell) <= 1e-13 * cell
 
@@ -430,18 +430,18 @@ class TestBornDensity:
         raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = np.zeros(16, dtype=complex)
         psi[:4] = raw / np.linalg.norm(raw)
-        born = het.born_density(psi)
-        total, _, _ = born_pdf_quadrature(born, LN2, p, verify.QUAD_ORDER)
+        rho = fock.density(psi)
+        total, _, _ = born_pdf_quadrature(rho, LN2, p, verify.QUAD_ORDER)
         assert abs(total - 1.0) < 1e-6
-        mean_ref, cov_ref = born.moments(LN2, 1.0)
+        mean_ref, cov_ref = het.born_moments(rho, LN2, 1.0)
 
         n_traj = 10**4
-        zetas = het.run_het_ensemble(born, p, n_traj, seed=100, n_threads=4)
+        zetas = het.run_het_ensemble(rho, p, n_traj, seed=100, n_threads=4)
         half = 3.5 * np.sqrt(cov_ref / 2.0)
         edges_re = mean_ref.real + np.linspace(-half, half, 9)
         edges_im = mean_ref.imag + np.linspace(-half, half, 9)
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-        probs = het.born_bin_probs(born, edges_re, edges_im, LN2, p)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         assert records.chi_square_gof(counts_flat, probs_flat) > 0.001
@@ -450,7 +450,7 @@ class TestBornDensity:
 class TestSamplers:
     def test_vacuum_matches_ostensible_statistics(self):
         p = params(kappa_T=LN2, dim=4)
-        zetas = het.run_het_ensemble(het.born_density(fock.fock_state(4, 0)), p, 10**4, seed=3)
+        zetas = het.run_het_ensemble(fock.density(fock.fock_state(4, 0)), p, 10**4, seed=3)
         sigma = screened_integral(LN2, 1.0)
         assert abs(np.mean(zetas)) < 3.0 * np.sqrt(sigma / 10**4)
         cov = float(np.mean(np.abs(zetas - zetas.mean()) ** 2))
@@ -458,16 +458,16 @@ class TestSamplers:
 
     def test_coherent_mean(self):
         p = params(kappa_T=LN2, dim=16)
-        born = het.born_density(fock.coherent_state(16, 1.0))
-        zetas = het.run_het_ensemble(born, p, 4000, seed=21)
+        rho = fock.density(fock.coherent_state(16, 1.0))
+        zetas = het.run_het_ensemble(rho, p, 4000, seed=21)
         sigma = screened_integral(LN2, 1.0)
         assert abs(np.mean(zetas) - 0.5) < 3.0 * np.sqrt(sigma / 4000)
 
     def test_trajectory_deterministic_and_thread_invariant(self):
         p = params(kappa_T=0.05, dim=12)
         psi = fock.coherent_state(12, 0.8)
-        base = het.run_het_ensemble(het.born_density(psi), p, 300, seed=14)
-        again = het.run_het_ensemble(het.born_density(psi), p, 300, seed=14, n_threads=3)
+        base = het.run_het_ensemble(fock.density(psi), p, 300, seed=14)
+        again = het.run_het_ensemble(fock.density(psi), p, 300, seed=14, n_threads=3)
         assert np.array_equal(base, again)
 
     def test_coherent_state_stays_coherent(self):
@@ -521,7 +521,7 @@ class TestSamplers:
         rho = fock.density(state)
         sigma = screened_integral(LN2, 1.0)
         nbar = 1.0 / (math.exp(LN2) - 1.0)
-        zetas = het.run_het_ensemble(het.born_density(state), p, 6, seed=8)
+        zetas = het.run_het_ensemble(fock.density(state), p, 6, seed=8)
         for i, z in enumerate(zetas):
             rng = records.stream(8, i)
             u, g = rng.random(3), rng.standard_normal(2)
@@ -540,13 +540,13 @@ class TestSamplers:
         assert np.array_equal(gamma, np.zeros(3, dtype=complex))
 
     def test_vanishing_husimi_circle_raises(self):
-        # no intake admits the zero matrix, so it enters as a raw BornDensity
+        # fock.density refuses the zero matrix, so it enters unchecked
         p = params(kappa_T=LN2, dim=4)
         zero = np.zeros((4, 4), dtype=complex)
         with pytest.raises(NumericError):
             het._husimi_amplitudes(zero, np.full((2, 3), 0.5))
         with pytest.raises(NumericError):
-            het.run_het_ensemble(het.BornDensity(zero), p, 3, seed=1)
+            het.run_het_ensemble(zero, p, 3, seed=1)
 
     def test_vector_and_its_density_give_identical_trajectories(self):
         # a unit vector reaches the sampler only as its pure density
@@ -555,8 +555,8 @@ class TestSamplers:
         psi[[0, 3]] = [0.6, 0.8j]
         for state in (psi, fock.coherent_state(16, 0.8 + 0.3j)):
             assert np.linalg.norm(state) == 1.0
-            zetas = het.run_het_ensemble(het.born_density(state), p, 20, seed=4)
-            again = het.run_het_ensemble(het.born_density(fock.density(state)), p, 20, seed=4)
+            zetas = het.run_het_ensemble(fock.density(state), p, 20, seed=4)
+            again = het.run_het_ensemble(fock.density(fock.density(state)), p, 20, seed=4)
             assert np.array_equal(zetas, again)
 
     def test_overflowing_record_raises(self):
@@ -572,28 +572,28 @@ class TestSamplers:
         # 9 of these 600 at batch=1, 3 of them among the first 34
         p = params(kappa_T=LN2, dim=40)
         psi = (fock.fock_state(40, 0) + fock.fock_state(40, 12)) / math.sqrt(2.0)
-        born = het.born_density(psi)
-        base = het.run_het_ensemble(born, p, 600, seed=3)
+        rho = fock.density(psi)
+        base = het.run_het_ensemble(rho, p, 600, seed=3)
         monkeypatch.setattr(ensemble, "BATCH", 1)
-        assert np.array_equal(het.run_het_ensemble(born, p, 34, seed=3), base[:34])
+        assert np.array_equal(het.run_het_ensemble(rho, p, 34, seed=3), base[:34])
         # batch=1 makes every row a lone row, which a sum down a column or
         # numpy's in-place complex multiply rounds unlike a row of a longer array
         for dim in (16, 40):
-            born, q = het.born_density(random_mixed(dim)), params(kappa_T=0.05, dim=dim)
+            rho, q = fock.density(random_mixed(dim)), params(kappa_T=0.05, dim=dim)
             monkeypatch.setattr(ensemble, "BATCH", 4096)
-            base = het.run_het_ensemble(born, q, 257, seed=9)
+            base = het.run_het_ensemble(rho, q, 257, seed=9)
             for batch, n_traj in ((1, 12), (7, 40), (64, 257)):
                 monkeypatch.setattr(ensemble, "BATCH", batch)
                 for n_threads in (1, 2, 3):
-                    again = het.run_het_ensemble(born, q, n_traj, 9, n_threads)
+                    again = het.run_het_ensemble(rho, q, n_traj, 9, n_threads)
                     assert np.array_equal(again, base[:n_traj]), (dim, batch, n_threads)
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.02, dim=8)
         with pytest.raises(DomainError):
-            het.run_het_ensemble(het.born_density(np.zeros(8, dtype=complex)), p, 5, seed=2)
+            het.run_het_ensemble(fock.density(np.zeros(8, dtype=complex)), p, 5, seed=2)
         with pytest.raises(DomainError):
-            het.born_density(math.sqrt(0.5) * fock.fock_state(8, 1))
+            fock.density(math.sqrt(0.5) * fock.fock_state(8, 1))
 
     def test_ostensible_sampler_covariance(self):
         draws = het.sample_het_ostensible(LN2, 1.0, 10**5, records.stream(51, 0))
@@ -614,9 +614,9 @@ class TestSamplers:
         p = params(kappa_T=LN2, dim=dim)
         tracemalloc.start()
         try:
-            born = het.born_density(fock.fock_state(dim, dim - 1))
-            weights = het.het_born_weights(born, np.array([0.5 + 0.2j, -1.0]), LN2, p)
-            mean, cov = born.moments(LN2, 1.0)
+            rho = fock.density(fock.fock_state(dim, dim - 1))
+            weights = het.het_born_weights(rho, np.array([0.5 + 0.2j, -1.0]), LN2, p)
+            mean, cov = het.born_moments(rho, LN2, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -625,10 +625,48 @@ class TestSamplers:
         assert mean == 0.0 and cov == pytest.approx(sigma * (1.0 + sigma * (dim - 1)), rel=1e-14)
         assert np.all(np.isfinite(weights))
 
+    @pytest.mark.parametrize("n", [250, 300, 319])
+    def test_high_truncation_weights_match_the_closed_form(self, n):
+        # Fock n: W = sum_j e^{-(n-j) kappa_o T} g_j(n-j)^2 |zeta|^{2j}, with
+        # g_j(n-j)^2 = n!/((n-j)! j!^2), summed in log space.  The table's
+        # g_j(0) = 1/sqrt(j!) is subnormal from j ~ 301, and the terms it
+        # loses are invisible at these amplitudes
+        dim = 320
+        j = np.arange(n + 1)
+        zetas = np.array([0.5, 3.0 * np.exp(0.4j)])
+        for kappa_T in (0.05, 1.0):
+            weights = het.het_born_weights(fock.projector(dim, n), zetas, kappa_T,
+                                           params(kappa_T=kappa_T, dim=dim))
+            for zeta, weight in zip(zetas, weights):
+                logs = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(n - j + 1)
+                        - 2.0 * scipy.special.gammaln(j + 1) - (n - j) * kappa_T
+                        + 2.0 * j * math.log(abs(zeta)))
+                closed = math.exp(scipy.special.logsumexp(logs))
+                assert weight == pytest.approx(closed, rel=1e-12), (kappa_T, zeta)
+
+    def test_unfinite_weight_raises(self):
+        # zeta^319 overflows a double for |zeta| > 9.25
+        p = params(kappa_T=LN2, dim=320)
+        rho = fock.projector(320, 300)
+        assert np.all(np.isfinite(het.het_born_weights(rho, np.array([9.0]), LN2, p)))
+        with pytest.raises(NumericError):
+            het.het_born_weights(rho, np.array([1.0, 30.0]), LN2, p)
+
+    def test_a_vector_is_not_read_as_a_density(self):
+        # np.diagonal refuses a 1-D array, and so does the weight table
+        p = params(kappa_T=LN2, dim=8)
+        pops = np.full(8, 1.0 / 8)
+        with pytest.raises(ValueError):
+            het.born_moments(pops, LN2, 1.0)
+        with pytest.raises(ValueError):
+            het.run_het_ensemble(pops, p, 5, seed=1)
+        with pytest.raises((ValueError, IndexError)):
+            het.het_born_weights(pops, np.array([0.5]), LN2, p)
+
     def test_ostensible_weights_vacuum_unity(self):
         p = params(kappa_T=LN2, dim=12)
         zs = np.array([0.1, 0.4 - 0.2j, 1.0j])
-        weights = het.het_born_weights(het.born_density(fock.projector(12, 0)), zs, LN2, p)
+        weights = het.het_born_weights(fock.density(fock.projector(12, 0)), zs, LN2, p)
         assert_allclose(weights, np.ones(3), rtol=1e-13)
 
     def test_ostensible_importance_weighting(self):
@@ -638,7 +676,7 @@ class TestSamplers:
         rng = records.stream(52, 0)
         g = rng.standard_normal((10**5, 2))
         draws = np.sqrt(0.25) * (g[:, 0] + 1j * g[:, 1])
-        weights = het.het_born_weights(het.born_density(rho), draws, LN2, p)
+        weights = het.het_born_weights(rho, draws, LN2, p)
         mean = np.sum(weights * draws) / np.sum(weights)
         assert abs(mean - 0.5) < 3.0 * np.sqrt(0.5 / 10**5) * 2.0
 

@@ -253,13 +253,13 @@ class TestPOVM:
 class TestBornStatistics:
     def test_vacuum_never_fires(self):
         p = params(dim=10)
-        pmf = pd.born_pmf(pd.count_rows(fock.projector(10, 0)), 1.0, p)
+        pmf = pd.born_pmf(fock.density(fock.projector(10, 0)), 1.0, p)
         assert pmf[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(pmf[1:]) == 0.0
 
     def test_five_photon_binomial(self):
         p = params(kappa_T=LN2, dim=40)
-        pmf = pd.born_pmf(pd.count_rows(fock.projector(40, 5)), LN2, p)
+        pmf = pd.born_pmf(fock.density(fock.projector(40, 5)), LN2, p)
         expected = scipy.stats.binom.pmf(np.arange(40), 5, 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-10
         assert pmf[5] == pytest.approx(1.0 / 32.0, abs=1e-12)
@@ -267,7 +267,7 @@ class TestBornStatistics:
     def test_coherent_input_poisson_counts(self):
         p = params(kappa_T=LN2, dim=40)
         rho = fock.density(fock.coherent_state(40, 1.0))
-        pmf = pd.born_pmf(pd.count_rows(rho), LN2, p)
+        pmf = pd.born_pmf(rho, LN2, p)
         expected = scipy.stats.poisson.pmf(np.arange(40), 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-8
 
@@ -276,44 +276,76 @@ class TestBornStatistics:
         rho = fock.projector(8, 2)
         for n_max in (8, 12):
             with pytest.raises(InvalidDimensionError):
-                pd.born_pmf(pd.count_rows(rho), LN2, p, n_max=n_max)
+                pd.born_pmf(fock.density(rho), LN2, p, n_max=n_max)
             with pytest.raises(InvalidDimensionError):
-                pd.ostensible_weights(pd.count_rows(rho), LN2, p, n_max=n_max)
+                pd.ostensible_weights(fock.density(rho), LN2, p, n_max=n_max)
 
     def test_factorial_overflow_raises_instead_of_nan(self):
-        # the weights Tr(K^dag K rho) of Fock 190 grow like 190!/(190-n)! and
-        # overflow from n = 153; they used to come back NaN, which the
-        # negativity check lets through
+        # the weights Tr(K^dag K rho) of Fock 190 grow like
+        # 190!/(190-n)! e^{-(190-n) kappa_o T} and overflow from n = 154;
+        # they used to come back NaN, which the negativity check let through
         p = params(kappa_T=0.05, dim=200)
         rho = fock.projector(200, 190)
         with pytest.raises(NumericError):
-            pd.ostensible_weights(pd.count_rows(rho), 0.05, p, n_max=199)
-        assert np.all(np.isfinite(pd.born_pmf(pd.count_rows(rho), 0.05, p, n_max=100)))
+            pd.ostensible_weights(fock.density(rho), 0.05, p, n_max=199)
+        assert np.all(np.isfinite(pd.born_pmf(fock.density(rho), 0.05, p, n_max=100)))
 
     def test_high_truncation_stays_exact(self):
-        # built on the count rows, the pmf never forms a factorial: the
+        # summed in log space, the pmf never forms a factorial: the
         # vacuum gives exactly (1, 0, ...) and Fock 190 its binomial law
         p = params(kappa_T=0.05, dim=200)
-        vacuum = pd.born_pmf(pd.count_rows(fock.projector(200, 0)), 0.05, p)
+        vacuum = pd.born_pmf(fock.density(fock.projector(200, 0)), 0.05, p)
         assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
-        pmf = pd.born_pmf(pd.count_rows(fock.projector(200, 190)), 0.05, p)
+        pmf = pd.born_pmf(fock.density(fock.projector(200, 190)), 0.05, p)
         expected = scipy.stats.binom.pmf(np.arange(200), 190, screened_integral(0.05, 1.0))
         assert np.max(np.abs(pmf - expected)) < 1e-12
+
+    @pytest.mark.parametrize("kappa_T", [0.05, LN2, 2.0])
+    def test_pmf_is_a_binomial_mixture(self, kappa_T):
+        # P(n) = sum_m p_m Binom(n; m, lambda) for a random mixed state,
+        # against scipy.stats
+        dim = 40
+        p = params(kappa_T=kappa_T, dim=dim)
+        g = records.stream(9, 0).standard_normal((dim, 2 * dim)).view(complex)
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        pops = np.diagonal(rho).real
+        lam = screened_integral(kappa_T, 1.0)
+        n = np.arange(dim)
+        expected = scipy.stats.binom.pmf(n[:, None], n[None, :], lam) @ pops
+        assert np.max(np.abs(pd.born_pmf(rho, kappa_T, p) - expected)) < 1e-14
+
+    def test_kod_pmf_is_poisson(self):
+        kod = pd.kod_poisson(LN2, 1.0)
+        assert_allclose(kod.pmf_array(60), scipy.stats.poisson.pmf(np.arange(61), 0.5),
+                        rtol=1e-14, atol=0.0)
+        assert kod.pmf(0) == math.exp(-0.5)
+
+    def test_a_vector_is_not_read_as_populations(self):
+        # the references and the sampler read rho, and np.diagonal refuses a
+        # 1-D array: populations passed as a vector raise
+        p = params(kappa_T=LN2, dim=8)
+        pops = np.full(8, 1.0 / 8)
+        for call in (lambda: pd.born_pmf(pops, LN2, p),
+                     lambda: pd.ostensible_weights(pops, LN2, p, n_max=4),
+                     lambda: pd.run_photo_ensemble(pops, p, 5, seed=1)):
+            with pytest.raises(ValueError):
+                call()
 
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
         p = params(kappa_T=LN2, dim=20)
         rho = fock.density(fock.coherent_state(20, 0.7))
-        pmf = pd.born_pmf(pd.count_rows(rho), LN2, p, n_max=12)
+        pmf = pd.born_pmf(rho, LN2, p, n_max=12)
         kod = pd.kod_poisson(LN2, 1.0)
-        weights = pd.ostensible_weights(pd.count_rows(rho), LN2, p, n_max=12)
+        weights = pd.ostensible_weights(rho, LN2, p, n_max=12)
         assert_allclose(pmf, kod.pmf_array(12) * weights, rtol=1e-12, atol=1e-15)
 
     def test_ostensible_pmf_is_count_times_weight(self):
         # criterion 3's method-C draws against the exact count x weight per
         # bin; a sum of one weight per draw drifts by about 2e-13
         p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
-        weights = pd.ostensible_weights(pd.count_rows(fock.projector(16, 5)), LN2, p, n_max=8)
+        weights = pd.ostensible_weights(fock.density(fock.projector(16, 5)), LN2, p, n_max=8)
         draws = records.stream(48, 0).poisson(0.5, size=10**5)
         est = pd.ostensible_pmf(draws, weights)
         counts = np.bincount(draws, minlength=weights.size)[: weights.size]
@@ -338,46 +370,46 @@ class TestSamplers:
 
     def test_jump_count_bounded_by_photon_number(self):
         p = params(kappa_T=LN2, dim=16)
-        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 3000, seed=5)
+        counts = pd.run_photo_ensemble(fock.density(fock.fock_state(16, 5)), p, 3000, seed=5)
         assert counts.max() <= 5
 
     def test_ensemble_matches_binomial(self):
         p = params(kappa_T=LN2, dim=16)
-        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 10**4, seed=5)
+        counts = pd.run_photo_ensemble(fock.density(fock.fock_state(16, 5)), p, 10**4, seed=5)
         emp = np.bincount(counts, minlength=6) / counts.size
         tv = 0.5 * np.sum(np.abs(emp - scipy.stats.binom.pmf(np.arange(6), 5, 0.5)))
         assert tv < 0.03
 
     def test_ensemble_thread_invariance(self):
         p = params(kappa_T=0.2, dim=12)
-        base = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(12, 3)), p, 500, seed=4)
+        base = pd.run_photo_ensemble(fock.density(fock.fock_state(12, 3)), p, 500, seed=4)
         for threads in (2, 5):
             other = pd.run_photo_ensemble(
-                pd.count_rows(fock.fock_state(12, 3)), p, 500, seed=4, n_threads=threads
+                fock.density(fock.fock_state(12, 3)), p, 500, seed=4, n_threads=threads
             )
             assert np.array_equal(base, other)
 
     def test_mixed_state_path(self):
         p = params(kappa_T=0.1, dim=8)
         rho = 0.5 * fock.projector(8, 0) + 0.5 * fock.projector(8, 2)
-        counts = pd.run_photo_ensemble(pd.count_rows(rho), p, 50, seed=6)
+        counts = pd.run_photo_ensemble(fock.density(rho), p, 50, seed=6)
         assert counts.shape == (50,)
         assert counts.max() <= 2
 
     def test_zero_trajectories(self):
         p = params(dim=8)
-        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(8, 1)), p, 0, seed=1)
+        counts = pd.run_photo_ensemble(fock.density(fock.fock_state(8, 1)), p, 0, seed=1)
         assert counts.size == 0
 
     def test_zero_state_rejected(self):
         p = params(kappa_T=0.1, dim=8)
         with pytest.raises(DomainError):
-            pd.run_photo_ensemble(pd.count_rows(np.zeros(8, dtype=complex)), p, 5, seed=1)
+            pd.run_photo_ensemble(fock.density(np.zeros(8, dtype=complex)), p, 5, seed=1)
 
     def test_method_a_chi_square_against_born(self):
         p = params(kappa_T=LN2, dim=16)
-        counts = pd.run_photo_ensemble(pd.count_rows(fock.fock_state(16, 5)), p, 10**4, seed=12)
-        pmf = pd.born_pmf(pd.count_rows(fock.projector(16, 5)), LN2, p, n_max=8)
+        counts = pd.run_photo_ensemble(fock.density(fock.fock_state(16, 5)), p, 10**4, seed=12)
+        pmf = pd.born_pmf(fock.density(fock.projector(16, 5)), LN2, p, n_max=8)
         assert records.chi_square_gof(np.bincount(counts, minlength=9), pmf) > 0.001
 
 
@@ -420,7 +452,7 @@ class TestCountSampler:
         rho = fock.density(state)
         if name == "near-pure-density":
             assert abs(np.real(np.trace(rho @ rho)) - 1.0) > 1e-12
-        counts = stepped_counts(pd.count_rows(state), p, 300, seed=17)
+        counts = stepped_counts(fock.density(state), p, 300, seed=17)
         assert counts.dtype == np.int64
         assert counts.sum() > 0
         assert np.array_equal(counts, oracle_counts(rho, p, 300, seed=17))
@@ -433,7 +465,7 @@ class TestCountSampler:
         state = ORACLE_STATES[name](12)
         pops = np.real(np.diag(fock.density(state)))
         lam = screened_integral(LN2, 1.0)
-        counts = pd.run_photo_ensemble(pd.count_rows(state), p, 200, seed=17)
+        counts = pd.run_photo_ensemble(fock.density(state), p, 200, seed=17)
         assert counts.dtype == np.int64
         for i, count in enumerate(counts):
             u = records.stream(17, i).random(2)
@@ -442,26 +474,25 @@ class TestCountSampler:
 
     def test_batch_and_thread_invariance(self, monkeypatch):
         p = params(kappa_T=LN2, dim=16)
-        rho = benchmark_style_mixture(16)
-        rows = pd.count_rows(rho)
-        base = pd.run_photo_ensemble(rows, p, 150, seed=3)
+        rho = fock.density(benchmark_style_mixture(16))
+        base = pd.run_photo_ensemble(rho, p, 150, seed=3)
         for batch in (1, 7, 64, 4096):
             monkeypatch.setattr(ensemble, "BATCH", batch)
             for threads in (1, 2, 3):
-                other = pd.run_photo_ensemble(rows, p, 150, seed=3, n_threads=threads)
+                other = pd.run_photo_ensemble(rho, p, 150, seed=3, n_threads=threads)
                 assert np.array_equal(base, other), (batch, threads)
 
     @pytest.mark.parametrize("n_threads", [0, -2])
     def test_fewer_than_one_thread_raises(self, n_threads):
         p = params(kappa_T=0.05, dim=6)
-        rows = pd.count_rows(fock.fock_state(6, 2))
+        rho = fock.density(fock.fock_state(6, 2))
         with pytest.raises(DomainError):
-            pd.run_photo_ensemble(rows, p, 5, seed=1, n_threads=n_threads)
+            pd.run_photo_ensemble(rho, p, 5, seed=1, n_threads=n_threads)
 
     def test_ordinary_states_need_no_collapse_check(self):
         p = params(kappa_T=LN2, dim=16)
         for state in (fock.fock_state(16, 5), fock.coherent_state(16, 1.0)):
-            prob = jump_table(pd.count_rows(state), p)
+            prob = jump_table(fock.density(state), p)
             assert prob.shape == (p.n_steps, 16) and np.all(prob >= 0.0)
 
     def test_jump_onto_a_tiny_population_counts_exactly(self):
@@ -471,7 +502,7 @@ class TestCountSampler:
         # rows, built normalized: the count is exact and no norm collapses
         p = params(kappa_T=0.05, dim=6)
         pop0 = np.array([1.0, 1e-30, 0.0, 0.0, 0.0, 0.0])
-        prob = jump_table(pd.count_rows(np.diag(pop0)), p)
+        prob = jump_table(fock.density(np.diag(pop0)), p)
         assert np.array_equal(count_jumps(prob, np.zeros((3, p.n_steps))),
                               np.ones(3, dtype=np.int64))
         uniforms = np.full((3, p.n_steps), 2.0**-53)
@@ -489,11 +520,11 @@ class TestCountSampler:
         p = params(kappa_T=0.05, dim=6)
         psi = fock.fock_state(6, 0) + 1e-10 * fock.fock_state(6, 1)
         psi /= np.linalg.norm(psi)
-        rows_vec, rows_rho = pd.count_rows(psi), pd.count_rows(fock.density(psi))
-        assert np.array_equal(jump_table(rows_vec, p), jump_table(rows_rho, p))
-        assert np.array_equal(rows_vec.w[0], rows_rho.w[0])
-        assert np.array_equal(pd.run_photo_ensemble(rows_vec, p, 50, seed=1),
-                              pd.run_photo_ensemble(rows_rho, p, 50, seed=1))
+        rho_vec, rho_rho = fock.density(psi), fock.density(fock.density(psi))
+        assert np.array_equal(jump_table(rho_vec, p), jump_table(rho_rho, p))
+        assert np.array_equal(np.diagonal(rho_vec), np.diagonal(rho_rho))
+        assert np.array_equal(pd.run_photo_ensemble(rho_vec, p, 50, seed=1),
+                              pd.run_photo_ensemble(rho_rho, p, 50, seed=1))
 
     def test_high_truncation_matches_dense_sampler(self):
         # (m + n)!/m! overflows a double for dim >= 171
@@ -502,9 +533,9 @@ class TestCountSampler:
         psi = np.zeros(dim, dtype=complex)
         psi[[150, 190]] = [0.6, 0.8]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            prob = jump_table(pd.count_rows(psi), p)
-            counts = stepped_counts(pd.count_rows(psi), p, 4, seed=2)
-            exact = pd.run_photo_ensemble(pd.count_rows(psi), p, 400, seed=2)
+            prob = jump_table(fock.density(psi), p)
+            counts = stepped_counts(fock.density(psi), p, 4, seed=2)
+            exact = pd.run_photo_ensemble(fock.density(psi), p, 400, seed=2)
         assert np.all(np.isfinite(prob))
         assert counts.sum() > 0
         assert np.array_equal(counts, oracle_counts(fock.density(psi), p, 4, seed=2))
