@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, fock, heterodyne as het, photodetector as pd, verify
 from .exceptions import ConfigError, DomainError, KodsimError
 from .params import InstrumentParams, screened_integral
-from .records import chi_square_gof, stream, tv_distance
+from .records import STREAM_IDS, chi_square_gof, stream, tv_distance
 from .report import Check, VerificationReport
 
 DEFAULT_SEED = 12345
@@ -396,7 +396,8 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
         observed = np.bincount(counts, minlength=n_max + 1)[: n_max + 1]
         empirical = observed / n_traj
         # method C: state-independent draws, importance-weighted
-        draws = stream(seed, n_traj).poisson(screened_integral(p.T, p.kappa_o), size=n_traj)
+        lam = screened_integral(p.T, p.kappa_o)
+        draws = stream(seed, STREAM_IDS["method-c"]).poisson(lam, size=n_traj)
         ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
         # counts above n_max, and the Born mass there, form one tail bin
         p_val = chi_square_gof(np.append(observed, n_traj - observed.sum()),
@@ -524,9 +525,9 @@ def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
         t = np.linspace(0.0, spec["t_max"], spec["points"])
         return name, ["t", "value"], [(x, screened_integral(x, kappa_o)) for x in t]
     if name == "beta-cooling":
-        # two-word stream ids: no trajectory's or method C's one-word id equals them
         vals = [
-            het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"], stream(seed, (7_000, i)))[1]
+            het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"],
+                                   stream(seed, (STREAM_IDS["beta-cooling"], i)))[1]
             for i, kt in enumerate(spec["kappa_T"])
         ]
         return name, ["kappa_T", "cov_beta"], list(zip(spec["kappa_T"], vals))

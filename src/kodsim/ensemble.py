@@ -1,9 +1,11 @@
 """Ensemble driver shared by both instruments.
 
-Trajectory ``i`` reads only its own stream ``stream(seed, i)``, and every
-kernel the driver runs is row-wise: a trajectory's result depends on its
-own draws alone, never on which rows share its batch.  Results are then
-byte-identical for any thread count and any batch size.
+A run draws every trajectory's uniforms at once from its one trajectory
+stream, row-major, so trajectory ``i`` reads row ``i`` whatever the
+trajectory count.  Every kernel the driver runs is row-wise: a trajectory's
+result depends on its own row alone, never on which rows share its batch.
+Results are then byte-identical for any thread count and any batch size,
+and the first k trajectories of a run are a k-trajectory run.
 """
 
 from __future__ import annotations
@@ -13,37 +15,27 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .exceptions import DomainError
-from .records import stream
+from .records import STREAM_IDS, stream
 
-# rows per batch: the draws of one batch held at a time
+# most rows a kernel evolves at once: it bounds the kernels' working arrays
 BATCH = 4096
 
 
-def run_ensemble(draw, evolve, n_traj: int, seed: int, n_threads: int, dtype):
-    """Results of ``n_traj`` trajectories as one array of ``dtype``.
+def run_ensemble(evolve, k: int, n_traj: int, seed: int, n_threads: int) -> np.ndarray:
+    """Results of ``n_traj`` trajectories, trajectory i evolved from row i of
+    ``stream(seed, STREAM_IDS["trajectories"]).random((n_traj, k))``.
 
-    ``draw`` takes trajectory i's stream and returns its draws; ``evolve``
-    maps the stacked draws of consecutive trajectories to their results.
-    Trajectories are split about evenly over ``n_threads >= 1`` worker
-    threads, and each worker evolves its share in batches of :data:`BATCH`
-    rows.
+    ``evolve`` maps consecutive rows to their results; each slice of at
+    most :data:`BATCH` rows is one task for a pool of ``n_threads >= 1``
+    worker threads.
     """
     if n_threads < 1:
         raise DomainError(f"need n_threads >= 1, got {n_threads}")
-    bounds = np.linspace(0, n_traj, n_threads + 1).astype(int)
-
-    def chunk(lo: int, hi: int) -> np.ndarray:
-        out = np.empty(hi - lo, dtype=dtype)
-        for b0 in range(lo, hi, BATCH):
-            b1 = min(b0 + BATCH, hi)
-            draws = np.stack([draw(stream(seed, i)) for i in range(b0, b1)])
-            out[b0 - lo : b1 - lo] = evolve(draws)
-        return out
-
-    pairs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=max(1, len(pairs))) as pool:
-        parts = list(pool.map(lambda b: chunk(*b), pairs))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    uniforms = stream(seed, STREAM_IDS["trajectories"]).random((n_traj, k))
+    # no trajectories still make one empty slice, so the result has evolve's dtype
+    slices = [uniforms[b : b + BATCH] for b in range(0, max(n_traj, 1), BATCH)]
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        return np.concatenate(list(pool.map(evolve, slices)))
 
 
 def draw_levels(pops: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

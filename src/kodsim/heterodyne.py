@@ -17,10 +17,10 @@ Born weight ``W(c) = Tr(K^dag K rho)`` at ``c = conj(zeta)``, with
 coordinates the POVM is a displaced thermal state of occupation
 ``nbar = 1/(e^{kappa_o T} - 1)`` (the left-invariance identity), the time of
 the instrument standing in for a temperature.  So the ensemble sampler
-draws ``zeta = Sigma(T)(gamma + beta)`` directly, with ``gamma`` from the
-Husimi function ``<gamma|rho|gamma>/pi`` and ``beta ~ CN(0, nbar)``.  The
-Born references and the sampler read a state as its checked density matrix
-``rho`` (:func:`fock.density`).
+draws ``zeta = Sigma(T)(gamma + beta)`` directly, from five uniforms per
+trajectory, with ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``
+and ``beta ~ CN(0, nbar)``.  The Born references and the sampler read a
+state as its checked density matrix ``rho`` (:func:`fock.density`).
 """
 
 from __future__ import annotations
@@ -471,26 +471,27 @@ def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.sqrt(radius_sq[:, 0]) * (np.cos(theta) + 1j * np.sin(theta))
 
 
+def _zetas(rho: np.ndarray, p: InstrumentParams, uniforms: np.ndarray) -> np.ndarray:
+    """``zeta = Sigma(T)(gamma + beta)`` (module docstring) per row of the
+    ``(n, 5)`` uniforms: ``gamma`` from the first three by
+    :func:`_husimi_amplitudes`, and ``Sigma beta ~ CN(0, Sigma e^{-kappa_o T})``
+    from the last two in exact radius/phase form, ``|Sigma beta|^2``
+    exponential by ``-log1p(-u_4)`` and phase ``2 pi u_5``, finite for every
+    uniform in [0, 1)."""
+    sigma = screened_integral(p.T, p.kappa_o)
+    radius = np.sqrt(-sigma * np.exp(-p.kappa_o * p.T) * np.log1p(-uniforms[:, 3]))
+    phase = 2.0 * np.pi * uniforms[:, 4]
+    thermal = radius * (np.cos(phase) + 1j * np.sin(phase))
+    return sigma * _husimi_amplitudes(rho, uniforms[:, :3]) + thermal
+
+
 def run_het_ensemble(
     rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int, n_threads: int = 1
 ) -> np.ndarray:
-    """Record functionals at the horizon for ``n_traj`` trajectories, one
-    stream per index: ``zeta = Sigma(T)(gamma + beta)`` (module docstring).
-
-    Trajectory i reads three uniforms, for ``gamma`` by
-    :func:`_husimi_amplitudes`, then two normals, for ``beta``, from
-    ``stream(seed, i)`` and nothing else.  Every operation is row-wise, so
-    results are byte-identical for any thread count; ``p.dt`` plays no part.
-    """
-    sigma = screened_integral(p.T, p.kappa_o)
-    # Sigma beta has variance Sigma^2 nbar = Sigma e^{-kappa_o T}, finite at T = 0
-    noise = np.sqrt(0.5 * sigma * np.exp(-p.kappa_o * p.T))
-    return run_ensemble(
-        lambda rng: np.append(rng.random(3), rng.standard_normal(2)),
-        lambda draws: (sigma * _husimi_amplitudes(rho, draws[:, :3])
-                       + noise * (draws[:, 3] + 1j * draws[:, 4])),
-        n_traj, seed, n_threads, complex,
-    )
+    """Record functionals at the horizon for ``n_traj`` trajectories, trajectory
+    i drawn by :func:`_zetas` from row i of the run's uniforms
+    (:func:`ensemble.run_ensemble`); ``p.dt`` plays no part."""
+    return run_ensemble(lambda u: _zetas(rho, p, u), 5, n_traj, seed, n_threads)
 
 
 @dataclass(frozen=True)

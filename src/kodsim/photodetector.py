@@ -4,9 +4,9 @@ POVM elements, Born statistics, and the ensemble sampler.  A record
 reduces to its count n, and at the horizon the POVM is binomial thinning
 of the photon number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
 ``lambda = 1 - e^{-kappa_o T}``.  So the sampler draws the reduced record
-itself: a level m from ``diag rho``, then n from Binom(m, lambda).  The
-Born references and the sampler read a state as its checked density
-matrix ``rho`` (:func:`fock.density`).
+itself, from two uniforms per trajectory: a level m from ``diag rho``,
+then n from Binom(m, lambda).  The Born references and the sampler read
+a state as its checked density matrix ``rho`` (:func:`fock.density`).
 
 Conventions fixed here:
 
@@ -296,15 +296,10 @@ def _thin(pops: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray
 
 def run_photo_ensemble(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
                        n_threads: int = 1) -> np.ndarray:
-    """Jump counts at the horizon for ``n_traj`` trajectories, one stream
-    per index.
-
-    Trajectory i reads two uniforms from ``stream(seed, i)`` and nothing
-    else, and every operation is row-wise, so results are byte-identical
-    for any thread count.  Pure and mixed states alike enter through their
-    populations ``Re diag rho``; ``p.dt`` plays no part.
-    """
+    """Jump counts at the horizon for ``n_traj`` trajectories, trajectory i
+    thinned by :func:`_thin` from row i of the run's uniforms
+    (:func:`ensemble.run_ensemble`).  Pure and mixed states alike enter
+    through their populations ``Re diag rho``; ``p.dt`` plays no part."""
     pops = np.diagonal(rho).real
     cdf = _binomial_cdf(pops.size, screened_integral(p.T, p.kappa_o))
-    return run_ensemble(lambda rng: rng.random(2), lambda u: _thin(pops, cdf, u),
-                        n_traj, seed, n_threads, np.int64)
+    return run_ensemble(lambda u: _thin(pops, cdf, u), 2, n_traj, seed, n_threads)

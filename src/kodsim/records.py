@@ -1,8 +1,8 @@
 """Seeded streams and ensemble statistics.
 
 Random streams are counter-based (Philox) and keyed by ``(seed,
-stream_id)``, so trajectory ``i`` of an ensemble draws the same numbers no
-matter how trajectories are batched or distributed across workers.
+stream_id)``, one id of :data:`STREAM_IDS` per purpose: the trajectories of
+an ensemble share one stream, trajectory ``i`` reading row ``i`` of it.
 """
 
 from __future__ import annotations
@@ -14,14 +14,20 @@ from .exceptions import BinSpecError, DataError, DomainError
 
 MIN_EXPECTED = 5.0  # see chi_square_gof
 
+# Every stream id a run reads, pairwise distinct: verify's four seeded
+# identity groups, either ensemble's trajectories, method C's draws, and the
+# beta-cooling series, whose i-th kappa_T reads ``(STREAM_IDS["beta-cooling"], i)``
+STREAM_IDS = {"renormalization": 0, "record-reduction": 1, "cartan": 2, "left-invariance": 3,
+              "trajectories": 4, "method-c": 5, "beta-cooling": 7000}
+
 
 def stream(seed: int, stream_id: int | tuple[int, ...]) -> np.random.Generator:
-    """Independent random stream for one trajectory.
+    """Independent random stream for one id of :data:`STREAM_IDS`.
 
     Same ``(seed, stream_id)`` always yields the same sample sequence;
     distinct stream ids are statistically independent.  An id is one
-    integer or a tuple of them, and ``(7000, 0)`` is a different id from
-    ``7000``.
+    integer or a tuple of them; ``7`` and ``(7,)`` are the same id, and
+    ``(7000, 0)`` is a different id from ``7000``.
     """
     key = stream_id if isinstance(stream_id, tuple) else (stream_id,)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))

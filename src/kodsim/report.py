@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# how trajectory i reads ``stream(seed, i)``: a new id for any change to a drawn record
-STREAM_SCHEME = "reduced-record/1"
+# trajectory i reads row i of the run's one trajectory stream, every other draw
+# its own id of ``records.STREAM_IDS``: a new id for any change to a drawn record
+STREAM_SCHEME = "one-stream/1"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .exceptions import DomainError, NumericError
 from .fock import make_lowering, number_diag
 from .params import InstrumentParams
 from .photodetector import _grid_indices, jump_step_operator, kraus_no_jump
-from .records import stream
+from .records import STREAM_IDS, stream
 from .report import Check
 
 RENORM_TOL = 1e-12
@@ -122,7 +122,7 @@ def renormalization_checks(seed: int) -> list[Check]:
     two orders below the 1e-12 gate; the identities themselves are exact
     under truncation because lowering operators never reach the top row.
     """
-    rng = stream(seed, 0)
+    rng = stream(seed, STREAM_IDS["renormalization"])
     a = fock.make_lowering(DIM)
     worst_photo = 0.0
     worst_het = 0.0
@@ -145,7 +145,7 @@ def renormalization_checks(seed: int) -> list[Check]:
 def record_reduction_checks(seed: int) -> list[Check]:
     """Time-ordered step products against their standard-order forms on the
     leading 25 levels."""
-    rng = stream(seed, 1)
+    rng = stream(seed, STREAM_IDS["record-reduction"])
     sub_dim = 25
     p = InstrumentParams.fit_steps(kappa_o=1.0, T=1.0, dt=1e-3, dim=DIM)
     worst_photo = 0.0
@@ -269,7 +269,7 @@ def completeness_checks() -> list[Check]:
 def cartan_checks(seed: int) -> list[Check]:
     """Polar-decomposition defect over 100 random (zeta, r), |zeta| <= 2,
     r in [0.1, 3]."""
-    rng = stream(seed, 2)
+    rng = stream(seed, STREAM_IDS["cartan"])
     worst = 0.0
     for _ in range(100):
         r = 0.1 + 2.9 * rng.random()
@@ -292,7 +292,7 @@ def trace_checks() -> list[Check]:
 
 def left_invariance_checks(seed: int) -> list[Check]:
     """Left-invariance defect at kappa_o T = 1 over 10 random alpha, |alpha| <= 1.2."""
-    rng = stream(seed, 3)
+    rng = stream(seed, STREAM_IDS["left-invariance"])
     p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=DIM)
     worst = 0.0
     for _ in range(10):

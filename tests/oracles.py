@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from kodsim import heterodyne as het, records
-from kodsim.ensemble import run_ensemble
+from kodsim.ensemble import BATCH
 from kodsim.exceptions import DomainError, NumericError
 from kodsim.fock import density, exp_lowering, number_diag
 from kodsim.heterodyne import HeterodyneRecord
@@ -115,6 +115,15 @@ def sample_het_trajectory(
     return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
 
 
+def per_trajectory(draw, evolve, n_traj: int, seed: int) -> np.ndarray:
+    """``evolve`` over batches of :data:`BATCH` trajectories, trajectory i
+    drawing from its own stream ``stream(seed, i)``, one thread."""
+    return np.concatenate([
+        evolve(np.stack([draw(records.stream(seed, i)) for i in range(b, min(b + BATCH, n_traj))]))
+        for b in range(0, n_traj, BATCH)
+    ])
+
+
 def oracle_counts(rho, p, n_traj, seed):
     """Jump counts of the dense density-matrix sampler, trajectory by trajectory."""
     return np.array(
@@ -165,14 +174,13 @@ def count_jumps(prob: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return counts
 
 
-def stepped_counts(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
-                   n_threads: int = 1) -> np.ndarray:
+def stepped_counts(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int) -> np.ndarray:
     """Jump counts of the stepped count sampler: trajectory i jumps at step k
     when uniform k of ``stream(seed, i)`` is below the jump table's entry
     for its count so far."""
     prob = jump_table(rho, p)
-    return run_ensemble(lambda rng: rng.random(p.n_steps), lambda u: count_jumps(prob, u),
-                        n_traj, seed, n_threads, np.int64)
+    return per_trajectory(lambda rng: rng.random(p.n_steps), lambda u: count_jumps(prob, u),
+                          n_traj, seed)
 
 
 def born_coeffs(rho: np.ndarray) -> np.ndarray:
@@ -226,15 +234,14 @@ def evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarra
     return zeta
 
 
-def stepped_zetas(state: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
-                  n_threads: int = 1) -> np.ndarray:
+def stepped_zetas(state: np.ndarray, p: InstrumentParams, n_traj: int, seed: int) -> np.ndarray:
     """Record functionals of the stepped heterodyne sampler, trajectory i
     reading ``2 n_steps`` normals from ``stream(seed, i)``."""
     coeffs = born_coeffs(density(state))
-    return run_ensemble(
+    return per_trajectory(
         lambda rng: rng.standard_normal(2 * p.n_steps),
         lambda draws: evolve_het_batch(coeffs, p, draws.reshape(-1, p.n_steps, 2)),
-        n_traj, seed, n_threads, complex,
+        n_traj, seed,
     )
 
 

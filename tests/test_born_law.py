@@ -42,7 +42,7 @@ def test_stepped_and_exact_counts_share_the_born_law():
     p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
     rho = fock.density(fock.fock_state(16, 5))
     exact = pd.run_photo_ensemble(rho, p, 10**5, seed=42, n_threads=2)
-    stepped = stepped_counts(rho, p, 10**5, seed=1042, n_threads=2)
+    stepped = stepped_counts(rho, p, 10**5, seed=1042)
     p_val = homogeneity_p(np.bincount(exact, minlength=16), np.bincount(stepped, minlength=16))
     assert p_val >= P_GATE, p_val
 
@@ -55,7 +55,7 @@ def test_stepped_and_exact_amplitudes_share_the_born_law():
     psi = fock.coherent_state(16, 1.0)
     rho = fock.density(psi)
     exact = het.run_het_ensemble(rho, p, 10**4, seed=7, n_threads=2)
-    stepped = stepped_zetas(psi, p, 10**4, seed=1007, n_threads=2)
+    stepped = stepped_zetas(psi, p, 10**4, seed=1007)
     mean_ref, cov_ref = het.born_moments(rho, LN2, 1.0)
     half = 3.5 * math.sqrt(cov_ref / 2.0)
     edges = [c + np.linspace(-half, half, 9) for c in (mean_ref.real, mean_ref.imag)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kodsim import cli, fock, heterodyne as het, records, verify
+from kodsim import cli, ensemble, fock, heterodyne as het, records, verify
 from kodsim.exceptions import ConfigError, DomainError
 
 
@@ -262,21 +262,11 @@ class TestPlotSeries:
             expected = 1.0 / (math.exp(kappa_T) - 1.0)
             assert abs(value / expected - 1.0) < 0.03
 
-    def test_beta_cooling_streams_are_no_trajectory_streams(self, monkeypatch):
-        # trajectory i reads stream(seed, i) and method C stream(seed, N); at
-        # the default 10,000 trajectories no cooling sample may share one
-        keys = []
-
-        def cooling(T, kappa_o, n_samples, rng):
-            keys.append(rng.bit_generator.state["state"]["key"].tobytes())
-            return 0.0, 0.0
-
-        monkeypatch.setattr(het, "covariance_cooling", cooling)
-        spec = cli._series([{"name": "beta-cooling"}], "series")[0]
-        cli.series_table(spec, 9)
-        ids = {records.stream(9, i).bit_generator.state["state"]["key"].tobytes()
-               for i in range(10_001)}
-        assert len(keys) == len(spec["kappa_T"]) and not ids & set(keys)
+    def test_stream_ids_are_pairwise_distinct(self):
+        # stream() reads 7 and (7,) as one id, so ids compare as tuples; the
+        # beta-cooling series' two-word ids equal no one-word id
+        ids = [(i,) if isinstance(i, int) else tuple(i) for i in records.STREAM_IDS.values()]
+        assert len(set(ids)) == len(ids)
 
     def test_unknown_series_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -454,7 +444,36 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     data = json.loads((tmp_path / "report.json").read_text())
     assert [c["name"] for c in data["checks"]] == check_names
     assert sorted(data["provenance"]) == ["config_hash", "seed", "stream_scheme", "version"]
-    assert data["provenance"]["stream_scheme"] == "reduced-record/1"
+    assert data["provenance"]["stream_scheme"] == "one-stream/1"
+
+
+# sizes at which 20 trajectories leave the chi-square test two bins
+SMALL_SIZES = {
+    "photodetect-ensemble": {"params": {"dim": 12}, "n_max": 8},
+    "heterodyne-ensemble": {"params": {"dim": 12}, "bins": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_SIZES))
+def test_a_run_reads_a_few_streams_at_any_size(tmp_path, monkeypatch, kind):
+    # the trajectories of a run share one stream, so 10,000 trajectories
+    # read no more streams than 20 do, and each id read is in the table
+    read = []
+
+    def counted(seed, stream_id):
+        read.append(stream_id)
+        return records.stream(seed, stream_id)
+
+    for module in (cli, ensemble, verify):
+        monkeypatch.setattr(module, "stream", counted)
+    per_run = []
+    for n_traj in (20, 10_000):
+        read.clear()
+        cfg = cli.resolve_config(kind, dict(SMALL_SIZES[kind], trajectories=n_traj))
+        cli.run(cfg, str(tmp_path / str(n_traj)))
+        per_run.append(len(read))
+        assert {i if isinstance(i, int) else i[0] for i in read} <= set(records.STREAM_IDS.values())
+    assert per_run[0] == per_run[1] <= 2, per_run
 
 
 @pytest.mark.parametrize("kind", ["photodetect-ensemble", "heterodyne-ensemble"])
@@ -749,7 +768,7 @@ ORACLES = {
     "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
     "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
     "jump_table", "count_jumps", "stepped_counts", "born_coeffs", "born_table",
-    "evolve_het_batch", "stepped_zetas",
+    "evolve_het_batch", "stepped_zetas", "per_trajectory",
 }
 PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 

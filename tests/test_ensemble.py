@@ -6,32 +6,33 @@ import inspect
 import numpy as np
 import pytest
 
-from kodsim import ensemble, heterodyne as het, photodetector as pd
+from kodsim import ensemble, heterodyne as het, photodetector as pd, records
 from kodsim.exceptions import NumericError
 from oracles import renormalize_density
 
 
 def test_partition_and_batching_do_not_change_results(monkeypatch):
-    def draw(rng):
-        return rng.random(3)
-
-    def evolve(draws):
-        return draws.sum(axis=1)
+    def evolve(rows):
+        return rows.sum(axis=1)
 
     n_traj = 133
-    base = ensemble.run_ensemble(draw, evolve, n_traj, 4, 1, float)
+    base = ensemble.run_ensemble(evolve, 3, n_traj, 4, 1)
+    rows = records.stream(4, records.STREAM_IDS["trajectories"]).random((n_traj, 3))
+    assert np.array_equal(base, rows.sum(axis=1))
     for batch in (1, 7, 64, ensemble.BATCH):
         monkeypatch.setattr(ensemble, "BATCH", batch)
         for threads in (1, 3, 4):
-            other = ensemble.run_ensemble(draw, evolve, n_traj, 4, threads, float)
+            other = ensemble.run_ensemble(evolve, 3, n_traj, 4, threads)
             assert np.array_equal(base, other), (batch, threads)
-    empty = ensemble.run_ensemble(draw, evolve, 0, 4, 2, np.int64)
+            # the first k trajectories of a run are a k-trajectory run
+            assert np.array_equal(ensemble.run_ensemble(evolve, 3, 50, 4, threads), base[:50])
+    empty = ensemble.run_ensemble(lambda rows: rows[:, 0].astype(np.int64), 2, 0, 4, 2)
     assert empty.shape == (0,) and empty.dtype == np.int64
 
 
 # everything the two ensembles run per batch or per trajectory
 KERNELS = (ensemble.run_ensemble, ensemble.draw_levels, pd._binomial_cdf, pd._thin,
-           pd.run_photo_ensemble, het._husimi_amplitudes, het.run_het_ensemble)
+           pd.run_photo_ensemble, het._husimi_amplitudes, het._zetas, het.run_het_ensemble)
 # products that reduce across rows, through BLAS or a contraction that may call it
 CROSS_ROW = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "einsum_path"}
 

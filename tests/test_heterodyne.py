@@ -1,6 +1,7 @@
 """Heterodyne instrument: increment algebra, record functionals, the evolved
 amplitude density, POVM completeness, Born density, and samplers."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -515,18 +516,33 @@ class TestSamplers:
         ids=["coherent", "fock3", "coherent-fock-mixture", "random-mixed"],
     )
     def test_each_amplitude_is_its_own_husimi_draw(self, state):
-        # trajectory i: Sigma(T) times gamma from its three uniforms, plus
-        # its two normals as thermal noise of occupation 1/(e^{kappa_o T} - 1)
+        # trajectory i reads row i of the run's one array of uniforms:
+        # Sigma(T) times gamma from its first three, plus thermal noise of
+        # occupation nbar = 1/(e^{kappa_o T} - 1) from its last two, |beta|^2
+        # exponential of mean nbar and its phase uniform
         p = params(kappa_T=LN2, dim=16)
         rho = fock.density(state)
         sigma = screened_integral(LN2, 1.0)
         nbar = 1.0 / (math.exp(LN2) - 1.0)
         zetas = het.run_het_ensemble(fock.density(state), p, 6, seed=8)
-        for i, z in enumerate(zetas):
-            rng = records.stream(8, i)
-            u, g = rng.random(3), rng.standard_normal(2)
-            beta = math.sqrt(nbar / 2.0) * (g[0] + 1j * g[1])
-            assert abs(z - sigma * (husimi_by_hand(rho, u) + beta)) < 1e-9, i
+        rows = records.stream(8, records.STREAM_IDS["trajectories"]).random((6, 5))
+        for i, (z, u) in enumerate(zip(zetas, rows)):
+            beta = math.sqrt(-nbar * math.log(1.0 - u[3])) * cmath.exp(2j * math.pi * u[4])
+            assert abs(z - sigma * (husimi_by_hand(rho, u[:3]) + beta)) < 1e-9, i
+
+    @pytest.mark.parametrize(
+        "state", [fock.fock_state(16, 5), fock.coherent_state(16, 1.0), random_mixed(16)],
+        ids=["fock5", "coherent", "random-mixed"],
+    )
+    def test_extreme_uniforms_give_finite_amplitudes(self, state):
+        # the thermal term is an exponential radius and a uniform phase, so
+        # no uniform in [0, 1) maps to an infinite amplitude
+        top = 1.0 - 2.0**-53
+        rows = np.array([[0.0] * 5, [top] * 5, [0.5, 0.5, 0.5, top, top],
+                         [0.5, 0.5, 0.5, 0.0, 0.0]])
+        zetas = het._zetas(fock.density(state), params(kappa_T=LN2, dim=16), rows)
+        assert zetas.shape == (4,) and np.all(np.isfinite(zetas))
+        assert zetas[0] == 0.0
 
     @pytest.mark.parametrize(
         "state", [fock.fock_state(16, 5), fock.coherent_state(16, 1.0), coherent_fock_mixture(16)],

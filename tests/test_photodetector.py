@@ -459,16 +459,17 @@ class TestCountSampler:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
     def test_each_count_thins_its_own_draws(self, name):
-        # trajectory i: level m by inverse CDF of diag rho with its first
-        # uniform, then scipy's binomial quantile at its second
+        # trajectory i reads row i of the run's one array of uniforms: level
+        # m by inverse CDF of diag rho with its first, then scipy's binomial
+        # quantile at its second
         p = params(kappa_T=LN2, dim=12)
         state = ORACLE_STATES[name](12)
         pops = np.real(np.diag(fock.density(state)))
         lam = screened_integral(LN2, 1.0)
         counts = pd.run_photo_ensemble(fock.density(state), p, 200, seed=17)
         assert counts.dtype == np.int64
-        for i, count in enumerate(counts):
-            u = records.stream(17, i).random(2)
+        rows = records.stream(17, records.STREAM_IDS["trajectories"]).random((200, 2))
+        for i, (count, u) in enumerate(zip(counts, rows)):
             m = int(np.argmax(np.cumsum(pops) > u[0] * pops.sum()))
             assert count == scipy.stats.binom.ppf(u[1], m, lam), i
 
