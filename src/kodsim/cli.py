@@ -24,9 +24,9 @@ from functools import partial
 import numpy as np
 
 from . import __version__, fock, heterodyne as het, photodetector as pd, verify
-from .exceptions import ConfigError, DomainError, KodsimError
+from .exceptions import ConfigError, DataError, DomainError, KodsimError
 from .params import InstrumentParams, screened_integral
-from .records import STREAM_IDS, chi_square_gof, stream, tv_distance
+from .records import MIN_EXPECTED, STREAM_IDS, chi_square_gof, stream, tv_distance
 from .report import Check, VerificationReport
 
 DEFAULT_SEED = 12345
@@ -343,18 +343,37 @@ def build_initial_state(state: dict, dim: int) -> np.ndarray:
     return data
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "" if value is None else repr(float(value))
+CHUNK = 4096  # rows per csv.writer.writerows call in write_csv
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def _cells(values):
+    """One chunk of a column as the values whose csv text is the cell: a
+    numeric array as Python numbers (``repr`` of a float is its shortest
+    round-trip form; a bool is written as 0 or 1), anything else (strings,
+    ``None`` for an empty cell) as given."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return (values.astype(np.int64) if values.dtype == bool else values).tolist()
+    return values
+
+
+def write_csv(path: str, header: list[str], columns) -> None:
+    """Write a table given as columns, ``CHUNK`` rows at a time.
+
+    A column is a sequence of the table's rows (an array, a list or a
+    ``range``), or a function that maps an index array of rows to their
+    values, for index and axis columns built per chunk; the sequences set
+    the row count.
+    """
+    n_rows = len(next(c for c in columns if not callable(c)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        for start in range(0, n_rows, CHUNK):
+            stop = min(start + CHUNK, n_rows)
+            rows = np.arange(start, stop)
+            writer.writerows(zip(*(
+                _cells(c(rows) if callable(c) else c[start:stop]) for c in columns
+            )))
 
 
 def write_report(out_dir: str, report: VerificationReport) -> str:
@@ -374,6 +393,18 @@ def _gate(cfg: ExperimentConfig, key: str) -> float:
     return gate if anchor is None else gate * math.sqrt(anchor / cfg.resolved["trajectories"])
 
 
+def _p_value(counts: np.ndarray, probs: np.ndarray, n_traj: int) -> float:
+    """:func:`chi_square_gof`; a run too small for its expected-count rule
+    is a config error naming the trajectory count, not bad data."""
+    try:
+        return chi_square_gof(counts, probs)
+    except DataError as exc:
+        raise ConfigError(
+            f"trajectories = {n_traj} is too few for the chi-square test, which needs "
+            f"two or more bins of expected count >= {MIN_EXPECTED:g} ({exc})"
+        ) from None
+
+
 def _ensemble_setup(cfg: ExperimentConfig):
     """Params, the initial state's checked density matrix, trajectory count."""
     p = cfg.instrument_params()
@@ -382,7 +413,7 @@ def _ensemble_setup(cfg: ExperimentConfig):
 
 
 # A runner maps ``(cfg, n_threads)`` to ``(checks, tables)``, a table being
-# ``(file stem, header, rows)``; it writes nothing.
+# ``(file stem, header, columns)`` for :func:`write_csv`; it writes nothing.
 
 
 def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
@@ -400,8 +431,8 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
         draws = stream(seed, STREAM_IDS["method-c"]).poisson(lam, size=n_traj)
         ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
         # counts above n_max, and the Born mass there, form one tail bin
-        p_val = chi_square_gof(np.append(observed, n_traj - observed.sum()),
-                               np.append(born, max(0.0, 1.0 - born.sum())))
+        p_val = _p_value(np.append(observed, n_traj - observed.sum()),
+                         np.append(born, max(0.0, 1.0 - born.sum())), n_traj)
         checks = [
             Check("tv-method-a-vs-born", tv_distance(empirical, born), _gate(cfg, "tv_method_a")),
             Check("tv-method-c-vs-born", tv_distance(ostensible, born), _gate(cfg, "tv_method_c")),
@@ -409,10 +440,10 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
         ]
     else:
         empirical = ostensible = np.full(n_max + 1, None)
-    pmf = ((n, kod_pmf[n], born[n], empirical[n], ostensible[n]) for n in range(n_max + 1))
     return checks, [
-        ("counts", ["trajectory", "jumps"], ((i, int(c)) for i, c in enumerate(counts))),
-        ("pmf", ["n", "kod_pmf", "born_pmf", "empirical_pmf", "ostensible_pmf"], pmf),
+        ("counts", ["trajectory", "jumps"], [range(n_traj), counts]),
+        ("pmf", ["n", "kod_pmf", "born_pmf", "empirical_pmf", "ostensible_pmf"],
+         [range(n_max + 1), kod_pmf, born, empirical, ostensible]),
     ]
 
 
@@ -442,21 +473,19 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
             Check("mean-vs-born", abs(mean - mean_ref),
                   _gate(cfg, "mean_sigmas") * math.sqrt(cov_ref / n_traj)),
             Check("covariance-vs-born", abs(cov / cov_ref - 1.0), _gate(cfg, "covariance_rel")),
-            Check("chi-square-2d-p-value", chi_square_gof(counts_flat, probs_flat),
+            Check("chi-square-2d-p-value", _p_value(counts_flat, probs_flat, n_traj),
                   _gate(cfg, "p_value"), comparison=">="),
         ]
     else:
         empirical = np.full((n_bins, n_bins), None)
     # both columns are bin averages of a density against d^2 zeta / pi
     born_avg = probs * np.pi / area
-    density = (
-        (mid_re[i], mid_im[j], empirical[i, j], born_avg[i, j])
-        for i in range(n_bins)
-        for j in range(n_bins)
-    )
     return checks, [
-        ("zetas", ["trajectory", "re", "im"], ((i, z.real, z.imag) for i, z in enumerate(zetas))),
-        ("density", ["re", "im", "empirical_density", "born_density"], density),
+        ("zetas", ["trajectory", "re", "im"], [range(n_traj), zetas.real, zetas.imag]),
+        ("density", ["re", "im", "empirical_density", "born_density"], [
+            lambda k: mid_re[k // n_bins], lambda k: mid_im[k % n_bins],
+            empirical.ravel(), born_avg.ravel(),
+        ]),
     ]
 
 
@@ -467,10 +496,9 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
     if r["kod"] == "poisson":
         kod = pd.evolve_kod_poisson(p.T, p.kappa_o, n_max=r["n_max"], steps=r["steps"])
         target = verify.kod_target(kod)
-        table = ("kod", ["n", "evolved", "analytic", "abs_err"], (
-            (n, kod.weights[n], target[n], abs(kod.weights[n] - target[n]))
-            for n in range(r["n_max"] + 1)
-        ))
+        table = ("kod", ["n", "evolved", "analytic", "abs_err"], [
+            range(r["n_max"] + 1), kod.weights, target, np.abs(kod.weights - target),
+        ])
     else:
         kod = het.evolve_kod_diffusion(
             p.T, p.kappa_o, h=g["h"], extent=g["extent"], steps=g["steps"],
@@ -478,22 +506,21 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
         )
         ax = kod.axis()
         target = verify.kod_target(kod)
-        table = ("kod_grid", ["re", "im", "evolved", "analytic"], (
-            (ax[i], ax[j], kod.grid[i, j], target[i, j])
-            for i in range(ax.size)
-            for j in range(ax.size)
-        ))
+        table = ("kod_grid", ["re", "im", "evolved", "analytic"], [
+            lambda k: ax[k // ax.size], lambda k: ax[k % ax.size],
+            kod.grid.ravel(), target.ravel(),
+        ])
     return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"]), [table]
 
 
 def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
     r = cfg.resolved
     base = r["params"]
-    checks, rows = verify.projector_sweep(
+    checks, columns = verify.projector_sweep(
         r["photo_ns"], r["het_zetas"], r["kappa_T_values"], base["kappa_o"], base["dt"],
         base["dim"], r["sub_dim"],
     )
-    tables = [("defects", ["instrument", "label", "kappa_T", "defect"], rows)]
+    tables = [("defects", ["instrument", "label", "kappa_T", "defect"], columns)]
     if not cfg.series:
         # each swept n and zeta at the run's truncation, on the series' own
         # default kappa_T grid
@@ -519,18 +546,19 @@ RUNNERS = {
 
 
 def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
-    """File stem, header and rows of one resolved plot series."""
+    """File stem, header and columns of one resolved plot series."""
     name, kappa_o = spec["name"], spec["kappa_o"]
     if name in ("effective-mean", "effective-covariance"):
         t = np.linspace(0.0, spec["t_max"], spec["points"])
-        return name, ["t", "value"], [(x, screened_integral(x, kappa_o)) for x in t]
+        return name, ["t", "value"], [t, np.array([screened_integral(x, kappa_o) for x in t])]
+    kappa_T = np.array(spec["kappa_T"], dtype=float)
     if name == "beta-cooling":
         vals = [
             het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"],
                                    stream(seed, (STREAM_IDS["beta-cooling"], i)))[1]
             for i, kt in enumerate(spec["kappa_T"])
         ]
-        return name, ["kappa_T", "cov_beta"], list(zip(spec["kappa_T"], vals))
+        return name, ["kappa_T", "cov_beta"], [kappa_T, np.array(vals, dtype=float)]
     if name == "projector-defect-photo":
         instrument, at, tag = "photodetector", spec["n"], f"n{spec['n']}"
     else:
@@ -538,7 +566,7 @@ def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
     defects = verify.projector_defects(
         instrument, at, spec["kappa_T"], kappa_o, 1e-3 / kappa_o, spec["dim"], spec["sub_dim"]
     )
-    return f"{name}-{tag}", ["kappa_T", "defect"], list(zip(spec["kappa_T"], defects))
+    return f"{name}-{tag}", ["kappa_T", "defect"], [kappa_T, np.array(defects, dtype=float)]
 
 
 def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> VerificationReport:
@@ -558,12 +586,15 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     )
     os.makedirs(out_dir, exist_ok=True)
     write_report(out_dir, report)
-    check_rows = [
-        (c.name, c.measured, c.threshold, c.comparison, str(c.passed).lower()) for c in checks
-    ]
-    checks_table = ("checks", ["name", "measured", "threshold", "comparison", "passed"], check_rows)
-    for stem, header, rows in [checks_table, *tables, *series]:
-        write_csv(os.path.join(out_dir, stem.replace("-", "_") + ".csv"), header, rows)
+    checks_table = ("checks", ["name", "measured", "threshold", "comparison", "passed"], [
+        [c.name for c in checks],
+        np.array([c.measured for c in checks], dtype=float),
+        np.array([c.threshold for c in checks], dtype=float),
+        [c.comparison for c in checks],
+        [str(c.passed).lower() for c in checks],
+    ])
+    for stem, header, columns in [checks_table, *tables, *series]:
+        write_csv(os.path.join(out_dir, stem.replace("-", "_") + ".csv"), header, columns)
     return report
 
 

@@ -330,23 +330,26 @@ def projector_defects(
 
 def projector_sweep(
     photo_ns, het_zetas, kappa_T_values, kappa_o: float, dt: float, dim: int, sub_dim: int
-) -> tuple[list[Check], list[tuple]]:
+) -> tuple[list[Check], list]:
     """Per jump count in ``photo_ns``, then amplitude in ``het_zetas``: a check
     that the projector defects shrink like e^{-kappa_o T} along a sweep of at
-    least two strictly increasing ``kappa_T_values``, and the rows
-    ``(instrument, label, kappa_T, defect)``."""
+    least two strictly increasing ``kappa_T_values``, and the columns
+    ``instrument, label, kappa_T, defect`` of one row per swept point."""
     if len(kappa_T_values) < 2 or not all(np.diff(kappa_T_values) > 0.0):
         raise DomainError(f"need two or more increasing kappa_T values, got {kappa_T_values}")
     sweep = [("photodetector", n, f"n={n}") for n in photo_ns] + [
         ("heterodyne", zeta, f"zeta={zeta:g}") for zeta in het_zetas
     ]
-    checks, rows = [], []
+    checks, instruments, labels, defects = [], [], [], []
     for instrument, at, label in sweep:
-        defects = projector_defects(instrument, at, kappa_T_values, kappa_o, dt, dim, sub_dim)
-        rows.extend((instrument, label, kt, d) for kt, d in zip(kappa_T_values, defects))
+        swept = projector_defects(instrument, at, kappa_T_values, kappa_o, dt, dim, sub_dim)
+        instruments += [instrument] * len(swept)
+        labels += [label] * len(swept)
+        defects += swept
         name = f"projector-scaling-{instrument}-{label.replace('=', '')}"
-        checks.append(Check(name, _scaling_factor(kappa_T_values, defects), SCALING_FACTOR))
-    return checks, rows
+        checks.append(Check(name, _scaling_factor(kappa_T_values, swept), SCALING_FACTOR))
+    kappa_T = np.tile(np.asarray(kappa_T_values, dtype=float), len(sweep))
+    return checks, [instruments, labels, kappa_T, np.array(defects, dtype=float)]
 
 
 def projector_scaling_checks() -> list[Check]:

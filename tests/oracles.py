@@ -5,8 +5,9 @@ faster one: dense per-step conditional evolution of a density matrix (one
 ``scipy.linalg.expm`` per heterodyne increment, through
 :func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
 both instruments, the disentangled displacement product, the 2-D
-alternating-direction diffusion loop, and the Born density's moments by
-quadrature.  Nothing in ``kodsim`` imports them.
+alternating-direction diffusion loop, the Born density's moments by
+quadrature, and the CSV writer that formats one cell at a time.  Nothing in
+``kodsim`` imports them.
 
 The stepped samplers take a trajectory through every step of the grid, as
 the instrument evolves, where the package draws the reduced record at the
@@ -15,6 +16,8 @@ reproduce that law under test.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 import scipy.linalg
@@ -295,3 +298,22 @@ def born_pdf_quadrature(rho, T, p, quad_order):
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
     return total, mean, cov
+
+
+def fmt_cell(value) -> str:
+    """One CSV cell as text: a string as given, an integer (a bool too) as
+    its digits, ``None`` as empty, any other number as ``repr(float(v))``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "" if value is None else repr(float(value))
+
+
+def write_csv_rows(path: str, header: list[str], rows) -> None:
+    """Write a table row by row, each cell through :func:`fmt_cell`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_cell(v) for v in row])

@@ -15,6 +15,7 @@ import scipy.linalg
 
 from kodsim import cli, ensemble, fock, heterodyne as het, records, verify
 from kodsim.exceptions import ConfigError, DomainError
+from oracles import write_csv_rows
 
 
 def read_csv(path):
@@ -137,8 +138,11 @@ class TestRuns:
     def test_write_csv_cell_text_pinned(self, tmp_path):
         # every cell type the runners emit, as the exact bytes on disk
         path = tmp_path / "cells.csv"
-        row = (np.float64(0.1), 1.0 / 3.0, 7, np.int64(-3), True, None, "", np.float64(2e-20))
-        cli.write_csv(str(path), ["a", "b", "c", "d", "e", "f", "g", "h"], [row])
+        columns = [
+            np.array([0.1]), np.array([1.0 / 3.0]), range(7, 8), np.array([-3]),
+            np.array([True]), np.full(1, None), [""], np.array([2e-20]),
+        ]
+        cli.write_csv(str(path), ["a", "b", "c", "d", "e", "f", "g", "h"], columns)
         assert path.read_bytes() == (
             b"a,b,c,d,e,f,g,h\n0.1,0.3333333333333333,7,-3,1,,,2e-20\n"
         )
@@ -447,6 +451,53 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     assert data["provenance"]["stream_scheme"] == "one-stream/1"
 
 
+def table_rows(columns):
+    """A column table's rows, each cell the column's own element."""
+    n_rows = len(next(c for c in columns if not callable(c)))
+    return zip(*(c(np.arange(n_rows)) if callable(c) else c for c in columns))
+
+
+# every layout, plus a table of 2 chunks and one row and runs with no
+# trajectory (empty cells)
+WRITER_CASES = [(kind, cfg_dict) for kind, cfg_dict, _, _ in OUTPUT_LAYOUTS] + [
+    ("photodetect-ensemble", dict(SMALL_PHOTO, trajectories=2 * cli.CHUNK + 1)),
+    ("photodetect-ensemble", dict(SMALL_PHOTO, trajectories=0)),
+    ("heterodyne-ensemble", {"trajectories": 0, "params": {"dim": 12}, "bins": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, cfg_dict", WRITER_CASES, ids=[f"{case[0]}-{i}" for i, case in enumerate(WRITER_CASES)]
+)
+def test_write_csv_writes_the_row_oracle_bytes(tmp_path, kind, cfg_dict):
+    # each table of a run, checks.csv and the plot series as written by
+    # cli.run, against the cell-by-cell writer on the same values
+    cfg = cli.resolve_config(kind, cfg_dict)
+    cli.run(cfg, str(tmp_path / "run"))
+    checks, tables = cli.RUNNERS[kind](cfg, 1)
+    check_rows = [
+        (c.name, c.measured, c.threshold, c.comparison, str(c.passed).lower()) for c in checks
+    ]
+    expected = {"checks.csv": (CHECKS_HEADER, check_rows)}
+    for stem, header, columns in tables:
+        expected[f"{stem.replace('-', '_')}.csv"] = (header, table_rows(columns))
+    assert sorted([*expected, "report.json"]) == sorted(os.listdir(tmp_path / "run"))
+    for name, (header, rows) in expected.items():
+        write_csv_rows(str(tmp_path / name), header, rows)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+
+def test_series_tables_write_the_row_oracle_bytes(tmp_path):
+    for spec in cli._series(
+        [{"name": name} for name in cli.SERIES if name != "beta-cooling"]
+        + [{"name": "beta-cooling", "samples": 500}], "series"
+    ):
+        stem, header, columns = cli.series_table(spec, 3)
+        cli.write_csv(str(tmp_path / "columns.csv"), header, columns)
+        write_csv_rows(str(tmp_path / "rows.csv"), header, table_rows(columns))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 # sizes at which 20 trajectories leave the chi-square test two bins
 SMALL_SIZES = {
     "photodetect-ensemble": {"params": {"dim": 12}, "n_max": 8},
@@ -493,6 +544,18 @@ def run_main(tmp_path, kind, cfg_dict, *args):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg_dict))
     return cli.main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out"), *args])
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_SIZES))
+def test_a_run_too_small_for_the_chi_square_test_is_a_config_error(tmp_path, capsys, kind):
+    # 10 trajectories leave fewer than two bins of expected count >= 5: the
+    # config names too few trajectories, it is no bad data
+    cfg = dict(SMALL_SIZES[kind], trajectories=10)
+    with pytest.raises(ConfigError, match="trajectories = 10 .*chi-square"):
+        cli.run(cli.resolve_config(kind, cfg), str(tmp_path / "run"))
+    assert run_main(tmp_path, kind, cfg) == 2
+    assert "expected count >= 5" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
 
 
 # .npy files no run may take, by name
@@ -768,7 +831,7 @@ ORACLES = {
     "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
     "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
     "jump_table", "count_jumps", "stepped_counts", "born_coeffs", "born_table",
-    "evolve_het_batch", "stepped_zetas", "per_trajectory",
+    "evolve_het_batch", "stepped_zetas", "per_trajectory", "fmt_cell", "write_csv_rows",
 }
 PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
@@ -273,6 +274,44 @@ class TestDiffusion:
         with pytest.raises(ExtentError):
             het.evolve_kod_diffusion(1e-4, 1.0, h=0.05, extent=5.0, steps=50,
                                      sigma0_sq=1e-6)
+
+    @pytest.mark.parametrize(
+        "T, kappa_o", [(LN2, math.nan), (LN2, math.inf), (math.nan, 1.0), (math.inf, 1.0)]
+    )
+    def test_rejects_non_finite_horizon_and_rate(self, T, kappa_o):
+        with pytest.raises(DomainError, match="finite"):
+            het.evolve_kod_diffusion(T, kappa_o, h=0.05, extent=5.0, steps=50, sigma0_sq=1e-3)
+
+    @pytest.mark.parametrize("h", [0.05, 0.025])
+    def test_each_step_solve_equals_solve_banded(self, monkeypatch, h):
+        # every Crank-Nicolson solve of a KOD run, bit for bit
+        solves = []
+        make = het._cn_solver
+
+        def recording(band):
+            solve = make(band)
+
+            def record(coef, v):
+                x = solve(coef, v)
+                solves.append((band, coef, v.copy(), x.copy()))
+                return x
+
+            return record
+
+        monkeypatch.setattr(het, "_cn_solver", recording)
+        het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=verify.KOD_GRID_STEPS,
+                                 sigma0_sq=1e-3)
+        assert len(solves) == verify.KOD_GRID_STEPS
+        for band, coef, v, x in solves:
+            ab = -coef * band
+            ab[2] += 1.0
+            assert np.array_equal(x, scipy.linalg.solve_banded((2, 2), ab, v))
+
+    def test_singular_step_raises(self):
+        band = np.zeros((5, 9))
+        band[2] = 1.0
+        with pytest.raises(NumericError, match="gbsv"):
+            het._cn_solver(band)(1.0, np.ones(9))
 
 
 class TestClassOperators:
