@@ -582,7 +582,8 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     series = [series_table(spec, r["seed"]) for spec in cfg.series]
     checks, tables = RUNNERS[cfg.kind](cfg, n_threads)
     report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
+        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash(),
+        phase_solver=het.PHASE_SOLVER if cfg.kind == "heterodyne-ensemble" else None,
     )
     os.makedirs(out_dir, exist_ok=True)
     write_report(out_dir, report)

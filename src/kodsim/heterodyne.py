@@ -54,7 +54,11 @@ RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
 KOD_MASS_TOL = 1e-8  # largest mass drift evolve_kod_diffusion allows at any step
 CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
-PHASE_BISECTIONS = 52  # halve [0, 2 pi] to below the spacing of doubles there
+PHASE_BRACKET_STEPS = 16  # bisections of [0, 2 pi] before Newton: a bracket of 2 pi / 65536
+PHASE_NEWTON_STEPS = 2  # safeguarded Newton steps inside that bracket
+PHASE_TOL = 1e-12  # largest backward error |CDF(theta) - u| a drawn phase may keep
+# the phase inversion, named in report.json provenance: it moves zetas in their low bits
+PHASE_SOLVER = "bracket-newton/1"
 
 
 def _density_width(T: float, kappa_o: float) -> float:
@@ -443,55 +447,136 @@ def sample_het_ostensible(
     return np.sqrt(0.5 * sigma) * (g[:, 0] + 1j * g[:, 1])
 
 
-def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Amplitudes ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``,
-    one per row of the ``(n, 3)`` uniforms, each by inverse CDF.
+def _husimi_circles(rho: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared radius ``|gamma|^2`` and the phase series ``c`` (one row of
+    d per row) of a Husimi draw, from the first two of its uniforms.
 
     The phase average leaves ``|gamma|^2`` the mixture
     ``sum_n rho_nn Gamma(n+1)``: ``uniforms[:, 0]`` picks n from ``diag rho``
     and ``uniforms[:, 1]`` inverts Gamma(n+1).  Given the radius r, the phase
     density is ``f / (2 pi c_0)`` with ``f(theta) = c_0 + 2 Re sum_k c_k
     e^{ik theta}``, ``c_k = sum_m rho[m, m+k] x_m x_{m+k}`` and
-    ``x_m = r^m e^{-r^2/2}/sqrt(m!)`` formed in log space.  Its CDF is in
-    closed form, and ``uniforms[:, 2]`` inverts it by
-    :data:`PHASE_BISECTIONS` bisection steps on every row.
-
-    Every operation is row-wise, and the bisection runs on real arrays:
-    numpy's in-place complex multiply rounds a lone element differently
-    from one in a longer array, which would tie a trajectory's bits to its
-    batch.
+    ``x_m = r^m e^{-r^2/2}/sqrt(m!)`` formed in log space.
     """
     dim = rho.shape[0]
     n = draw_levels(np.diagonal(rho).real, uniforms[:, 0])
-    radius_sq = scipy.special.gammaincinv(n + 1.0, uniforms[:, 1])[:, None]
+    radius_sq = scipy.special.gammaincinv(n + 1.0, uniforms[:, 1])
     m = np.arange(dim)
-    x = np.exp(0.5 * (scipy.special.xlogy(m, radius_sq) - radius_sq - scipy.special.gammaln(m + 1)))
+    r2 = radius_sq[:, None]
+    x = np.exp(0.5 * (scipy.special.xlogy(m, r2) - r2 - scipy.special.gammaln(m + 1)))
     c = np.stack([np.sum(np.diagonal(rho, k) * x[:, : dim - k] * x[:, k:], axis=1)
                   for k in range(dim)], axis=1)
     # at r = 0 the phase of gamma = 0 is immaterial: draw it uniform
-    c[radius_sq[:, 0] == 0.0] = np.eye(1, dim)
-    c_re, c_im = c.real, c.imag
-    if not np.all(c_re[:, 0] > 0.0):
+    c[radius_sq == 0.0] = np.eye(1, dim)
+    if not np.all(c.real[:, 0] > 0.0):
         raise NumericError("the Husimi function vanishes on a drawn circle")
-    # CDF(theta) = theta/(2 pi) + Re sum_k b_k (e^{ik theta} - 1), b_k = c_k/(i pi k c_0),
-    # its series summed by Horner's rule in z = e^{i theta}
-    scale = np.pi * np.arange(1, dim) * c_re[:, :1]
-    b_re, b_im = c_im[:, 1:] / scale, -c_re[:, 1:] / scale
+    return radius_sq, c
+
+
+def _mul_add(a, z, c, out, tmp):
+    """``out = a z + c`` for complex arrays held as (real, imaginary) pairs,
+    in place: the same roundings as the expression, without its temporaries."""
+    (a_re, a_im), (z_re, z_im), (out_re, out_im) = a, z, out
+    np.multiply(a_re, z_re, out=out_re)
+    np.multiply(a_im, z_im, out=tmp)
+    out_re -= tmp
+    out_re += c[0]
+    np.multiply(a_re, z_im, out=out_im)
+    np.multiply(a_im, z_re, out=tmp)
+    out_im += tmp
+    out_im += c[1]
+
+
+def _phase_cdf(b_re, b_im, shift, theta, slope):
+    """``CDF(theta) = theta/(2 pi) + Re sum_k b_k (e^{ik theta} - 1)`` and, if
+    ``slope``, its density ``1/(2 pi) + Re sum_k ik b_k e^{ik theta}``.
+
+    The series is summed by Horner's rule in ``z = e^{i theta}``, its
+    derivative in z alongside (Horner's simultaneous derivative), on real
+    arrays: numpy's complex multiply rounds a lone element differently from
+    one in a longer array, which would tie a trajectory's bits to its batch.
+    """
+    z = np.cos(theta), np.sin(theta)
+    s, s_next = (b_re[-1].copy(), b_im[-1].copy()), (np.empty_like(theta), np.empty_like(theta))
+    d, d_next = (np.zeros_like(theta), np.zeros_like(theta)), (np.empty_like(theta), np.empty_like(theta))
+    tmp = np.empty_like(theta)
+    for coef in zip(b_re[-2::-1], b_im[-2::-1]):
+        if slope:
+            _mul_add(d, z, s, d_next, tmp)
+            d, d_next = d_next, d
+        _mul_add(s, z, coef, s_next, tmp)
+        s, s_next = s_next, s
+    cdf = theta / (2.0 * np.pi) + (s[0] * z[0] - s[1] * z[1] - shift)
+    if not slope:
+        return cdf, None
+    # sum_k k b_k z^k = z (s + z s'), and the density is 1/(2 pi) - Im of it
+    _mul_add(d, z, s, d_next, tmp)
+    return cdf, 1.0 / (2.0 * np.pi) - (d_next[0] * z[1] + d_next[1] * z[0])
+
+
+def _husimi_phase(c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phase ``theta`` in [0, 2 pi] at which each row's phase CDF (see
+    :func:`_husimi_circles`) reaches ``u``, and its backward error
+    ``|CDF(theta) - u|``.
+
+    A fixed schedule, the same on every row: :data:`PHASE_BRACKET_STEPS`
+    bisections bracket the root, then :data:`PHASE_NEWTON_STEPS` Newton
+    steps on ``CDF - u``, the first from the root of the chord across the
+    bracket, run inside it, each evaluation shrinking it.  A step is
+    clipped to [0, 2 pi], where the rounded CDF may cross ``u`` just
+    outside, and a step that leaves the closed bracket bisects it instead.
+    Near a node of the Husimi function, where the density vanishes and
+    Newton converges only linearly, the long bracket phase keeps the
+    backward error near roundoff.
+    """
+    dim = c.shape[1]
+    # CDF(theta) = theta/(2 pi) + Re sum_k b_k (e^{ik theta} - 1), b_k = c_k/(i pi k c_0)
+    scale = np.pi * np.arange(1, dim) * c.real[:, :1]
+    b_re, b_im = c.imag[:, 1:] / scale, -c.real[:, 1:] / scale
     shift = np.sum(b_re, axis=1)
     b_re, b_im = b_re.T.copy(), b_im.T.copy()
-    lo = np.zeros(uniforms.shape[0])
-    hi = np.full(uniforms.shape[0], 2.0 * np.pi)
-    for _ in range(PHASE_BISECTIONS):
+    lo, cdf_lo = np.zeros(u.size), np.zeros(u.size)
+    hi, cdf_hi = np.full(u.size, 2.0 * np.pi), np.ones(u.size)
+    for _ in range(PHASE_BRACKET_STEPS):
         mid = 0.5 * (lo + hi)
-        z_re, z_im = np.cos(mid), np.sin(mid)
-        s_re, s_im = b_re[-1], b_im[-1]
-        for coef_re, coef_im in zip(b_re[-2::-1], b_im[-2::-1]):
-            s_re, s_im = s_re * z_re - s_im * z_im + coef_re, s_re * z_im + s_im * z_re + coef_im
-        below = mid / (2.0 * np.pi) + (s_re * z_re - s_im * z_im - shift) < uniforms[:, 2]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    theta = 0.5 * (lo + hi)
-    return np.sqrt(radius_sq[:, 0]) * (np.cos(theta) + 1j * np.sin(theta))
+        cdf = _phase_cdf(b_re, b_im, shift, mid, False)[0]
+        below = cdf < u
+        lo, cdf_lo = np.where(below, mid, lo), np.where(below, cdf, cdf_lo)
+        hi, cdf_hi = np.where(below, hi, mid), np.where(below, cdf_hi, cdf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Newton starts from the chord's root across the bracket, or its
+        # midpoint where the CDF is flat to roundoff
+        span = cdf_hi - cdf_lo
+        chord = np.minimum(lo + (hi - lo) * ((u - cdf_lo) / span), hi)
+        theta = np.where(span > 0.0, chord, 0.5 * (lo + hi))
+        for _ in range(PHASE_NEWTON_STEPS):
+            cdf, density = _phase_cdf(b_re, b_im, shift, theta, True)
+            below = cdf < u
+            lo = np.where(below, theta, lo)
+            hi = np.where(below, hi, theta)
+            step = np.clip(theta - (cdf - u) / density, 0.0, 2.0 * np.pi)
+            theta = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+    return theta, np.abs(_phase_cdf(b_re, b_im, shift, theta, False)[0] - u)
+
+
+def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Amplitudes ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``,
+    one per row of the ``(n, 3)`` uniforms, each by inverse CDF: the radius
+    from the first two (:func:`_husimi_circles`), the phase from the third
+    by a bracket and safeguarded Newton steps (:func:`_husimi_phase`).
+
+    A phase whose backward error exceeds :data:`PHASE_TOL` raises
+    NumericError rather than bias the draw.  Every operation is row-wise.
+    """
+    radius_sq, c = _husimi_circles(rho, uniforms)
+    theta, error = _husimi_phase(c, uniforms[:, 2])
+    if not np.all(error <= PHASE_TOL):
+        bad = int(np.argmin(error <= PHASE_TOL))
+        raise NumericError(
+            f"phase backward error {error[bad]:.3g} above {PHASE_TOL:g} on the circle of "
+            f"radius {math.sqrt(radius_sq[bad]):.6g}"
+        )
+    return np.sqrt(radius_sq) * (np.cos(theta) + 1j * np.sin(theta))
 
 
 def _zetas(rho: np.ndarray, p: InstrumentParams, uniforms: np.ndarray) -> np.ndarray:

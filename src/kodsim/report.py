@@ -45,25 +45,33 @@ class Check:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Check list plus provenance; overall pass iff every check passes."""
+    """Check list plus provenance; overall pass iff every check passes.
+
+    ``phase_solver`` names the heterodyne phase inversion on the runs that
+    draw amplitudes, and is left out of every other run's provenance.
+    """
 
     checks: tuple[Check, ...]
     seed: int
     version: str
     config_hash: str
+    phase_solver: str | None = None
 
     @property
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        provenance = {
+            "seed": self.seed,
+            "version": self.version,
+            "config_hash": self.config_hash,
+            "stream_scheme": STREAM_SCHEME,
+        }
+        if self.phase_solver is not None:
+            provenance["phase_solver"] = self.phase_solver
         return {
             "overall_pass": self.overall_pass,
             "checks": [c.to_dict() for c in self.checks],
-            "provenance": {
-                "seed": self.seed,
-                "version": self.version,
-                "config_hash": self.config_hash,
-                "stream_scheme": STREAM_SCHEME,
-            },
+            "provenance": provenance,
         }

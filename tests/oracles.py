@@ -6,7 +6,8 @@ faster one: dense per-step conditional evolution of a density matrix (one
 :func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
 both instruments, the disentangled displacement product, the 2-D
 alternating-direction diffusion loop, the Born density's moments by
-quadrature, and the CSV writer that formats one cell at a time.  Nothing in
+quadrature, the Husimi phase by bisection alone, and the CSV writer that
+formats one cell at a time.  Nothing in
 ``kodsim`` imports them.
 
 The stepped samplers take a trajectory through every step of the grid, as
@@ -298,6 +299,31 @@ def born_pdf_quadrature(rho, T, p, quad_order):
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
     return total, mean, cov
+
+
+def bisect_phase(c: np.ndarray, u: np.ndarray, steps: int = 52) -> np.ndarray:
+    """The Husimi phase at which each row's phase CDF reaches ``u``, by
+    ``steps`` bisections of [0, 2 pi]: 52 halve it below the spacing of
+    doubles there.  ``c`` holds one row of the phase series of
+    :func:`kodsim.heterodyne._husimi_circles` per uniform; the CDF is
+    summed by Horner's rule on real arrays, as the package sums it."""
+    dim = c.shape[1]
+    scale = np.pi * np.arange(1, dim) * c.real[:, :1]
+    b_re, b_im = c.imag[:, 1:] / scale, -c.real[:, 1:] / scale
+    shift = np.sum(b_re, axis=1)
+    b_re, b_im = b_re.T.copy(), b_im.T.copy()
+    lo = np.zeros(u.size)
+    hi = np.full(u.size, 2.0 * np.pi)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        z_re, z_im = np.cos(mid), np.sin(mid)
+        s_re, s_im = b_re[-1], b_im[-1]
+        for coef_re, coef_im in zip(b_re[-2::-1], b_im[-2::-1]):
+            s_re, s_im = s_re * z_re - s_im * z_im + coef_re, s_re * z_im + s_im * z_re + coef_im
+        below = mid / (2.0 * np.pi) + (s_re * z_re - s_im * z_im - shift) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def fmt_cell(value) -> str:

@@ -447,8 +447,12 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     assert [c.name for c in report.checks] == check_names
     data = json.loads((tmp_path / "report.json").read_text())
     assert [c["name"] for c in data["checks"]] == check_names
-    assert sorted(data["provenance"]) == ["config_hash", "seed", "stream_scheme", "version"]
+    # only the runs that draw amplitudes name the heterodyne phase solver
+    solver = ["phase_solver"] if kind == "heterodyne-ensemble" else []
+    assert sorted(data["provenance"]) == sorted(
+        ["config_hash", "seed", "stream_scheme", "version", *solver])
     assert data["provenance"]["stream_scheme"] == "one-stream/1"
+    assert data["provenance"].get("phase_solver") == ("bracket-newton/1" if solver else None)
 
 
 def table_rows(columns):
@@ -832,6 +836,7 @@ ORACLES = {
     "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
     "jump_table", "count_jumps", "stepped_counts", "born_coeffs", "born_table",
     "evolve_het_batch", "stepped_zetas", "per_trajectory", "fmt_cell", "write_csv_rows",
+    "bisect_phase",
 }
 PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 

@@ -25,6 +25,7 @@ from kodsim.exceptions import (
 from kodsim.params import InstrumentParams, screened_integral
 from oracles import (
     adi_2d,
+    bisect_phase,
     born_coeffs,
     born_pdf_quadrature,
     born_table,
@@ -41,8 +42,8 @@ def params(kappa_T=1.0, dim=40, dt=1e-3):
     return InstrumentParams.fit_steps(kappa_o=1.0, T=kappa_T, dt=dt, dim=dim)
 
 
-def coherent_fock_mixture(dim):
-    return (0.5 * fock.density(fock.coherent_state(dim, np.exp(0.7j)))
+def coherent_fock_mixture(dim, phase=0.7):
+    return (0.5 * fock.density(fock.coherent_state(dim, np.exp(1j * phase)))
             + 0.5 * fock.projector(dim, 3))
 
 
@@ -51,6 +52,32 @@ def random_mixed(dim, seed=17):
     g = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def even_cat(dim, alpha):
+    v = fock.coherent_state(dim, alpha) + fock.coherent_state(dim, -alpha)
+    return v / np.linalg.norm(v)
+
+
+def phase_cdf_by_sum(c, theta):
+    """The phase CDF ``theta/(2 pi) + Re sum_k c_k (e^{ik theta} - 1)/(i pi k c_0)``
+    on each row's circle, term by term in complex arithmetic."""
+    k = np.arange(1, c.shape[1])
+    b = c[:, 1:] / (1j * np.pi * k * c[:, :1].real)
+    return theta / (2.0 * np.pi) + np.sum(b * np.expm1(1j * k * theta[:, None]), axis=1).real
+
+
+# the states the phase solver is held to: coherent at two amplitudes, a
+# Fock state, a cat whose Husimi function has nodes, and the mixed state of
+# the benchmark's seed-1 `het` call (perfbench/workloads.py draws its phase)
+PHASE_STATES = {
+    "coherent-1": fock.coherent_state(40, 1.0),
+    "coherent-3i": fock.coherent_state(40, 3j),
+    "fock5": fock.fock_state(40, 5),
+    "even-cat-3": even_cat(40, 3.0),
+    "coherent-fock-mixture": coherent_fock_mixture(
+        16, np.random.default_rng([1, 2022]).uniform(0.0, 2.0 * np.pi)),
+}
 
 
 def husimi_by_hand(rho, u):
@@ -602,6 +629,57 @@ class TestSamplers:
             het._husimi_amplitudes(zero, np.full((2, 3), 0.5))
         with pytest.raises(NumericError):
             het.run_het_ensemble(zero, p, 3, seed=1)
+
+    @pytest.mark.parametrize("state", PHASE_STATES.values(), ids=PHASE_STATES)
+    def test_phase_meets_its_backward_error_and_the_bisection_oracle(self, state):
+        rho = fock.density(state)
+        u = records.stream(23, 0).random((10**4, 3))
+        radius_sq, c = het._husimi_circles(rho, u)
+        theta, error = het._husimi_phase(c, u[:, 2])
+        assert np.all((0.0 <= theta) & (theta <= 2.0 * np.pi))
+        assert np.max(np.abs(phase_cdf_by_sum(c, theta) - u[:, 2])) <= 1e-14
+        assert np.max(error) <= 1e-14
+        oracle = np.sqrt(radius_sq) * np.exp(1j * bisect_phase(c, u[:, 2]))
+        assert np.max(np.abs(het._husimi_amplitudes(rho, u) - oracle)) <= 1e-11
+
+    @pytest.mark.parametrize("state", PHASE_STATES.values(), ids=PHASE_STATES)
+    def test_edge_rows_give_finite_amplitudes(self, state):
+        # u_3 at both ends of [0, 1), radius 0, and circles through or near
+        # the cat's Husimi nodes at gamma = +-i pi/6, where the phase density
+        # vanishes at theta = pi/2 and 3 pi/2 and its CDF reads 1/4 and 3/4
+        top = 1.0 - 2.0**-53
+        node = math.pi / 6.0
+        rows = [[u0, u1, u3] for u0 in (0.0, 0.5, top) for u1 in (0.0, 0.5, top)
+                for u3 in (0.0, 0.5, top)]
+        rows += [[0.0, -math.expm1(-((node + dr) ** 2)), centre + du]
+                 for dr in (0.0, 1e-12, -1e-9, 1e-6, -1e-4, 1e-2)
+                 for centre in (0.25, 0.75) for du in (0.0, 1e-14, -1e-10, 1e-7, -1e-4, 1e-2)]
+        rows = np.array(rows)
+        rho = fock.density(state)
+        radius_sq, c = het._husimi_circles(rho, rows)
+        theta, error = het._husimi_phase(c, rows[:, 2])
+        assert np.all((0.0 <= theta) & (theta <= 2.0 * np.pi))
+        assert np.all(error <= het.PHASE_TOL)
+        gamma = het._husimi_amplitudes(rho, rows)
+        assert np.all(np.isfinite(gamma))
+        assert np.all(gamma[radius_sq == 0.0] == 0.0)
+        if state is PHASE_STATES["even-cat-3"]:
+            on_node = (np.abs(radius_sq - node**2) < 1e-14) & (rows[:, 2] == 0.25)
+            assert np.any(on_node)
+            density = 1.0 + 2.0 * np.sum(c[on_node, 1:] / c[on_node, :1].real
+                                         * 1j ** np.arange(1, c.shape[1]), axis=1).real
+            assert np.max(np.abs(density)) < 1e-12
+
+    def test_a_phase_the_bracket_alone_cannot_meet_raises(self, monkeypatch):
+        # without Newton steps the chord across the bracket misses the
+        # backward-error bound, which raises rather than bias the phase
+        rho = fock.density(fock.coherent_state(40, 1.0))
+        u = records.stream(23, 0).random((200, 3))
+        monkeypatch.setattr(het, "PHASE_NEWTON_STEPS", 0)
+        with pytest.raises(NumericError, match=r"circle of radius \d"):
+            het._husimi_amplitudes(rho, u)
+        with pytest.raises(NumericError, match="phase backward error"):
+            het.run_het_ensemble(rho, params(kappa_T=LN2, dim=40), 200, seed=1)
 
     def test_vector_and_its_density_give_identical_trajectories(self):
         # a unit vector reaches the sampler only as its pure density
