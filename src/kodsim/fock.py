@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .exceptions import DomainError, InvalidDimensionError
 
@@ -52,43 +53,50 @@ def number_exp(dim: int, r: float) -> np.ndarray:
     return np.diag(np.exp(-number_diag(dim) * r)).astype(complex)
 
 
-def exp_lowering(dim: int, c: complex) -> np.ndarray:
-    """Exponential ``exp(c a)`` from its finite nilpotent series.
-
-    The series terminates after ``dim`` terms, so this is exact in the
-    truncated space.  Entries are filled per diagonal with the closed form
-    ``c^j sqrt((m+j)!/m!) / j!`` at ``(m, m+j)``, which stays accurate for
-    large dimensions where accumulating matrix powers would not.
-    """
+def log_lowering(dim: int) -> np.ndarray:
+    """``log g_j(m)`` at [j, m] (``-inf`` where ``m + j >= dim``), with
+    ``g_j(m) = sqrt((m+j)!/m!)/j!`` the coefficient of ``c^j`` at (m, m+j) in
+    ``exp(c a)``, from one log-factorial vector; column 0 is ``-ln(j!)/2``."""
     if dim < 2:
         raise InvalidDimensionError(f"need dim >= 2, got {dim}")
-    out = np.eye(dim, dtype=complex)
-    c = complex(c)
-    if c == 0.0:
-        return out
-    vals = np.ones(dim, dtype=complex)
-    for j in range(1, dim):
-        m = np.arange(dim - j)
-        vals = vals[: dim - j] * (c * np.sqrt(m + j) / j)
-        out[m, m + j] = vals
-        if np.max(np.abs(vals)) < 1e-300:
-            break
+    log_fact = scipy.special.gammaln(np.arange(1.0, 2.0 * dim))
+    j, m = np.ogrid[:dim, :dim]
+    return np.where(m + j < dim, 0.5 * (log_fact[m + j] - log_fact[m]) - log_fact[j], -np.inf)
+
+
+def scaled_powers(c, j: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """``c^j e^{log_scale}`` for an array of amplitudes and integer powers ``j``
+    on trailing axes: one exponential of ``j log|c| + log_scale`` times a
+    Vandermonde of ``c/|c|`` (0 at c = 0, leaving ``c^0 = 1``), so nothing
+    overflows or underflows before the product does."""
+    c = np.asarray(c, dtype=complex)
+    radius = np.abs(c)
+    safe = np.where(radius > 0.0, radius, 1.0)
+    # by parts: a complex quotient overflows when |c| is subnormal
+    unit = c.real / safe + 1j * (c.imag / safe)
+    units = np.vander(unit.ravel(), np.max(j) + 1, increasing=True)
+    out = np.take(units.reshape(c.shape + (-1,)), j, axis=-1)
+    del units
+    out *= np.exp(log_scale + j * np.log(safe).reshape(c.shape + (1,) * j.ndim))
     return out
+
+
+def exp_lowering(dim: int, c) -> np.ndarray:
+    """``exp(c a)``, exact in the truncated space, for an array of amplitudes:
+    shape ``np.shape(c) + (dim, dim)``, entry (m, m+j) ``c^j g_j(m)`` from
+    :func:`scaled_powers`, so it overflows or underflows only with its value."""
+    table = log_lowering(dim)
+    m, s = np.indices(table.shape)
+    j = np.maximum(s - m, 0)
+    return scaled_powers(c, j, np.where(s >= m, table[j, m], -np.inf))
 
 
 def lowering_power(dim: int, n: int) -> np.ndarray:
-    """``a^n`` built analytically: entries sqrt((m+n)!/m!) at (m, m+n)."""
+    """``a^n``: entries ``sqrt((m+n)!/m!) = n! g_n(m)`` at (m, m+n)."""
     if not 0 <= n < dim:
         raise InvalidDimensionError(f"need 0 <= n < dim, got n={n}, dim={dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    if n == 0:
-        return np.eye(dim, dtype=complex)
-    m = np.arange(dim - n)
-    vals = np.ones(dim - n)
-    for j in range(1, n + 1):
-        vals = vals * np.sqrt(m + j)
-    out[m, m + n] = vals
-    return out
+    table = log_lowering(dim)
+    return np.diag(np.exp(table[n, : dim - n] - 2.0 * table[n, 0]), n).astype(complex)
 
 
 def displacement_unitary(dim: int, alpha: complex) -> np.ndarray:
@@ -115,18 +123,25 @@ def displacement_unitary(dim: int, alpha: complex) -> np.ndarray:
     return (basis * np.exp(-1j * theta)) @ basis.conj().T
 
 
-def coherent_state(dim: int, alpha: complex) -> np.ndarray:
-    """Coherent state amplitudes ``e^{-|alpha|^2/2} alpha^n / sqrt(n!)``."""
+def coherent_state(dim: int, alpha) -> np.ndarray:
+    """Coherent states ``e^{-|alpha|^2/2} alpha^n / sqrt(n!)`` of an array of
+    amplitudes, shape ``np.shape(alpha) + (dim,)``, each row with the bits of
+    its scalar call: the recurrence rounds as numpy's scalar complex ops do."""
     if dim < 2:
         raise InvalidDimensionError(f"need dim >= 2, got {dim}")
-    alpha = complex(alpha)
-    if not np.isfinite(alpha):
-        raise DomainError(f"need a finite amplitude, got {alpha}")
-    amps = np.empty(dim, dtype=complex)
-    amps[0] = 1.0
+    alpha = np.asarray(alpha, dtype=complex)
+    if not np.all(np.isfinite(alpha)):
+        raise DomainError(f"need finite amplitudes, got {alpha}")
+    x, y = alpha.real, alpha.imag
+    amps = np.ones(alpha.shape + (dim,), dtype=complex)
+    re, im = amps.real, amps.imag
     for n in range(1, dim):
-        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
-    return np.exp(-0.5 * abs(alpha) ** 2) * amps
+        # amps[n-1] * alpha, then Smith's division by sqrt(n) + 0j
+        a, b = re[..., n - 1] * x - im[..., n - 1] * y, re[..., n - 1] * y + im[..., n - 1] * x
+        scale = 1.0 / np.sqrt(n)
+        re[..., n], im[..., n] = (a + b * 0.0) * scale, (b - a * 0.0) * scale
+    return np.exp(-0.5 * np.reshape([abs(z) ** 2 for z in alpha.ravel().tolist()],
+                                    alpha.shape + (1,))) * amps
 
 
 def fock_state(dim: int, n: int) -> np.ndarray:

@@ -44,8 +44,10 @@ from .fock import (
     coherent_state,
     displacement_unitary,
     exp_lowering,
+    log_lowering,
     number_diag,
     number_exp,
+    scaled_powers,
     subblock_norm_diff,
 )
 from .params import InstrumentParams, screened_integral
@@ -312,15 +314,13 @@ def povm_completeness_het(T: float, p: InstrumentParams, sub_dim: int, quad_orde
     Gauss-Hermite nodes rescaled to the Gaussian width absorb the
     distribution factor; the remaining integrand is polynomial in
     (zeta, zeta*), which the product rule integrates exactly on the safe
-    subblock.
+    subblock.  Each point's ``K^dag K`` is one product of its class
+    operator, and the sum over points is einsum's, not BLAS's.
     """
-    sigma = _density_width(T, p.kappa_o)
-    decay = np.exp(-p.kappa_o * T * number_diag(p.dim))
-    total = np.zeros((p.dim, p.dim), dtype=complex)
-    for point, weight in zip(*_hermite_2d(quad_order)):
-        e_low = exp_lowering(p.dim, np.conj(np.sqrt(sigma) * point))
-        total += weight * (e_low.conj().T @ (decay[:, None] * e_low))
-    total /= np.pi
+    points, weights = _hermite_2d(quad_order)
+    kraus = exp_lowering(p.dim, np.conj(np.sqrt(_density_width(T, p.kappa_o)) * points))
+    kraus *= np.exp(-0.5 * p.kappa_o * T * number_diag(p.dim))[:, None]
+    total = np.einsum("n,nij->ij", weights, kraus.conj().swapaxes(1, 2) @ kraus) / np.pi
     return subblock_norm_diff(total, np.eye(p.dim), sub_dim)
 
 
@@ -364,15 +364,14 @@ def born_moments(rho: np.ndarray, T: float, kappa_o: float) -> tuple[complex, fl
 
 
 def _weight_table(rho: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
-    """``T_t[j, l] = sum_m e^{-m kappa_o t} g_j(m) g_l(m) rho[m+j, m+l]``, with
-    ``g_j(m) = sqrt((m+j)!/m!)/j!``, summed one level m at a time in O(d^2)
-    memory.  The weight of the class operator ``e^{-a^dag a kappa_o t/2}
-    e^{c a}`` is ``W_t(c) = sum_{j,l} c^j conj(c)^l T_t[j, l]``, entire in
-    (c, c*) because the class operators are lowering-only."""
+    """``T_t[j, l] = sum_m e^{-m kappa_o t} G_j(m) G_l(m) rho[m+j, m+l]``, with
+    ``G_j(m) = sqrt(j!) g_j(m)`` from :func:`fock.log_lowering` (``G_j(0) = 1``),
+    summed one level m at a time in O(d^2) memory.  The class operator
+    ``e^{-a^dag a kappa_o t/2} e^{c a}`` has weight ``W_t(c) = sum_{j,l} c^j
+    conj(c)^l T_t[j, l] / sqrt(j! l!)``, entire in (c, c*): it only lowers."""
     dim = rho.shape[0]
-    m = np.arange(dim)[:, None]
-    j = np.arange(dim)[None, :]
-    g = np.cumprod(np.where(j > 0, np.sqrt(m + j) / np.maximum(j, 1), 1.0), axis=1)
+    log_g = log_lowering(dim)
+    g = np.exp(log_g - log_g[:, :1]).T
     damp = np.exp(-kappa_o * t * np.arange(dim))
     table = np.zeros((dim, dim), dtype=complex)
     for level in range(dim):
@@ -382,25 +381,33 @@ def _weight_table(rho: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
     return table
 
 
+def _born_kernel(rho: np.ndarray, zetas: np.ndarray, T: float, kappa_o: float) -> np.ndarray:
+    """``Sigma(T) P(zeta|rho) = W(zeta) e^{-|zeta|^2/Sigma}`` on a 1-D array:
+    ``Re sum_{j,l} conj(v_j) T_T[j, l] v_l``, contracted row by row (no BLAS),
+    with ``v_j = zeta^j e^{-|zeta|^2/2 Sigma}/sqrt(j!)`` of modulus at most 1
+    formed in log space, so the kernel underflows only with its value."""
+    dim = rho.shape[0]
+    log_gauss = (0.5 / _density_width(T, kappa_o)) * np.abs(zetas)[:, None] ** 2
+    v = scaled_powers(zetas, np.arange(dim), log_lowering(dim)[:, 0] - log_gauss)
+    q = np.einsum("nl,jl->nj", v, _weight_table(rho, T, kappa_o))
+    # Re(v conj(q)) is Re(conj(v) q), with q conjugated in place of a copy of v
+    return np.einsum("nj,nj->n", v, np.conjugate(q, out=q)).real
+
+
 def het_born_weights(
     rho: np.ndarray, zetas: np.ndarray, T: float, p: InstrumentParams
 ) -> np.ndarray:
-    """``Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes: with
-    ``c = conj(zeta)``, ``W = Re sum_j conj(zeta)^j q_j`` and
-    ``q_j = sum_l T_T[j, l] zeta^l``, contracted row by row (no BLAS).
-
-    The powers ``zeta^l`` reach ``l = dim - 1`` and overflow a double once
-    ``|zeta|^(dim-1)`` does; a weight that is not finite raises NumericError.
-    """
+    """``W = Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes, the
+    Born kernel times ``e^{|zeta|^2/Sigma}``.  That factor overflows beyond
+    ``|zeta|^2/Sigma`` of about 709.8, and a weight that is not finite raises
+    NumericError, whatever W itself is; :func:`born_pdf` stays finite."""
     zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    table = _weight_table(rho, T, p.kappa_o)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.vander(zetas, table.shape[0], increasing=True)
-        q = np.einsum("nl,jl->nj", powers, table)
-        weights = np.einsum("nj,nj->n", powers.conj(), q).real
+        inv_gauss = np.exp(np.abs(zetas) ** 2 / _density_width(T, p.kappa_o))
+        weights = _born_kernel(rho, zetas, T, p.kappa_o) * inv_gauss
     if not np.all(np.isfinite(weights)):
         bad = abs(zetas[np.argmin(np.isfinite(weights))])
-        raise NumericError(f"Born weight not finite at |zeta| = {bad:.3g}, dim {table.shape[0]}")
+        raise NumericError(f"Born weight not finite at |zeta| = {bad:.3g}, dim {rho.shape[0]}")
     return weights
 
 
@@ -408,10 +415,10 @@ def born_pdf(
     rho: np.ndarray, zeta, T: float, p: InstrumentParams
 ) -> float | np.ndarray:
     """Born density ``P(zeta|rho) = D_T(zeta) Tr(K_T(zeta)^dag K_T(zeta) rho)``
-    against d^2 zeta / pi."""
-    kod = kod_gaussian(T, p.kappa_o)
+    against d^2 zeta / pi, the Born kernel over ``Sigma(T)``: finite wherever
+    its closed form is, and 0 only where that underflows."""
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    vals = kod.density(zetas) * het_born_weights(rho, zetas, T, p)
+    vals = _born_kernel(rho, zetas, T, p.kappa_o) / _density_width(T, p.kappa_o)
     if float(np.min(vals)) < -1e-10:
         raise NumericError(f"negative density {np.min(vals)}")
     vals = np.clip(vals, 0.0, None)
@@ -706,10 +713,7 @@ def groundstate_completeness(T: float, kappa_o: float, dim: int) -> float:
     if np.exp(-0.5 * peak) == 0.0:
         raise ExtentError("coherent amplitudes underflow at this quadrature extent")
     alphas = points / np.sqrt(sigma)
-    amps = np.empty((alphas.size, dim), dtype=complex)
-    amps[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
-    for n in range(1, dim):
-        amps[:, n] = amps[:, n - 1] * alphas / np.sqrt(n)
+    amps = coherent_state(dim, alphas)
     vals = (amps.real**2 + amps.imag**2) @ np.exp(-kappa_o * T * np.arange(dim))
     gauss = np.exp(np.abs(alphas * np.sqrt(sigma)) ** 2)
     integral = float(np.sum(weight * vals * gauss) / (np.pi * sigma))

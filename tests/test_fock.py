@@ -90,6 +90,21 @@ def test_exp_lowering_matches_general_exponential():
     assert np.linalg.norm(direct - oracle, 2) < 1e-12
 
 
+def test_exp_lowering_takes_an_array_of_amplitudes():
+    # each slice of the batch is the scalar call, bit for bit, and both
+    # match the general exponential of c a
+    dim = 30
+    amps = np.array([[0.0, 0.7 - 0.2j, -1.0], [2.0, 2.0j * np.exp(0.3j), 0.01 + 0.5j]])
+    batch = fock.exp_lowering(dim, amps)
+    assert batch.shape == (2, 3, dim, dim)
+    for idx in np.ndindex(amps.shape):
+        single = fock.exp_lowering(dim, amps[idx])
+        assert np.array_equal(batch[idx], single)
+        oracle = verify.matrix_exp(amps[idx] * fock.make_lowering(dim))
+        assert np.linalg.norm(single - oracle, 2) < 1e-12 * max(1.0, np.linalg.norm(oracle, 2))
+    assert np.array_equal(batch[0, 0], np.eye(dim))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
@@ -169,6 +184,31 @@ def test_coherent_state_vacuum():
 def test_coherent_state_norm():
     vec = fock.coherent_state(40, 1.0)
     assert abs(np.vdot(vec, vec).real - 1.0) < 1e-12
+
+
+def coherent_by_recurrence(dim, alpha):
+    """The scalar recurrence in numpy complex scalars, which every coherent
+    input of every ensemble used to read."""
+    alpha = complex(alpha)
+    amps = np.empty(dim, dtype=complex)
+    amps[0] = 1.0
+    for n in range(1, dim):
+        amps[n] = amps[n - 1] * alpha / np.sqrt(n)
+    return np.exp(-0.5 * abs(alpha) ** 2) * amps
+
+
+def test_coherent_state_keeps_the_scalar_recurrence_bits():
+    rng = np.random.default_rng(5)
+    alphas = np.concatenate([3.0 * (rng.standard_normal(300) + 1j * rng.standard_normal(300)),
+                             0.1 * (rng.standard_normal(100) + 1j * rng.standard_normal(100)),
+                             [0.0, 1.0, -1.0, 3j, -2.5 - 0.0j]])
+    for dim in (2, 16, 40, 340):
+        batch = fock.coherent_state(dim, alphas)
+        assert batch.shape == (alphas.size, dim)
+        for alpha, row in zip(alphas, batch):
+            ref = coherent_by_recurrence(dim, alpha).tobytes()
+            assert fock.coherent_state(dim, alpha).tobytes() == ref, (dim, alpha)
+            assert row.tobytes() == ref, (dim, alpha)
 
 
 def test_coherent_overlap_formula():

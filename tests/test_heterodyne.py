@@ -734,10 +734,12 @@ class TestSamplers:
         assert abs(np.mean(np.abs(draws) ** 2) / 0.5 - 1.0) < 0.02
 
     def test_weight_table_matches_the_cubic_coefficients(self):
+        # the table carries sqrt(j! l!), so that G_j(0) = 1
         rho = random_mixed(16)
         coeffs = born_coeffs(rho)
+        root_fact = np.sqrt(scipy.special.factorial(np.arange(16)))
         for t in (0.0, 0.3, LN2):
-            ref = born_table(coeffs, t, 1.0)
+            ref = born_table(coeffs, t, 1.0) * np.outer(root_fact, root_fact)
             assert_allclose(het._weight_table(rho, t, 1.0), ref, rtol=0.0,
                             atol=1e-13 * np.max(np.abs(ref)))
 
@@ -758,27 +760,50 @@ class TestSamplers:
         assert mean == 0.0 and cov == pytest.approx(sigma * (1.0 + sigma * (dim - 1)), rel=1e-14)
         assert np.all(np.isfinite(weights))
 
+    def test_born_density_is_row_wise(self):
+        # each density reads its own amplitude only: a prefix of the nodes,
+        # or one node alone, has the bits it has in the whole array
+        p = params(kappa_T=LN2, dim=40)
+        rho = coherent_fock_mixture(40)
+        rng = records.stream(53, 0)
+        zetas = 1.5 * (rng.standard_normal(257) + 1j * rng.standard_normal(257))
+        zetas[5] = 0.0
+        full = het.born_pdf(rho, zetas, LN2, p)
+        for k in (1, 2, 3, 8, 17, 64, 256):
+            assert het.born_pdf(rho, zetas[:k], LN2, p).tobytes() == full[:k].tobytes(), k
+        assert [het.born_pdf(rho, z, LN2, p) for z in zetas[:12]] == list(full[:12])
+
     @pytest.mark.parametrize("n", [250, 300, 319])
     def test_high_truncation_weights_match_the_closed_form(self, n):
         # Fock n: W = sum_j e^{-(n-j) kappa_o T} g_j(n-j)^2 |zeta|^{2j}, with
-        # g_j(n-j)^2 = n!/((n-j)! j!^2), summed in log space.  The table's
-        # g_j(0) = 1/sqrt(j!) is subnormal from j ~ 301, and the terms it
-        # loses are invisible at these amplitudes
+        # g_j(n-j)^2 = n!/((n-j)! j!^2), summed in log space.  The density
+        # D_T W reaches |zeta| = 30.3, where zeta^319 overflows a double: it
+        # matches to 1e-12 where the closed form is a normal double and is 0
+        # where the closed form underflows
         dim = 320
         j = np.arange(n + 1)
-        zetas = np.array([0.5, 3.0 * np.exp(0.4j)])
+        zetas = np.array([0.5, 3.0, 9.0, 20.0, 30.3]) * np.exp(0.4j)
         for kappa_T in (0.05, 1.0):
-            weights = het.het_born_weights(fock.projector(dim, n), zetas, kappa_T,
-                                           params(kappa_T=kappa_T, dim=dim))
-            for zeta, weight in zip(zetas, weights):
+            p = params(kappa_T=kappa_T, dim=dim)
+            sigma = screened_integral(kappa_T, 1.0)
+            weights = het.het_born_weights(fock.projector(dim, n), zetas[:2], kappa_T, p)
+            densities = het.born_pdf(fock.projector(dim, n), zetas, kappa_T, p)
+            for k, zeta in enumerate(zetas):
                 logs = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(n - j + 1)
                         - 2.0 * scipy.special.gammaln(j + 1) - (n - j) * kappa_T
                         + 2.0 * j * math.log(abs(zeta)))
-                closed = math.exp(scipy.special.logsumexp(logs))
-                assert weight == pytest.approx(closed, rel=1e-12), (kappa_T, zeta)
+                log_w = scipy.special.logsumexp(logs)
+                if k < 2:
+                    assert weights[k] == pytest.approx(math.exp(log_w), rel=1e-12), (kappa_T, zeta)
+                closed = math.exp(log_w - abs(zeta) ** 2 / sigma - math.log(sigma))
+                if closed >= np.finfo(float).tiny:
+                    assert densities[k] == pytest.approx(closed, rel=1e-12), (kappa_T, zeta)
+                else:
+                    assert densities[k] == 0.0, (kappa_T, zeta)
 
     def test_unfinite_weight_raises(self):
-        # zeta^319 overflows a double for |zeta| > 9.25
+        # the weight is the Born kernel times e^{|zeta|^2/Sigma}, which is
+        # e^162 at |zeta| = 9 and overflows at |zeta| = 30
         p = params(kappa_T=LN2, dim=320)
         rho = fock.projector(320, 300)
         assert np.all(np.isfinite(het.het_born_weights(rho, np.array([9.0]), LN2, p)))
