@@ -12,7 +12,6 @@ trajectory indices, so it never changes results.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -343,37 +342,68 @@ def build_initial_state(state: dict, dim: int) -> np.ndarray:
     return data
 
 
-CHUNK = 4096  # rows per csv.writer.writerows call in write_csv
+CHUNK = 1024  # rows per "".join in write_csv
 
 
-def _cells(values):
-    """One chunk of a column as the values whose csv text is the cell: a
-    numeric array as Python numbers (``repr`` of a float is its shortest
-    round-trip form; a bool is written as 0 or 1), anything else (strings,
-    ``None`` for an empty cell) as given."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return (values.astype(np.int64) if values.dtype == bool else values).tolist()
-    return values
+def _quoted(text: str | None) -> str:
+    """A header name or string cell as ``csv.writer(lineterminator="\\n")``
+    writes it: ``None`` as empty, and a text holding ``,``, ``"`` or ``\\n``
+    in double quotes, each ``"`` doubled (``\\r`` is left bare)."""
+    if text is None:
+        return ""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _texts(values) -> list[str]:
+    """One chunk of a column as its cells' text.
+
+    A number is Python's ``repr`` of it (a float's shortest round-trip form,
+    a bool as 0 or 1), made once per distinct bit pattern in the chunk, so
+    ``-0.0`` and ``0.0`` stay apart.  The distinct values are found with a
+    dict, not ``np.unique``: numpy's sort code would add its pages to the
+    resident set of a run that sorts nothing else.  A string or ``None``
+    cell is :func:`_quoted`.
+    """
+    if isinstance(values, range):
+        return list(map(str, values))
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        return [_quoted(v) for v in values]
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64)
+        bits = values.view(np.int64)
+    else:
+        values = bits = values.astype(np.int64) if values.dtype == bool else values
+    keys = bits.tolist()
+    distinct = list(dict.fromkeys(keys))
+    texts = repr(np.array(distinct, bits.dtype).view(values.dtype).tolist())[1:-1].split(", ")
+    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
     """Write a table given as columns, ``CHUNK`` rows at a time.
 
-    A column is a sequence of the table's rows (an array, a list or a
-    ``range``), or a function that maps an index array of rows to their
-    values, for index and axis columns built per chunk; the sequences set
-    the row count.
+    A column is a sequence of the table's rows (an array, a list of
+    strings or a ``range``), or a function that maps an index array of rows
+    to their values, for index and axis columns built per chunk; the
+    sequences set the row count.  The bytes are those ``csv.writer`` with
+    ``lineterminator="\\n"`` writes for the cells' texts (:func:`_texts`),
+    in a table of two or more columns.
     """
     n_rows = len(next(c for c in columns if not callable(c)))
+    width = 2 * len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, n_rows, CHUNK):
             stop = min(start + CHUNK, n_rows)
             rows = np.arange(start, stop)
-            writer.writerows(zip(*(
-                _cells(c(rows) if callable(c) else c[start:stop]) for c in columns
-            )))
+            # cell texts at even slots, "," and "\n" after them
+            flat = [","] * (width * (stop - start))
+            flat[width - 1::width] = ["\n"] * (stop - start)
+            for j, c in enumerate(columns):
+                flat[2 * j::width] = _texts(c(rows) if callable(c) else c[start:stop])
+            fh.write("".join(flat))
 
 
 def write_report(out_dir: str, report: VerificationReport) -> str:

@@ -502,6 +502,41 @@ def test_series_tables_write_the_row_oracle_bytes(tmp_path):
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def test_write_csv_quotes_strings_as_csv_writer(tmp_path):
+    # header names and string cells that need quoting, or look as if they
+    # might, against csv.writer with the same line terminator
+    texts = ["a,b", 'say "hi"', "x\ny", "c\rd", "", None]
+    columns = [texts[i:] + texts[:i] for i in range(len(texts))]
+    cli.write_csv(str(tmp_path / "t.csv"), texts, columns)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(texts)
+        writer.writerows(zip(*columns))
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_edge_values_write_the_row_oracle_bytes(tmp_path):
+    # values a per-chunk dedupe could merge or split wrongly, over three
+    # chunks, with axis columns whose chunks split a grid row
+    n, side = 2 * cli.CHUNK + 1, 7
+    nans = np.array([0x7FF8000000000001, -0x0008000000000002], dtype=np.int64).view(float)
+    special = np.array([-0.0, 0.0, *nans, np.inf, -np.inf, 5e-324, 1e16, 0.1])
+    floats = np.resize(special, n)
+    floats[cli.CHUNK - 1 : cli.CHUNK + 1] = 1.0 / 3.0  # across a chunk boundary
+    ints = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]), n)
+    re_ax, im_ax = np.linspace(-1.0, 1.0, -(-n // side)), np.linspace(-1.0, 1.0, side)
+    columns = [
+        lambda k: re_ax[k // side], lambda k: im_ax[k % side], floats,
+        np.resize(np.array([0.1, -0.0, 1e-45, 3.4e38], dtype=np.float32), n),
+        np.arange(n) % 3 == 0, ints,
+    ]
+    header = ["re", "im", "f64", "f32", "flag", "i64"]
+    cli.write_csv(str(tmp_path / "columns.csv"), header, columns)
+    full = [(c(np.arange(n)) if callable(c) else c).tolist() for c in columns]
+    write_csv_rows(str(tmp_path / "rows.csv"), header, zip(*full))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 # sizes at which 20 trajectories leave the chi-square test two bins
 SMALL_SIZES = {
     "photodetect-ensemble": {"params": {"dim": 12}, "n_max": 8},
