@@ -64,6 +64,40 @@ def log_lowering(dim: int) -> np.ndarray:
     return np.where(m + j < dim, 0.5 * (log_fact[m + j] - log_fact[m]) - log_fact[j], -np.inf)
 
 
+def loss_amplitudes(dim: int, eta: float) -> np.ndarray:
+    """Kraus amplitudes ``k[m, j] = <j|A_m|m+j> = sqrt((1-eta)^m eta^j C(m+j, m))``
+    (0 where ``m + j >= dim``) of the pure-loss channel of transmissivity
+    ``eta``, ``A_m = sqrt((1-eta)^m/m!) eta^{N/2} a^m``, from
+    :func:`log_lowering` in log space; ``0^0 = 1`` at eta = 0 and 1."""
+    table = log_lowering(dim)
+    m, j = np.ogrid[:dim, :dim]
+    half_log = scipy.special.xlogy(m, 1.0 - eta) + scipy.special.xlogy(j, eta)
+    return np.exp(table.T - table[:, 0] + 0.5 * half_log)
+
+
+def lost_state(rho: np.ndarray, eta: float) -> np.ndarray:
+    """``sum_m A_m rho A_m^dag`` of the pure-loss channel: entry [j, l] sums
+    ``k[m, j] k[m, l] rho[m+j, m+l]`` (:func:`loss_amplitudes`) one level m
+    at a time, in O(d^2) memory."""
+    dim = rho.shape[0]
+    k = loss_amplitudes(dim, eta)
+    out = np.zeros((dim, dim), dtype=complex)
+    for level in range(dim):
+        top = dim - level
+        out[:top, :top] += np.outer(k[level, :top], k[level, :top]) * rho[level:, level:]
+    return out
+
+
+def lost_populations(pops: np.ndarray, eta: float) -> np.ndarray:
+    """Diagonal of :func:`lost_state` from the populations alone,
+    ``sum_m k[m, j]^2 p_{m+j}``, in O(d^2) with no loop over levels: the
+    binomial thinning of ``pops`` with success probability ``eta``."""
+    dim = pops.size
+    m, j = np.ogrid[:dim, :dim]
+    shifted = np.concatenate([pops, np.zeros(dim)])[m + j]
+    return np.sum(loss_amplitudes(dim, eta) ** 2 * shifted, axis=0)
+
+
 def scaled_powers(c, j: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """``c^j e^{log_scale}`` for an array of amplitudes and integer powers ``j``
     on trailing axes: one exponential of ``j log|c| + log_scale`` times a

@@ -19,8 +19,11 @@ coordinates the POVM is a displaced thermal state of occupation
 the instrument standing in for a temperature.  So the ensemble sampler
 draws ``zeta = Sigma(T)(gamma + beta)`` directly, from five uniforms per
 trajectory, with ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``
-and ``beta ~ CN(0, nbar)``.  The Born references and the sampler read a
-state as its checked density matrix ``rho`` (:func:`fock.density`).
+and ``beta ~ CN(0, nbar)``.  The Born references read the same law as the
+Husimi function ``<gamma|rho_T|gamma>/Sigma`` at ``gamma = zeta/sqrt(Sigma)``
+of ``rho_T``, rho after the pure-loss channel of transmissivity Sigma(T)
+(:func:`fock.lost_state`; Cahill and Glauber's s-ordered quasiprobability).
+Both read a state as its checked density matrix ``rho`` (:func:`fock.density`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .fock import (
     displacement_unitary,
     exp_lowering,
     log_lowering,
+    lost_state,
     number_diag,
     number_exp,
     scaled_powers,
@@ -363,52 +367,20 @@ def born_moments(rho: np.ndarray, T: float, kappa_o: float) -> tuple[complex, fl
     return mean, second - abs(mean) ** 2
 
 
-def _weight_table(rho: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
-    """``T_t[j, l] = sum_m e^{-m kappa_o t} G_j(m) G_l(m) rho[m+j, m+l]``, with
-    ``G_j(m) = sqrt(j!) g_j(m)`` from :func:`fock.log_lowering` (``G_j(0) = 1``),
-    summed one level m at a time in O(d^2) memory.  The class operator
-    ``e^{-a^dag a kappa_o t/2} e^{c a}`` has weight ``W_t(c) = sum_{j,l} c^j
-    conj(c)^l T_t[j, l] / sqrt(j! l!)``, entire in (c, c*): it only lowers."""
-    dim = rho.shape[0]
-    log_g = log_lowering(dim)
-    g = np.exp(log_g - log_g[:, :1]).T
-    damp = np.exp(-kappa_o * t * np.arange(dim))
-    table = np.zeros((dim, dim), dtype=complex)
-    for level in range(dim):
-        top = dim - level
-        scale = damp[level] * np.outer(g[level, :top], g[level, :top])
-        table[:top, :top] += scale * rho[level:, level:]
-    return table
-
-
 def _born_kernel(rho: np.ndarray, zetas: np.ndarray, T: float, kappa_o: float) -> np.ndarray:
-    """``Sigma(T) P(zeta|rho) = W(zeta) e^{-|zeta|^2/Sigma}`` on a 1-D array:
-    ``Re sum_{j,l} conj(v_j) T_T[j, l] v_l``, contracted row by row (no BLAS),
-    with ``v_j = zeta^j e^{-|zeta|^2/2 Sigma}/sqrt(j!)`` of modulus at most 1
-    formed in log space, so the kernel underflows only with its value."""
+    """``Sigma(T) P(zeta|rho)`` on a 1-D array: the Husimi function
+    ``<gamma|rho_T|gamma>`` at ``gamma = zeta/sqrt(Sigma)`` of the lost state
+    (:func:`fock.lost_state` at ``eta = Sigma``), contracted row by row (no
+    BLAS), with the coherent amplitudes ``<j|gamma>`` formed in log space by
+    :func:`fock.scaled_powers`, so it underflows only with its value."""
     dim = rho.shape[0]
-    log_gauss = (0.5 / _density_width(T, kappa_o)) * np.abs(zetas)[:, None] ** 2
-    v = scaled_powers(zetas, np.arange(dim), log_lowering(dim)[:, 0] - log_gauss)
-    q = np.einsum("nl,jl->nj", v, _weight_table(rho, T, kappa_o))
-    # Re(v conj(q)) is Re(conj(v) q), with q conjugated in place of a copy of v
-    return np.einsum("nj,nj->n", v, np.conjugate(q, out=q)).real
-
-
-def het_born_weights(
-    rho: np.ndarray, zetas: np.ndarray, T: float, p: InstrumentParams
-) -> np.ndarray:
-    """``W = Tr(K_T(zeta)^dag K_T(zeta) rho)`` for an array of amplitudes, the
-    Born kernel times ``e^{|zeta|^2/Sigma}``.  That factor overflows beyond
-    ``|zeta|^2/Sigma`` of about 709.8, and a weight that is not finite raises
-    NumericError, whatever W itself is; :func:`born_pdf` stays finite."""
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_gauss = np.exp(np.abs(zetas) ** 2 / _density_width(T, p.kappa_o))
-        weights = _born_kernel(rho, zetas, T, p.kappa_o) * inv_gauss
-    if not np.all(np.isfinite(weights)):
-        bad = abs(zetas[np.argmin(np.isfinite(weights))])
-        raise NumericError(f"Born weight not finite at |zeta| = {bad:.3g}, dim {rho.shape[0]}")
-    return weights
+    sigma = _density_width(T, kappa_o)
+    j = np.arange(dim)
+    log_norm = log_lowering(dim)[:, 0] - 0.5 * np.log(sigma) * j
+    u = scaled_powers(zetas, j, log_norm - (0.5 / sigma) * np.abs(zetas)[:, None] ** 2)
+    q = np.einsum("nl,jl->nj", u, lost_state(rho, sigma))
+    # Re(u conj(q)) is Re(conj(u) q), with q conjugated in place of a copy of u
+    return np.einsum("nj,nj->n", u, np.conjugate(q, out=q)).real
 
 
 def born_pdf(

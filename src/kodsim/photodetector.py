@@ -5,8 +5,9 @@ reduces to its count n, and at the horizon the POVM is binomial thinning
 of the photon number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
 ``lambda = 1 - e^{-kappa_o T}``.  So the sampler draws the reduced record
 itself, from two uniforms per trajectory: a level m from ``diag rho``,
-then n from Binom(m, lambda).  The Born references and the sampler read
-a state as its checked density matrix ``rho`` (:func:`fock.density`).
+then n from Binom(m, lambda): the pure-loss channel of transmissivity
+lambda, whose lost populations (:func:`fock.lost_populations`) are the Born
+pmf.  Both read a state as its checked ``rho`` (:func:`fock.density`).
 
 Conventions fixed here:
 
@@ -35,6 +36,7 @@ from .exceptions import (
     TruncationError,
 )
 from .fock import (
+    lost_populations,
     lowering_power,
     make_lowering,
     number_exp,
@@ -222,45 +224,35 @@ def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -
     return subblock_norm_diff(povm_element(n, T, p), projector(p.dim, n), sub_dim)
 
 
-def _log_terms(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
-    """``ln p_m + L(m, n)`` for counts n = 0..n_max (rows) and levels m
-    (columns), with ``p_m = Re rho_mm`` and ``L(m, n) = lambda + ln m! -
-    ln (m-n)! - (m-n) kappa_o T``: the log of level m's share of
-    ``Tr(K_T(n)^dag K_T(n) rho)``, -inf where ``n > m`` or ``p_m = 0``."""
-    pops = np.diagonal(rho).real
-    dim = pops.size
-    if not 0 <= n_max < dim:
-        raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={dim}")
-    m = np.arange(dim)
-    kept = m - np.arange(n_max + 1)[:, None]
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.clip(pops, 0.0, None))
-    logs = (log_p + screened_integral(T, kappa_o) + scipy.special.gammaln(m + 1)
-            - scipy.special.gammaln(np.maximum(kept, 0) + 1) - kept * kappa_o * T)
-    return np.where(kept >= 0, logs, -np.inf)
+def _lost_counts(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
+    """Lost populations (:func:`fock.lost_populations`) at lambda(T), n = 0..n_max,
+    of ``Re diag rho`` with negative roundoff clipped, as the sampler reads it."""
+    pops = np.clip(np.diagonal(rho).real, 0.0, None)
+    if not 0 <= n_max < pops.size:
+        raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={pops.size}")
+    return lost_populations(pops, screened_integral(T, kappa_o))[: n_max + 1]
 
 
 def born_pmf(
     rho: np.ndarray, T: float, p: InstrumentParams, n_max: int | None = None
 ) -> np.ndarray:
     """Jump-count statistics ``P(n|rho) = D_T(n) Tr(K_T(n)^dag K_T(n) rho)``,
-    which is ``sum_m p_m Binom(n; m, lambda)``, summed term by term in log
-    space (:func:`_log_terms`), so no factorial overflows at any truncation."""
-    if n_max is None:
-        n_max = p.dim - 1
-    log_d = PoissonKOD(screened_integral(T, p.kappa_o)).log_pmf(np.arange(n_max + 1))
-    return np.sum(np.exp(_log_terms(rho, T, p.kappa_o, n_max) + log_d[:, None]), axis=1)
+    ``sum_m p_m Binom(n; m, lambda)``: the populations of rho after the
+    pure-loss channel of transmissivity lambda(T), with no factorial formed."""
+    return _lost_counts(rho, T, p.kappa_o, p.dim - 1 if n_max is None else n_max)
 
 
 def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
     """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max,
-    :func:`born_pmf` without its ``D_T(n)`` factor.
+    :func:`born_pmf` over ``D_T(n)``, divided in log space.
 
     Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.  They
-    grow like ``m!/(m-n)!``; one that overflows raises NumericError.
+    grow like ``m!/(m-n)!``; one that overflows raises NumericError, and so
+    does every one past n = 0 at T = 0, a 0/0 where D_T(n > 0) = 0.
     """
-    with np.errstate(over="ignore"):
-        weights = np.sum(np.exp(_log_terms(rho, T, p.kappa_o, n_max)), axis=1)
+    log_d = PoissonKOD(screened_integral(T, p.kappa_o)).log_pmf(np.arange(n_max + 1))
+    with np.errstate(all="ignore"):
+        weights = np.exp(np.log(_lost_counts(rho, T, p.kappa_o, n_max)) - log_d)
     if not np.all(np.isfinite(weights)):
         bad = int(np.argmin(np.isfinite(weights)))
         raise NumericError(f"ostensible weight overflows from n = {bad}")

@@ -54,10 +54,11 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> float:
     Bins whose expected count falls below ``MIN_EXPECTED`` are merged,
     smallest expectation first (the usual tail merge), before the test.
     Expectations within 1e-9 relative of the smallest count as tied and the
-    lowest-index one merges first, so roundoff in the model pmf cannot
-    reorder the merge.  The p-value is the chi-square survival function at
-    ``sum (o - e)^2 / e`` with k - 1 degrees of freedom, over the k merged
-    bins.
+    lowest-index one merges first, and one within 1e-9 relative above
+    ``MIN_EXPECTED`` counts as below it, so roundoff in the model pmf can
+    neither reorder the merge nor decide whether a bin stands alone.  The
+    p-value is the chi-square survival function at ``sum (o - e)^2 / e`` with
+    k - 1 degrees of freedom, over the k merged bins.
     """
     counts = np.asarray(counts, dtype=float)
     total = float(np.sum(counts))
@@ -77,7 +78,7 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> float:
     expected = total * probs / norm
     obs = counts.tolist()
     exp = expected.tolist()
-    while len(exp) > 1 and min(exp) < MIN_EXPECTED:
+    while len(exp) > 1 and min(exp) < MIN_EXPECTED * (1.0 + 1e-9):
         low = min(exp) * (1.0 + 1e-9)
         i = next(k for k, e in enumerate(exp) if e <= low)
         spill_e = exp.pop(i)

@@ -323,7 +323,7 @@ def projector_defects(
         defect = het.projector_convergence_het
     defects = []
     for kappa_T in kappa_T_values:
-        p = InstrumentParams(kappa_o, dt, kappa_T / kappa_o, dim)
+        p = InstrumentParams.fit_steps(kappa_o, kappa_T / kappa_o, dt, dim)
         defects.append(defect(at, p.T, p, sub_dim))
     return defects
 

@@ -190,8 +190,8 @@ def stepped_counts(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int)
 def born_coeffs(rho: np.ndarray) -> np.ndarray:
     """``C[m, j, l] = g_j(m) g_l(m) rho[m+j, m+l]``, zero where ``m+j`` or
     ``m+l`` leaves the truncation, ``g_j(m) = sqrt((m+j)!/m!)/j!``: the
-    weight table at any time t is ``sum_m e^{-m kappa_o t} C[m]``, in d^3
-    memory."""
+    Born weight's coefficient table at any time t is ``sum_m e^{-m kappa_o
+    t} C[m]``, in d^3 memory."""
     dim = rho.shape[0]
     m = np.arange(dim)[:, None]
     j = np.arange(dim)[None, :]
@@ -202,7 +202,8 @@ def born_coeffs(rho: np.ndarray) -> np.ndarray:
 
 
 def born_table(coeffs: np.ndarray, t: float, kappa_o: float) -> np.ndarray:
-    """The weight table ``T_t[j, l]`` from the coefficients of :func:`born_coeffs`."""
+    """The Born weight's coefficient table ``T_t[j, l]``, of weight
+    ``sum_{j,l} c^j conj(c)^l T_t[j, l]``, from :func:`born_coeffs`."""
     dim = coeffs.shape[0]
     return np.einsum("m,mjl->jl", np.exp(-kappa_o * t * np.arange(dim)), coeffs)
 
@@ -289,12 +290,13 @@ def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
 
 def born_pdf_quadrature(rho, T, p, quad_order):
     """(total mass, mean, central covariance) of the Born density by
-    Gauss-Hermite quadrature."""
+    Gauss-Hermite quadrature: the rule integrates against e^{-|zeta|^2/Sigma},
+    so the integrand is ``born_pdf Sigma e^{|zeta|^2/Sigma}``."""
     sigma = screened_integral(T, p.kappa_o)
     points, weights = het._hermite_2d(quad_order)
     zet = np.sqrt(sigma) * points
     wgt = weights / np.pi
-    vals = het.het_born_weights(rho, zet, T, p)
+    vals = het.born_pdf(rho, zet, T, p) * sigma * np.exp(np.abs(zet) ** 2 / sigma)
     total = float(np.sum(wgt * vals))
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
@@ -327,11 +329,12 @@ def bisect_phase(c: np.ndarray, u: np.ndarray, steps: int = 52) -> np.ndarray:
 
 
 def fmt_cell(value) -> str:
-    """One CSV cell as text: a string as given, an integer (a bool too) as
-    its digits, ``None`` as empty, any other number as ``repr(float(v))``."""
+    """One CSV cell as text: a string as given, an integer (a bool too, numpy's
+    included) as its digits, ``None`` as empty, any other number as
+    ``repr(float(v))``."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return "" if value is None else repr(float(value))
 

@@ -535,6 +535,9 @@ def test_write_csv_edge_values_write_the_row_oracle_bytes(tmp_path):
     full = [(c(np.arange(n)) if callable(c) else c).tolist() for c in columns]
     write_csv_rows(str(tmp_path / "rows.csv"), header, zip(*full))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    # the columns' own numpy elements, np.bool_ among them, give the same rows
+    write_csv_rows(str(tmp_path / "elements.csv"), header, table_rows(columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "elements.csv").read_bytes()
 
 
 # sizes at which 20 trajectories leave the chi-square test two bins
@@ -776,6 +779,19 @@ def test_projector_scaling_follows_the_sweep_spacing(tmp_path, capsys):
     for values in ([2.0], [], [2.0, 2.0]):
         with pytest.raises(DomainError):
             verify.projector_sweep([0], [], values, 1.0, 1e-3, 40, 20)
+
+
+@pytest.mark.parametrize(
+    "cfg", [{"kappa_T_values": [1.2345, 2.0]}, {"params": {"kappa_o": 3.0}}]
+)
+def test_povm_convergence_fits_each_swept_horizon_to_the_grid(tmp_path, capsys, cfg):
+    # kappa_T / kappa_o off the dt grid used to exit 2, "T = ... is not an
+    # integer multiple of dt", in the sweep and in its default series alike
+    assert run_main(tmp_path, "povm-convergence", cfg) == 0
+    assert capsys.readouterr().err == ""
+    names = set(os.listdir(tmp_path / "out"))
+    assert {"report.json", "checks.csv", "defects.csv", "projector_defect_photo_n0.csv",
+            "projector_defect_het_zeta0.5.csv"} <= names
 
 
 def test_photodetect_tail_beyond_n_max_is_one_bin(tmp_path, capsys):

@@ -276,3 +276,26 @@ def test_lowering_power_matches_repeated_product():
     for n in range(4):
         assert_allclose(fock.lowering_power(12, n), acc, atol=1e-13)
         acc = acc @ a
+
+
+def test_lost_state_matches_the_dense_loss_channel():
+    # sum_m A_m rho A_m^dag with dense A_m = sqrt((1-eta)^m/m!) eta^{N/2} a^m;
+    # at eta = 0 and 1 a 0 log 0 in the amplitude table would give NaN
+    dim = 16
+    g = np.random.default_rng(17).standard_normal((dim, 8)).view(complex)
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    for eta in (0.0, 0.3, -math.expm1(-math.log(2.0)), 1.0):
+        keep = np.diag(eta ** (0.5 * np.arange(dim)))
+        ref = np.zeros((dim, dim), dtype=complex)
+        for m in range(dim):
+            op = math.sqrt((1.0 - eta) ** m / math.factorial(m)) * keep
+            op = op @ np.linalg.matrix_power(a, m)
+            ref += op @ rho @ op.conj().T
+        lost = fock.lost_state(rho, eta)
+        assert np.all(np.isfinite(lost)), eta
+        assert_allclose(lost, ref, rtol=0.0, atol=1e-14, err_msg=str(eta))
+        pops = fock.lost_populations(np.diagonal(rho).real, eta)
+        assert_allclose(pops, np.diagonal(ref).real, rtol=0.0, atol=1e-15, err_msg=str(eta))
+    assert_allclose(fock.lost_state(rho, 1.0), rho, rtol=0.0, atol=1e-15)

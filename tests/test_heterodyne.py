@@ -28,7 +28,6 @@ from oracles import (
     bisect_phase,
     born_coeffs,
     born_pdf_quadrature,
-    born_table,
     evolve_het_batch,
     sample_het_trajectory,
     stepped_zetas,
@@ -733,16 +732,6 @@ class TestSamplers:
         assert draws.shape == (10**5,) and draws.dtype == complex
         assert abs(np.mean(np.abs(draws) ** 2) / 0.5 - 1.0) < 0.02
 
-    def test_weight_table_matches_the_cubic_coefficients(self):
-        # the table carries sqrt(j! l!), so that G_j(0) = 1
-        rho = random_mixed(16)
-        coeffs = born_coeffs(rho)
-        root_fact = np.sqrt(scipy.special.factorial(np.arange(16)))
-        for t in (0.0, 0.3, LN2):
-            ref = born_table(coeffs, t, 1.0) * np.outer(root_fact, root_fact)
-            assert_allclose(het._weight_table(rho, t, 1.0), ref, rtol=0.0,
-                            atol=1e-13 * np.max(np.abs(ref)))
-
     def test_born_density_memory_is_quadratic(self):
         # Fock 319 at d=320: a d^3 complex coefficient array would be 0.5 GB
         dim = 320
@@ -750,7 +739,7 @@ class TestSamplers:
         tracemalloc.start()
         try:
             rho = fock.density(fock.fock_state(dim, dim - 1))
-            weights = het.het_born_weights(rho, np.array([0.5 + 0.2j, -1.0]), LN2, p)
+            densities = het.born_pdf(rho, np.array([0.5 + 0.2j, -1.0]), LN2, p)
             mean, cov = het.born_moments(rho, LN2, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -758,7 +747,7 @@ class TestSamplers:
         assert peak < 32 * 2**20, peak
         sigma = screened_integral(LN2, 1.0)
         assert mean == 0.0 and cov == pytest.approx(sigma * (1.0 + sigma * (dim - 1)), rel=1e-14)
-        assert np.all(np.isfinite(weights))
+        assert np.all(np.isfinite(densities))
 
     def test_born_density_is_row_wise(self):
         # each density reads its own amplitude only: a prefix of the nodes,
@@ -786,32 +775,20 @@ class TestSamplers:
         for kappa_T in (0.05, 1.0):
             p = params(kappa_T=kappa_T, dim=dim)
             sigma = screened_integral(kappa_T, 1.0)
-            weights = het.het_born_weights(fock.projector(dim, n), zetas[:2], kappa_T, p)
             densities = het.born_pdf(fock.projector(dim, n), zetas, kappa_T, p)
             for k, zeta in enumerate(zetas):
                 logs = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(n - j + 1)
                         - 2.0 * scipy.special.gammaln(j + 1) - (n - j) * kappa_T
                         + 2.0 * j * math.log(abs(zeta)))
                 log_w = scipy.special.logsumexp(logs)
-                if k < 2:
-                    assert weights[k] == pytest.approx(math.exp(log_w), rel=1e-12), (kappa_T, zeta)
                 closed = math.exp(log_w - abs(zeta) ** 2 / sigma - math.log(sigma))
                 if closed >= np.finfo(float).tiny:
                     assert densities[k] == pytest.approx(closed, rel=1e-12), (kappa_T, zeta)
                 else:
                     assert densities[k] == 0.0, (kappa_T, zeta)
 
-    def test_unfinite_weight_raises(self):
-        # the weight is the Born kernel times e^{|zeta|^2/Sigma}, which is
-        # e^162 at |zeta| = 9 and overflows at |zeta| = 30
-        p = params(kappa_T=LN2, dim=320)
-        rho = fock.projector(320, 300)
-        assert np.all(np.isfinite(het.het_born_weights(rho, np.array([9.0]), LN2, p)))
-        with pytest.raises(NumericError):
-            het.het_born_weights(rho, np.array([1.0, 30.0]), LN2, p)
-
     def test_a_vector_is_not_read_as_a_density(self):
-        # np.diagonal refuses a 1-D array, and so does the weight table
+        # np.diagonal refuses a 1-D array, and so does the lost state
         p = params(kappa_T=LN2, dim=8)
         pops = np.full(8, 1.0 / 8)
         with pytest.raises(ValueError):
@@ -819,12 +796,13 @@ class TestSamplers:
         with pytest.raises(ValueError):
             het.run_het_ensemble(pops, p, 5, seed=1)
         with pytest.raises((ValueError, IndexError)):
-            het.het_born_weights(pops, np.array([0.5]), LN2, p)
+            het.born_pdf(pops, np.array([0.5]), LN2, p)
 
     def test_ostensible_weights_vacuum_unity(self):
         p = params(kappa_T=LN2, dim=12)
         zs = np.array([0.1, 0.4 - 0.2j, 1.0j])
-        weights = het.het_born_weights(fock.density(fock.projector(12, 0)), zs, LN2, p)
+        vacuum = fock.density(fock.projector(12, 0))
+        weights = het.born_pdf(vacuum, zs, LN2, p) / het.kod_gaussian(LN2, 1.0).density(zs)
         assert_allclose(weights, np.ones(3), rtol=1e-13)
 
     def test_ostensible_importance_weighting(self):
@@ -834,7 +812,7 @@ class TestSamplers:
         rng = records.stream(52, 0)
         g = rng.standard_normal((10**5, 2))
         draws = np.sqrt(0.25) * (g[:, 0] + 1j * g[:, 1])
-        weights = het.het_born_weights(rho, draws, LN2, p)
+        weights = het.born_pdf(rho, draws, LN2, p) / het.kod_gaussian(LN2, 1.0).density(draws)
         mean = np.sum(weights * draws) / np.sum(weights)
         assert abs(mean - 0.5) < 3.0 * np.sqrt(0.5 / 10**5) * 2.0
 

@@ -104,6 +104,19 @@ def test_chi_square_merge_ignores_ulp_ties():
         assert records.chi_square_gof(hist, nudged) == pytest.approx(base, rel=1e-12)
 
 
+def test_chi_square_threshold_ignores_ulp_nudges():
+    # bins 0 and 1 expect exactly MIN_EXPECTED: whether they merge must not
+    # hinge on a one-ulp nudge of the pmf (a Binom(5, 1/2) pmf at 10 draws
+    # sums to 5.0 or to 4.999999999999999 by its last bits)
+    pmf = np.array([0.25, 0.25, 0.5])
+    hist = np.array([3.0, 9, 8])
+    base = records.chi_square_gof(hist, pmf)
+    for direction in (np.inf, -np.inf):
+        nudged = pmf.copy()
+        nudged[0] = np.nextafter(nudged[0], direction)
+        assert records.chi_square_gof(hist, nudged) == pytest.approx(base, rel=1e-12)
+
+
 def test_chi_square_rejects_empty():
     hist = np.zeros(4)
     with pytest.raises(DataError):
