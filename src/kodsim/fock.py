@@ -79,6 +79,8 @@ def lost_state(rho: np.ndarray, eta: float) -> np.ndarray:
     """``sum_m A_m rho A_m^dag`` of the pure-loss channel: entry [j, l] sums
     ``k[m, j] k[m, l] rho[m+j, m+l]`` (:func:`loss_amplitudes`) one level m
     at a time, in O(d^2) memory."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise InvalidDimensionError(f"need a square density matrix, got shape {rho.shape}")
     dim = rho.shape[0]
     k = loss_amplitudes(dim, eta)
     out = np.zeros((dim, dim), dtype=complex)
@@ -92,6 +94,8 @@ def lost_populations(pops: np.ndarray, eta: float) -> np.ndarray:
     """Diagonal of :func:`lost_state` from the populations alone,
     ``sum_m k[m, j]^2 p_{m+j}``, in O(d^2) with no loop over levels: the
     binomial thinning of ``pops`` with success probability ``eta``."""
+    if pops.ndim != 1:
+        raise InvalidDimensionError(f"need a vector of populations, got shape {pops.shape}")
     dim = pops.size
     m, j = np.ogrid[:dim, :dim]
     shifted = np.concatenate([pops, np.zeros(dim)])[m + j]
@@ -154,7 +158,8 @@ def displacement_unitary(dim: int, alpha: complex) -> np.ndarray:
     theta, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(dim), off)
     gauge = (1j * phase) ** np.arange(dim)
     basis = gauge[:, None] * vecs
-    return (basis * np.exp(-1j * theta)) @ basis.conj().T
+    # einsum, not BLAS: the product's bits do not depend on the BLAS thread count
+    return np.einsum("ik,jk->ij", basis * np.exp(-1j * theta), basis.conj())
 
 
 def coherent_state(dim: int, alpha) -> np.ndarray:

@@ -16,13 +16,13 @@ Born weight ``W(c) = Tr(K^dag K rho)`` at ``c = conj(zeta)``, with
 ``K = e^{-a^dag a kappa_o T/2} e^{c a}``.  In ``alpha = zeta/Sigma(T)``
 coordinates the POVM is a displaced thermal state of occupation
 ``nbar = 1/(e^{kappa_o T} - 1)`` (the left-invariance identity), the time of
-the instrument standing in for a temperature.  So the ensemble sampler
-draws ``zeta = Sigma(T)(gamma + beta)`` directly, from five uniforms per
-trajectory, with ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``
-and ``beta ~ CN(0, nbar)``.  The Born references read the same law as the
-Husimi function ``<gamma|rho_T|gamma>/Sigma`` at ``gamma = zeta/sqrt(Sigma)``
-of ``rho_T``, rho after the pure-loss channel of transmissivity Sigma(T)
+the instrument standing in for a temperature.  The same law is the Husimi
+function ``<gamma|rho_T|gamma>/Sigma`` at ``gamma = zeta/sqrt(Sigma)`` of
+``rho_T``, rho after the pure-loss channel of transmissivity Sigma(T)
 (:func:`fock.lost_state`; Cahill and Glauber's s-ordered quasiprobability).
+The Born references read it so, and the ensemble sampler draws
+``zeta = sqrt(Sigma) gamma`` directly, from three uniforms per trajectory,
+with ``gamma`` from the Husimi function ``<gamma|rho_T|gamma>/pi``.
 Both read a state as its checked density matrix ``rho`` (:func:`fock.density`).
 """
 
@@ -558,27 +558,18 @@ def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.sqrt(radius_sq) * (np.cos(theta) + 1j * np.sin(theta))
 
 
-def _zetas(rho: np.ndarray, p: InstrumentParams, uniforms: np.ndarray) -> np.ndarray:
-    """``zeta = Sigma(T)(gamma + beta)`` (module docstring) per row of the
-    ``(n, 5)`` uniforms: ``gamma`` from the first three by
-    :func:`_husimi_amplitudes`, and ``Sigma beta ~ CN(0, Sigma e^{-kappa_o T})``
-    from the last two in exact radius/phase form, ``|Sigma beta|^2``
-    exponential by ``-log1p(-u_4)`` and phase ``2 pi u_5``, finite for every
-    uniform in [0, 1)."""
-    sigma = screened_integral(p.T, p.kappa_o)
-    radius = np.sqrt(-sigma * np.exp(-p.kappa_o * p.T) * np.log1p(-uniforms[:, 3]))
-    phase = 2.0 * np.pi * uniforms[:, 4]
-    thermal = radius * (np.cos(phase) + 1j * np.sin(phase))
-    return sigma * _husimi_amplitudes(rho, uniforms[:, :3]) + thermal
-
-
 def run_het_ensemble(
     rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int, n_threads: int = 1
 ) -> np.ndarray:
     """Record functionals at the horizon for ``n_traj`` trajectories, trajectory
-    i drawn by :func:`_zetas` from row i of the run's uniforms
-    (:func:`ensemble.run_ensemble`); ``p.dt`` plays no part."""
-    return run_ensemble(lambda u: _zetas(rho, p, u), 5, n_traj, seed, n_threads)
+    i drawn as ``sqrt(Sigma(T)) gamma``, with gamma by :func:`_husimi_amplitudes`
+    of the lost state (:func:`fock.lost_state`, built once per run) from row i
+    of the run's uniforms (:func:`ensemble.run_ensemble`); ``p.dt`` plays no
+    part."""
+    sigma = screened_integral(p.T, p.kappa_o)
+    lost = lost_state(rho, sigma)
+    return run_ensemble(lambda u: math.sqrt(sigma) * _husimi_amplitudes(lost, u), 3,
+                        n_traj, seed, n_threads)
 
 
 @dataclass(frozen=True)
@@ -643,11 +634,13 @@ def cartan_identity_defect(zeta: complex, r: float, dim: int | None = None) -> f
         dim = cartan_dim(zeta, r)
     if dim < CARTAN_SUB_DIM:
         raise InvalidDimensionError(f"dim {dim} below sub_dim {CARTAN_SUB_DIM}")
-    lhs = number_exp(dim, r) @ exp_lowering(dim, np.conj(zeta))
-    mid = np.diag(np.exp(-np.arange(dim) * r + coords.scalar_log)).astype(complex)
+    # diagonal factors as row and column scales, the product by einsum, not
+    # BLAS: the defect's bits do not depend on the BLAS thread count
+    lhs = np.exp(-np.arange(dim) * r)[:, None] * exp_lowering(dim, np.conj(zeta))
+    mid = np.exp(-np.arange(dim) * r + coords.scalar_log)
     disp_beta = displacement_unitary(dim, coords.beta)
     disp_alpha_inv = displacement_unitary(dim, -coords.alpha)
-    rhs = disp_beta @ mid @ disp_alpha_inv
+    rhs = np.einsum("ik,kj->ij", disp_beta * mid, disp_alpha_inv)
     return subblock_norm_diff(lhs, rhs, CARTAN_SUB_DIM)
 
 

@@ -3,11 +3,11 @@ the Poisson distribution of Kraus operators with its screened evolution,
 POVM elements, Born statistics, and the ensemble sampler.  A record
 reduces to its count n, and at the horizon the POVM is binomial thinning
 of the photon number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
-``lambda = 1 - e^{-kappa_o T}``.  So the sampler draws the reduced record
-itself, from two uniforms per trajectory: a level m from ``diag rho``,
-then n from Binom(m, lambda): the pure-loss channel of transmissivity
+``lambda = 1 - e^{-kappa_o T}``: the pure-loss channel of transmissivity
 lambda, whose lost populations (:func:`fock.lost_populations`) are the Born
-pmf.  Both read a state as its checked ``rho`` (:func:`fock.density`).
+pmf.  So the sampler draws the reduced record itself, one uniform per
+trajectory, by inverse CDF of those populations.  Both read a state as its
+checked ``rho`` (:func:`fock.density`).
 
 Conventions fixed here:
 
@@ -226,7 +226,7 @@ def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -
 
 def _lost_counts(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
     """Lost populations (:func:`fock.lost_populations`) at lambda(T), n = 0..n_max,
-    of ``Re diag rho`` with negative roundoff clipped, as the sampler reads it."""
+    of ``Re diag rho`` with negative roundoff clipped: the law the sampler draws."""
     pops = np.clip(np.diagonal(rho).real, 0.0, None)
     if not 0 <= n_max < pops.size:
         raise InvalidDimensionError(f"need 0 <= n_max < dim, got n_max={n_max}, dim={pops.size}")
@@ -247,10 +247,14 @@ def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: in
     :func:`born_pmf` over ``D_T(n)``, divided in log space.
 
     Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.  They
-    grow like ``m!/(m-n)!``; one that overflows raises NumericError, and so
-    does every one past n = 0 at T = 0, a 0/0 where D_T(n > 0) = 0.
+    grow like ``m!/(m-n)!``; one that overflows raises NumericError.  At
+    T = 0 every one past n = 0 is 0/0, since D_T(n > 0) = 0, and n_max >= 1
+    raises DomainError.
     """
-    log_d = PoissonKOD(screened_integral(T, p.kappa_o)).log_pmf(np.arange(n_max + 1))
+    lam = screened_integral(T, p.kappa_o)
+    if lam == 0.0 and n_max >= 1:
+        raise DomainError(f"ostensible weights past n = 0 need T > 0, got T = {T}")
+    log_d = PoissonKOD(lam).log_pmf(np.arange(n_max + 1))
     with np.errstate(all="ignore"):
         weights = np.exp(np.log(_lost_counts(rho, T, p.kappa_o, n_max)) - log_d)
     if not np.all(np.isfinite(weights)):
@@ -269,29 +273,12 @@ def ostensible_pmf(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return est / (total if total > 0 else 1.0)
 
 
-def _binomial_cdf(dim: int, lam: float) -> np.ndarray:
-    """``cdf[m, n] = P(Binom(m, lam) <= n)`` for m, n < dim, +inf from
-    ``n = m`` on."""
-    m = np.arange(dim)
-    cdf = scipy.special.bdtr(m, m[:, None], lam)
-    cdf[m >= m[:, None]] = np.inf
-    return cdf
-
-
-def _thin(pops: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Counts of a batch from its ``(n_traj, 2)`` uniforms, each by inverse
-    CDF: the level m from ``uniforms[:, 0]`` and the populations, then the
-    count, the least n with ``cdf[m, n] >= uniforms[:, 1]``."""
-    m = draw_levels(pops, uniforms[:, 0])
-    return np.sum(cdf[m] < uniforms[:, 1:], axis=1)
-
-
 def run_photo_ensemble(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: int,
                        n_threads: int = 1) -> np.ndarray:
     """Jump counts at the horizon for ``n_traj`` trajectories, trajectory i
-    thinned by :func:`_thin` from row i of the run's uniforms
+    drawn by :func:`ensemble.draw_levels` from the lost populations (the
+    Born pmf) and the one uniform of row i of the run's uniforms
     (:func:`ensemble.run_ensemble`).  Pure and mixed states alike enter
     through their populations ``Re diag rho``; ``p.dt`` plays no part."""
-    pops = np.diagonal(rho).real
-    cdf = _binomial_cdf(pops.size, screened_integral(p.T, p.kappa_o))
-    return run_ensemble(lambda u: _thin(pops, cdf, u), 2, n_traj, seed, n_threads)
+    lost = _lost_counts(rho, p.T, p.kappa_o, rho.shape[0] - 1)
+    return run_ensemble(lambda u: draw_levels(lost, u[:, 0]), 1, n_traj, seed, n_threads)

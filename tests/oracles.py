@@ -6,8 +6,8 @@ faster one: dense per-step conditional evolution of a density matrix (one
 :func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
 both instruments, the disentangled displacement product, the 2-D
 alternating-direction diffusion loop, the Born density's moments by
-quadrature, the Husimi phase by bisection alone, and the CSV writer that
-formats one cell at a time.  Nothing in
+quadrature, the pure-loss channel as a dense Kraus sum, the Husimi phase
+by bisection alone, and the CSV writer that formats one cell at a time.  Nothing in
 ``kodsim`` imports them.
 
 The stepped samplers take a trajectory through every step of the grid, as
@@ -19,6 +19,7 @@ reproduce that law under test.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import scipy.linalg
@@ -301,6 +302,20 @@ def born_pdf_quadrature(rho, T, p, quad_order):
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)
     return total, mean, cov
+
+
+def dense_lost_state(rho: np.ndarray, eta: float) -> np.ndarray:
+    """``sum_m A_m rho A_m^dag`` of the pure-loss channel of transmissivity
+    ``eta``, with dense ``A_m = sqrt((1-eta)^m/m!) eta^{N/2} a^m``."""
+    dim = rho.shape[0]
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    keep = np.diag(eta ** (0.5 * np.arange(dim)))
+    out = np.zeros((dim, dim), dtype=complex)
+    for m in range(dim):
+        op = math.sqrt((1.0 - eta) ** m / math.factorial(m)) * keep
+        op = op @ np.linalg.matrix_power(a, m)
+        out += op @ rho @ op.conj().T
+    return out
 
 
 def bisect_phase(c: np.ndarray, u: np.ndarray, steps: int = 52) -> np.ndarray:

@@ -451,7 +451,7 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     solver = ["phase_solver"] if kind == "heterodyne-ensemble" else []
     assert sorted(data["provenance"]) == sorted(
         ["config_hash", "seed", "stream_scheme", "version", *solver])
-    assert data["provenance"]["stream_scheme"] == "one-stream/1"
+    assert data["provenance"]["stream_scheme"] == "one-stream/2"
     assert data["provenance"].get("phase_solver") == ("bracket-newton/1" if solver else None)
 
 
@@ -749,7 +749,7 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # reads its thread count at start-up, hence one interpreter each
     cfgs = {"heterodyne-ensemble": {"params": {"dim": 40},
                                     "initial_state": {"kind": "coherent", "alpha": 1.0}},
-            "verify-identities": {"checks": ["completeness"]}}
+            "verify-identities": {"checks": ["completeness", "cartan"]}}
     for kind, cfg in cfgs.items():
         (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
     script = (
@@ -913,7 +913,7 @@ ORACLES = {
     "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
     "jump_table", "count_jumps", "stepped_counts", "born_coeffs", "born_table",
     "evolve_het_batch", "stepped_zetas", "per_trajectory", "fmt_cell", "write_csv_rows",
-    "bisect_phase",
+    "bisect_phase", "dense_lost_state",
 }
 PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterodyne", "cli"}
 

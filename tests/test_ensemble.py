@@ -31,8 +31,8 @@ def test_partition_and_batching_do_not_change_results(monkeypatch):
 
 
 # everything the two ensembles run per batch or per trajectory
-KERNELS = (ensemble.run_ensemble, ensemble.draw_levels, pd._binomial_cdf, pd._thin,
-           pd.run_photo_ensemble, het._husimi_amplitudes, het._zetas, het.run_het_ensemble)
+KERNELS = (ensemble.run_ensemble, ensemble.draw_levels, pd.run_photo_ensemble,
+           het._husimi_amplitudes, het.run_het_ensemble)
 # products that reduce across rows, through BLAS or a contraction that may call it
 CROSS_ROW = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "einsum_path"}
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from kodsim import fock, verify
 from kodsim.exceptions import DomainError, InvalidDimensionError, NumericError
-from oracles import displacement
+from oracles import dense_lost_state, displacement
 
 
 def test_lowering_small_matrix_exact():
@@ -285,17 +285,21 @@ def test_lost_state_matches_the_dense_loss_channel():
     g = np.random.default_rng(17).standard_normal((dim, 8)).view(complex)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
     for eta in (0.0, 0.3, -math.expm1(-math.log(2.0)), 1.0):
-        keep = np.diag(eta ** (0.5 * np.arange(dim)))
-        ref = np.zeros((dim, dim), dtype=complex)
-        for m in range(dim):
-            op = math.sqrt((1.0 - eta) ** m / math.factorial(m)) * keep
-            op = op @ np.linalg.matrix_power(a, m)
-            ref += op @ rho @ op.conj().T
+        ref = dense_lost_state(rho, eta)
         lost = fock.lost_state(rho, eta)
         assert np.all(np.isfinite(lost)), eta
         assert_allclose(lost, ref, rtol=0.0, atol=1e-14, err_msg=str(eta))
         pops = fock.lost_populations(np.diagonal(rho).real, eta)
         assert_allclose(pops, np.diagonal(ref).real, rtol=0.0, atol=1e-15, err_msg=str(eta))
     assert_allclose(fock.lost_state(rho, 1.0), rho, rtol=0.0, atol=1e-15)
+
+
+def test_a_lost_state_of_the_wrong_shape_is_a_dimension_error():
+    # a vector is not a density matrix, nor a matrix a vector of populations
+    with pytest.raises(InvalidDimensionError):
+        fock.lost_state(np.full(8, 1.0 / 8), 0.5)
+    with pytest.raises(InvalidDimensionError):
+        fock.lost_state(np.eye(4, 3) / 3.0, 0.5)
+    with pytest.raises(InvalidDimensionError):
+        fock.lost_populations(np.eye(4) / 4.0, 0.5)

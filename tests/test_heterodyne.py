@@ -1,7 +1,6 @@
 """Heterodyne instrument: increment algebra, record functionals, the evolved
 amplitude density, POVM completeness, Born density, and samplers."""
 
-import cmath
 import math
 import tracemalloc
 
@@ -19,6 +18,7 @@ from kodsim import ensemble, fock, heterodyne as het, records, verify
 from kodsim.exceptions import (
     DomainError,
     ExtentError,
+    InvalidDimensionError,
     InvalidRecordError,
     NumericError,
 )
@@ -28,6 +28,7 @@ from oracles import (
     bisect_phase,
     born_coeffs,
     born_pdf_quadrature,
+    dense_lost_state,
     evolve_het_batch,
     sample_het_trajectory,
     stepped_zetas,
@@ -581,32 +582,37 @@ class TestSamplers:
         ids=["coherent", "fock3", "coherent-fock-mixture", "random-mixed"],
     )
     def test_each_amplitude_is_its_own_husimi_draw(self, state):
-        # trajectory i reads row i of the run's one array of uniforms:
-        # Sigma(T) times gamma from its first three, plus thermal noise of
-        # occupation nbar = 1/(e^{kappa_o T} - 1) from its last two, |beta|^2
-        # exponential of mean nbar and its phase uniform
+        # trajectory i reads the three uniforms of row i of the run's
+        # uniforms: sqrt(Sigma(T)) times gamma drawn by hand from the Husimi
+        # function of the lost state, summed densely over the loss channel's
+        # Kraus operators
         p = params(kappa_T=LN2, dim=16)
-        rho = fock.density(state)
         sigma = screened_integral(LN2, 1.0)
-        nbar = 1.0 / (math.exp(LN2) - 1.0)
+        lost = dense_lost_state(fock.density(state), sigma)
         zetas = het.run_het_ensemble(fock.density(state), p, 6, seed=8)
-        rows = records.stream(8, records.STREAM_IDS["trajectories"]).random((6, 5))
+        rows = records.stream(8, records.STREAM_IDS["trajectories"]).random((6, 3))
         for i, (z, u) in enumerate(zip(zetas, rows)):
-            beta = math.sqrt(-nbar * math.log(1.0 - u[3])) * cmath.exp(2j * math.pi * u[4])
-            assert abs(z - sigma * (husimi_by_hand(rho, u[:3]) + beta)) < 1e-9, i
+            assert abs(z - math.sqrt(sigma) * husimi_by_hand(lost, u)) < 1e-9, i
 
     @pytest.mark.parametrize(
         "state", [fock.fock_state(16, 5), fock.coherent_state(16, 1.0), random_mixed(16)],
         ids=["fock5", "coherent", "random-mixed"],
     )
-    def test_extreme_uniforms_give_finite_amplitudes(self, state):
-        # the thermal term is an exponential radius and a uniform phase, so
-        # no uniform in [0, 1) maps to an infinite amplitude
+    def test_extreme_uniforms_give_finite_amplitudes(self, state, monkeypatch):
+        # the run's own draw at the corners of [0, 1)^3: no uniform maps to
+        # an infinite amplitude, and a radius uniform of 0 gives the origin
         top = 1.0 - 2.0**-53
-        rows = np.array([[0.0] * 5, [top] * 5, [0.5, 0.5, 0.5, top, top],
-                         [0.5, 0.5, 0.5, 0.0, 0.0]])
-        zetas = het._zetas(fock.density(state), params(kappa_T=LN2, dim=16), rows)
-        assert zetas.shape == (4,) and np.all(np.isfinite(zetas))
+        rows = np.array([[0.0] * 3, [top] * 3, [0.5, 0.5, top], [0.5, 0.5, 0.0],
+                         [top, top, 0.0]])
+
+        class Rows:
+            def random(self, shape):
+                assert shape == rows.shape
+                return rows
+
+        monkeypatch.setattr(ensemble, "stream", lambda seed, stream_id: Rows())
+        zetas = het.run_het_ensemble(fock.density(state), params(kappa_T=LN2, dim=16), 5, 1)
+        assert zetas.shape == (5,) and np.all(np.isfinite(zetas))
         assert zetas[0] == 0.0
 
     @pytest.mark.parametrize(
@@ -788,14 +794,14 @@ class TestSamplers:
                     assert densities[k] == 0.0, (kappa_T, zeta)
 
     def test_a_vector_is_not_read_as_a_density(self):
-        # np.diagonal refuses a 1-D array, and so does the lost state
+        # np.diagonal refuses a 1-D array, and the lost state raises a typed error
         p = params(kappa_T=LN2, dim=8)
         pops = np.full(8, 1.0 / 8)
         with pytest.raises(ValueError):
             het.born_moments(pops, LN2, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidDimensionError):
             het.run_het_ensemble(pops, p, 5, seed=1)
-        with pytest.raises((ValueError, IndexError)):
+        with pytest.raises(InvalidDimensionError):
             het.born_pdf(pops, np.array([0.5]), LN2, p)
 
     def test_ostensible_weights_vacuum_unity(self):

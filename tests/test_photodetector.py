@@ -332,6 +332,16 @@ class TestBornStatistics:
             with pytest.raises(ValueError):
                 call()
 
+    def test_ostensible_weights_at_zero_horizon_name_it(self):
+        # at T = 0 both the lost populations and D_T vanish past n = 0: the
+        # ratio is 0/0, not an overflow
+        p = InstrumentParams(1.0, 1e-3, 0.0, 8)
+        rho = fock.density(fock.fock_state(8, 2))
+        with pytest.raises(DomainError, match="T > 0"):
+            pd.ostensible_weights(rho, 0.0, p, n_max=1)
+        # n = 0 alone is Tr(rho)
+        assert np.array_equal(pd.ostensible_weights(rho, 0.0, p, n_max=0), [1.0])
+
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
         p = params(kappa_T=LN2, dim=20)
@@ -459,19 +469,21 @@ class TestCountSampler:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
     def test_each_count_thins_its_own_draws(self, name):
-        # trajectory i reads row i of the run's one array of uniforms: level
-        # m by inverse CDF of diag rho with its first, then scipy's binomial
-        # quantile at its second
+        # trajectory i reads the one uniform of row i of the run's uniforms:
+        # its count is the least n at which the thinned populations
+        # sum_m p_m Binom(k; m, lambda), summed over k <= n by scipy, exceed
+        # u times their total
         p = params(kappa_T=LN2, dim=12)
         state = ORACLE_STATES[name](12)
         pops = np.real(np.diag(fock.density(state)))
         lam = screened_integral(LN2, 1.0)
+        n = np.arange(12)
+        cdf = np.cumsum(scipy.stats.binom.pmf(n[:, None], n[None, :], lam) @ pops)
         counts = pd.run_photo_ensemble(fock.density(state), p, 200, seed=17)
         assert counts.dtype == np.int64
-        rows = records.stream(17, records.STREAM_IDS["trajectories"]).random((200, 2))
-        for i, (count, u) in enumerate(zip(counts, rows)):
-            m = int(np.argmax(np.cumsum(pops) > u[0] * pops.sum()))
-            assert count == scipy.stats.binom.ppf(u[1], m, lam), i
+        rows = records.stream(17, records.STREAM_IDS["trajectories"]).random((200, 1))
+        for i, (count, u) in enumerate(zip(counts, rows[:, 0])):
+            assert count == int(np.argmax(cdf > u * cdf[-1])), i
 
     def test_batch_and_thread_invariance(self, monkeypatch):
         p = params(kappa_T=LN2, dim=16)
@@ -508,11 +520,13 @@ class TestCountSampler:
                               np.ones(3, dtype=np.int64))
         uniforms = np.full((3, p.n_steps), 2.0**-53)
         assert np.array_equal(count_jumps(prob, uniforms), np.zeros(3, dtype=np.int64))
-        # the exact sampler draws the level from the cumulative populations,
-        # where 1e-30 lies below a uniform's resolution: it counts from |0>
-        cdf = pd._binomial_cdf(6, screened_integral(0.05, 1.0))
-        uniforms = np.array([[0.0, 0.0], [0.0, 0.99], [1.0 - 2.0**-53, 0.01]])
-        assert np.array_equal(pd._thin(pop0, cdf, uniforms), np.zeros(3, dtype=np.int64))
+        # the exact sampler draws the count from the cumulative lost
+        # populations, where the one at n = 1, about 5e-32, lies below a
+        # uniform's resolution: every uniform counts 0
+        lost = pd.born_pmf(np.diag(pop0).astype(complex), 0.05, p)
+        assert 0.0 < lost[1] < 1e-31
+        uniforms = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        assert np.array_equal(ensemble.draw_levels(lost, uniforms), np.zeros(3, dtype=np.int64))
 
     def test_vector_and_its_density_share_the_floor(self):
         # a jump from |0> + 1e-10|1> has probability about 1e-20 kappa_o dt;
