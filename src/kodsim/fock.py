@@ -15,7 +15,6 @@ truncation-safe top-left corner.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .exceptions import DomainError, InvalidDimensionError
@@ -153,6 +152,7 @@ def displacement_unitary(dim: int, alpha: complex) -> np.ndarray:
     mag = abs(alpha)
     if mag == 0.0:
         return np.eye(dim, dtype=complex)
+    import scipy.linalg  # on first use: ensemble and KOD runs never load it
     phase = alpha / mag
     off = mag * np.sqrt(np.arange(1, dim))
     theta, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(dim), off)
@@ -233,7 +233,7 @@ def density(state: np.ndarray) -> np.ndarray:
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise DomainError(f"trace {tr} deviates from 1 by more than {DENSITY_TRACE_TOL}")
-    eigmin = float(np.min(scipy.linalg.eigvalsh(rho)))
+    eigmin = float(np.min(np.linalg.eigvalsh(rho)))
     if eigmin < -1e-10:
         raise DomainError(f"negative eigenvalue {eigmin} below -1e-10")
     return rho

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .ensemble import draw_levels, run_ensemble
@@ -59,7 +58,9 @@ from .params import InstrumentParams, screened_integral
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
 KOD_MASS_TOL = 1e-8  # largest mass drift evolve_kod_diffusion allows at any step
+KOD_BLOCK_STEPS = 128  # steps of evolve_kod_diffusion's running product held at once
 CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
+CARTAN_TAIL = 1e-12  # amplitude cartan_dim leaves past its truncation, 1e-3 of the gate
 PHASE_BRACKET_STEPS = 16  # bisections of [0, 2 pi] before Newton: a bracket of 2 pi / 65536
 PHASE_NEWTON_STEPS = 2  # safeguarded Newton steps inside that bracket
 PHASE_TOL = 1e-12  # largest backward error |CDF(theta) - u| a drawn phase may keep
@@ -158,39 +159,21 @@ def kod_gaussian(T: float, kappa_o: float) -> GaussianKOD:
     return GaussianKOD(sigma=screened_integral(T, kappa_o))
 
 
-def _heat_banded(n: int) -> np.ndarray:
-    """Banded form of ``12 h^2 L`` for LAPACK gbsv, with L the conservative
-    4th-order Neumann Laplacian on n points."""
-    main = np.full(n, -30.0)
-    main[[0, -1]] = -15.0
-    main[[1, -2]] = -31.0
-    band = np.empty((5, n))
-    band[[0, 4]] = -1.0
-    band[[1, 3]] = 16.0
-    band[2] = main
-    return band
-
-
-def _cn_solver(band: np.ndarray):
-    """``solve(coef, v)``, the solution of ``(I - coef B) x = v`` for the
-    pentadiagonal ``B`` in ``band``'s banded form.
-
-    It calls LAPACK's banded solver as ``scipy.linalg.solve_banded((2, 2),
-    ...)`` does, with the same arithmetic, on one work array: rows 2..6 hold
-    the matrix, rows 0..1 its LU fill-in.
-    """
-    gbsv, = scipy.linalg.get_lapack_funcs(("gbsv",), (band,))
-    work = np.zeros((7, band.shape[1]), order="F")
-
-    def solve(coef: float, v: np.ndarray) -> np.ndarray:
-        np.multiply(band, -coef, out=work[2:])
-        work[4] += 1.0
-        _, _, x, info = gbsv(2, 2, work, v, overwrite_ab=True)
-        if info != 0:
-            raise NumericError(f"banded solve failed, LAPACK gbsv info {info}")
-        return x
-
-    return solve
+def _mirror_cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DCT-II matrix ``C`` (row k the k-th cosine mode) and
+    ``lam`` with ``12 h^2 L = C^T diag(lam) C``, L the 4th-order Laplacian on
+    n points with the half-sample mirror closure (each end reflected half a
+    cell beyond its last point): symmetric, of zero column sums, with end
+    rows ``[-14, 15, -1]`` and ``[15, -30, 16, -1]`` (Strang, "The discrete
+    cosine transform", SIAM Review 41, 135 (1999)).  ``lam_k = -30 + 32 c -
+    2 cos(2 pi k/n) = -4 (1 - c)(7 - c)`` at ``c = cos(pi k/n)``, so lam_0 = 0
+    and every lam_k <= 0."""
+    k = np.arange(n)
+    # cos(pi k (2j + 1) / 2n), the angle reduced exactly mod 2 pi
+    basis = np.cos(np.pi / (2 * n) * (np.outer(k, 2 * k + 1) % (4 * n)))
+    basis *= np.where(k == 0, math.sqrt(1.0 / n), math.sqrt(2.0 / n))[:, None]
+    c = np.cos(np.pi * k / n)
+    return basis, -4.0 * (1.0 - c) * (7.0 - c)
 
 
 def evolve_kod_diffusion(
@@ -198,21 +181,26 @@ def evolve_kod_diffusion(
 ) -> GaussianKOD:
     """Integrate the screened diffusion of the amplitude density.
 
-    Alternating-direction implicit stepping (unconditionally stable); the
-    time-dependent coefficient is integrated exactly within each step, so
-    only spatial and Crank-Nicolson errors remain.  The delta initial
-    condition is regularized to a Gaussian of covariance ``sigma0_sq``;
-    compare the result against the analytic density of covariance
+    Crank-Nicolson stepping (unconditionally stable); the time-dependent
+    coefficient is integrated exactly within each step, so only spatial and
+    Crank-Nicolson errors remain.  The delta initial condition is
+    regularized to a Gaussian of covariance ``sigma0_sq``; compare the
+    result against the analytic density of covariance
     ``Sigma(T) + sigma0_sq``.
 
-    The ADI step is the tensor product of one 1-D operator with itself
+    The 2-D step is the tensor product of one 1-D operator with itself
     (the diffusion is isotropic with no cross term), and the initial
     Gaussian is separable, ``g(x) g(y)``.  The 2-D iterate is therefore
     exactly ``outer(v, v)`` with ``v`` the 1-D profile stepped by that
     operator, so only ``v`` is evolved; its mass is ``(sum v)^2 h^2 / pi``.
-    The Crank-Nicolson step ``(I - cL) v' = (I + cL) v`` needs no explicit
-    half: since ``I + cL = 2I - (I - cL)``, it is
-    ``v' = 2 solve(I - cL, v) - v``, one banded solve per step.
+    The basis ``C`` of :func:`_mirror_cosine_basis` diagonalizes each step
+    ``(I - c_s L) v' = (I + c_s L) v``: the spectrum ``C v`` is stepped by the
+    per-mode factors ``(1 + c_s lam)/(1 - c_s lam)``, of modulus <= 1, in
+    blocks of ``KOD_BLOCK_STEPS`` steps, and ``v_T = C^T s_T``.  Each step's
+    mass ``(w . s)^2 h^2 / pi``, spectrum s and ``w = C 1``, is checked
+    against ``KOD_MASS_TOL``.  Every contraction is a two-operand ``einsum``,
+    not BLAS, so no bit depends on the BLAS thread count.  With no step to
+    take (kappa_o = 0, or a start at T), v is returned as it is.
 
     A Gaussian narrower than the mesh aliases several percent of its mass
     when sampled (sigma0_sq = 1e-3 puts ~0.45 h of standard deviation on an
@@ -223,7 +211,7 @@ def evolve_kod_diffusion(
     covariance bookkeeping is exact and only the discrete-operator error
     remains.
 
-    The reflecting far boundary conserves mass exactly; if the evolved
+    The mirror closure conserves mass exactly; if the evolved
     density actually reaches the boundary ring the extent was too small and
     an ExtentError is raised.
     """
@@ -256,18 +244,21 @@ def evolve_kod_diffusion(
     axis = (np.arange(2 * n_side + 1) - n_side) * h
     v = np.exp(-(axis**2) / start_sigma_sq) / np.sqrt(start_sigma_sq)
     v /= np.sum(v) * h / np.sqrt(np.pi)
-    solve = _cn_solver(_heat_banded(axis.size))
-    for k in range(steps):
-        t0 = t_start + k * (T - t_start) / steps
-        t1 = t_start + (k + 1) * (T - t_start) / steps
-        dtau = (sig(t1) - sig(t0)) / 4.0
-        coef = 0.5 * dtau / (12.0 * h**2)
-        if coef == 0.0:
-            continue
-        v = 2.0 * solve(coef, v) - v
-        mass = float(np.sum(v)) ** 2 * h**2 / np.pi
-        if not abs(mass - 1.0) <= KOD_MASS_TOL:  # also catches NaN
-            raise NumericError(f"mass drifted to {mass} at step {k}")
+    sigs = [sig(t_start + k * (T - t_start) / steps) for k in range(steps + 1)]
+    coefs = 0.5 * (np.diff(sigs) / 4.0) / (12.0 * h**2)
+    if np.any(coefs != 0.0):
+        basis, lam = _mirror_cosine_basis(axis.size)
+        col_sums = np.einsum("kj->k", basis)
+        spectra = np.einsum("kj,j->k", basis, v)[None]
+        for first in range(0, steps, KOD_BLOCK_STEPS):
+            cl = coefs[first:first + KOD_BLOCK_STEPS, None] * lam
+            spectra = np.cumprod(np.vstack([spectra[-1:], (1.0 + cl) / (1.0 - cl)]), axis=0)[1:]
+            mass = np.einsum("sk,k->s", spectra, col_sums) ** 2 * h**2 / np.pi
+            drift = ~(np.abs(mass - 1.0) <= KOD_MASS_TOL)  # also catches NaN
+            if np.any(drift):
+                k = int(np.argmax(drift))
+                raise NumericError(f"mass drifted to {mass[k]} at step {first + k}")
+        v = np.einsum("kj,k->j", basis, spectra[-1])
     u = np.outer(v, v)
     ring = np.sum(u[0]) + np.sum(u[-1]) + np.sum(u[1:-1, 0]) + np.sum(u[1:-1, -1])
     if ring * h**2 / np.pi > 1e-6:
@@ -612,11 +603,19 @@ def cartan_transform(zeta: complex, r: float) -> CartanCoordinates:
 def cartan_dim(zeta: complex, r: float) -> int:
     """Truncation large enough for the polar factors at these coordinates.
 
-    The displaced intermediates live near level |alpha|^2 with spread
-    ~sqrt(|alpha|^2), far above |zeta| itself when r is small.
-    """
-    amp = abs(cartan_transform(zeta, r).alpha)
-    return max(CARTAN_SUB_DIM + 20, math.ceil(amp**2 + 8.0 * amp + CARTAN_SUB_DIM + 10))
+    The displaced intermediates ``D_{-alpha}|j>``, j < CARTAN_SUB_DIM, hold
+    Poisson(|alpha|^2) populations shifted up by at most CARTAN_SUB_DIM
+    levels, far above |zeta| itself when r is small.  dim is CARTAN_SUB_DIM
+    plus the first k > |alpha|^2 at which the tail bound ``P(N >= k) <=
+    p_k (k+1)/(k+1-|alpha|^2)`` is at most ``CARTAN_TAIL^2``, so at most
+    CARTAN_TAIL of amplitude lies past the truncation; at least
+    ``CARTAN_SUB_DIM + 20``."""
+    mean = abs(cartan_transform(zeta, r).alpha) ** 2
+    k = math.floor(mean) + 1
+    while mean > 0.0 and (k * math.log(mean) - mean - math.lgamma(k + 1) + math.log(
+            (k + 1) / (k + 1 - mean))) > 2.0 * math.log(CARTAN_TAIL):
+        k += 1
+    return max(CARTAN_SUB_DIM + 20, CARTAN_SUB_DIM + k)
 
 
 def cartan_identity_defect(zeta: complex, r: float, dim: int | None = None) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import fock, heterodyne as het, photodetector as pd
 from .exceptions import DomainError, NumericError
@@ -73,6 +72,7 @@ def matrix_exp(op: np.ndarray) -> np.ndarray:
     op = np.asarray(op, dtype=complex)
     if not np.all(np.isfinite(op)):
         raise NumericError("matrix_exp input has non-finite entries")
+    import scipy.linalg  # on first use: ensemble and KOD runs never load it
     out = scipy.linalg.expm(op)
     if not np.all(np.isfinite(out)):
         raise NumericError("matrix_exp overflowed")

@@ -5,9 +5,10 @@ faster one: dense per-step conditional evolution of a density matrix (one
 ``scipy.linalg.expm`` per heterodyne increment, through
 :func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
 both instruments, the disentangled displacement product, the 2-D
-alternating-direction diffusion loop, the Born density's moments by
-quadrature, the pure-loss channel as a dense Kraus sum, the Husimi phase
-by bisection alone, and the CSV writer that formats one cell at a time.  Nothing in
+alternating-direction diffusion loop with its mirror-closure Laplacian
+built by reflection, the Born density's moments by quadrature, the
+pure-loss channel as a dense Kraus sum, the Husimi phase by bisection
+alone, and the CSV writer that formats one cell at a time.  Nothing in
 ``kodsim`` imports them.
 
 The stepped samplers take a trajectory through every step of the grid, as
@@ -251,11 +252,25 @@ def stepped_zetas(state: np.ndarray, p: InstrumentParams, n_traj: int, seed: int
     )
 
 
+def mirror_laplacian(n):
+    """``12 h^2 L`` as a dense matrix: the stencil ``[-1, 16, -30, 16, -1]``
+    on n points, each index past an end reflected half a cell beyond the
+    last point (``v[-1] = v[0]``, ``v[-2] = v[1]``), entry by entry."""
+    lap = np.zeros((n, n))
+    for i in range(n):
+        for offset, weight in zip(range(-2, 3), (-1.0, 16.0, -30.0, 16.0, -1.0)):
+            j = i + offset
+            j = -1 - j if j < 0 else 2 * n - 1 - j if j >= n else j
+            lap[i, j] += weight
+    return lap
+
+
 def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
     """Oracle: the 2-D alternating-direction loop on the full grid, each
     step one textbook Crank-Nicolson half-step along axis 0 and one along
-    axis 1 (explicit ``I + cL``, then a solve with ``I - cL``), from the same
-    widened initial Gaussian as ``evolve_kod_diffusion``."""
+    axis 1 (explicit ``I + cL``, then a banded solve with ``I - cL``), with
+    L the mirror-closure Laplacian of :func:`mirror_laplacian`, from the
+    same widened initial Gaussian as ``evolve_kod_diffusion``."""
     sig = lambda t: float(-np.expm1(-kappa_o * t))
     resolved_sq = 2.0 * (resolve_scale * h) ** 2
     t_start, start_sq = 0.0, sigma0_sq
@@ -266,26 +281,18 @@ def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
     sq = ((np.arange(2 * n_side + 1) - n_side) * h) ** 2
     u = np.exp(-(sq[:, None] + sq[None, :]) / start_sq) / start_sq
     u /= np.sum(u) * h**2 / np.pi
-    main = np.full(sq.size, -30.0)
-    main[[0, -1]] = -15.0
-    main[[1, -2]] = -31.0
-
-    def explicit_half(w, coef):  # I + coef 12 h^2 L along axis 0
-        v = main[:, None] * w
-        v[:-1] += 16.0 * w[1:]
-        v[1:] += 16.0 * w[:-1]
-        v[:-2] -= w[2:]
-        v[2:] -= w[:-2]
-        return w + coef * v
-
+    lap = mirror_laplacian(sq.size)
+    band = np.zeros((5, sq.size))  # solve_banded's (2, 2) layout: band[2 + i - j, j] = lap[i, j]
+    for d in range(-2, 3):
+        band[2 - d, max(d, 0):sq.size + min(d, 0)] = np.diagonal(lap, d)
     for k in range(steps):
         t0 = t_start + k * (T - t_start) / steps
         t1 = t_start + (k + 1) * (T - t_start) / steps
         coef = 0.5 * (sig(t1) - sig(t0)) / 4.0 / (12.0 * h**2)
-        ab = -coef * het._heat_banded(sq.size)
+        ab = -coef * band
         ab[2] += 1.0
-        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u, coef))
-        u = scipy.linalg.solve_banded((2, 2), ab, explicit_half(u.T.copy(), coef)).T
+        u = scipy.linalg.solve_banded((2, 2), ab, u + coef * (lap @ u))
+        u = scipy.linalg.solve_banded((2, 2), ab, u.T + coef * (lap @ u.T)).T
     return u
 
 

@@ -723,33 +723,40 @@ def test_intakes_reject_a_half_norm_vector(tmp_path, kind):
 
 def test_no_cli_path_imports_scipy_stats(tmp_path):
     # the package takes every distribution from scipy.special; importing
-    # scipy.stats was most of each CLI call's start-up.  A fresh interpreter
-    # imports kodsim.cli, then runs a small ensemble of each instrument to
-    # its verdict (at these sizes a gate may fail, exit 1)
-    for kind, cfg in SMALL_RUNS.items():
+    # scipy.stats was most of each CLI call's start-up, and scipy.linalg
+    # added to it.  A fresh interpreter imports kodsim.cli, then runs a
+    # small ensemble of each instrument (at these sizes a gate may fail,
+    # exit 1) and a small Gaussian KOD to its verdict
+    runs = {**SMALL_RUNS, "evolve-kod": {"kod": "gaussian", "convergence": False,
+                                         "grid": {"h": 0.1, "steps": 40}}}
+    for kind, cfg in runs.items():
         (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
     script = (
         "import sys\n"
         "import kodsim.cli\n"
         "assert 'scipy.stats' not in sys.modules\n"
-        f"for kind in {sorted(SMALL_RUNS)!r}:\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        f"for kind in {sorted(runs)!r}:\n"
         "    assert kodsim.cli.main([kind, '--config', kind + '.json', '--out', kind]) in (0, 1)\n"
         "assert 'scipy.stats' not in sys.modules\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert all((tmp_path / kind / "report.json").is_file() for kind in SMALL_RUNS)
+    assert all((tmp_path / kind / "report.json").is_file() for kind in runs)
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # no sum over trajectories, nodes or quadrature points goes through
-    # BLAS, so a run writes the same bytes at 1 and 2 BLAS threads; OpenBLAS
-    # reads its thread count at start-up, hence one interpreter each
+    # no sum over trajectories, nodes, quadrature points or cosine modes
+    # goes through BLAS, so a run writes the same bytes at 1 and 2 BLAS
+    # threads; OpenBLAS reads its thread count at start-up, hence one
+    # interpreter each
     cfgs = {"heterodyne-ensemble": {"params": {"dim": 40},
                                     "initial_state": {"kind": "coherent", "alpha": 1.0}},
-            "verify-identities": {"checks": ["completeness", "cartan"]}}
+            "verify-identities": {"checks": ["completeness", "cartan"]},
+            "evolve-kod": {"kod": "gaussian"}}
     for kind, cfg in cfgs.items():
         (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
     script = (

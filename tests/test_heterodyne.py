@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.linalg
 import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
@@ -30,6 +29,7 @@ from oracles import (
     born_pdf_quadrature,
     dense_lost_state,
     evolve_het_batch,
+    mirror_laplacian,
     sample_het_trajectory,
     stepped_zetas,
     wiener_increment,
@@ -309,36 +309,22 @@ class TestDiffusion:
         with pytest.raises(DomainError, match="finite"):
             het.evolve_kod_diffusion(T, kappa_o, h=0.05, extent=5.0, steps=50, sigma0_sq=1e-3)
 
-    @pytest.mark.parametrize("h", [0.05, 0.025])
-    def test_each_step_solve_equals_solve_banded(self, monkeypatch, h):
-        # every Crank-Nicolson solve of a KOD run, bit for bit
-        solves = []
-        make = het._cn_solver
+    @pytest.mark.parametrize("n", [21, 201])
+    def test_cosine_basis_diagonalizes_the_mirror_closure(self, n):
+        # the Laplacian built by reflection, entry by entry, is C^T diag(lam) C
+        lap = mirror_laplacian(n)
+        basis, lam = het._mirror_cosine_basis(n)
+        assert np.array_equal(lap, lap.T)
+        assert not np.any(np.sum(lap, axis=0))
+        assert lam[0] == 0.0 and np.all(lam <= 0.0)
+        roundoff = 30 * n * np.finfo(float).eps
+        assert np.max(np.abs(basis @ basis.T - np.eye(n))) <= roundoff
+        assert np.max(np.abs(basis.T @ (lam[:, None] * basis) - lap)) <= roundoff
 
-        def recording(band):
-            solve = make(band)
-
-            def record(coef, v):
-                x = solve(coef, v)
-                solves.append((band, coef, v.copy(), x.copy()))
-                return x
-
-            return record
-
-        monkeypatch.setattr(het, "_cn_solver", recording)
-        het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=verify.KOD_GRID_STEPS,
-                                 sigma0_sq=1e-3)
-        assert len(solves) == verify.KOD_GRID_STEPS
-        for band, coef, v, x in solves:
-            ab = -coef * band
-            ab[2] += 1.0
-            assert np.array_equal(x, scipy.linalg.solve_banded((2, 2), ab, v))
-
-    def test_singular_step_raises(self):
-        band = np.zeros((5, 9))
-        band[2] = 1.0
-        with pytest.raises(NumericError, match="gbsv"):
-            het._cn_solver(band)(1.0, np.ones(9))
+    def test_mass_drift_names_the_step(self, monkeypatch):
+        monkeypatch.setattr(het, "KOD_MASS_TOL", 0.0)
+        with pytest.raises(NumericError, match=r"mass drifted to .* at step \d+"):
+            het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, steps=200, sigma0_sq=1e-3)
 
 
 class TestClassOperators:
@@ -860,6 +846,30 @@ class TestCartan:
     def test_identity_small_r_large_amplitude(self):
         # alpha = zeta / Sigma_r reaches ~11 here; the truncation must follow
         assert het.cartan_identity_defect(2.0, 0.1) < 1e-9
+
+    @pytest.mark.parametrize("seed, index", [(3, 3), (10, 53)])
+    def test_identity_converged_in_dim_on_the_worst_draws(self, seed, index):
+        # the worst draws of two seeds that failed the gate when the
+        # truncation ignored the Poisson tail: 1.05e-9 and 2.07e-9 then
+        rng = records.stream(seed, records.STREAM_IDS["cartan"])
+        draws = [(0.1 + 2.9 * rng.random(), verify._random_disk(rng, 2.0)) for _ in range(100)]
+        r, zeta = draws[index]
+        dim = het.cartan_dim(zeta, r)
+        at_dim = het.cartan_identity_defect(zeta, r, dim=dim)
+        assert at_dim < 1e-2 * verify.CARTAN_TOL
+        at_more = het.cartan_identity_defect(zeta, r, dim=dim + 20)
+        assert abs(at_dim - at_more) < 1e-2 * verify.CARTAN_TOL
+
+    def test_cartan_dim_meets_its_tail_bound(self):
+        # the Poisson(|alpha|^2) tail past dim - CARTAN_SUB_DIM, summed
+        # directly, is within CARTAN_TAIL^2, and one level less is not
+        for zeta, r in [(2.0, 0.1), (1.0 + 0.5j, 0.7), (0.3, 2.5)]:
+            mean = abs(het.cartan_transform(zeta, r).alpha) ** 2
+            dim = het.cartan_dim(zeta, r)
+            tail = lambda k: scipy.special.pdtrc(k - 1, mean)
+            assert tail(dim - het.CARTAN_SUB_DIM) <= het.CARTAN_TAIL**2
+            if dim > het.CARTAN_SUB_DIM + 20:
+                assert tail(dim - het.CARTAN_SUB_DIM - 1) > het.CARTAN_TAIL**2 / 10
 
 
 class TestTraceIdentity:
