@@ -262,7 +262,7 @@ SCHEMAS = {
         "steps": (_INT, verify.KOD_STEPS),
         "grid": {
             "h": (_FLOAT, verify.KOD_H), "extent": (_FLOAT, verify.KOD_EXTENT),
-            "steps": (_INT, verify.KOD_GRID_STEPS), "sigma0_sq": (_FLOAT, verify.KOD_SIGMA0_SQ),
+            "sigma0_sq": (_FLOAT, verify.KOD_SIGMA0_SQ),
         },
     },
     "verify-identities": {"checks": (_groups, None)},
@@ -530,10 +530,8 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
             range(r["n_max"] + 1), kod.weights, target, np.abs(kod.weights - target),
         ])
     else:
-        kod = het.evolve_kod_diffusion(
-            p.T, p.kappa_o, h=g["h"], extent=g["extent"], steps=g["steps"],
-            sigma0_sq=g["sigma0_sq"],
-        )
+        kod = het.evolve_kod_diffusion(p.T, p.kappa_o, h=g["h"], extent=g["extent"],
+                                       sigma0_sq=g["sigma0_sq"])
         ax = kod.axis()
         target = verify.kod_target(kod)
         table = ("kod_grid", ["re", "im", "evolved", "analytic"], [

@@ -57,8 +57,7 @@ from .params import InstrumentParams, screened_integral
 
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
-KOD_MASS_TOL = 1e-8  # largest mass drift evolve_kod_diffusion allows at any step
-KOD_BLOCK_STEPS = 128  # steps of evolve_kod_diffusion's running product held at once
+KOD_MASS_TOL = 1e-8  # largest mass drift evolve_kod_diffusion allows in its result
 CARTAN_SUB_DIM = 20  # subblock of the polar-decomposition defect
 CARTAN_TAIL = 1e-12  # amplitude cartan_dim leaves past its truncation, 1e-3 of the gate
 PHASE_BRACKET_STEPS = 16  # bisections of [0, 2 pi] before Newton: a bracket of 2 pi / 65536
@@ -177,37 +176,37 @@ def _mirror_cosine_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evolve_kod_diffusion(
-    T: float, kappa_o: float, h: float, extent: float, steps: int, sigma0_sq: float
+    T: float, kappa_o: float, h: float, extent: float, sigma0_sq: float
 ) -> GaussianKOD:
-    """Integrate the screened diffusion of the amplitude density.
+    """Solve the screened diffusion of the amplitude density exactly in time.
 
-    Crank-Nicolson stepping (unconditionally stable); the time-dependent
-    coefficient is integrated exactly within each step, so only spatial and
-    Crank-Nicolson errors remain.  The delta initial condition is
-    regularized to a Gaussian of covariance ``sigma0_sq``; compare the
-    result against the analytic density of covariance
-    ``Sigma(T) + sigma0_sq``.
+    The delta initial condition is regularized to a Gaussian of covariance
+    ``sigma0_sq``; compare the result against the analytic density of
+    covariance ``Sigma(T) + sigma0_sq``.
 
-    The 2-D step is the tensor product of one 1-D operator with itself
-    (the diffusion is isotropic with no cross term), and the initial
-    Gaussian is separable, ``g(x) g(y)``.  The 2-D iterate is therefore
-    exactly ``outer(v, v)`` with ``v`` the 1-D profile stepped by that
+    The 2-D propagator is the tensor product of one 1-D propagator with
+    itself (the diffusion is isotropic with no cross term), and the initial
+    Gaussian is separable, ``g(x) g(y)``.  The 2-D solution is therefore
+    exactly ``outer(v, v)`` with ``v`` the 1-D profile evolved by that
     operator, so only ``v`` is evolved; its mass is ``(sum v)^2 h^2 / pi``.
-    The basis ``C`` of :func:`_mirror_cosine_basis` diagonalizes each step
-    ``(I - c_s L) v' = (I + c_s L) v``: the spectrum ``C v`` is stepped by the
-    per-mode factors ``(1 + c_s lam)/(1 - c_s lam)``, of modulus <= 1, in
-    blocks of ``KOD_BLOCK_STEPS`` steps, and ``v_T = C^T s_T``.  Each step's
-    mass ``(w . s)^2 h^2 / pi``, spectrum s and ``w = C 1``, is checked
-    against ``KOD_MASS_TOL``.  Every contraction is a two-operand ``einsum``,
-    not BLAS, so no bit depends on the BLAS thread count.  With no step to
-    take (kappa_o = 0, or a start at T), v is returned as it is.
+    The basis ``C`` of :func:`_mirror_cosine_basis` diagonalizes the 4th-order
+    Laplacian L, and every mode shares the one time dependence kappa(t)/4 of
+    ``dv/dt = kappa(t)/4 L v``, so the semi-discrete solution is one factor
+    per mode: ``s_T = exp(tau lam) C v`` with ``tau = (Sigma(T) -
+    Sigma(t_start)) / (48 h^2)``, and ``v_T = C^T s_T``: no time error
+    remains, only the spatial one.  lam_0 = 0 keeps mode 0, and so the mass,
+    fixed, and every other factor lies in [0, 1].  The result's mass is checked against
+    ``KOD_MASS_TOL``, which raises on a non-finite solve.  Both contractions
+    are two-operand ``einsum``s, not BLAS, so no bit depends on the BLAS
+    thread count.  With no time to evolve (kappa_o = 0, or a start at T), v
+    is returned as it is.
 
     A Gaussian narrower than the mesh aliases several percent of its mass
     when sampled (sigma0_sq = 1e-3 puts ~0.45 h of standard deviation on an
     h = 0.05 grid), which survives to a ~1e-3 error at the horizon.  Since
     Gaussians diffuse in closed form, the initial condition is therefore
     widened analytically until its per-axis standard deviation reaches
-    ``RESOLVE_SCALE * h`` and the discrete stepping starts from there; the
+    ``RESOLVE_SCALE * h`` and the discrete solve starts from there; the
     covariance bookkeeping is exact and only the discrete-operator error
     remains.
 
@@ -222,8 +221,8 @@ def evolve_kod_diffusion(
         )
     if extent < MIN_EXTENT:
         raise ExtentError(f"need extent >= {MIN_EXTENT:g}, got {extent}")
-    if h <= 0.0 or steps < 1:
-        raise DomainError(f"need h > 0 and steps >= 1, got h={h}, steps={steps}")
+    if h <= 0.0:
+        raise DomainError(f"need h > 0, got h={h}")
     if not 0.0 < sigma0_sq < 1.0:
         raise DomainError(f"need 0 < sigma0_sq < 1, got {sigma0_sq}")
     if kappa_o < 0.0 or T < 0.0:
@@ -244,21 +243,13 @@ def evolve_kod_diffusion(
     axis = (np.arange(2 * n_side + 1) - n_side) * h
     v = np.exp(-(axis**2) / start_sigma_sq) / np.sqrt(start_sigma_sq)
     v /= np.sum(v) * h / np.sqrt(np.pi)
-    sigs = [sig(t_start + k * (T - t_start) / steps) for k in range(steps + 1)]
-    coefs = 0.5 * (np.diff(sigs) / 4.0) / (12.0 * h**2)
-    if np.any(coefs != 0.0):
+    tau = (sig(T) - sig(t_start)) / (48.0 * h**2)
+    if tau != 0.0:
         basis, lam = _mirror_cosine_basis(axis.size)
-        col_sums = np.einsum("kj->k", basis)
-        spectra = np.einsum("kj,j->k", basis, v)[None]
-        for first in range(0, steps, KOD_BLOCK_STEPS):
-            cl = coefs[first:first + KOD_BLOCK_STEPS, None] * lam
-            spectra = np.cumprod(np.vstack([spectra[-1:], (1.0 + cl) / (1.0 - cl)]), axis=0)[1:]
-            mass = np.einsum("sk,k->s", spectra, col_sums) ** 2 * h**2 / np.pi
-            drift = ~(np.abs(mass - 1.0) <= KOD_MASS_TOL)  # also catches NaN
-            if np.any(drift):
-                k = int(np.argmax(drift))
-                raise NumericError(f"mass drifted to {mass[k]} at step {first + k}")
-        v = np.einsum("kj,k->j", basis, spectra[-1])
+        v = np.einsum("kj,k->j", basis, np.exp(tau * lam) * np.einsum("kj,j->k", basis, v))
+    mass = (np.sum(v) * h) ** 2 / np.pi
+    if not abs(mass - 1.0) <= KOD_MASS_TOL:  # also catches NaN
+        raise NumericError(f"mass drifted to {mass}")
     u = np.outer(v, v)
     ring = np.sum(u[0]) + np.sum(u[-1]) + np.sum(u[1:-1, 0]) + np.sum(u[1:-1, -1])
     if ring * h**2 / np.pi > 1e-6:
@@ -575,11 +566,6 @@ class CartanCoordinates:
     alpha: complex
     beta: complex
     scalar_log: float
-    r: float
-
-    @property
-    def sigma_r(self) -> float:
-        return screened_integral(self.r, 2.0)
 
 
 def cartan_transform(zeta: complex, r: float) -> CartanCoordinates:
@@ -596,7 +582,6 @@ def cartan_transform(zeta: complex, r: float) -> CartanCoordinates:
         alpha=alpha,
         beta=float(np.exp(-r)) * alpha,
         scalar_log=abs(zeta) ** 2 / (2.0 * sigma_r),
-        r=float(r),
     )
 
 

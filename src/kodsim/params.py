@@ -55,8 +55,7 @@ class InstrumentParams:
                 f"kappa_o*dt = {self.kappa_o * self.dt} exceeds the "
                 f"weak-coupling bound {MAX_KAPPA_DT}"
             )
-        steps = round(self.T / self.dt) if self.T > 0.0 else 0
-        if abs(steps * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
+        if abs(self.n_steps * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
             raise DomainError(
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}"
             )

@@ -5,8 +5,8 @@ faster one: dense per-step conditional evolution of a density matrix (one
 ``scipy.linalg.expm`` per heterodyne increment, through
 :func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
 both instruments, the disentangled displacement product, the 2-D
-alternating-direction diffusion loop with its mirror-closure Laplacian
-built by reflection, the Born density's moments by quadrature, the
+diffusion solved by one dense matrix exponential of the mirror-closure
+Laplacian built by reflection, the Born density's moments by quadrature, the
 pure-loss channel as a dense Kraus sum, the Husimi phase by bisection
 alone, and the CSV writer that formats one cell at a time.  Nothing in
 ``kodsim`` imports them.
@@ -265,12 +265,14 @@ def mirror_laplacian(n):
     return lap
 
 
-def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
-    """Oracle: the 2-D alternating-direction loop on the full grid, each
-    step one textbook Crank-Nicolson half-step along axis 0 and one along
-    axis 1 (explicit ``I + cL``, then a banded solve with ``I - cL``), with
-    L the mirror-closure Laplacian of :func:`mirror_laplacian`, from the
-    same widened initial Gaussian as ``evolve_kod_diffusion``."""
+def expm_2d(T, kappa_o, h, extent, sigma0_sq=1e-3, resolve_scale=1.5):
+    """Oracle: the 2-D semi-discrete solution on the full grid, one dense
+    ``scipy.linalg.expm(tau (L x I + I x L))`` of the Kronecker-sum Laplacian
+    applied to the same widened initial Gaussian as ``evolve_kod_diffusion``,
+    built in 2-D, with L the mirror-closure Laplacian of
+    :func:`mirror_laplacian` and ``tau = (Sigma(T) - Sigma(t_start)) /
+    (48 h^2)``.  The dense matrix has n^4 entries: keep n = 2 round(extent/h)
+    + 1 to about 41."""
     sig = lambda t: float(-np.expm1(-kappa_o * t))
     resolved_sq = 2.0 * (resolve_scale * h) ** 2
     t_start, start_sq = 0.0, sigma0_sq
@@ -282,18 +284,10 @@ def adi_2d(T, kappa_o, h, extent, steps, sigma0_sq=1e-3, resolve_scale=1.5):
     u = np.exp(-(sq[:, None] + sq[None, :]) / start_sq) / start_sq
     u /= np.sum(u) * h**2 / np.pi
     lap = mirror_laplacian(sq.size)
-    band = np.zeros((5, sq.size))  # solve_banded's (2, 2) layout: band[2 + i - j, j] = lap[i, j]
-    for d in range(-2, 3):
-        band[2 - d, max(d, 0):sq.size + min(d, 0)] = np.diagonal(lap, d)
-    for k in range(steps):
-        t0 = t_start + k * (T - t_start) / steps
-        t1 = t_start + (k + 1) * (T - t_start) / steps
-        coef = 0.5 * (sig(t1) - sig(t0)) / 4.0 / (12.0 * h**2)
-        ab = -coef * band
-        ab[2] += 1.0
-        u = scipy.linalg.solve_banded((2, 2), ab, u + coef * (lap @ u))
-        u = scipy.linalg.solve_banded((2, 2), ab, u.T + coef * (lap @ u.T)).T
-    return u
+    eye = np.eye(sq.size)
+    tau = (sig(T) - sig(t_start)) / (48.0 * h**2)
+    prop = scipy.linalg.expm(tau * (np.kron(lap, eye) + np.kron(eye, lap)))
+    return (prop @ u.ravel()).reshape(u.shape)
 
 
 def born_pdf_quadrature(rho, T, p, quad_order):

@@ -84,7 +84,7 @@ def test_criterion_03_binomial_born_statistics():
 
 def test_criterion_04_gaussian_kod_evolution():
     kod = het.evolve_kod_diffusion(LN2, 1.0, h=verify.KOD_H, extent=verify.KOD_EXTENT,
-                                   steps=verify.KOD_GRID_STEPS, sigma0_sq=verify.KOD_SIGMA0_SQ)
+                                   sigma0_sq=verify.KOD_SIGMA0_SQ)
     err, mass, ratio = verify.kod_checks(kod, LN2, 1.0, convergence=True)
     criterion(
         4,

@@ -355,7 +355,7 @@ class TestMain:
 DEFAULT_HASHES = {
     "photodetect-ensemble": "763a6c70d1e9b13a",
     "heterodyne-ensemble": "386425b5458ff081",
-    "evolve-kod": "b3af7dbb4bfdc46f",
+    "evolve-kod": "37eed6102260f552",
     "verify-identities": "fcff0ce2ce4efc0b",
     "povm-convergence": "2dd970473c70bde9",
 }
@@ -395,7 +395,7 @@ OUTPUT_LAYOUTS = [
     ),
     (
         "evolve-kod",
-        {"kod": "gaussian", "grid": {"h": 0.2, "steps": 50}},
+        {"kod": "gaussian", "grid": {"h": 0.2}},
         {"kod_grid.csv": ["re", "im", "evolved", "analytic"]},
         ["kod-diffusion-evolution", "kod-mass", "kod-diffusion-h-halving"],
     ),
@@ -728,7 +728,7 @@ def test_no_cli_path_imports_scipy_stats(tmp_path):
     # small ensemble of each instrument (at these sizes a gate may fail,
     # exit 1) and a small Gaussian KOD to its verdict
     runs = {**SMALL_RUNS, "evolve-kod": {"kod": "gaussian", "convergence": False,
-                                         "grid": {"h": 0.1, "steps": 40}}}
+                                         "grid": {"h": 0.1}}}
     for kind, cfg in runs.items():
         (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
     script = (
@@ -907,6 +907,12 @@ def test_unknown_threshold_key_rejected(tmp_path, capsys, kind, cfg_dict, key):
     assert capsys.readouterr().err.startswith("error: unknown keys in thresholds")
 
 
+def test_grid_steps_key_rejected(tmp_path, capsys):
+    # the Gaussian KOD is solved exactly in time, so its grid has no step count
+    assert run_main(tmp_path, "evolve-kod", {"kod": "gaussian", "grid": {"steps": 50}}) == 2
+    assert capsys.readouterr().err.startswith("error: unknown keys in grid: steps")
+
+
 def test_valid_thresholds_keep_their_hash():
     # gate overrides are stored as given, so their hashes match earlier releases
     cfg = {"thresholds": {"p_value": 0.5, "tv_method_a": "0.1"}}
@@ -917,7 +923,7 @@ def test_valid_thresholds_keep_their_hash():
 ORACLES = {
     "time_ordered_product", "time_ordered_product_het", "kraus_increment", "matrix_exp",
     "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
-    "displacement", "exp_raising", "adi_2d", "oracle_counts", "NORM_COLLAPSE",
+    "displacement", "exp_raising", "expm_2d", "oracle_counts", "NORM_COLLAPSE",
     "jump_table", "count_jumps", "stepped_counts", "born_coeffs", "born_table",
     "evolve_het_batch", "stepped_zetas", "per_trajectory", "fmt_cell", "write_csv_rows",
     "bisect_phase", "dense_lost_state",

@@ -27,7 +27,7 @@ KEYS = {
     },
     "evolve-kod": COMMON | {
         "kod", "convergence", "n_max", "steps",
-        "grid.h", "grid.extent", "grid.steps", "grid.sigma0_sq",
+        "grid.h", "grid.extent", "grid.sigma0_sq",
     },
     "verify-identities": COMMON | {"checks"},
     "povm-convergence": COMMON | {"kappa_T_values", "photo_ns", "het_zetas"},

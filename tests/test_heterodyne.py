@@ -23,12 +23,12 @@ from kodsim.exceptions import (
 )
 from kodsim.params import InstrumentParams, screened_integral
 from oracles import (
-    adi_2d,
     bisect_phase,
     born_coeffs,
     born_pdf_quadrature,
     dense_lost_state,
     evolve_het_batch,
+    expm_2d,
     mirror_laplacian,
     sample_het_trajectory,
     stepped_zetas,
@@ -256,8 +256,7 @@ class TestGaussianKOD:
 
 class TestDiffusion:
     def test_zero_rate_leaves_initial_condition(self):
-        kod = het.evolve_kod_diffusion(1.0, 0.0, h=0.1, extent=5.0, steps=50,
-                                       sigma0_sq=0.04)
+        kod = het.evolve_kod_diffusion(1.0, 0.0, h=0.1, extent=5.0, sigma0_sq=0.04)
         ax = kod.axis()
         g = np.exp(-(ax**2) / 0.04) / np.sqrt(0.04)
         g /= np.sum(g) * 0.1 / np.sqrt(np.pi)
@@ -267,47 +266,42 @@ class TestDiffusion:
         init /= np.sum(init) * 0.1**2 / np.pi
         assert np.max(np.abs(kod.grid - init)) <= 8 * np.spacing(np.max(init))
 
-    @pytest.mark.parametrize(
-        "h, steps, sigma0_sq",
-        [(0.25, 20, 1e-3), (0.1, 40, 1e-3), (0.25, 20, 0.3), (0.05, 200, 1e-3)],
-    )
-    def test_separable_solve_matches_2d_adi(self, h, steps, sigma0_sq):
-        # widened start (1e-3) and a start already resolved on the mesh (0.3)
-        kod = het.evolve_kod_diffusion(LN2, 1.0, h=h, extent=5.0, steps=steps,
-                                       sigma0_sq=sigma0_sq)
-        oracle = adi_2d(LN2, 1.0, h, 5.0, steps, sigma0_sq)
+    @pytest.mark.parametrize("sigma0_sq", [1e-3, 0.3])
+    def test_separable_solve_matches_2d_expm(self, sigma0_sq):
+        # widened start (1e-3) and a start already resolved on the mesh (0.3);
+        # h = 0.25 keeps the oracle's dense exponential at 1681 x 1681
+        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.25, extent=5.0, sigma0_sq=sigma0_sq)
+        oracle = expm_2d(LN2, 1.0, 0.25, 5.0, sigma0_sq)
         assert kod.grid.shape == oracle.shape
         assert np.max(np.abs(kod.grid - oracle)) <= 1e-13 * np.max(oracle)
 
     def test_matches_analytic_gaussian(self):
-        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, steps=200,
-                                       sigma0_sq=1e-3)
+        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, sigma0_sq=1e-3)
         assert verify.kod_error(kod) < 1e-3
         assert abs(kod.grid_mass() - 1.0) < 1e-8
         assert float(np.min(kod.grid)) > -1e-9
 
     def test_rejects_small_extent(self):
         with pytest.raises(ExtentError):
-            het.evolve_kod_diffusion(1.0, 1.0, h=0.05, extent=3.0, steps=50, sigma0_sq=1e-3)
+            het.evolve_kod_diffusion(1.0, 1.0, h=0.05, extent=3.0, sigma0_sq=1e-3)
 
     def test_halving_check_reads_the_mesh(self):
         # h = 0.15 puts 33 cells, 4.95, on each side of a requested extent of 5
-        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.15, extent=5.0, steps=20, sigma0_sq=1e-3)
+        kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.15, extent=5.0, sigma0_sq=1e-3)
         assert kod.axis()[-1] < het.MIN_EXTENT
         checks = verify.kod_checks(kod, LN2, 1.0, convergence=True)
         assert [c.name for c in checks][-1] == "kod-diffusion-h-halving"
 
     def test_rejects_unresolvable_horizon(self):
         with pytest.raises(ExtentError):
-            het.evolve_kod_diffusion(1e-4, 1.0, h=0.05, extent=5.0, steps=50,
-                                     sigma0_sq=1e-6)
+            het.evolve_kod_diffusion(1e-4, 1.0, h=0.05, extent=5.0, sigma0_sq=1e-6)
 
     @pytest.mark.parametrize(
         "T, kappa_o", [(LN2, math.nan), (LN2, math.inf), (math.nan, 1.0), (math.inf, 1.0)]
     )
     def test_rejects_non_finite_horizon_and_rate(self, T, kappa_o):
         with pytest.raises(DomainError, match="finite"):
-            het.evolve_kod_diffusion(T, kappa_o, h=0.05, extent=5.0, steps=50, sigma0_sq=1e-3)
+            het.evolve_kod_diffusion(T, kappa_o, h=0.05, extent=5.0, sigma0_sq=1e-3)
 
     @pytest.mark.parametrize("n", [21, 201])
     def test_cosine_basis_diagonalizes_the_mirror_closure(self, n):
@@ -321,10 +315,30 @@ class TestDiffusion:
         assert np.max(np.abs(basis @ basis.T - np.eye(n))) <= roundoff
         assert np.max(np.abs(basis.T @ (lam[:, None] * basis) - lap)) <= roundoff
 
-    def test_mass_drift_names_the_step(self, monkeypatch):
+    @pytest.mark.parametrize("extent", [2.0, 3.0, 4.0])
+    def test_density_at_the_ring_raises(self, monkeypatch, extent):
+        # past MIN_EXTENT's floor, a horizon of covariance ~1.5 spills onto the ring
+        monkeypatch.setattr(het, "MIN_EXTENT", 1.0)
+        with pytest.raises(ExtentError, match="density reached the boundary ring"):
+            het.evolve_kod_diffusion(10.0, 1.0, h=0.1, extent=extent, sigma0_sq=0.5)
+
+    def test_mass_drift_raises(self, monkeypatch):
         monkeypatch.setattr(het, "KOD_MASS_TOL", 0.0)
-        with pytest.raises(NumericError, match=r"mass drifted to .* at step \d+"):
-            het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, steps=200, sigma0_sq=1e-3)
+        with pytest.raises(NumericError, match="mass drifted to"):
+            het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, sigma0_sq=1e-3)
+
+    def test_non_finite_solve_raises(self, monkeypatch):
+        # a NaN spectrum must raise, not reach kod-mass as a failed gate
+        cosine_basis = het._mirror_cosine_basis
+
+        def nan_mode(n):
+            basis, lam = cosine_basis(n)
+            lam[1] = math.nan
+            return basis, lam
+
+        monkeypatch.setattr(het, "_mirror_cosine_basis", nan_mode)
+        with pytest.raises(NumericError, match="mass drifted to nan"):
+            het.evolve_kod_diffusion(LN2, 1.0, h=0.05, extent=5.0, sigma0_sq=1e-3)
 
 
 class TestClassOperators:
@@ -822,7 +836,6 @@ class TestCartan:
     def test_transform_half_log_two(self):
         # Sigma_r = 3/4 at r = ln 2, so zeta = 1 maps to alpha = 4/3
         c = het.cartan_transform(1.0, LN2)
-        assert c.sigma_r == pytest.approx(0.75, rel=1e-15)
         assert c.alpha == pytest.approx(4.0 / 3.0, rel=1e-14)
         assert c.beta == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert c.scalar_log == pytest.approx(2.0 / 3.0, rel=1e-14)
