@@ -627,7 +627,7 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kodsim",
         description="Continually observing instrument simulations and identity checks.",
@@ -639,7 +639,16 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", type=str, default="out", help="output directory")
         sp.add_argument("--threads", type=int, default=1, help="worker threads, at least 1")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once, on import: every main call in a process parses with it, and
+# argparse's first use (it loads the locale module) is start-up, not a run
+_PARSER = _parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         raw = {}
         if args.config:

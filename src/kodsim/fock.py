@@ -15,9 +15,9 @@ truncation-safe top-left corner.
 from __future__ import annotations
 
 import numpy as np
-import scipy.special
 
 from .exceptions import DomainError, InvalidDimensionError
+from .special import log_factorial, xlogy
 
 STATE_NORM_TOL = 1e-10  # see density
 DENSITY_TRACE_TOL = 1e-8  # see density
@@ -58,7 +58,7 @@ def log_lowering(dim: int) -> np.ndarray:
     ``exp(c a)``, from one log-factorial vector; column 0 is ``-ln(j!)/2``."""
     if dim < 2:
         raise InvalidDimensionError(f"need dim >= 2, got {dim}")
-    log_fact = scipy.special.gammaln(np.arange(1.0, 2.0 * dim))
+    log_fact = log_factorial(np.arange(2 * dim - 1))
     j, m = np.ogrid[:dim, :dim]
     return np.where(m + j < dim, 0.5 * (log_fact[m + j] - log_fact[m]) - log_fact[j], -np.inf)
 
@@ -70,7 +70,7 @@ def loss_amplitudes(dim: int, eta: float) -> np.ndarray:
     :func:`log_lowering` in log space; ``0^0 = 1`` at eta = 0 and 1."""
     table = log_lowering(dim)
     m, j = np.ogrid[:dim, :dim]
-    half_log = scipy.special.xlogy(m, 1.0 - eta) + scipy.special.xlogy(j, eta)
+    half_log = xlogy(m, 1.0 - eta) + xlogy(j, eta)
     return np.exp(table.T - table[:, 0] + 0.5 * half_log)
 
 

@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from .ensemble import draw_levels, run_ensemble
 from .exceptions import (
@@ -54,6 +55,7 @@ from .fock import (
     subblock_norm_diff,
 )
 from .params import InstrumentParams, screened_integral
+from .special import gamma_quantile, log_factorial, xlogy
 
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
@@ -290,7 +292,7 @@ def _hermite_2d(quad_order: int) -> tuple[np.ndarray, np.ndarray]:
     weights ``w_x w_y`` against ``e^{-x^2-y^2} dx dy``, x-major."""
     if quad_order < 1:
         raise DomainError(f"need quad_order >= 1, got {quad_order}")
-    nodes, wts = np.polynomial.hermite.hermgauss(quad_order)
+    nodes, wts = hermgauss(quad_order)
     return (nodes[:, None] + 1j * nodes[None, :]).ravel(), (wts[:, None] * wts[None, :]).ravel()
 
 
@@ -384,7 +386,7 @@ def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
     """Born probability of each rectangular bin ``[edges_re[i], edges_re[i+1]]
     x [edges_im[j], edges_im[j+1]]``: an 8-point Gauss-Legendre rule per
     axis, with the density at every node of every bin from one call."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(8)
+    gl_x, gl_w = leggauss(8)
 
     def axis(edges):
         edges = np.asarray(edges, dtype=float)
@@ -421,10 +423,10 @@ def _husimi_circles(rho: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, 
     """
     dim = rho.shape[0]
     n = draw_levels(np.diagonal(rho).real, uniforms[:, 0])
-    radius_sq = scipy.special.gammaincinv(n + 1.0, uniforms[:, 1])
+    radius_sq = gamma_quantile(n, uniforms[:, 1])
     m = np.arange(dim)
     r2 = radius_sq[:, None]
-    x = np.exp(0.5 * (scipy.special.xlogy(m, r2) - r2 - scipy.special.gammaln(m + 1)))
+    x = np.exp(0.5 * (xlogy(m, r2) - r2 - log_factorial(m)))
     c = np.stack([np.sum(np.diagonal(rho, k) * x[:, : dim - k] * x[:, k:], axis=1)
                   for k in range(dim)], axis=1)
     # at r = 0 the phase of gamma = 0 is immaterial: draw it uniform

@@ -22,10 +22,10 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .ensemble import draw_levels, run_ensemble
 from .exceptions import (
@@ -44,6 +44,7 @@ from .fock import (
     subblock_norm_diff,
 )
 from .params import InstrumentParams, screened_integral
+from .special import log_factorial, xlogy
 
 KOD_MASS_TOL = 1e-10  # largest mass drift evolve_kod_poisson allows at any step
 
@@ -135,13 +136,17 @@ class PoissonKOD:
     weights: np.ndarray | None = None
 
     def log_pmf(self, n) -> np.ndarray:
-        return scipy.special.xlogy(n, self.lam) - scipy.special.gammaln(n + 1) - self.lam
+        return xlogy(n, self.lam) - log_factorial(n) - self.lam
 
     def pmf(self, n) -> np.ndarray:
         return np.exp(self.log_pmf(n))
 
     def pmf_array(self, n_max: int) -> np.ndarray:
-        return self.pmf(np.arange(n_max + 1))
+        """pmf at n = 0..n_max, each ``lam/n`` times the one before from
+        ``e^{-lam}``: one rounding per factor, where ``exp(log_pmf)`` loses
+        about ``|log_pmf|`` ulps to its argument."""
+        factors = np.concatenate(([math.exp(-self.lam)], self.lam / np.arange(1.0, n_max + 1)))
+        return np.cumprod(factors)
 
 
 def kod_poisson(T: float, kappa_o: float) -> PoissonKOD:

@@ -8,9 +8,10 @@ an ensemble share one stream, trajectory ``i`` reading row ``i`` of it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.special
+from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import BinSpecError, DataError, DomainError
+from .special import chi2_sf
 
 MIN_EXPECTED = 5.0  # see chi_square_gof
 
@@ -21,7 +22,7 @@ STREAM_IDS = {"renormalization": 0, "record-reduction": 1, "cartan": 2, "left-in
               "trajectories": 4, "method-c": 5, "beta-cooling": 7000}
 
 
-def stream(seed: int, stream_id: int | tuple[int, ...]) -> np.random.Generator:
+def stream(seed: int, stream_id: int | tuple[int, ...]) -> Generator:
     """Independent random stream for one id of :data:`STREAM_IDS`.
 
     Same ``(seed, stream_id)`` always yields the same sample sequence;
@@ -30,8 +31,8 @@ def stream(seed: int, stream_id: int | tuple[int, ...]) -> np.random.Generator:
     ``(7000, 0)`` is a different id from ``7000``.
     """
     key = stream_id if isinstance(stream_id, tuple) else (stream_id,)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
-    return np.random.Generator(np.random.Philox(ss))
+    ss = SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
+    return Generator(Philox(ss))
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -89,4 +90,4 @@ def chi_square_gof(counts: np.ndarray, probs: np.ndarray) -> float:
     if len(exp) < 2:
         raise DataError("fewer than two bins survive the expected-count rule")
     obs, exp = np.array(obs), np.array(exp)
-    return float(scipy.special.chdtrc(exp.size - 1, np.sum((obs - exp) ** 2 / exp)))
+    return chi2_sf(exp.size - 1, float(np.sum((obs - exp) ** 2 / exp)))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 # trajectory i reads row i of the run's one trajectory stream, every other draw
 # its own id of ``records.STREAM_IDS``: a new id for any change to a drawn record
-STREAM_SCHEME = "one-stream/2"
+STREAM_SCHEME = "one-stream/3"
 
 
 @dataclass(frozen=True)

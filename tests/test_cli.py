@@ -451,7 +451,7 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     solver = ["phase_solver"] if kind == "heterodyne-ensemble" else []
     assert sorted(data["provenance"]) == sorted(
         ["config_hash", "seed", "stream_scheme", "version", *solver])
-    assert data["provenance"]["stream_scheme"] == "one-stream/2"
+    assert data["provenance"]["stream_scheme"] == "one-stream/3"
     assert data["provenance"].get("phase_solver") == ("bracket-newton/1" if solver else None)
 
 
@@ -721,31 +721,33 @@ def test_intakes_reject_a_half_norm_vector(tmp_path, kind):
     assert not (tmp_path / "out").exists()
 
 
-def test_no_cli_path_imports_scipy_stats(tmp_path):
-    # the package takes every distribution from scipy.special; importing
-    # scipy.stats was most of each CLI call's start-up, and scipy.linalg
-    # added to it.  A fresh interpreter imports kodsim.cli, then runs a
-    # small ensemble of each instrument (at these sizes a gate may fail,
-    # exit 1) and a small Gaussian KOD to its verdict
-    runs = {**SMALL_RUNS, "evolve-kod": {"kod": "gaussian", "convergence": False,
-                                         "grid": {"h": 0.1}}}
-    for kind, cfg in runs.items():
-        (tmp_path / f"{kind}.json").write_text(json.dumps(cfg))
+def test_no_cli_path_imports_scipy(tmp_path):
+    # the package takes its special functions from kodsim.special, and
+    # importing any of scipy was most of each CLI call's start-up.  A fresh
+    # interpreter imports kodsim.cli, then runs a small ensemble of each
+    # instrument (at these sizes a gate may fail, exit 1) and a small KOD of
+    # each kind to its verdict
+    runs = [(kind, kind, cfg) for kind, cfg in sorted(SMALL_RUNS.items())] + [
+        ("gaussian", "evolve-kod", {"kod": "gaussian", "convergence": False,
+                                    "grid": {"h": 0.1}}),
+        ("poisson", "evolve-kod", {"kod": "poisson", "convergence": False}),
+    ]
+    for name, _, cfg in runs:
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
     script = (
         "import sys\n"
         "import kodsim.cli\n"
-        "assert 'scipy.stats' not in sys.modules\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-        f"for kind in {sorted(runs)!r}:\n"
-        "    assert kodsim.cli.main([kind, '--config', kind + '.json', '--out', kind]) in (0, 1)\n"
-        "assert 'scipy.stats' not in sys.modules\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        f"for name, kind in {[(name, kind) for name, kind, _ in runs]!r}:\n"
+        "    assert kodsim.cli.main([kind, '--config', name + '.json', '--out', name]) in (0, 1)\n"
+        "    loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "    assert not loaded, (name, loaded)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert all((tmp_path / kind / "report.json").is_file() for kind in runs)
+    assert all((tmp_path / name / "report.json").is_file() for name, _, _ in runs)
 
 
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -788,12 +790,29 @@ def test_projector_scaling_follows_the_sweep_spacing(tmp_path, capsys):
             verify.projector_sweep([0], [], values, 1.0, 1e-3, 40, 20)
 
 
+def test_projector_scaling_rejects_a_sweep_outside_its_regime(tmp_path, capsys):
+    # n = 25 at kappa_o T = 2 has n e^{-kappa_o T} = 3.4, where the defect
+    # ratio is not yet e^{-kappa_o T}: the gate read 2.013 against 2.0 and the
+    # run exited 1, as if the POVM had not converged
+    cfg = {"params": {"dim": 60}, "sub_dim": 30, "photo_ns": [25], "het_zetas": [0.5],
+           "kappa_T_values": [2.0, 3.0]}
+    assert run_main(tmp_path, "povm-convergence", cfg) == 2
+    assert "outside the regime" in capsys.readouterr().err
+    # the same n from kappa_o T = ln 60 is inside it, and passes
+    cfg["kappa_T_values"] = [math.log(60.0), math.log(60.0) + 1.0]
+    assert run_main(tmp_path, "povm-convergence", cfg) == 0
+    with pytest.raises(ConfigError):
+        verify.projector_sweep([0, 3], [], [1.0, 2.0], 1.0, 1e-3, 40, 20)
+    assert 2 * math.exp(-verify.PROJECTOR_KAPPA_TS[0]) <= verify.PROJECTOR_REGIME
+
+
 @pytest.mark.parametrize(
-    "cfg", [{"kappa_T_values": [1.2345, 2.0]}, {"params": {"kappa_o": 3.0}}]
+    "cfg", [{"kappa_T_values": [2.2345, 3.0]}, {"params": {"kappa_o": 3.0}}]
 )
 def test_povm_convergence_fits_each_swept_horizon_to_the_grid(tmp_path, capsys, cfg):
     # kappa_T / kappa_o off the dt grid used to exit 2, "T = ... is not an
     # integer multiple of dt", in the sweep and in its default series alike
+    # (the sweep starts above ln 4, as n = 2 needs PROJECTOR_REGIME)
     assert run_main(tmp_path, "povm-convergence", cfg) == 0
     assert capsys.readouterr().err == ""
     names = set(os.listdir(tmp_path / "out"))
@@ -814,9 +833,10 @@ def test_photodetect_tail_beyond_n_max_is_one_bin(tmp_path, capsys):
 
 
 def test_default_projector_series_use_the_run_truncation(tmp_path, capsys):
-    # n = 25 fits the run's sub_dim 30, not the series' default 20
+    # n = 25 fits the run's sub_dim 30, not the series' default 20 (the sweep
+    # starts at kappa_o T = ln 60, inside PROJECTOR_REGIME)
     cfg = {"params": {"dim": 60}, "sub_dim": 30, "photo_ns": [25], "het_zetas": [0.5],
-           "kappa_T_values": [2.0, 3.0]}
+           "kappa_T_values": [math.log(60.0), math.log(60.0) + 1.0]}
     assert run_main(tmp_path, "povm-convergence", cfg) != 2
     assert capsys.readouterr().err == ""
     header, rows = read_csv(tmp_path / "out" / "projector_defect_photo_n25.csv")
