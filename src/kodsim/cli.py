@@ -58,7 +58,8 @@ def _as_complex(value, where: str) -> complex:
 # schema for an object that defaults to ``{}``.  A resolver takes the raw
 # value and the key's dotted name and returns the resolved value or raises
 # ConfigError naming the key.  A callable default is computed from the keys
-# resolved before it.
+# resolved before it.  A dict in place of a resolver maps each value the key
+# may take to a schema, whose keys join the object's when the key takes it.
 
 
 def _cast(cast, noun: str, value, where: str):
@@ -103,6 +104,15 @@ def _resolve(raw, schema: dict, where: str = "") -> dict:
     label = where or "config"
     if not isinstance(raw, dict):
         raise ConfigError(f"{label} must be a JSON object")
+    schema = dict(schema)
+    for key, spec in list(schema.items()):
+        if isinstance(spec, tuple) and isinstance(spec[0], dict):
+            variants, default = spec
+            value = raw.get(key, default)
+            if not (isinstance(value, str) and value in variants):
+                names = ", ".join(map(repr, variants))
+                raise ConfigError(f"{where + '.' if where else ''}{key} must be one of {names}")
+            schema.update({key: (_raw, value), **variants[value]})
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"unknown keys in {label}: {', '.join(unknown)}")
@@ -136,12 +146,6 @@ def _rate(value, where: str) -> float:
     return rate
 
 
-def _kod(value, where: str) -> str:
-    if value not in ("poisson", "gaussian"):
-        raise ConfigError(f"{where} must be 'poisson' or 'gaussian'")
-    return value
-
-
 def _amplitude(value, where: str) -> list[float]:
     alpha = _as_complex(value, where)
     return [alpha.real, alpha.imag]
@@ -162,12 +166,7 @@ _STATES = {
 
 
 def _state(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    kind = value.get("kind")
-    if not isinstance(kind, str) or kind not in _STATES:
-        raise ConfigError(f"{where}.kind must be 'fock', 'coherent' or 'file'")
-    return _resolve(value, {"kind": (_raw, kind), **_STATES[kind]}, where)
+    return _resolve(value, {"kind": (_STATES, None)}, where)
 
 
 def _thresholds(gates: dict, value, where: str) -> dict:
@@ -177,8 +176,8 @@ def _thresholds(gates: dict, value, where: str) -> dict:
         raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(value) - set(gates))
     if unknown:
-        known = ", ".join(gates) or "none for this kind"
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)} (gates: {known})")
+        raise ConfigError(
+            f"unknown keys in {where}: {', '.join(unknown)} (gates: {', '.join(gates)})")
     for key in value:
         if not math.isfinite(_FLOAT(value[key], f"{where}.{key}")):
             raise ConfigError(f"{where}.{key} must be a finite number")
@@ -233,40 +232,45 @@ def _series(value, where: str) -> tuple[dict, ...]:
     return tuple(out)
 
 
-_COMMON = {
-    "params": {
-        "kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, verify.LN2),
-        "dim": (_INT, verify.DIM),
-    },
-    "seed": (_count, DEFAULT_SEED),
-    "sub_dim": (_INT, verify.SUB_DIM),
-    "series": (_raw, []),
+_COMMON = {"seed": (_count, DEFAULT_SEED), "series": (_raw, [])}
+# the instrument of both ensembles.  Neither reads ``dt`` past its
+# weak-coupling check; it stays while the benchmark's ensemble configs set it
+_PARAMS = {
+    "kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, verify.LN2),
+    "dim": (_INT, verify.DIM),
 }
-# evolve-kod and povm-convergence default to the sizes of the identity
-# groups, so at their defaults they run the kod-* and projector-scaling checks
+_KODS = {
+    "poisson": {"n_max": (_INT, verify.KOD_N_MAX), "steps": (_INT, verify.KOD_STEPS)},
+    "gaussian": {"grid": {
+        "h": (_FLOAT, verify.KOD_H), "extent": (_FLOAT, verify.KOD_EXTENT),
+        "sigma0_sq": (_FLOAT, verify.KOD_SIGMA0_SQ),
+    }},
+}
+# Each kind holds the keys its runner reads.  evolve-kod and
+# povm-convergence default to the sizes of the identity groups, so at their
+# defaults they run the kod-* and projector-scaling checks
 SCHEMAS = {
     "photodetect-ensemble": {
+        "params": _PARAMS,
         "initial_state": (_state, {"kind": "fock", "n": 5}),
         "trajectories": (_count, 10_000),
         "n_max": (_INT, 12),
     },
     "heterodyne-ensemble": {
+        "params": _PARAMS,
         "initial_state": (_state, {"kind": "coherent", "alpha": 1.0}),
         "trajectories": (_count, 10_000),
         "bins": (partial(_at_least, 1), 8),
     },
     "evolve-kod": {
-        "kod": (_kod, "poisson"),
+        "params": {"kappa_o": (_rate, 1.0), "T": (_rate, verify.LN2)},
+        "kod": (_KODS, "poisson"),
         "convergence": (_flag, True),
-        "n_max": (_INT, verify.KOD_N_MAX),
-        "steps": (_INT, verify.KOD_STEPS),
-        "grid": {
-            "h": (_FLOAT, verify.KOD_H), "extent": (_FLOAT, verify.KOD_EXTENT),
-            "sigma0_sq": (_FLOAT, verify.KOD_SIGMA0_SQ),
-        },
     },
     "verify-identities": {"checks": (_groups, None)},
     "povm-convergence": {
+        "params": {"kappa_o": (_rate, 1.0), "dim": (_INT, verify.DIM)},
+        "sub_dim": (_INT, verify.SUB_DIM),
         "kappa_T_values": (_sweep, verify.PROJECTOR_KAPPA_TS),
         "photo_ns": (_INTS, verify.PROJECTOR_NS),
         "het_zetas": (_FLOATS, verify.PROJECTOR_ZETAS),
@@ -286,7 +290,10 @@ class ExperimentConfig:
     series: tuple[dict, ...]
 
     def instrument_params(self) -> InstrumentParams:
-        p = self.resolved["params"]
+        """The ensembles' instrument.  A key that a kind's params lack takes its
+        ensemble default, so the benchmark's provenance, which reads the step
+        count of every call, finds one for evolve-kod too."""
+        p = {key: default for key, (_, default) in _PARAMS.items()} | self.resolved["params"]
         return InstrumentParams.fit_steps(p["kappa_o"], p["T"], p["dt"], p["dim"])
 
     def config_hash(self) -> str:
@@ -297,8 +304,8 @@ class ExperimentConfig:
 def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a raw config dict against its experiment kind's schema.
 
-    Unknown keys are rejected at every level; numeric ranges are enforced
-    by the modules the values are handed to.
+    Unknown keys are rejected at every level; most numeric ranges are
+    enforced by the modules the values are handed to.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -308,8 +315,9 @@ def resolve_config(kind: str, raw: dict, seed_override: int | None = None) -> Ex
             raise ConfigError(f"config kind {value!r} does not match command {kind!r}")
         return kind
 
-    thresholds = (partial(_thresholds, GATES.get(kind, {})), {})
-    schema = {"kind": (same_kind, kind), **_COMMON, "thresholds": thresholds, **SCHEMAS[kind]}
+    schema = {"kind": (same_kind, kind), **_COMMON, **SCHEMAS[kind]}
+    if kind in GATES:
+        schema["thresholds"] = (partial(_thresholds, GATES[kind]), {})
     resolved = _resolve(raw, schema)
     if seed_override is not None:
         resolved["seed"] = _count(seed_override, "--seed")
@@ -424,10 +432,13 @@ def _gate(cfg: ExperimentConfig, key: str) -> float:
 
 
 def _p_value(counts: np.ndarray, probs: np.ndarray, n_traj: int) -> float:
-    """:func:`chi_square_gof`; a run too small for its expected-count rule
-    is a config error naming the trajectory count, not bad data."""
+    """:func:`chi_square_gof` of binned counts against their Born
+    probabilities, with one tail bin for the draws and the Born mass outside
+    the bins; a run too small for its expected-count rule is a config error
+    naming the trajectory count, not bad data."""
     try:
-        return chi_square_gof(counts, probs)
+        return chi_square_gof(np.append(counts, n_traj - counts.sum()),
+                              np.append(probs, max(0.0, 1.0 - probs.sum())))
     except DataError as exc:
         raise ConfigError(
             f"trajectories = {n_traj} is too few for the chi-square test, which needs "
@@ -460,9 +471,8 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
         lam = screened_integral(p.T, p.kappa_o)
         draws = stream(seed, STREAM_IDS["method-c"]).poisson(lam, size=n_traj)
         ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
-        # counts above n_max, and the Born mass there, form one tail bin
-        p_val = _p_value(np.append(observed, n_traj - observed.sum()),
-                         np.append(born, max(0.0, 1.0 - born.sum())), n_traj)
+        # counts above n_max, and the Born mass there, form the tail bin
+        p_val = _p_value(observed, born, n_traj)
         checks = [
             Check("tv-method-a-vs-born", tv_distance(empirical, born), _gate(cfg, "tv_method_a")),
             Check("tv-method-c-vs-born", tv_distance(ostensible, born), _gate(cfg, "tv_method_c")),
@@ -497,13 +507,11 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
         empirical = hist2d * np.pi / (n_traj * area)
         mean = complex(np.mean(zetas))
         cov = float(np.mean(np.abs(zetas - mean) ** 2))
-        counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
-        probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         checks = [
             Check("mean-vs-born", abs(mean - mean_ref),
                   _gate(cfg, "mean_sigmas") * math.sqrt(cov_ref / n_traj)),
             Check("covariance-vs-born", abs(cov / cov_ref - 1.0), _gate(cfg, "covariance_rel")),
-            Check("chi-square-2d-p-value", _p_value(counts_flat, probs_flat, n_traj),
+            Check("chi-square-2d-p-value", _p_value(hist2d.ravel(), probs.ravel(), n_traj),
                   _gate(cfg, "p_value"), comparison=">="),
         ]
     else:
@@ -520,17 +528,17 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
 
 
 def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
-    p = cfg.instrument_params()
     r = cfg.resolved
-    g = r["grid"]
+    T, kappa_o = r["params"]["T"], r["params"]["kappa_o"]
     if r["kod"] == "poisson":
-        kod = pd.evolve_kod_poisson(p.T, p.kappa_o, n_max=r["n_max"], steps=r["steps"])
+        kod = pd.evolve_kod_poisson(T, kappa_o, n_max=r["n_max"], steps=r["steps"])
         target = verify.kod_target(kod)
         table = ("kod", ["n", "evolved", "analytic", "abs_err"], [
             range(r["n_max"] + 1), kod.weights, target, np.abs(kod.weights - target),
         ])
     else:
-        kod = het.evolve_kod_diffusion(p.T, p.kappa_o, h=g["h"], extent=g["extent"],
+        g = r["grid"]
+        kod = het.evolve_kod_diffusion(T, kappa_o, h=g["h"], extent=g["extent"],
                                        sigma0_sq=g["sigma0_sq"])
         ax = kod.axis()
         target = verify.kod_target(kod)
@@ -538,15 +546,15 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
             lambda k: ax[k // ax.size], lambda k: ax[k % ax.size],
             kod.grid.ravel(), target.ravel(),
         ])
-    return verify.kod_checks(kod, p.T, p.kappa_o, r["convergence"]), [table]
+    return verify.kod_checks(kod, T, kappa_o, r["convergence"]), [table]
 
 
 def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
     r = cfg.resolved
     base = r["params"]
     checks, columns = verify.projector_sweep(
-        r["photo_ns"], r["het_zetas"], r["kappa_T_values"], base["kappa_o"], base["dt"],
-        base["dim"], r["sub_dim"],
+        r["photo_ns"], r["het_zetas"], r["kappa_T_values"], base["kappa_o"], base["dim"],
+        r["sub_dim"],
     )
     tables = [("defects", ["instrument", "label", "kappa_T", "defect"], columns)]
     if not cfg.series:
@@ -592,7 +600,7 @@ def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
     else:
         instrument, at, tag = "heterodyne", spec["zeta"], f"zeta{abs(spec['zeta']):g}"
     defects = verify.projector_defects(
-        instrument, at, spec["kappa_T"], kappa_o, 1e-3 / kappa_o, spec["dim"], spec["sub_dim"]
+        instrument, at, spec["kappa_T"], kappa_o, spec["dim"], spec["sub_dim"]
     )
     return f"{name}-{tag}", ["kappa_T", "defect"], [kappa_T, np.array(defects, dtype=float)]
 
@@ -610,8 +618,7 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     series = [series_table(spec, r["seed"]) for spec in cfg.series]
     checks, tables = RUNNERS[cfg.kind](cfg, n_threads)
     report = VerificationReport(
-        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash(),
-        phase_solver=het.PHASE_SOLVER if cfg.kind == "heterodyne-ensemble" else None,
+        checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
     )
     os.makedirs(out_dir, exist_ok=True)
     write_report(out_dir, report)

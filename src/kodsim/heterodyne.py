@@ -65,8 +65,6 @@ CARTAN_TAIL = 1e-12  # amplitude cartan_dim leaves past its truncation, 1e-3 of 
 PHASE_BRACKET_STEPS = 16  # bisections of [0, 2 pi] before Newton: a bracket of 2 pi / 65536
 PHASE_NEWTON_STEPS = 2  # safeguarded Newton steps inside that bracket
 PHASE_TOL = 1e-12  # largest backward error |CDF(theta) - u| a drawn phase may keep
-# the phase inversion, named in report.json provenance: it moves zetas in their low bits
-PHASE_SOLVER = "bracket-newton/1"
 
 
 def _density_width(T: float, kappa_o: float) -> float:

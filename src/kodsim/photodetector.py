@@ -176,8 +176,8 @@ def evolve_kod_poisson(T: float, kappa_o: float, n_max: int, steps: int) -> Pois
         raise DomainError(f"need steps >= 100, got {steps}")
     if n_max < 30:
         raise DomainError(f"need n_max >= 30, got {n_max}")
-    if T < 0.0:
-        raise DomainError(f"need T >= 0, got {T}")
+    if not (math.isfinite(kappa_o) and math.isfinite(T) and kappa_o >= 0.0 and T >= 0.0):
+        raise DomainError(f"need finite kappa_o >= 0 and T >= 0, got {kappa_o} and {T}")
     weights = np.zeros(n_max + 1)
     weights[0] = 1.0
     h = T / steps
@@ -188,7 +188,7 @@ def evolve_kod_poisson(T: float, kappa_o: float, n_max: int, steps: int) -> Pois
         k3 = _kod_generator(t + 0.5 * h, weights + 0.5 * h * k2, kappa_o)
         k4 = _kod_generator(t + h, weights + h * k3, kappa_o)
         weights = weights + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(float(np.sum(weights)) - 1.0) > KOD_MASS_TOL:
+        if not abs(float(np.sum(weights)) - 1.0) <= KOD_MASS_TOL:  # also catches NaN
             raise NumericError(f"mass drifted beyond {KOD_MASS_TOL:g} at step {i}")
     if weights[-1] > 1e-8:
         raise TruncationError(

@@ -315,24 +315,24 @@ def _scaling_factor(kappa_T_values, defects: list[float]) -> float:
 
 
 def projector_defects(
-    instrument: str, at, kappa_T_values, kappa_o: float, dt: float, dim: int, sub_dim: int
+    instrument: str, at, kappa_T_values, kappa_o: float, dim: int, sub_dim: int
 ) -> list[float]:
     """Distance of one POVM element from its projector at each kappa_o T:
     the photodetector's at jump count ``at``, the heterodyne's at amplitude
-    ``at``."""
+    ``at``.  No defect reads the step, so the grid's is ``1e-3 / kappa_o``."""
     if instrument == "photodetector":
         defect = pd.projector_convergence
     else:
         defect = het.projector_convergence_het
     defects = []
     for kappa_T in kappa_T_values:
-        p = InstrumentParams.fit_steps(kappa_o, kappa_T / kappa_o, dt, dim)
+        p = InstrumentParams.fit_steps(kappa_o, kappa_T / kappa_o, 1e-3 / kappa_o, dim)
         defects.append(defect(at, p.T, p, sub_dim))
     return defects
 
 
 def projector_sweep(
-    photo_ns, het_zetas, kappa_T_values, kappa_o: float, dt: float, dim: int, sub_dim: int
+    photo_ns, het_zetas, kappa_T_values, kappa_o: float, dim: int, sub_dim: int
 ) -> tuple[list[Check], list]:
     """Per jump count in ``photo_ns``, then amplitude in ``het_zetas``: a check
     that the projector defects shrink like e^{-kappa_o T} along a sweep of at
@@ -351,7 +351,7 @@ def projector_sweep(
     ]
     checks, instruments, labels, defects = [], [], [], []
     for instrument, at, label in sweep:
-        swept = projector_defects(instrument, at, kappa_T_values, kappa_o, dt, dim, sub_dim)
+        swept = projector_defects(instrument, at, kappa_T_values, kappa_o, dim, sub_dim)
         instruments += [instrument] * len(swept)
         labels += [label] * len(swept)
         defects += swept
@@ -363,9 +363,7 @@ def projector_sweep(
 
 def projector_scaling_checks() -> list[Check]:
     """Scaling checks for n = 0..2 and zeta = 0, 0.5 over kappa_o T = 2..5."""
-    return projector_sweep(
-        PROJECTOR_NS, PROJECTOR_ZETAS, PROJECTOR_KAPPA_TS, 1.0, 1e-3, DIM, SUB_DIM
-    )[0]
+    return projector_sweep(PROJECTOR_NS, PROJECTOR_ZETAS, PROJECTOR_KAPPA_TS, 1.0, DIM, SUB_DIM)[0]
 
 
 ALL_GROUPS = {

@@ -304,14 +304,14 @@ class TestPlotSeries:
                     {"name": "effective-mean", "points": 51},
                     {"name": "projector-defect-het", "zeta": [0.5, 0.1], "kappa_o": 2},
                 ]},
-                "7b6c68b553773e12",
+                "faac5fb282e1b5a7",
             ),
             ("povm-convergence", {"series": [{"name": "beta-cooling", "samples": 1000}]},
-             "e6dfc015438f8ce7"),
+             "b439132353eefe7c"),
         ],
     )
     def test_series_keep_their_hash(self, kind, cfg_dict, digest):
-        # series are stored as given, so their hashes match earlier releases
+        # series are stored as given, so their hashes do not move with series defaults
         assert cli.resolve_config(kind, cfg_dict).config_hash() == digest
 
     @pytest.mark.parametrize("kappa_o", [0, -1.0, "nan", "inf"])
@@ -353,11 +353,11 @@ class TestMain:
 
 
 DEFAULT_HASHES = {
-    "photodetect-ensemble": "763a6c70d1e9b13a",
-    "heterodyne-ensemble": "386425b5458ff081",
-    "evolve-kod": "37eed6102260f552",
-    "verify-identities": "fcff0ce2ce4efc0b",
-    "povm-convergence": "2dd970473c70bde9",
+    "photodetect-ensemble": "175155b92bdeaa01",
+    "heterodyne-ensemble": "c1123cf87b6f81b2",
+    "evolve-kod": "c933de7fc24c7e16",
+    "verify-identities": "774007b3f4916451",
+    "povm-convergence": "ef23b18d794b4797",
 }
 
 
@@ -447,12 +447,9 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     assert [c.name for c in report.checks] == check_names
     data = json.loads((tmp_path / "report.json").read_text())
     assert [c["name"] for c in data["checks"]] == check_names
-    # only the runs that draw amplitudes name the heterodyne phase solver
-    solver = ["phase_solver"] if kind == "heterodyne-ensemble" else []
-    assert sorted(data["provenance"]) == sorted(
-        ["config_hash", "seed", "stream_scheme", "version", *solver])
+    # the stream scheme is the one id of every drawn record, phase solver included
+    assert sorted(data["provenance"]) == ["config_hash", "seed", "stream_scheme", "version"]
     assert data["provenance"]["stream_scheme"] == "one-stream/3"
-    assert data["provenance"].get("phase_solver") == ("bracket-newton/1" if solver else None)
 
 
 def table_rows(columns):
@@ -783,11 +780,11 @@ def test_projector_scaling_follows_the_sweep_spacing(tmp_path, capsys):
     # used to compare every ratio with e^{-1}
     cfg = {"kappa_T_values": [2.0, 4.0], "photo_ns": [0], "het_zetas": [0.5]}
     assert run_main(tmp_path, "povm-convergence", cfg) == 0
-    checks, _ = verify.projector_sweep([0], [0.5], [2.0, 2.5, 3.0, 3.5], 1.0, 1e-3, 40, 20)
+    checks, _ = verify.projector_sweep([0], [0.5], [2.0, 2.5, 3.0, 3.5], 1.0, 40, 20)
     assert all(c.measured < 1.1 for c in checks)
     for values in ([2.0], [], [2.0, 2.0]):
         with pytest.raises(DomainError):
-            verify.projector_sweep([0], [], values, 1.0, 1e-3, 40, 20)
+            verify.projector_sweep([0], [], values, 1.0, 40, 20)
 
 
 def test_projector_scaling_rejects_a_sweep_outside_its_regime(tmp_path, capsys):
@@ -802,7 +799,7 @@ def test_projector_scaling_rejects_a_sweep_outside_its_regime(tmp_path, capsys):
     cfg["kappa_T_values"] = [math.log(60.0), math.log(60.0) + 1.0]
     assert run_main(tmp_path, "povm-convergence", cfg) == 0
     with pytest.raises(ConfigError):
-        verify.projector_sweep([0, 3], [], [1.0, 2.0], 1.0, 1e-3, 40, 20)
+        verify.projector_sweep([0, 3], [], [1.0, 2.0], 1.0, 40, 20)
     assert 2 * math.exp(-verify.PROJECTOR_KAPPA_TS[0]) <= verify.PROJECTOR_REGIME
 
 
@@ -896,7 +893,7 @@ def test_integral_float_and_quoted_integer_keep_their_hash():
     cfg = {"trajectories": 1000.0, "n_max": "12", "params": {"dim": 16.0, "kappa_o": "1"}}
     plain = {"trajectories": 1000, "n_max": 12, "params": {"dim": 16, "kappa_o": 1.0}}
     for raw in (cfg, plain):
-        assert cli.resolve_config("photodetect-ensemble", raw).config_hash() == "824e11583684c742"
+        assert cli.resolve_config("photodetect-ensemble", raw).config_hash() == "79507284876e482b"
 
 
 def test_non_finite_state_file_exits_two(tmp_path, capsys):
@@ -921,10 +918,14 @@ def test_non_finite_state_file_exits_two(tmp_path, capsys):
     ],
 )
 def test_unknown_threshold_key_rejected(tmp_path, capsys, kind, cfg_dict, key):
+    # a kind with no gates takes no thresholds object at all
+    if kind not in cli.GATES:
+        key = "config: thresholds"
     with pytest.raises(ConfigError, match=key):
         cli.resolve_config(kind, cfg_dict)
     assert run_main(tmp_path, kind, cfg_dict) == 2
-    assert capsys.readouterr().err.startswith("error: unknown keys in thresholds")
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown keys in ") and key in err
 
 
 def test_grid_steps_key_rejected(tmp_path, capsys):
@@ -933,10 +934,34 @@ def test_grid_steps_key_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown keys in grid: steps")
 
 
+@pytest.mark.parametrize(
+    "kind, cfg_dict, error",
+    [
+        ("verify-identities", {"checks": ["trace"], "params": {"dim": 3, "kappa_o": -1, "T": -5}},
+         "config: params"),
+        ("verify-identities", {"checks": ["trace"], "sub_dim": 999}, "config: sub_dim"),
+        ("povm-convergence", {"params": {"T": 1e9}}, "params: T"),
+        ("evolve-kod", {"params": {"dim": 2, "dt": 0.01}, "sub_dim": -4}, "config: sub_dim"),
+        ("evolve-kod", {"kod": "gaussian", "n_max": 5, "steps": 1}, "config: n_max, steps"),
+        ("evolve-kod", {"kod": "poisson", "grid": {"h": -1}}, "config: grid"),
+        ("evolve-kod", {"thresholds": {}}, "config: thresholds"),
+        ("photodetect-ensemble",
+         {"sub_dim": -4, "trajectories": 100, "params": {"dim": 12}, "n_max": 8},
+         "config: sub_dim"),
+    ],
+)
+def test_a_key_the_kind_does_not_read_exits_two(tmp_path, capsys, kind, cfg_dict, error):
+    # each of these ran and exited 0 while its key changed nothing
+    assert run_main(tmp_path, kind, cfg_dict) == 2
+    assert capsys.readouterr().err == f"error: unknown keys in {error}\n"
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_valid_thresholds_keep_their_hash():
-    # gate overrides are stored as given, so their hashes match earlier releases
+    # gate overrides are stored as given, so their hashes do not move with the gates
     cfg = {"thresholds": {"p_value": 0.5, "tv_method_a": "0.1"}}
-    assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "23eed762740f23f8"
+    assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "0031a5d8fac79299"
 
 
 # brute-force constructions that live in kodsim.verify or tests/oracles.py

@@ -12,41 +12,47 @@ import pytest
 from kodsim import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-COMMON = {
-    "kind", "params.kappa_o", "params.dt", "params.T", "params.dim", "seed", "sub_dim",
-    "series", "thresholds",
-}
+COMMON = {"kind", "seed", "series"}
+ENSEMBLE = COMMON | {"params.kappa_o", "params.dt", "params.T", "params.dim", "thresholds"}
 KEYS = {
-    "photodetect-ensemble": COMMON | {
+    "photodetect-ensemble": ENSEMBLE | {
         "initial_state", "trajectories", "n_max",
         "thresholds.tv_method_a", "thresholds.tv_method_c", "thresholds.p_value",
     },
-    "heterodyne-ensemble": COMMON | {
+    "heterodyne-ensemble": ENSEMBLE | {
         "initial_state", "trajectories", "bins",
         "thresholds.mean_sigmas", "thresholds.covariance_rel", "thresholds.p_value",
     },
     "evolve-kod": COMMON | {
-        "kod", "convergence", "n_max", "steps",
+        "params.kappa_o", "params.T", "kod", "convergence", "n_max", "steps",
         "grid.h", "grid.extent", "grid.sigma0_sq",
     },
     "verify-identities": COMMON | {"checks"},
-    "povm-convergence": COMMON | {"kappa_T_values", "photo_ns", "het_zetas"},
+    "povm-convergence": COMMON | {
+        "params.kappa_o", "params.dim", "sub_dim", "kappa_T_values", "photo_ns", "het_zetas",
+    },
 }
 
 
 def dotted(schema: dict, prefix: str = ""):
-    """The leaf keys of a config schema, nested objects joined by dots."""
+    """The leaf keys of a config schema, nested objects joined by dots, and
+    the keys of every schema a key's value may pick."""
     for key, spec in schema.items():
         if isinstance(spec, dict):
             yield from dotted(spec, f"{prefix}{key}.")
         else:
             yield prefix + key
+            if isinstance(spec[0], dict):
+                for variant in spec[0].values():
+                    yield from dotted(variant, prefix)
 
 
 def settable(kind: str) -> set[str]:
-    """Every key a config of ``kind`` may set, each gate under ``thresholds``."""
-    gates = {f"thresholds.{gate}" for gate in cli.GATES.get(kind, {})}
-    return {"kind", "thresholds", *dotted(cli._COMMON), *dotted(cli.SCHEMAS[kind]), *gates}
+    """Every key a config of ``kind`` may set, and for a kind with gates
+    ``thresholds`` with each gate under it."""
+    gates = [f"thresholds.{gate}" for gate in cli.GATES.get(kind, {})]
+    thresholds = ["thresholds", *gates] if gates else []
+    return {"kind", *dotted(cli._COMMON), *dotted(cli.SCHEMAS[kind]), *thresholds}
 
 
 def readme_keys() -> dict[str, set[str]]:

@@ -184,6 +184,14 @@ class TestPoissonKOD:
         with pytest.raises(DomainError):
             pd.evolve_kod_poisson(1.0, 1.0, n_max=20, steps=200)
 
+    @pytest.mark.parametrize(
+        "T, kappa_o", [(LN2, math.nan), (LN2, math.inf), (math.inf, 1.0), (LN2, -1.0)]
+    )
+    def test_non_finite_or_negative_inputs_raise(self, T, kappa_o):
+        # each of these returned all-NaN weights: a NaN mass drift passed the guard
+        with pytest.raises(DomainError):
+            pd.evolve_kod_poisson(T, kappa_o, n_max=40, steps=1000)
+
 
 class TestPOVM:
     def test_class_kraus_trivial(self):
