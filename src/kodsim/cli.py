@@ -233,8 +233,9 @@ def _series(value, where: str) -> tuple[dict, ...]:
 
 
 _COMMON = {"seed": (_count, DEFAULT_SEED), "series": (_raw, [])}
-# the instrument of both ensembles.  Neither reads ``dt`` past its
-# weak-coupling check; it stays while the benchmark's ensemble configs set it
+# the instrument of both ensembles.  Neither reads ``dt``, which only sets
+# the step grid of ``instrument_params``; it stays while the benchmark's
+# ensemble configs set it
 _PARAMS = {
     "kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, verify.LN2),
     "dim": (_INT, verify.DIM),
@@ -461,7 +462,7 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
     p, rho, n_traj = _ensemble_setup(cfg)
     seed, n_max = cfg.resolved["seed"], cfg.resolved["n_max"]
     kod_pmf = pd.kod_poisson(p.T, p.kappa_o).pmf_array(n_max)
-    born = pd.born_pmf(rho, p.T, p, n_max=n_max)
+    born = pd.born_pmf(rho, p.T, p.kappa_o, n_max=n_max)
     counts = pd.run_photo_ensemble(rho, p, n_traj, seed, n_threads)
     checks: list[Check] = []
     if n_traj > 0:
@@ -470,7 +471,7 @@ def run_photodetect(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check],
         # method C: state-independent draws, importance-weighted
         lam = screened_integral(p.T, p.kappa_o)
         draws = stream(seed, STREAM_IDS["method-c"]).poisson(lam, size=n_traj)
-        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p, n_max=n_max))
+        ostensible = pd.ostensible_pmf(draws, pd.ostensible_weights(rho, p.T, p.kappa_o, n_max))
         # counts above n_max, and the Born mass there, form the tail bin
         p_val = _p_value(observed, born, n_traj)
         checks = [
@@ -499,7 +500,7 @@ def run_heterodyne(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
     mid_re = 0.5 * (edges_re[:-1] + edges_re[1:])
     mid_im = 0.5 * (edges_im[:-1] + edges_im[1:])
     area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
-    probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
+    probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p.kappa_o)
 
     checks: list[Check] = []
     if n_traj > 0:

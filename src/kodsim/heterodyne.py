@@ -257,9 +257,9 @@ def evolve_kod_diffusion(
     return GaussianKOD(sigma=sig(T), grid=u, h=h, regularization=sigma0_sq)
 
 
-def kraus_class_het(zeta: complex, T: float, p: InstrumentParams) -> np.ndarray:
+def kraus_class_het(zeta: complex, T: float, kappa_o: float, dim: int) -> np.ndarray:
     """Class Kraus operator ``K_T(zeta) = e^{-a^dag a kappa_o T/2} e^{a zeta*}``."""
-    return number_exp(p.dim, 0.5 * p.kappa_o * T) @ exp_lowering(p.dim, np.conj(zeta))
+    return number_exp(dim, 0.5 * kappa_o * T) @ exp_lowering(dim, np.conj(zeta))
 
 
 def standard_form_kraus_het(
@@ -274,14 +274,14 @@ def standard_form_kraus_het(
     """
     phi = lowering_drag(0.5 * p.kappa_dt)
     zeta = record_functional(rec, p.kappa_o)
-    return kraus_class_het(phi * zeta, rec.T, p)
+    return kraus_class_het(phi * zeta, rec.T, p.kappa_o, p.dim)
 
 
-def povm_element_het(zeta: complex, T: float, p: InstrumentParams) -> np.ndarray:
+def povm_element_het(zeta: complex, T: float, kappa_o: float, dim: int) -> np.ndarray:
     """POVM density ``E(zeta) = D_T(zeta) K_T(zeta)^dag K_T(zeta)``
     against d^2 zeta / pi."""
-    kod = kod_gaussian(T, p.kappa_o)
-    k = kraus_class_het(zeta, T, p)
+    kod = kod_gaussian(T, kappa_o)
+    k = kraus_class_het(zeta, T, kappa_o, dim)
     return float(kod.density(zeta)) * (k.conj().T @ k)
 
 
@@ -294,7 +294,9 @@ def _hermite_2d(quad_order: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes[:, None] + 1j * nodes[None, :]).ravel(), (wts[:, None] * wts[None, :]).ravel()
 
 
-def povm_completeness_het(T: float, p: InstrumentParams, sub_dim: int, quad_order: int) -> float:
+def povm_completeness_het(
+    T: float, kappa_o: float, dim: int, sub_dim: int, quad_order: int
+) -> float:
     """Subblock defect of the POVM quadrature against the identity.
 
     Gauss-Hermite nodes rescaled to the Gaussian width absorb the
@@ -304,23 +306,23 @@ def povm_completeness_het(T: float, p: InstrumentParams, sub_dim: int, quad_orde
     operator, and the sum over points is einsum's, not BLAS's.
     """
     points, weights = _hermite_2d(quad_order)
-    kraus = exp_lowering(p.dim, np.conj(np.sqrt(_density_width(T, p.kappa_o)) * points))
-    kraus *= np.exp(-0.5 * p.kappa_o * T * number_diag(p.dim))[:, None]
+    kraus = exp_lowering(dim, np.conj(np.sqrt(_density_width(T, kappa_o)) * points))
+    kraus *= np.exp(-0.5 * kappa_o * T * number_diag(dim))[:, None]
     total = np.einsum("n,nij->ij", weights, kraus.conj().swapaxes(1, 2) @ kraus) / np.pi
-    return subblock_norm_diff(total, np.eye(p.dim), sub_dim)
+    return subblock_norm_diff(total, np.eye(dim), sub_dim)
 
 
 def projector_convergence_het(
-    zeta: complex, T: float, p: InstrumentParams, sub_dim: int
+    zeta: complex, T: float, kappa_o: float, dim: int, sub_dim: int
 ) -> float:
     """Subblock norm of ``E(zeta) - |zeta><zeta|``; decays like e^{-kappa_o T}."""
-    cs = coherent_state(p.dim, zeta)
+    cs = coherent_state(dim, zeta)
     target = np.outer(cs, cs.conj())
-    return subblock_norm_diff(povm_element_het(zeta, T, p), target, sub_dim)
+    return subblock_norm_diff(povm_element_het(zeta, T, kappa_o, dim), target, sub_dim)
 
 
 def povm_left_invariance_defect(
-    alpha: complex, T: float, p: InstrumentParams, sub_dim: int
+    alpha: complex, T: float, kappa_o: float, dim: int, sub_dim: int
 ) -> float:
     """Defect of ``Sigma E(zeta(alpha))`` against ``D_alpha e^{-a^dag a kappa_o T} D_alpha^{-1}``.
 
@@ -328,11 +330,11 @@ def povm_left_invariance_defect(
     number-exponential, manifestly invariant under left multiplication by
     displacements.
     """
-    sigma = screened_integral(T, p.kappa_o)
-    disp = displacement_unitary(p.dim, alpha)
-    target = disp @ number_exp(p.dim, p.kappa_o * T) @ disp.conj().T
+    sigma = screened_integral(T, kappa_o)
+    disp = displacement_unitary(dim, alpha)
+    target = disp @ number_exp(dim, kappa_o * T) @ disp.conj().T
     return subblock_norm_diff(
-        sigma * povm_element_het(sigma * alpha, T, p), target, sub_dim
+        sigma * povm_element_het(sigma * alpha, T, kappa_o, dim), target, sub_dim
     )
 
 
@@ -365,22 +367,19 @@ def _born_kernel(rho: np.ndarray, zetas: np.ndarray, T: float, kappa_o: float) -
     return np.einsum("nj,nj->n", u, np.conjugate(q, out=q)).real
 
 
-def born_pdf(
-    rho: np.ndarray, zeta, T: float, p: InstrumentParams
-) -> float | np.ndarray:
+def born_pdf(rho: np.ndarray, zeta, T: float, kappa_o: float) -> float | np.ndarray:
     """Born density ``P(zeta|rho) = D_T(zeta) Tr(K_T(zeta)^dag K_T(zeta) rho)``
     against d^2 zeta / pi, the Born kernel over ``Sigma(T)``: finite wherever
     its closed form is, and 0 only where that underflows."""
     zetas = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    vals = _born_kernel(rho, zetas, T, p.kappa_o) / _density_width(T, p.kappa_o)
+    vals = _born_kernel(rho, zetas, T, kappa_o) / _density_width(T, kappa_o)
     if float(np.min(vals)) < -1e-10:
         raise NumericError(f"negative density {np.min(vals)}")
     vals = np.clip(vals, 0.0, None)
     return float(vals[0]) if np.isscalar(zeta) or np.ndim(zeta) == 0 else vals
 
 
-def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
-                   p: InstrumentParams) -> np.ndarray:
+def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float, kappa_o: float) -> np.ndarray:
     """Born probability of each rectangular bin ``[edges_re[i], edges_re[i+1]]
     x [edges_im[j], edges_im[j+1]]``: an 8-point Gauss-Legendre rule per
     axis, with the density at every node of every bin from one call."""
@@ -392,7 +391,7 @@ def born_bin_probs(rho: np.ndarray, edges_re, edges_im, T: float,
         return 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * gl_x, half
 
     (x, half_x), (y, half_y) = axis(edges_re), axis(edges_im)
-    vals = born_pdf(rho, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, p)
+    vals = born_pdf(rho, (x.ravel()[:, None] + 1j * y.ravel()).ravel(), T, kappa_o)
     vals = vals.reshape(x.shape + y.shape)
     return np.einsum("k,l,ikjl->ij", gl_w, gl_w, vals) * np.outer(half_x, half_y) / np.pi
 
@@ -546,8 +545,8 @@ def run_het_ensemble(
     """Record functionals at the horizon for ``n_traj`` trajectories, trajectory
     i drawn as ``sqrt(Sigma(T)) gamma``, with gamma by :func:`_husimi_amplitudes`
     of the lost state (:func:`fock.lost_state`, built once per run) from row i
-    of the run's uniforms (:func:`ensemble.run_ensemble`); ``p.dt`` plays no
-    part."""
+    of the run's uniforms (:func:`ensemble.run_ensemble`).  Only ``p.T`` and
+    ``p.kappa_o`` are read: the reduced record has no steps."""
     sigma = screened_integral(p.T, p.kappa_o)
     lost = lost_state(rho, sigma)
     return run_ensemble(lambda u: math.sqrt(sigma) * _husimi_amplitudes(lost, u), 3,

@@ -1,17 +1,13 @@
-"""Instrument parameters shared by both detectors, and the screened
-integral ``1 - exp(-kappa_o T)`` that parameterizes both distributions."""
+"""The step grid of records, and the screened integral ``1 - exp(-kappa_o T)``
+that parameterizes both instruments' distributions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError, InvalidDimensionError
-
-# weak-coupling step regime: per-step jump probabilities stay O(1e-2 * n)
-MAX_KAPPA_DT = 0.01
 
 
 def screened_integral(T: float, kappa_o: float) -> float:
@@ -23,13 +19,12 @@ def screened_integral(T: float, kappa_o: float) -> float:
     return float(-np.expm1(-kappa_o * T))
 
 
-def _too_coarse(kappa_o: float, dt: float) -> bool:
-    return kappa_o * dt > MAX_KAPPA_DT * (1.0 + 1e-12)
-
-
 @dataclass(frozen=True)
 class InstrumentParams:
-    """Observation rate, temporal resolution, horizon and truncation.
+    """Observation rate, temporal resolution, horizon and truncation: the
+    step grid a record lives on.  The instrument at the horizon is fixed by
+    ``kappa_o`` and ``T`` alone, so only records and their step operators
+    read ``dt``.
 
     The horizon must sit on the step grid (an integer number of ``dt``
     steps); use :meth:`fit_steps` to round a nominal ``dt`` onto a grid
@@ -50,11 +45,6 @@ class InstrumentParams:
             raise DomainError(f"need dt > 0, got {self.dt}")
         if not (np.isfinite(self.T) and self.T >= 0.0):
             raise DomainError(f"need T >= 0, got {self.T}")
-        if _too_coarse(self.kappa_o, self.dt):
-            raise DomainError(
-                f"kappa_o*dt = {self.kappa_o * self.dt} exceeds the "
-                f"weak-coupling bound {MAX_KAPPA_DT}"
-            )
         if abs(self.n_steps * self.dt - self.T) > 1e-9 * max(self.T, self.dt):
             raise DomainError(
                 f"T = {self.T} is not an integer multiple of dt = {self.dt}"
@@ -75,15 +65,11 @@ class InstrumentParams:
         """Round the step count so the grid divides ``T`` exactly.
 
         Keeps the horizon (and hence the effective mean / covariance) exact
-        while moving ``dt`` by at most half a step.  The count is rounded up
-        instead when the nearest one would push ``kappa_o*dt`` past
-        ``MAX_KAPPA_DT``.
+        while moving ``dt`` by at most half a step.
         """
         if not (np.isfinite(T) and T > 0.0):
             raise DomainError(f"need T > 0 to fit a grid, got {T}")
         if not (np.isfinite(dt) and dt > 0.0):
             raise DomainError(f"need dt > 0, got {dt}")
         steps = max(1, round(T / dt))
-        if _too_coarse(kappa_o, T / steps):
-            steps = math.ceil(T / dt)
         return cls(kappa_o=kappa_o, dt=T / steps, T=T, dim=dim)

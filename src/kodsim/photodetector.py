@@ -199,34 +199,32 @@ def evolve_kod_poisson(T: float, kappa_o: float, n_max: int, steps: int) -> Pois
     return PoissonKOD(lam=screened_integral(T, kappa_o), weights=weights)
 
 
-def kraus_class(n: int, T: float, p: InstrumentParams) -> np.ndarray:
+def kraus_class(n: int, T: float, kappa_o: float, dim: int) -> np.ndarray:
     """Class Kraus operator ``K_T(n) = e^{lam/2} e^{-a^dag a kappa_o T/2} a^n``."""
-    if not 0 <= n < p.dim:
+    if not 0 <= n < dim:
         raise InvalidDimensionError(f"need 0 <= n < dim, got n={n}")
-    lam = screened_integral(T, p.kappa_o)
-    return np.exp(0.5 * lam) * (
-        number_exp(p.dim, 0.5 * p.kappa_o * T) @ lowering_power(p.dim, n)
-    )
+    lam = screened_integral(T, kappa_o)
+    return np.exp(0.5 * lam) * (number_exp(dim, 0.5 * kappa_o * T) @ lowering_power(dim, n))
 
 
-def povm_element(n: int, T: float, p: InstrumentParams) -> np.ndarray:
+def povm_element(n: int, T: float, kappa_o: float, dim: int) -> np.ndarray:
     """POVM element ``E_T(n) = D_T(n) K_T(n)^dag K_T(n)``."""
-    k = kraus_class(n, T, p)
-    d_n = float(kod_poisson(T, p.kappa_o).pmf(n))
+    k = kraus_class(n, T, kappa_o, dim)
+    d_n = float(kod_poisson(T, kappa_o).pmf(n))
     return d_n * (k.conj().T @ k)
 
 
-def povm_completeness(T: float, p: InstrumentParams, sub_dim: int) -> float:
+def povm_completeness(T: float, kappa_o: float, dim: int, sub_dim: int) -> float:
     """Subblock defect of ``sum_n E_T(n)``, n < dim, against the identity."""
-    total = sum(povm_element(n, T, p) for n in range(p.dim))
-    return subblock_norm_diff(total, np.eye(p.dim), sub_dim)
+    total = sum(povm_element(n, T, kappa_o, dim) for n in range(dim))
+    return subblock_norm_diff(total, np.eye(dim), sub_dim)
 
 
-def projector_convergence(n: int, T: float, p: InstrumentParams, sub_dim: int) -> float:
+def projector_convergence(n: int, T: float, kappa_o: float, dim: int, sub_dim: int) -> float:
     """Subblock norm of ``E_T(n) - |n><n|``; decays like n e^{-kappa_o T}."""
     if n >= sub_dim:
         raise InvalidDimensionError(f"need n < sub_dim, got n={n}, sub_dim={sub_dim}")
-    return subblock_norm_diff(povm_element(n, T, p), projector(p.dim, n), sub_dim)
+    return subblock_norm_diff(povm_element(n, T, kappa_o, dim), projector(dim, n), sub_dim)
 
 
 def _lost_counts(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
@@ -238,16 +236,14 @@ def _lost_counts(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.nd
     return lost_populations(pops, screened_integral(T, kappa_o))[: n_max + 1]
 
 
-def born_pmf(
-    rho: np.ndarray, T: float, p: InstrumentParams, n_max: int | None = None
-) -> np.ndarray:
+def born_pmf(rho: np.ndarray, T: float, kappa_o: float, n_max: int | None = None) -> np.ndarray:
     """Jump-count statistics ``P(n|rho) = D_T(n) Tr(K_T(n)^dag K_T(n) rho)``,
     ``sum_m p_m Binom(n; m, lambda)``: the populations of rho after the
     pure-loss channel of transmissivity lambda(T), with no factorial formed."""
-    return _lost_counts(rho, T, p.kappa_o, p.dim - 1 if n_max is None else n_max)
+    return _lost_counts(rho, T, kappa_o, rho.shape[0] - 1 if n_max is None else n_max)
 
 
-def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: int) -> np.ndarray:
+def ostensible_weights(rho: np.ndarray, T: float, kappa_o: float, n_max: int) -> np.ndarray:
     """Importance weights ``Tr(K_T(n)^dag K_T(n) rho)`` for n = 0..n_max,
     :func:`born_pmf` over ``D_T(n)``, divided in log space.
 
@@ -256,12 +252,12 @@ def ostensible_weights(rho: np.ndarray, T: float, p: InstrumentParams, n_max: in
     T = 0 every one past n = 0 is 0/0, since D_T(n > 0) = 0, and n_max >= 1
     raises DomainError.
     """
-    lam = screened_integral(T, p.kappa_o)
+    lam = screened_integral(T, kappa_o)
     if lam == 0.0 and n_max >= 1:
         raise DomainError(f"ostensible weights past n = 0 need T > 0, got T = {T}")
     log_d = PoissonKOD(lam).log_pmf(np.arange(n_max + 1))
     with np.errstate(all="ignore"):
-        weights = np.exp(np.log(_lost_counts(rho, T, p.kappa_o, n_max)) - log_d)
+        weights = np.exp(np.log(_lost_counts(rho, T, kappa_o, n_max)) - log_d)
     if not np.all(np.isfinite(weights)):
         bad = int(np.argmin(np.isfinite(weights)))
         raise NumericError(f"ostensible weight overflows from n = {bad}")
@@ -284,6 +280,7 @@ def run_photo_ensemble(rho: np.ndarray, p: InstrumentParams, n_traj: int, seed: 
     drawn by :func:`ensemble.draw_levels` from the lost populations (the
     Born pmf) and the one uniform of row i of the run's uniforms
     (:func:`ensemble.run_ensemble`).  Pure and mixed states alike enter
-    through their populations ``Re diag rho``; ``p.dt`` plays no part."""
+    through their populations ``Re diag rho``.  Only ``p.T`` and ``p.kappa_o``
+    are read: the reduced record has no steps."""
     lost = _lost_counts(rho, p.T, p.kappa_o, rho.shape[0] - 1)
     return run_ensemble(lambda u: draw_levels(lost, u[:, 0]), 1, n_traj, seed, n_threads)

@@ -172,7 +172,7 @@ def record_reduction_checks(seed: int) -> list[Check]:
         rec = het.HeterodyneRecord(increments=incs, dt=ph.dt, T=ph.T)
         brute = time_ordered_product_het(rec, ph)
         exact = het.standard_form_kraus_het(rec, ph)
-        plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, ph)
+        plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, 1.0, DIM)
         scale = float(np.linalg.norm(exact[:sub_dim, :sub_dim], 2))
         worst_exact = max(
             worst_exact, fock.subblock_norm_diff(brute, exact, sub_dim) / scale
@@ -254,16 +254,15 @@ def kod_checks(
 
 def completeness_checks() -> list[Check]:
     """Both POVMs summed against the identity at kappa_o T = 1."""
-    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=DIM)
     return [
         Check(
             "povm-completeness-photodetector",
-            pd.povm_completeness(1.0, p, SUB_DIM),
+            pd.povm_completeness(1.0, 1.0, DIM, SUB_DIM),
             COMPLETENESS_PHOTO_TOL,
         ),
         Check(
             "povm-completeness-heterodyne",
-            het.povm_completeness_het(1.0, p, SUB_DIM, QUAD_ORDER),
+            het.povm_completeness_het(1.0, 1.0, DIM, SUB_DIM, QUAD_ORDER),
             COMPLETENESS_HET_TOL,
         ),
     ]
@@ -296,11 +295,10 @@ def trace_checks() -> list[Check]:
 def left_invariance_checks(seed: int) -> list[Check]:
     """Left-invariance defect at kappa_o T = 1 over 10 random alpha, |alpha| <= 1.2."""
     rng = stream(seed, STREAM_IDS["left-invariance"])
-    p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=DIM)
     worst = 0.0
     for _ in range(10):
         alpha = _random_disk(rng, 1.2)
-        worst = max(worst, het.povm_left_invariance_defect(alpha, 1.0, p, SUB_DIM))
+        worst = max(worst, het.povm_left_invariance_defect(alpha, 1.0, 1.0, DIM, SUB_DIM))
     return [Check("povm-left-invariance", worst, LEFT_INVARIANCE_TOL)]
 
 
@@ -319,16 +317,10 @@ def projector_defects(
 ) -> list[float]:
     """Distance of one POVM element from its projector at each kappa_o T:
     the photodetector's at jump count ``at``, the heterodyne's at amplitude
-    ``at``.  No defect reads the step, so the grid's is ``1e-3 / kappa_o``."""
-    if instrument == "photodetector":
-        defect = pd.projector_convergence
-    else:
-        defect = het.projector_convergence_het
-    defects = []
-    for kappa_T in kappa_T_values:
-        p = InstrumentParams.fit_steps(kappa_o, kappa_T / kappa_o, 1e-3 / kappa_o, dim)
-        defects.append(defect(at, p.T, p, sub_dim))
-    return defects
+    ``at``, each at the horizon ``kappa_T / kappa_o``."""
+    defect = (pd.projector_convergence if instrument == "photodetector"
+              else het.projector_convergence_het)
+    return [defect(at, kappa_T / kappa_o, kappa_o, dim, sub_dim) for kappa_T in kappa_T_values]
 
 
 def projector_sweep(

@@ -36,6 +36,14 @@ from kodsim.verify import kraus_increment
 
 # smallest trace a dense sampler may renormalize
 NORM_COLLAPSE = 1e-14
+# largest kappa_o dt a stepped sampler takes: its per-step jump probability
+# kappa_o dt <n> is first order in the step, so it stays O(1e-2 n)
+MAX_KAPPA_DT = 0.01
+
+
+def weak_coupling(p: InstrumentParams) -> None:
+    """Assert that the grid's step is inside the stepped samplers' regime."""
+    assert p.kappa_dt <= MAX_KAPPA_DT * (1.0 + 1e-12), f"kappa_o*dt = {p.kappa_dt}"
 
 
 def renormalize_density(rho: np.ndarray, step: int) -> None:
@@ -79,6 +87,7 @@ def sample_trajectory(
     selected operation renormalized.  One uniform is consumed per step, so
     a record is a pure function of the stream.
     """
+    weak_coupling(p)
     rho = density(rho).copy()
     n = number_diag(p.dim)
     decay = np.exp(-0.5 * p.kappa_dt * n)
@@ -107,6 +116,7 @@ def sample_het_trajectory(
     ``sqrt(kappa_o) Tr(a rho_t) dt`` and variance dt (exact to O(dt)), then
     applies L(dw) renormalized.  Two normal variates are consumed per step.
     """
+    weak_coupling(p)
     rho = density(rho).copy()
     root = np.sqrt(np.arange(1, p.dim))
     incs = np.empty(p.n_steps, dtype=complex)
@@ -160,6 +170,7 @@ def jump_table(rho: np.ndarray, p: InstrumentParams) -> np.ndarray:
     and :func:`count_rows` builds every row normalized, so no trajectory
     renormalizes a state of its own and none can collapse.
     """
+    weak_coupling(p)
     w = count_rows(rho)
     m = np.arange(w.shape[0], dtype=float)
     decay = np.exp(-p.kappa_dt * m)
@@ -221,6 +232,7 @@ def evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarra
     ``Tr(a rho_k) = e^{-kappa_o t_k/2} dW/dc / W``, reads the Born weight
     alone, and no state is evolved.
     """
+    weak_coupling(p)
     jj = np.arange(1, coeffs.shape[0])
     phi = het.lowering_drag(0.5 * p.kappa_dt)
     sqk = np.sqrt(p.kappa_o)
@@ -290,15 +302,15 @@ def expm_2d(T, kappa_o, h, extent, sigma0_sq=1e-3, resolve_scale=1.5):
     return (prop @ u.ravel()).reshape(u.shape)
 
 
-def born_pdf_quadrature(rho, T, p, quad_order):
+def born_pdf_quadrature(rho, T, kappa_o, quad_order):
     """(total mass, mean, central covariance) of the Born density by
     Gauss-Hermite quadrature: the rule integrates against e^{-|zeta|^2/Sigma},
     so the integrand is ``born_pdf Sigma e^{|zeta|^2/Sigma}``."""
-    sigma = screened_integral(T, p.kappa_o)
+    sigma = screened_integral(T, kappa_o)
     points, weights = het._hermite_2d(quad_order)
     zet = np.sqrt(sigma) * points
     wgt = weights / np.pi
-    vals = het.born_pdf(rho, zet, T, p) * sigma * np.exp(np.abs(zet) ** 2 / sigma)
+    vals = het.born_pdf(rho, zet, T, kappa_o) * sigma * np.exp(np.abs(zet) ** 2 / sigma)
     total = float(np.sum(wgt * vals))
     mean = complex(np.sum(wgt * vals * zet) / total)
     cov = float(np.sum(wgt * vals * np.abs(zet - mean) ** 2) / total)

@@ -187,7 +187,7 @@ class TestRuns:
         edges_re = mean_ref.real + np.linspace(-half, half, 6)
         edges_im = mean_ref.imag + np.linspace(-half, half, 6)
         area = (edges_re[1] - edges_re[0]) * (edges_im[1] - edges_im[0])
-        probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, p.T, p.kappa_o)
         _, rows = read_csv(tmp_path / "density.csv")
         assert [float(r[3]) for r in rows] == list((probs * np.pi / area).ravel())
 
@@ -569,14 +569,20 @@ def test_a_run_reads_a_few_streams_at_any_size(tmp_path, monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["photodetect-ensemble", "heterodyne-ensemble"])
 def test_dt_does_not_change_the_ensembles(tmp_path, kind):
     # both ensembles draw the reduced record at the horizon, so params.dt
-    # reaches only the weak-coupling check and the config hash
-    tables = []
-    for dt in (1e-3, 4e-3):
-        cfg = cli.resolve_config(kind, {"trajectories": 300, "params": {"dim": 16, "dt": dt}})
-        cli.run(cfg, str(tmp_path / str(dt)))
-        tables.append({name: (tmp_path / str(dt) / name).read_bytes()
-                       for name in os.listdir(tmp_path / str(dt)) if name.endswith(".csv")})
-    assert len(tables[0]) == 3 and tables[0] == tables[1]
+    # reaches only the config hash.  At kappa_o 12, dt 1e-3 used to exit 2 on
+    # a weak-coupling bound that nothing read (a coherent state fills two
+    # chi-square bins of 300 draws there)
+    strong = {"params": {"kappa_o": 12.0}, "initial_state": {"kind": "coherent", "alpha": 1.0}}
+    for case, (raw, dts) in enumerate((({"params": {}}, (1e-3, 4e-3)), (strong, (1e-3, 1e-4)))):
+        tables = []
+        for dt in dts:
+            out = tmp_path / f"{case}-{dt}"
+            params = {**raw["params"], "dim": 16, "dt": dt}
+            cli.run(cli.resolve_config(kind, {**raw, "trajectories": 300, "params": params}),
+                    str(out))
+            tables.append({name: (out / name).read_bytes()
+                           for name in os.listdir(out) if name.endswith(".csv")})
+        assert len(tables[0]) == 3 and tables[0] == tables[1]
 
 
 def run_main(tmp_path, kind, cfg_dict, *args):
@@ -815,6 +821,18 @@ def test_povm_convergence_fits_each_swept_horizon_to_the_grid(tmp_path, capsys, 
     names = set(os.listdir(tmp_path / "out"))
     assert {"report.json", "checks.csv", "defects.csv", "projector_defect_photo_n0.csv",
             "projector_defect_het_zeta0.5.csv"} <= names
+
+
+def test_povm_convergence_reads_kappa_o_T_alone(tmp_path):
+    # instrument autonomy: the POVM depends on kappa_o T alone, and the
+    # horizon kappa_T / kappa_o at kappa_o 2 is an exact halving, so the
+    # sweep's checks and defects keep every byte
+    tables = []
+    for kappa_o in (1.0, 2.0):
+        out = tmp_path / str(kappa_o)
+        cli.run(cli.resolve_config("povm-convergence", {"params": {"kappa_o": kappa_o}}), str(out))
+        tables.append([(out / name).read_bytes() for name in ("checks.csv", "defects.csv")])
+    assert tables[0] == tables[1]
 
 
 def test_photodetect_tail_beyond_n_max_is_one_bin(tmp_path, capsys):

@@ -343,12 +343,10 @@ class TestDiffusion:
 
 class TestClassOperators:
     def test_identity_limits(self):
-        p = params(dim=10)
-        assert_allclose(het.kraus_class_het(0.0, 0.0, p), np.eye(10), atol=0)
+        assert_allclose(het.kraus_class_het(0.0, 0.0, 1.0, 10), np.eye(10), atol=0)
 
     def test_vacuum_fixed_point(self):
-        p = params(dim=10)
-        vec = het.kraus_class_het(0.4 - 0.2j, 1.0, p) @ fock.fock_state(10, 0)
+        vec = het.kraus_class_het(0.4 - 0.2j, 1.0, 1.0, 10) @ fock.fock_state(10, 0)
         assert_allclose(vec, fock.fock_state(10, 0), atol=1e-16)
 
     @settings(max_examples=20, deadline=None)
@@ -378,7 +376,7 @@ class TestClassOperators:
         rec = het.HeterodyneRecord(incs, p3.dt, p3.T)
         brute = verify.time_ordered_product_het(rec, p3)
         dragged = het.standard_form_kraus_het(rec, p3)
-        plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, p3)
+        plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, 1.0, 40)
         scale = np.linalg.norm(dragged[:25, :25], 2)
         assert fock.subblock_norm_diff(brute, dragged, 25) / scale < 1e-10
         assert fock.subblock_norm_diff(brute, plain, 25) / scale < p3.kappa_dt
@@ -386,20 +384,17 @@ class TestClassOperators:
 
 class TestPOVM:
     def test_vacuum_matrix_element_is_density(self):
-        p = params(kappa_T=1.0, dim=30)
         kod = het.kod_gaussian(1.0, 1.0)
         for zeta in (0.1, 0.5 - 0.3j):
-            element = het.povm_element_het(zeta, 1.0, p)
+            element = het.povm_element_het(zeta, 1.0, 1.0, 30)
             assert abs(element[0, 0].real - float(kod.density(zeta))) < 1e-14
 
     def test_completeness_quadrature(self):
-        p = params(kappa_T=1.0, dim=40)
-        assert het.povm_completeness_het(1.0, p, sub_dim=20, quad_order=32) < 1e-6
+        assert het.povm_completeness_het(1.0, 1.0, 40, sub_dim=20, quad_order=32) < 1e-6
 
     def test_completeness_improves_with_order(self):
-        p = params(kappa_T=1.0, dim=40)
         defects = [
-            het.povm_completeness_het(1.0, p, sub_dim=20, quad_order=q)
+            het.povm_completeness_het(1.0, 1.0, 40, sub_dim=20, quad_order=q)
             for q in (16, 20, 24, 28, 32)
         ]
         for coarse, fine in zip(defects[:-1], defects[1:]):
@@ -408,30 +403,25 @@ class TestPOVM:
 
     def test_projector_convergence_scaling(self):
         zeta = 0.5
-        defects = []
-        for kappa_T in (3.0, 4.0, 5.0):
-            p = params(kappa_T=kappa_T, dim=40)
-            defects.append(het.projector_convergence_het(zeta, kappa_T, p, 20))
+        defects = [het.projector_convergence_het(zeta, kt, 1.0, 40, 20) for kt in (3.0, 4.0, 5.0)]
         # prefactor of the |zeta|^2 e^{-kappa T} law stays modest
         assert defects[0] / (abs(zeta) ** 2 * math.exp(-3.0)) < 10.0
         for a, b in zip(defects[:-1], defects[1:]):
             assert 0.5 * math.exp(-1.0) <= b / a <= 2.0 * math.exp(-1.0)
 
     def test_left_invariance(self):
-        p = params(kappa_T=1.0, dim=40)
         rng = records.stream(41, 0)
         for _ in range(5):
             alpha = 1.2 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-            assert het.povm_left_invariance_defect(alpha, 1.0, p, 20) < 1e-8
+            assert het.povm_left_invariance_defect(alpha, 1.0, 1.0, 40, 20) < 1e-8
 
 
 class TestBornDensity:
     def test_vacuum_gives_ostensible(self):
-        p = params(kappa_T=1.0, dim=20)
         kod = het.kod_gaussian(1.0, 1.0)
         zs = np.array([0.0, 0.3 + 0.1j, -0.8j])
         assert_allclose(
-            het.born_pdf(fock.density(fock.projector(20, 0)), zs, 1.0, p),
+            het.born_pdf(fock.density(fock.projector(20, 0)), zs, 1.0, 1.0),
             kod.density(zs),
             rtol=1e-12,
         )
@@ -439,14 +429,13 @@ class TestBornDensity:
     def test_coherent_closed_form(self):
         # complete-the-square oracle: Gaussian with mean Sigma alpha0 and
         # covariance Sigma
-        p = params(kappa_T=LN2, dim=40)
         alpha0 = 1.0
         rho = fock.density(fock.coherent_state(40, alpha0))
         sigma = screened_integral(LN2, 1.0)
         zs = (0.2 + 0.1j, 0.5, 0.9 - 0.4j)
         for zeta in zs:
             expected = np.exp(-abs(zeta - sigma * alpha0) ** 2 / sigma) / sigma
-            assert abs(het.born_pdf(rho, zeta, LN2, p) - expected) < 1e-8
+            assert abs(het.born_pdf(rho, zeta, LN2, 1.0) - expected) < 1e-8
 
     @pytest.mark.parametrize(
         "dim, kappa_T", [(16, 0.1), (16, LN2), (16, 3.0), (40, LN2)],
@@ -459,9 +448,8 @@ class TestBornDensity:
             rho = random_mixed(dim)
         else:
             rho = fock.projector(dim, 30)
-        p = params(kappa_T=kappa_T, dim=dim)
         rho = fock.density(rho)
-        total, mean_q, cov_q = born_pdf_quadrature(rho, kappa_T, p, verify.QUAD_ORDER)
+        total, mean_q, cov_q = born_pdf_quadrature(rho, kappa_T, 1.0, verify.QUAD_ORDER)
         mean, cov = het.born_moments(rho, kappa_T, 1.0)
         assert abs(total - 1.0) < 1e-13
         assert abs(mean - mean_q) < 1e-13
@@ -469,7 +457,6 @@ class TestBornDensity:
 
     def test_bin_probs_match_per_cell_rule(self):
         # one Born call over every node equals the rule applied bin by bin
-        p = params(kappa_T=LN2, dim=12)
         rng = records.stream(5, 0)
         raw = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         rho = 0.5 * fock.density(raw / np.linalg.norm(raw)) + 0.5 * fock.projector(12, 1)
@@ -477,7 +464,7 @@ class TestBornDensity:
         edges_im = np.array([-1.0, 0.2, 1.1])
         gl_x, gl_w = np.polynomial.legendre.leggauss(8)
         rho = fock.density(rho)
-        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, 1.0)
         assert probs.shape == (4, 2)
         for i in range(4):
             for j in range(2):
@@ -485,7 +472,7 @@ class TestBornDensity:
                 hy = 0.5 * (edges_im[j + 1] - edges_im[j])
                 xc = 0.5 * (edges_re[i] + edges_re[i + 1]) + hx * gl_x
                 yc = 0.5 * (edges_im[j] + edges_im[j + 1]) + hy * gl_x
-                vals = het.born_pdf(rho, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, p)
+                vals = het.born_pdf(rho, (xc[:, None] + 1j * yc[None, :]).ravel(), LN2, 1.0)
                 cell = np.einsum("k,l,kl->", gl_w, gl_w, vals.reshape(8, 8)) * hx * hy / np.pi
                 assert abs(probs[i, j] - cell) <= 1e-13 * cell
 
@@ -498,7 +485,7 @@ class TestBornDensity:
         psi = np.zeros(16, dtype=complex)
         psi[:4] = raw / np.linalg.norm(raw)
         rho = fock.density(psi)
-        total, _, _ = born_pdf_quadrature(rho, LN2, p, verify.QUAD_ORDER)
+        total, _, _ = born_pdf_quadrature(rho, LN2, 1.0, verify.QUAD_ORDER)
         assert abs(total - 1.0) < 1e-6
         mean_ref, cov_ref = het.born_moments(rho, LN2, 1.0)
 
@@ -508,7 +495,7 @@ class TestBornDensity:
         edges_re = mean_ref.real + np.linspace(-half, half, 9)
         edges_im = mean_ref.imag + np.linspace(-half, half, 9)
         hist2d, _, _ = np.histogram2d(zetas.real, zetas.imag, bins=[edges_re, edges_im])
-        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, p)
+        probs = het.born_bin_probs(rho, edges_re, edges_im, LN2, 1.0)
         counts_flat = np.append(hist2d.ravel(), n_traj - hist2d.sum())
         probs_flat = np.append(probs.ravel(), max(0.0, 1.0 - probs.sum()))
         assert records.chi_square_gof(counts_flat, probs_flat) > 0.001
@@ -741,11 +728,10 @@ class TestSamplers:
     def test_born_density_memory_is_quadratic(self):
         # Fock 319 at d=320: a d^3 complex coefficient array would be 0.5 GB
         dim = 320
-        p = params(kappa_T=LN2, dim=dim)
         tracemalloc.start()
         try:
             rho = fock.density(fock.fock_state(dim, dim - 1))
-            densities = het.born_pdf(rho, np.array([0.5 + 0.2j, -1.0]), LN2, p)
+            densities = het.born_pdf(rho, np.array([0.5 + 0.2j, -1.0]), LN2, 1.0)
             mean, cov = het.born_moments(rho, LN2, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -758,15 +744,14 @@ class TestSamplers:
     def test_born_density_is_row_wise(self):
         # each density reads its own amplitude only: a prefix of the nodes,
         # or one node alone, has the bits it has in the whole array
-        p = params(kappa_T=LN2, dim=40)
         rho = coherent_fock_mixture(40)
         rng = records.stream(53, 0)
         zetas = 1.5 * (rng.standard_normal(257) + 1j * rng.standard_normal(257))
         zetas[5] = 0.0
-        full = het.born_pdf(rho, zetas, LN2, p)
+        full = het.born_pdf(rho, zetas, LN2, 1.0)
         for k in (1, 2, 3, 8, 17, 64, 256):
-            assert het.born_pdf(rho, zetas[:k], LN2, p).tobytes() == full[:k].tobytes(), k
-        assert [het.born_pdf(rho, z, LN2, p) for z in zetas[:12]] == list(full[:12])
+            assert het.born_pdf(rho, zetas[:k], LN2, 1.0).tobytes() == full[:k].tobytes(), k
+        assert [het.born_pdf(rho, z, LN2, 1.0) for z in zetas[:12]] == list(full[:12])
 
     @pytest.mark.parametrize("n", [250, 300, 319])
     def test_high_truncation_weights_match_the_closed_form(self, n):
@@ -779,9 +764,8 @@ class TestSamplers:
         j = np.arange(n + 1)
         zetas = np.array([0.5, 3.0, 9.0, 20.0, 30.3]) * np.exp(0.4j)
         for kappa_T in (0.05, 1.0):
-            p = params(kappa_T=kappa_T, dim=dim)
             sigma = screened_integral(kappa_T, 1.0)
-            densities = het.born_pdf(fock.projector(dim, n), zetas, kappa_T, p)
+            densities = het.born_pdf(fock.projector(dim, n), zetas, kappa_T, 1.0)
             for k, zeta in enumerate(zetas):
                 logs = (scipy.special.gammaln(n + 1) - scipy.special.gammaln(n - j + 1)
                         - 2.0 * scipy.special.gammaln(j + 1) - (n - j) * kappa_T
@@ -802,23 +786,21 @@ class TestSamplers:
         with pytest.raises(InvalidDimensionError):
             het.run_het_ensemble(pops, p, 5, seed=1)
         with pytest.raises(InvalidDimensionError):
-            het.born_pdf(pops, np.array([0.5]), LN2, p)
+            het.born_pdf(pops, np.array([0.5]), LN2, 1.0)
 
     def test_ostensible_weights_vacuum_unity(self):
-        p = params(kappa_T=LN2, dim=12)
         zs = np.array([0.1, 0.4 - 0.2j, 1.0j])
         vacuum = fock.density(fock.projector(12, 0))
-        weights = het.born_pdf(vacuum, zs, LN2, p) / het.kod_gaussian(LN2, 1.0).density(zs)
+        weights = het.born_pdf(vacuum, zs, LN2, 1.0) / het.kod_gaussian(LN2, 1.0).density(zs)
         assert_allclose(weights, np.ones(3), rtol=1e-13)
 
     def test_ostensible_importance_weighting(self):
         # weighted mean of D_T draws reproduces the Born mean Sigma alpha0
-        p = params(kappa_T=LN2, dim=16)
         rho = fock.density(fock.coherent_state(16, 1.0))
         rng = records.stream(52, 0)
         g = rng.standard_normal((10**5, 2))
         draws = np.sqrt(0.25) * (g[:, 0] + 1j * g[:, 1])
-        weights = het.born_pdf(rho, draws, LN2, p) / het.kod_gaussian(LN2, 1.0).density(draws)
+        weights = het.born_pdf(rho, draws, LN2, 1.0) / het.kod_gaussian(LN2, 1.0).density(draws)
         mean = np.sum(weights * draws) / np.sum(weights)
         assert abs(mean - 0.5) < 3.0 * np.sqrt(0.5 / 10**5) * 2.0
 

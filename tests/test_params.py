@@ -1,8 +1,11 @@
-"""Instrument parameter validation."""
+"""Instrument parameter validation, and the step grid's place."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from kodsim import heterodyne as het, photodetector as pd
 from kodsim.exceptions import DomainError, InvalidDimensionError
 from kodsim.params import InstrumentParams
 
@@ -11,11 +14,6 @@ def test_valid_params():
     p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=0.5, dim=40)
     assert p.n_steps == 500
     assert p.kappa_dt == 1e-3
-
-
-def test_rejects_strong_coupling_step():
-    with pytest.raises(DomainError):
-        InstrumentParams(kappa_o=100.0, dt=1e-3, T=0.1, dim=10)
 
 
 def test_rejects_off_grid_horizon():
@@ -46,9 +44,18 @@ def test_zero_horizon_has_no_steps():
     assert p.n_steps == 0
 
 
-def test_fit_steps_rounds_up_only_past_the_coupling_bound():
-    # nearest rounding gives 69 steps and kappa_o*dt = 0.01004... > 0.01
-    p = InstrumentParams.fit_steps(kappa_o=1.0, T=np.log(2.0), dt=0.01, dim=10)
-    assert p.n_steps == 70
-    assert p.kappa_dt <= 0.01
-    assert p.T == np.log(2.0)
+def test_no_horizon_function_takes_a_step_grid():
+    # the instrument at the horizon is fixed by kappa_o and T alone: a
+    # function that takes T takes no InstrumentParams, whose dt and T it
+    # would ignore
+    offenders = []
+    for module in (pd, het):
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == module.__name__):
+                params = inspect.signature(fn, eval_str=True).parameters
+                if "T" in params and any(
+                    q.annotation is InstrumentParams for q in params.values()
+                ):
+                    offenders.append(f"{module.__name__}.{name}")
+    assert offenders == []

@@ -195,27 +195,23 @@ class TestPoissonKOD:
 
 class TestPOVM:
     def test_class_kraus_trivial(self):
-        p = params(dim=10)
-        assert_allclose(pd.kraus_class(0, 0.0, p), np.eye(10), atol=0)
+        assert_allclose(pd.kraus_class(0, 0.0, 1.0, 10), np.eye(10), atol=0)
 
     def test_class_kraus_lowers(self):
-        p = params(dim=12)
-        k = pd.kraus_class(3, 1.0, p)
+        k = pd.kraus_class(3, 1.0, 1.0, 12)
         vec = k @ fock.fock_state(12, 7)
         assert np.count_nonzero(np.abs(vec) > 1e-15) == 1
         assert abs(vec[4]) > 0
         assert np.max(np.abs(k @ fock.fock_state(12, 2))) == 0.0
 
     def test_rejects_class_beyond_truncation(self):
-        p = params(dim=10)
         with pytest.raises(InvalidDimensionError):
-            pd.kraus_class(10, 1.0, p)
+            pd.kraus_class(10, 1.0, 1.0, 10)
 
     def test_weighted_class_identity(self):
         # D_T(n) K^dag K = (lam^n/n!) a^dag^n e^{-n kappa T} a^n, built directly
-        p = params(kappa_T=0.8, dim=30)
         n, lam = 3, screened_integral(0.8, 1.0)
-        lhs = pd.povm_element(n, 0.8, p)
+        lhs = pd.povm_element(n, 0.8, 1.0, 30)
         an = fock.lowering_power(30, n)
         rhs = (lam**n / math.factorial(n)) * (
             an.conj().T @ fock.number_exp(30, 0.8) @ an
@@ -223,88 +219,73 @@ class TestPOVM:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_povm_element_binomial_diagonal(self):
-        p = params(kappa_T=LN2, dim=30)
-        element = pd.povm_element(2, LN2, p)
+        element = pd.povm_element(2, LN2, 1.0, 30)
         for m in range(2, 10):
             expected = scipy.stats.binom.pmf(2, m, 0.5)
             assert abs(element[m, m].real - expected) < 1e-13
 
     def test_vacuum_element_long_time(self):
-        p = params(kappa_T=12.0, dim=20)
-        defect = fock.subblock_norm_diff(
-            pd.povm_element(0, 12.0, p), fock.projector(20, 0), 15
-        )
+        element = pd.povm_element(0, 12.0, 1.0, 20)
+        defect = fock.subblock_norm_diff(element, fock.projector(20, 0), 15)
         assert defect < 3e-5  # O(e^{-kappa T})
 
     def test_completeness(self):
-        p = params(kappa_T=1.0, dim=40)
-        assert pd.povm_completeness(1.0, p, sub_dim=20) < 1e-8
+        assert pd.povm_completeness(1.0, 1.0, 40, sub_dim=20) < 1e-8
 
     def test_projector_convergence_limit(self):
-        p = params(kappa_T=30.0, dim=40)
-        assert pd.projector_convergence(1, 30.0, p, 20) < 1e-10
+        assert pd.projector_convergence(1, 30.0, 1.0, 40, 20) < 1e-10
 
     def test_projector_convergence_prefactor(self):
-        p = params(kappa_T=5.0, dim=40)
-        defect = pd.projector_convergence(0, 5.0, p, 20)
+        defect = pd.projector_convergence(0, 5.0, 1.0, 40, 20)
         assert defect / math.exp(-5.0) < 10.0
 
     def test_projector_scaling(self):
-        defects = []
-        for kappa_T in (2.0, 3.0, 4.0):
-            p = params(kappa_T=kappa_T, dim=40)
-            defects.append(pd.projector_convergence(1, kappa_T, p, 20))
+        defects = [pd.projector_convergence(1, kt, 1.0, 40, 20) for kt in (2.0, 3.0, 4.0)]
         for a, b in zip(defects[:-1], defects[1:]):
             assert 0.5 * math.exp(-1.0) <= b / a <= 2.0 * math.exp(-1.0)
 
 
 class TestBornStatistics:
     def test_vacuum_never_fires(self):
-        p = params(dim=10)
-        pmf = pd.born_pmf(fock.density(fock.projector(10, 0)), 1.0, p)
+        pmf = pd.born_pmf(fock.density(fock.projector(10, 0)), 1.0, 1.0)
         assert pmf[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(pmf[1:]) == 0.0
 
     def test_five_photon_binomial(self):
-        p = params(kappa_T=LN2, dim=40)
-        pmf = pd.born_pmf(fock.density(fock.projector(40, 5)), LN2, p)
+        pmf = pd.born_pmf(fock.density(fock.projector(40, 5)), LN2, 1.0)
         expected = scipy.stats.binom.pmf(np.arange(40), 5, 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-10
         assert pmf[5] == pytest.approx(1.0 / 32.0, abs=1e-12)
 
     def test_coherent_input_poisson_counts(self):
-        p = params(kappa_T=LN2, dim=40)
         rho = fock.density(fock.coherent_state(40, 1.0))
-        pmf = pd.born_pmf(rho, LN2, p)
+        pmf = pd.born_pmf(rho, LN2, 1.0)
         expected = scipy.stats.poisson.pmf(np.arange(40), 0.5)
         assert np.max(np.abs(pmf - expected)) < 1e-8
 
     def test_count_range_beyond_truncation_rejected(self):
-        p = params(kappa_T=LN2, dim=8)
         rho = fock.projector(8, 2)
         for n_max in (8, 12):
             with pytest.raises(InvalidDimensionError):
-                pd.born_pmf(fock.density(rho), LN2, p, n_max=n_max)
+                pd.born_pmf(fock.density(rho), LN2, 1.0, n_max=n_max)
             with pytest.raises(InvalidDimensionError):
-                pd.ostensible_weights(fock.density(rho), LN2, p, n_max=n_max)
+                pd.ostensible_weights(fock.density(rho), LN2, 1.0, n_max=n_max)
 
     def test_factorial_overflow_raises_instead_of_nan(self):
         # the weights Tr(K^dag K rho) of Fock 190 grow like
         # 190!/(190-n)! e^{-(190-n) kappa_o T} and overflow from n = 154;
         # they used to come back NaN, which the negativity check let through
-        p = params(kappa_T=0.05, dim=200)
         rho = fock.projector(200, 190)
         with pytest.raises(NumericError):
-            pd.ostensible_weights(fock.density(rho), 0.05, p, n_max=199)
-        assert np.all(np.isfinite(pd.born_pmf(fock.density(rho), 0.05, p, n_max=100)))
+            pd.ostensible_weights(fock.density(rho), 0.05, 1.0, n_max=199)
+        assert np.all(np.isfinite(pd.born_pmf(fock.density(rho), 0.05, 1.0, n_max=100)))
 
     def test_high_truncation_stays_exact(self):
         # summed in log space, the pmf never forms a factorial: the
         # vacuum gives exactly (1, 0, ...) and Fock 190 its binomial law
-        p = params(kappa_T=0.05, dim=200)
-        vacuum = pd.born_pmf(fock.density(fock.projector(200, 0)), 0.05, p)
+        vacuum = pd.born_pmf(fock.density(fock.projector(200, 0)), 0.05, 1.0)
         assert vacuum[0] == 1.0 and np.all(vacuum[1:] == 0.0)
-        pmf = pd.born_pmf(fock.density(fock.projector(200, 190)), 0.05, p)
+        pmf = pd.born_pmf(fock.density(fock.projector(200, 190)), 0.05, 1.0)
         expected = scipy.stats.binom.pmf(np.arange(200), 190, screened_integral(0.05, 1.0))
         assert np.max(np.abs(pmf - expected)) < 1e-12
 
@@ -313,7 +294,6 @@ class TestBornStatistics:
         # P(n) = sum_m p_m Binom(n; m, lambda) for a random mixed state,
         # against scipy.stats
         dim = 40
-        p = params(kappa_T=kappa_T, dim=dim)
         g = records.stream(9, 0).standard_normal((dim, 2 * dim)).view(complex)
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
@@ -321,7 +301,7 @@ class TestBornStatistics:
         lam = screened_integral(kappa_T, 1.0)
         n = np.arange(dim)
         expected = scipy.stats.binom.pmf(n[:, None], n[None, :], lam) @ pops
-        assert np.max(np.abs(pd.born_pmf(rho, kappa_T, p) - expected)) < 1e-14
+        assert np.max(np.abs(pd.born_pmf(rho, kappa_T, 1.0) - expected)) < 1e-14
 
     def test_kod_pmf_is_poisson(self):
         # against the exact pmf, not scipy's: lam = 1 - e^{-ln 2} is exactly
@@ -337,8 +317,8 @@ class TestBornStatistics:
         # 1-D array: populations passed as a vector raise
         p = params(kappa_T=LN2, dim=8)
         pops = np.full(8, 1.0 / 8)
-        for call in (lambda: pd.born_pmf(pops, LN2, p),
-                     lambda: pd.ostensible_weights(pops, LN2, p, n_max=4),
+        for call in (lambda: pd.born_pmf(pops, LN2, 1.0),
+                     lambda: pd.ostensible_weights(pops, LN2, 1.0, n_max=4),
                      lambda: pd.run_photo_ensemble(pops, p, 5, seed=1)):
             with pytest.raises(ValueError):
                 call()
@@ -346,27 +326,24 @@ class TestBornStatistics:
     def test_ostensible_weights_at_zero_horizon_name_it(self):
         # at T = 0 both the lost populations and D_T vanish past n = 0: the
         # ratio is 0/0, not an overflow
-        p = InstrumentParams(1.0, 1e-3, 0.0, 8)
         rho = fock.density(fock.fock_state(8, 2))
         with pytest.raises(DomainError, match="T > 0"):
-            pd.ostensible_weights(rho, 0.0, p, n_max=1)
+            pd.ostensible_weights(rho, 0.0, 1.0, n_max=1)
         # n = 0 alone is Tr(rho)
-        assert np.array_equal(pd.ostensible_weights(rho, 0.0, p, n_max=0), [1.0])
+        assert np.array_equal(pd.ostensible_weights(rho, 0.0, 1.0, n_max=0), [1.0])
 
     def test_ostensible_weight_factorization(self):
         # P(n) = D_T(n) * weight(n) bin by bin
-        p = params(kappa_T=LN2, dim=20)
         rho = fock.density(fock.coherent_state(20, 0.7))
-        pmf = pd.born_pmf(rho, LN2, p, n_max=12)
+        pmf = pd.born_pmf(rho, LN2, 1.0, n_max=12)
         kod = pd.kod_poisson(LN2, 1.0)
-        weights = pd.ostensible_weights(rho, LN2, p, n_max=12)
+        weights = pd.ostensible_weights(rho, LN2, 1.0, n_max=12)
         assert_allclose(pmf, kod.pmf_array(12) * weights, rtol=1e-12, atol=1e-15)
 
     def test_ostensible_pmf_is_count_times_weight(self):
         # criterion 3's method-C draws against the exact count x weight per
         # bin; a sum of one weight per draw drifts by about 2e-13
-        p = InstrumentParams.fit_steps(kappa_o=1.0, T=LN2, dt=1e-3, dim=16)
-        weights = pd.ostensible_weights(fock.density(fock.projector(16, 5)), LN2, p, n_max=8)
+        weights = pd.ostensible_weights(fock.density(fock.projector(16, 5)), LN2, 1.0, n_max=8)
         draws = records.stream(48, 0).poisson(0.5, size=10**5)
         est = pd.ostensible_pmf(draws, weights)
         counts = np.bincount(draws, minlength=weights.size)[: weights.size]
@@ -430,7 +407,7 @@ class TestSamplers:
     def test_method_a_chi_square_against_born(self):
         p = params(kappa_T=LN2, dim=16)
         counts = pd.run_photo_ensemble(fock.density(fock.fock_state(16, 5)), p, 10**4, seed=12)
-        pmf = pd.born_pmf(fock.density(fock.projector(16, 5)), LN2, p, n_max=8)
+        pmf = pd.born_pmf(fock.density(fock.projector(16, 5)), LN2, 1.0, n_max=8)
         assert records.chi_square_gof(np.bincount(counts, minlength=9), pmf) > 0.001
 
 
@@ -468,7 +445,8 @@ class TestCountSampler:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
     def test_counts_match_dense_sampler(self, name):
-        p = params(kappa_T=LN2, dim=12, dt=1e-2)
+        # 70 steps of kappa_o dt = ln 2 / 70, about 0.0099
+        p = InstrumentParams(kappa_o=1.0, dt=LN2 / 70, T=LN2, dim=12)
         state = ORACLE_STATES[name](12)
         rho = fock.density(state)
         if name == "near-pure-density":
@@ -534,7 +512,7 @@ class TestCountSampler:
         # the exact sampler draws the count from the cumulative lost
         # populations, where the one at n = 1, about 5e-32, lies below a
         # uniform's resolution: every uniform counts 0
-        lost = pd.born_pmf(np.diag(pop0).astype(complex), 0.05, p)
+        lost = pd.born_pmf(np.diag(pop0).astype(complex), 0.05, 1.0)
         assert 0.0 < lost[1] < 1e-31
         uniforms = np.array([0.0, 0.5, 1.0 - 2.0**-53])
         assert np.array_equal(ensemble.draw_levels(lost, uniforms), np.zeros(3, dtype=np.int64))
