@@ -3,10 +3,11 @@
 Two instruments are implemented as autonomous evolving objects: the
 photon-counting detector (Poisson distribution of Kraus-operator classes)
 and the heterodyne detector (Gaussian distribution over complex
-amplitudes).  Each module exposes the per-step Kraus operators, the
-reduction of records to standard order, the distribution's evolution
-equation, POVM elements and completeness, Born statistics, and samplers
-for both true (method A) and ostensible (method C) record statistics.
+amplitudes).  Each module holds the instrument at the horizon, fixed by
+``T`` and ``kappa_o``: the distribution's evolution equation, POVM elements
+and completeness, Born statistics, and samplers for both true (method A)
+and ostensible (method C) record statistics.  :mod:`kodsim.stepped` holds
+records on a step grid, their per-step operators and their reduction.
 """
 
 __version__ = "0.1.0"

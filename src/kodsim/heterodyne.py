@@ -1,14 +1,13 @@
-"""Heterodyne instrument: records of Wiener increments and their record
-functional, the Gaussian distribution of Kraus operators with its screened
-diffusion, POVM completeness, the polar/Cartan coordinate change of the
-class operators, the trace identity it implies, and covariance cooling.
+"""Heterodyne instrument at the horizon: the Gaussian distribution of Kraus
+operators with its screened diffusion, POVM completeness, Born statistics,
+the ensemble sampler, the polar/Cartan coordinate change of the class
+operators, the trace identity it implies, and covariance cooling.  Records
+of Wiener increments and their functional live in :mod:`kodsim.stepped`.
 
-Sign convention: the complex Wiener measure is the normalizable Gaussian
-``exp(-|dw|^2/dt) d^2(dw) / (pi dt)``; real and imaginary parts are
-independent with variance dt/2 each.  The diffusion equation is written in
-``x = Re zeta, y = Im zeta`` with coefficient ``kappa(t)/4`` per
-coordinate, the unique choice consistent with the closed-form density
-``(1/Sigma) exp(-|zeta|^2/Sigma)`` at covariance ``Sigma(T) = <|zeta|^2>``.
+The diffusion equation is written in ``x = Re zeta, y = Im zeta`` with
+coefficient ``kappa(t)/4`` per coordinate, the unique choice consistent
+with the closed-form density ``(1/Sigma) exp(-|zeta|^2/Sigma)`` at
+covariance ``Sigma(T) = <|zeta|^2>``.
 
 The instrument evolves on its own, and the system enters only through the
 Born rule at the horizon: a record reduces to its functional ``zeta``, of
@@ -40,7 +39,6 @@ from .exceptions import (
     DomainError,
     ExtentError,
     InvalidDimensionError,
-    InvalidRecordError,
     NumericError,
 )
 from .fock import (
@@ -73,47 +71,6 @@ def _density_width(T: float, kappa_o: float) -> float:
     if sigma <= 0.0:
         raise DomainError("need T > 0")
     return sigma
-
-
-@dataclass(frozen=True)
-class HeterodyneRecord:
-    """Complex Wiener increments on the dt grid over [0, T)."""
-
-    increments: np.ndarray
-    dt: float
-    T: float
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=complex)
-        object.__setattr__(self, "increments", inc)
-        n_steps = round(self.T / self.dt)
-        if inc.size != n_steps:
-            raise InvalidRecordError(
-                f"{inc.size} increments but T/dt = {self.T / self.dt}"
-            )
-        if inc.size and not np.all(np.isfinite(inc)):
-            raise InvalidRecordError("non-finite increment")
-
-    def step_times(self) -> np.ndarray:
-        return np.arange(self.increments.size) * self.dt
-
-
-def record_functional(rec: HeterodyneRecord, kappa_o: float) -> complex:
-    """``zeta = sum_t sqrt(kappa_o) dw_t e^{-kappa_o t / 2}`` (left endpoints).
-
-    Weights the *beginning* of the record: only early increments carry
-    information about the initial state.
-    """
-    damp = np.exp(-0.5 * kappa_o * rec.step_times())
-    return complex(np.sqrt(kappa_o) * np.sum(rec.increments * damp))
-
-
-def lowering_drag(r: float) -> float:
-    """Coefficient ``(1 - e^{-r})/r`` from pulling ``a`` out of the mixed
-    exponential: exp(-n r + a c) = exp(-n r) exp(a c (1-e^{-r})/r)."""
-    if r == 0.0:
-        return 1.0
-    return float(-np.expm1(-r) / r)
 
 
 @dataclass(frozen=True)
@@ -260,21 +217,6 @@ def evolve_kod_diffusion(
 def kraus_class_het(zeta: complex, T: float, kappa_o: float, dim: int) -> np.ndarray:
     """Class Kraus operator ``K_T(zeta) = e^{-a^dag a kappa_o T/2} e^{a zeta*}``."""
     return number_exp(dim, 0.5 * kappa_o * T) @ exp_lowering(dim, np.conj(zeta))
-
-
-def standard_form_kraus_het(
-    rec: HeterodyneRecord, p: InstrumentParams
-) -> np.ndarray:
-    """Exact standard order of the time-ordered increment product.
-
-    Equals ``K_T(phi * zeta)`` with ``zeta`` the record functional and
-    ``phi = (1 - e^{-kappa_o dt/2})/(kappa_o dt/2)``; the drag factor
-    ``phi = 1 - kappa_o dt/4 + ...`` is the discretization gap between the
-    product and ``K_T(zeta)`` itself.
-    """
-    phi = lowering_drag(0.5 * p.kappa_dt)
-    zeta = record_functional(rec, p.kappa_o)
-    return kraus_class_het(phi * zeta, rec.T, p.kappa_o, p.dim)
 
 
 def povm_element_het(zeta: complex, T: float, kappa_o: float, dim: int) -> np.ndarray:

@@ -22,9 +22,10 @@ def screened_integral(T: float, kappa_o: float) -> float:
 @dataclass(frozen=True)
 class InstrumentParams:
     """Observation rate, temporal resolution, horizon and truncation: the
-    step grid a record lives on.  The instrument at the horizon is fixed by
-    ``kappa_o`` and ``T`` alone, so only records and their step operators
-    read ``dt``.
+    step grid a record of :mod:`kodsim.stepped` carries.  The instrument at
+    the horizon is fixed by ``kappa_o`` and ``T`` alone, so only that module
+    reads ``dt``; the ensembles take a grid but read only its ``T`` and
+    ``kappa_o``.
 
     The horizon must sit on the step grid (an integer number of ``dt``
     steps); use :meth:`fit_steps` to round a nominal ``dt`` onto a grid

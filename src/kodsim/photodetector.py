@@ -1,23 +1,14 @@
-"""Photon-counting instrument: per-step Kraus operators, record reduction,
-the Poisson distribution of Kraus operators with its screened evolution,
-POVM elements, Born statistics, and the ensemble sampler.  A record
-reduces to its count n, and at the horizon the POVM is binomial thinning
-of the photon number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
+"""Photon-counting instrument at the horizon: the Poisson distribution of
+Kraus operators with its screened evolution, POVM elements, Born
+statistics, and the ensemble sampler.  A record reduces to its count n
+(:mod:`kodsim.stepped` holds records, their reduction and the step
+operators), and at the horizon the POVM is binomial thinning of the photon
+number, ``E_T(n) = sum_m Binom(n; m, lambda) |m><m|`` with
 ``lambda = 1 - e^{-kappa_o T}``: the pure-loss channel of transmissivity
 lambda, whose lost populations (:func:`fock.lost_populations`) are the Born
 pmf.  So the sampler draws the reduced record itself, one uniform per
 trajectory, by inverse CDF of those populations.  Both read a state as its
 checked ``rho`` (:func:`fock.density`).
-
-Conventions fixed here:
-
-* Records live on the step grid; a jump "at time t" means the step whose
-  left endpoint is t.
-* A jump step applies the no-jump contraction together with the jump,
-  ``K0 K1``.  With that composition the time-ordered product of step
-  operators collapses *exactly* (not just to O(dt)) onto the standard form
-  ``sqrt(weight) * exp(-a^dag a kappa_o T / 2) * a^n``, which is what
-  :func:`reduce_record` returns.
 """
 
 from __future__ import annotations
@@ -31,14 +22,12 @@ from .ensemble import draw_levels, run_ensemble
 from .exceptions import (
     DomainError,
     InvalidDimensionError,
-    InvalidRecordError,
     NumericError,
     TruncationError,
 )
 from .fock import (
     lost_populations,
     lowering_power,
-    make_lowering,
     number_exp,
     projector,
     subblock_norm_diff,
@@ -52,76 +41,6 @@ KOD_MASS_TOL = 1e-10  # largest mass drift evolve_kod_poisson allows at any step
 def screened_rate(t: float | np.ndarray, kappa_o: float):
     """Effective observation rate ``kappa(t) = kappa_o exp(-kappa_o t)``."""
     return kappa_o * np.exp(-kappa_o * np.asarray(t, dtype=float))
-
-
-def kraus_jump(p: InstrumentParams) -> np.ndarray:
-    """Jump Kraus operator ``K1 = a sqrt(kappa_o dt)``."""
-    return np.sqrt(p.kappa_dt) * make_lowering(p.dim)
-
-
-def kraus_no_jump(p: InstrumentParams) -> np.ndarray:
-    """No-jump Kraus operator ``K0 = exp(-a^dag a kappa_o dt / 2)``."""
-    return number_exp(p.dim, 0.5 * p.kappa_dt)
-
-
-def jump_step_operator(p: InstrumentParams) -> np.ndarray:
-    """Full operator applied on a jump step, ``K0 K1``."""
-    return kraus_no_jump(p) @ kraus_jump(p)
-
-
-@dataclass(frozen=True)
-class PhotoRecord:
-    """Jump times within [0, T), strictly increasing, on the step grid."""
-
-    jump_times: np.ndarray
-    T: float
-
-    def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=float)
-        object.__setattr__(self, "jump_times", times)
-        if times.size and (np.any(np.diff(times) <= 0.0) or times[0] < 0.0):
-            raise InvalidRecordError("jump times must be strictly increasing, >= 0")
-        if times.size and times[-1] >= self.T:
-            raise InvalidRecordError(
-                f"jump at t={times[-1]} is not before the horizon T={self.T}"
-            )
-
-    @property
-    def n_jumps(self) -> int:
-        return int(self.jump_times.size)
-
-
-def _grid_indices(rec: PhotoRecord, p: InstrumentParams) -> np.ndarray:
-    if abs(rec.T - p.T) > 1e-9 * max(p.T, p.dt):
-        raise InvalidRecordError(f"record horizon {rec.T} != params horizon {p.T}")
-    steps = rec.jump_times / p.dt
-    idx = np.round(steps).astype(int)
-    if np.any(np.abs(steps - idx) > 1e-6):
-        raise InvalidRecordError("jump times must sit on the dt grid")
-    return idx
-
-
-def reduce_record(rec: PhotoRecord, p: InstrumentParams) -> tuple[int, float]:
-    """Reduce a record to standard order: jump count and scalar weight.
-
-    The represented operation is
-    ``weight * O(exp(-a^dag a kappa_o T / 2) a^n)`` with
-    ``weight = (kappa_o dt)^n exp(-kappa_o sum(T_i))``.
-    """
-    _grid_indices(rec, p)
-    n = rec.n_jumps
-    weight = p.kappa_dt**n * float(np.exp(-p.kappa_o * np.sum(rec.jump_times)))
-    return n, weight
-
-
-def standard_form_kraus(rec: PhotoRecord, p: InstrumentParams) -> np.ndarray:
-    """``sqrt(weight) * exp(-a^dag a kappa_o T/2) a^n`` for the record."""
-    n, weight = reduce_record(rec, p)
-    if n >= p.dim:
-        raise InvalidRecordError(f"{n} jumps exceed the truncation {p.dim}")
-    return np.sqrt(weight) * (
-        number_exp(p.dim, 0.5 * p.kappa_o * p.T) @ lowering_power(p.dim, n)
-    )
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,8 @@ tunables, and so are the sizes the checks run at.  Those sizes are the
 defaults of ``evolve-kod`` and ``povm-convergence`` too, so at their
 defaults the two kinds run the ``kod-*`` and ``projector-scaling`` groups.
 
-The brute-force constructions the record-reduction checks compare against
-live here and nowhere else in the package: the time-ordered products of
-per-step operators, one dense ``scipy.linalg.expm`` per heterodyne
-increment.  No sampler or reference on a CLI ensemble path uses them.
+The record-reduction checks compare records' standard forms with the
+brute-force products of :mod:`kodsim.stepped`, which holds the step grid.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ import math
 
 import numpy as np
 
-from . import fock, heterodyne as het, photodetector as pd
-from .exceptions import ConfigError, DomainError, NumericError
-from .fock import make_lowering, number_diag
+from . import fock, heterodyne as het, photodetector as pd, stepped
+from .exceptions import ConfigError, DomainError
 from .params import InstrumentParams
-from .photodetector import _grid_indices, jump_step_operator, kraus_no_jump
 from .records import STREAM_IDS, stream
 from .report import Check
 
@@ -67,55 +63,6 @@ PROJECTOR_KAPPA_TS = (2.0, 3.0, 4.0, 5.0)
 QUAD_ORDER = 32
 
 
-def matrix_exp(op: np.ndarray) -> np.ndarray:
-    """General dense matrix exponential (scaling-and-squaring Pade).
-
-    Used as the oracle route for identity checks; the structured
-    constructors of :mod:`kodsim.fock` are the fast routes it gets compared
-    against.
-    """
-    op = np.asarray(op, dtype=complex)
-    if not np.all(np.isfinite(op)):
-        raise NumericError("matrix_exp input has non-finite entries")
-    import scipy.linalg  # on first use: ensemble and KOD runs never load it
-    out = scipy.linalg.expm(op)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matrix_exp overflowed")
-    return out
-
-
-def kraus_increment(dw: complex, p: InstrumentParams) -> np.ndarray:
-    """Conditional operator ``L(dw) = exp(-a^dag a kappa_o dt/2 + a sqrt(kappa_o) dw*)``.
-
-    Exact exponential of the combined triangular generator, so identity
-    checks see no first-order splitting artifact.
-    """
-    gen = -0.5 * p.kappa_dt * np.diag(number_diag(p.dim)).astype(complex)
-    gen += np.sqrt(p.kappa_o) * np.conj(dw) * make_lowering(p.dim)
-    return matrix_exp(gen)
-
-
-def time_ordered_product(rec: pd.PhotoRecord, p: InstrumentParams) -> np.ndarray:
-    """Brute-force product of the per-step Kraus operators, latest leftmost."""
-    idx = set(_grid_indices(rec, p).tolist())
-    k0 = kraus_no_jump(p)
-    kj = jump_step_operator(p)
-    out = np.eye(p.dim, dtype=complex)
-    for k in range(p.n_steps):
-        out = (kj if k in idx else k0) @ out
-    return out
-
-
-def time_ordered_product_het(
-    rec: het.HeterodyneRecord, p: InstrumentParams
-) -> np.ndarray:
-    """Brute-force product of per-increment operators, latest leftmost."""
-    out = np.eye(p.dim, dtype=complex)
-    for dw in rec.increments:
-        out = kraus_increment(dw, p) @ out
-    return out
-
-
 def _random_disk(rng: np.random.Generator, radius: float) -> complex:
     return radius * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
 
@@ -156,9 +103,9 @@ def record_reduction_checks(seed: int) -> list[Check]:
     worst_photo = 0.0
     for n_jumps in (1, 3, 5):
         steps = np.sort(rng.choice(p.n_steps, size=n_jumps, replace=False))
-        rec = pd.PhotoRecord(jump_times=steps * p.dt, T=p.T)
-        brute = time_ordered_product(rec, p)
-        std = pd.standard_form_kraus(rec, p)
+        rec = stepped.PhotoRecord(steps * p.dt, p)
+        brute = stepped.time_ordered_product(rec)
+        std = stepped.standard_form_kraus(rec)
         scale = float(np.linalg.norm(std[:sub_dim, :sub_dim], 2))
         worst_photo = max(
             worst_photo, fock.subblock_norm_diff(brute, std, sub_dim) / scale
@@ -169,10 +116,10 @@ def record_reduction_checks(seed: int) -> list[Check]:
         ph = InstrumentParams(kappa_o=1.0, dt=p.dt, T=n_steps * p.dt, dim=DIM)
         incs = (rng.standard_normal(n_steps) + 1j * rng.standard_normal(n_steps))
         incs *= np.sqrt(0.5 * ph.dt)
-        rec = het.HeterodyneRecord(increments=incs, dt=ph.dt, T=ph.T)
-        brute = time_ordered_product_het(rec, ph)
-        exact = het.standard_form_kraus_het(rec, ph)
-        plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, 1.0, DIM)
+        rec = stepped.HeterodyneRecord(incs, ph)
+        brute = stepped.time_ordered_product_het(rec)
+        exact = stepped.standard_form_kraus_het(rec)
+        plain = het.kraus_class_het(stepped.record_functional(rec), rec.p.T, rec.p.kappa_o, DIM)
         scale = float(np.linalg.norm(exact[:sub_dim, :sub_dim], 2))
         worst_exact = max(
             worst_exact, fock.subblock_norm_diff(brute, exact, sub_dim) / scale

@@ -3,7 +3,7 @@
 Each builds by the textbook route what a package function computes by a
 faster one: dense per-step conditional evolution of a density matrix (one
 ``scipy.linalg.expm`` per heterodyne increment, through
-:func:`kodsim.verify.kraus_increment`), the stepped trajectory samplers of
+:func:`kodsim.stepped.kraus_increment`), the stepped trajectory samplers of
 both instruments, the disentangled displacement product, the 2-D
 diffusion solved by one dense matrix exponential of the mirror-closure
 Laplacian built by reflection, the Born density's moments by quadrature, the
@@ -29,10 +29,8 @@ from kodsim import heterodyne as het, records
 from kodsim.ensemble import BATCH
 from kodsim.exceptions import DomainError, NumericError
 from kodsim.fock import density, exp_lowering, number_diag
-from kodsim.heterodyne import HeterodyneRecord
 from kodsim.params import InstrumentParams, screened_integral
-from kodsim.photodetector import PhotoRecord
-from kodsim.verify import kraus_increment
+from kodsim.stepped import HeterodyneRecord, PhotoRecord, kraus_increment, lowering_drag
 
 # smallest trace a dense sampler may renormalize
 NORM_COLLAPSE = 1e-14
@@ -104,7 +102,7 @@ def sample_trajectory(
         else:
             rho = rho * outer_decay
         renormalize_density(rho, k)
-    return PhotoRecord(jump_times=np.array(jump_times), T=p.T)
+    return PhotoRecord(np.array(jump_times), p)
 
 
 def sample_het_trajectory(
@@ -128,7 +126,7 @@ def sample_het_trajectory(
         rho = op @ rho @ op.conj().T
         renormalize_density(rho, k)
         incs[k] = dw
-    return HeterodyneRecord(increments=incs, dt=p.dt, T=p.T)
+    return HeterodyneRecord(incs, p)
 
 
 def per_trajectory(draw, evolve, n_traj: int, seed: int) -> np.ndarray:
@@ -234,7 +232,7 @@ def evolve_het_batch(coeffs: np.ndarray, p: InstrumentParams, normals: np.ndarra
     """
     weak_coupling(p)
     jj = np.arange(1, coeffs.shape[0])
-    phi = het.lowering_drag(0.5 * p.kappa_dt)
+    phi = lowering_drag(0.5 * p.kappa_dt)
     sqk = np.sqrt(p.kappa_o)
     noise = np.sqrt(0.5 * p.dt)
     times = np.arange(p.n_steps) * p.dt

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kodsim import cli, ensemble, fock, heterodyne as het, records, verify
+from kodsim import cli, ensemble, fock, heterodyne as het, records, stepped, verify
 from kodsim.exceptions import ConfigError, DomainError
 from oracles import write_csv_rows
 
@@ -982,7 +982,7 @@ def test_valid_thresholds_keep_their_hash():
     assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "0031a5d8fac79299"
 
 
-# brute-force constructions that live in kodsim.verify or tests/oracles.py
+# brute-force constructions that live in kodsim.stepped or tests/oracles.py
 ORACLES = {
     "time_ordered_product", "time_ordered_product_het", "kraus_increment", "matrix_exp",
     "sample_trajectory", "sample_het_trajectory", "wiener_increment", "renormalize_density",
@@ -995,10 +995,13 @@ PRODUCTION = {"fock", "ensemble", "params", "records", "photodetector", "heterod
 
 
 def module_names(path):
-    """Every name a module defines, imports, reads or reads as an attribute."""
+    """Every name a module defines, imports, imports from, reads or reads as
+    an attribute."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
         elif isinstance(node, ast.alias):
             yield node.asname or node.name
         elif isinstance(node, ast.Name):
@@ -1013,14 +1016,14 @@ def test_oracles_stay_out_of_production(tmp_path, monkeypatch):
     assert PRODUCTION <= set(modules)
     for module in PRODUCTION:
         assert not modules[module] & ORACLES, module
-    assert [m for m in modules if modules[m] & {"expm", "matrix_exp"}] == ["verify"]
+    assert [m for m in modules if modules[m] & {"expm", "matrix_exp"}] == ["stepped"]
 
     # both CLI ensembles finish a mixed state with every dense exponential refusing
     def refuse(*args, **kwargs):
         raise AssertionError("a CLI ensemble reached a dense exponential")
 
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
-    monkeypatch.setattr(verify, "kraus_increment", refuse)
+    monkeypatch.setattr(stepped, "kraus_increment", refuse)
     path = tmp_path / "mixed.npy"
     rho = 0.5 * fock.density(fock.coherent_state(10, 0.5)) + 0.5 * fock.projector(10, 2)
     np.save(path, rho)

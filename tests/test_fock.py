@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import fock, verify
+from kodsim import fock, stepped
 from kodsim.exceptions import DomainError, InvalidDimensionError, NumericError
 from oracles import dense_lost_state, displacement
 
@@ -86,7 +86,7 @@ def test_exp_lowering_coherent_eigenrelation():
 def test_exp_lowering_matches_general_exponential():
     c = 0.7 - 0.2j
     direct = fock.exp_lowering(30, c)
-    oracle = verify.matrix_exp(c * fock.make_lowering(30))
+    oracle = stepped.matrix_exp(c * fock.make_lowering(30))
     assert np.linalg.norm(direct - oracle, 2) < 1e-12
 
 
@@ -100,7 +100,7 @@ def test_exp_lowering_takes_an_array_of_amplitudes():
     for idx in np.ndindex(amps.shape):
         single = fock.exp_lowering(dim, amps[idx])
         assert np.array_equal(batch[idx], single)
-        oracle = verify.matrix_exp(amps[idx] * fock.make_lowering(dim))
+        oracle = stepped.matrix_exp(amps[idx] * fock.make_lowering(dim))
         assert np.linalg.norm(single - oracle, 2) < 1e-12 * max(1.0, np.linalg.norm(oracle, 2))
     assert np.array_equal(batch[0, 0], np.eye(dim))
 
@@ -221,24 +221,24 @@ def test_coherent_overlap_formula():
 
 
 def test_matrix_exp_zero():
-    assert_allclose(verify.matrix_exp(np.zeros((5, 5))), np.eye(5), atol=1e-15)
+    assert_allclose(stepped.matrix_exp(np.zeros((5, 5))), np.eye(5), atol=1e-15)
 
 
 def test_matrix_exp_diagonal():
     diag = np.diag([0.1, -0.4, 2.0])
-    assert_allclose(verify.matrix_exp(diag), np.diag(np.exp([0.1, -0.4, 2.0])), rtol=1e-13)
+    assert_allclose(stepped.matrix_exp(diag), np.diag(np.exp([0.1, -0.4, 2.0])), rtol=1e-13)
 
 
 def test_matrix_exp_cross_checks_number_exp():
     dim, r = 30, 0.7
     gen = -r * np.diag(np.arange(dim)).astype(complex)
-    assert np.max(np.abs(verify.matrix_exp(gen) - fock.number_exp(dim, r))) < 1e-12
+    assert np.max(np.abs(stepped.matrix_exp(gen) - fock.number_exp(dim, r))) < 1e-12
 
 
 def test_matrix_exp_rejects_nonfinite():
     bad = np.array([[np.inf, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericError):
-        verify.matrix_exp(bad)
+        stepped.matrix_exp(bad)
 
 
 def test_subblock_norm_diff_basics():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import ensemble, fock, heterodyne as het, records, verify
+from kodsim import ensemble, fock, heterodyne as het, records, stepped, verify
 from kodsim.exceptions import (
     DomainError,
     ExtentError,
@@ -122,7 +122,7 @@ class TestKrausIncrement:
     def test_zero_increment_is_pure_decay(self):
         p = params(dim=12)
         assert_allclose(
-            verify.kraus_increment(0.0, p),
+            stepped.kraus_increment(0.0, p),
             fock.number_exp(12, 0.5 * p.kappa_dt),
             atol=1e-15,
         )
@@ -131,7 +131,7 @@ class TestKrausIncrement:
         # <0|L(dw)|1> = sqrt(kappa) dw* (1 + O(kappa dt))
         p = params(dim=10)
         dw = 0.03 - 0.02j
-        elem = verify.kraus_increment(dw, p)[0, 1]
+        elem = stepped.kraus_increment(dw, p)[0, 1]
         lead = np.sqrt(p.kappa_o) * np.conj(dw)
         assert abs(elem / lead - 1.0) < p.kappa_dt
 
@@ -145,7 +145,7 @@ class TestKrausIncrement:
         rng = records.stream(77, 0)
         g = rng.standard_normal((n_samples, 2))
         dw = (g[:, 0] + 1j * g[:, 1]) * np.sqrt(0.5 * p.dt)
-        u = het.lowering_drag(0.5 * p.kappa_dt) * np.sqrt(p.kappa_o) * np.conj(dw)
+        u = stepped.lowering_drag(0.5 * p.kappa_dt) * np.sqrt(p.kappa_o) * np.conj(dw)
         order = 16
         powers = np.empty((n_samples, order), dtype=complex)
         powers[:, 0] = 1.0
@@ -166,24 +166,25 @@ class TestKrausIncrement:
 class TestRecordFunctionals:
     def test_zero_record(self):
         p = params(kappa_T=0.01, dim=4)
-        rec = het.HeterodyneRecord(np.zeros(p.n_steps, complex), p.dt, p.T)
-        assert het.record_functional(rec, 1.0) == 0.0
+        rec = stepped.HeterodyneRecord(np.zeros(p.n_steps, complex), p)
+        assert stepped.record_functional(rec) == 0.0
 
     def test_single_increment_weights(self):
         p = params(kappa_T=0.01, dim=4)
         incs = np.zeros(p.n_steps, complex)
         incs[0] = 0.2 + 0.1j
-        rec = het.HeterodyneRecord(incs, p.dt, p.T)
-        assert het.record_functional(rec, 1.0) == pytest.approx(0.2 + 0.1j)
+        rec = stepped.HeterodyneRecord(incs, p)
+        assert stepped.record_functional(rec) == pytest.approx(0.2 + 0.1j)
         incs = np.zeros(p.n_steps, complex)
         incs[-1] = 0.2
-        rec = het.HeterodyneRecord(incs, p.dt, p.T)
+        rec = stepped.HeterodyneRecord(incs, p)
         expected = 0.2 * np.exp(-0.5 * (p.n_steps - 1) * p.dt)
-        assert het.record_functional(rec, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert stepped.record_functional(rec) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_wrong_length(self):
+        p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=1.0, dim=4)
         with pytest.raises(InvalidRecordError):
-            het.HeterodyneRecord(np.zeros(5, complex), 1e-3, 1.0)
+            stepped.HeterodyneRecord(np.zeros(5, complex), p)
 
     def test_ostensible_second_moments(self):
         # E|zeta|^2 = Sigma(T) accumulated as sum kappa e^{-kappa t} dt;
@@ -359,9 +360,9 @@ class TestClassOperators:
     )
     def test_any_record_reduces_to_dragged_form(self, incs):
         p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=len(incs) * 1e-3, dim=20)
-        rec = het.HeterodyneRecord(np.array(incs), p.dt, p.T)
-        brute = verify.time_ordered_product_het(rec, p)
-        dragged = het.standard_form_kraus_het(rec, p)
+        rec = stepped.HeterodyneRecord(np.array(incs), p)
+        brute = stepped.time_ordered_product_het(rec)
+        dragged = stepped.standard_form_kraus_het(rec)
         scale = float(np.linalg.norm(dragged[:20, :20], 2))
         assert fock.subblock_norm_diff(brute, dragged, 20) / scale < 1e-12
 
@@ -373,10 +374,10 @@ class TestClassOperators:
         rng = records.stream(23, 0)
         g = rng.standard_normal((3, 2))
         incs = (g[:, 0] + 1j * g[:, 1]) * np.sqrt(0.5 * p3.dt)
-        rec = het.HeterodyneRecord(incs, p3.dt, p3.T)
-        brute = verify.time_ordered_product_het(rec, p3)
-        dragged = het.standard_form_kraus_het(rec, p3)
-        plain = het.kraus_class_het(het.record_functional(rec, 1.0), rec.T, 1.0, 40)
+        rec = stepped.HeterodyneRecord(incs, p3)
+        brute = stepped.time_ordered_product_het(rec)
+        dragged = stepped.standard_form_kraus_het(rec)
+        plain = het.kraus_class_het(stepped.record_functional(rec), p3.T, 1.0, 40)
         scale = np.linalg.norm(dragged[:25, :25], 2)
         assert fock.subblock_norm_diff(brute, dragged, 25) / scale < 1e-10
         assert fock.subblock_norm_diff(brute, plain, 25) / scale < p3.kappa_dt
@@ -533,7 +534,7 @@ class TestSamplers:
         rho = rho0.copy()
         a = fock.make_lowering(25)
         for k, dw in enumerate(rec.increments):
-            op = verify.kraus_increment(dw, p)
+            op = stepped.kraus_increment(dw, p)
             rho = op @ rho @ op.conj().T
             rho /= np.trace(rho).real
             purity = float(np.trace(rho @ rho).real)
@@ -560,7 +561,7 @@ class TestSamplers:
         zetas = stepped_zetas(state, p, 12, seed=8)
         for i, z in enumerate(zetas):
             rec = sample_het_trajectory(rho, p, records.stream(8, i))
-            assert abs(z - het.record_functional(rec, p.kappa_o)) < 1e-12
+            assert abs(z - stepped.record_functional(rec)) < 1e-12
 
     @pytest.mark.parametrize(
         "state",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kodsim import ensemble, fock, photodetector as pd, records
+from kodsim import ensemble, fock, photodetector as pd, records, stepped
 from kodsim.exceptions import (
     DomainError,
     InvalidDimensionError,
@@ -31,31 +31,31 @@ def params(kappa_T=1.0, dim=40, dt=1e-3):
 class TestStepOperators:
     def test_jump_operator_small_matrix(self):
         p = InstrumentParams(kappa_o=10.0, dt=1e-3, T=0.1, dim=2)
-        assert_allclose(pd.kraus_jump(p), [[0.0, 0.1], [0.0, 0.0]], atol=1e-16)
+        assert_allclose(stepped.kraus_jump(p), [[0.0, 0.1], [0.0, 0.0]], atol=1e-16)
 
     def test_jump_rate_on_one_photon(self):
         p = params(dim=8)
-        k1 = pd.kraus_jump(p)
+        k1 = stepped.kraus_jump(p)
         rho1 = fock.projector(8, 1)
         rate = np.trace(k1.conj().T @ k1 @ rho1).real
         assert abs(rate - p.kappa_dt) < 1e-18
 
     def test_no_jump_matrix_element(self):
         p = params(dim=6)
-        k0 = pd.kraus_no_jump(p)
+        k0 = stepped.kraus_no_jump(p)
         assert abs(k0[1, 1] - np.exp(-0.5 * p.kappa_dt)) < 1e-16
 
     def test_step_pair_completeness_defect(self):
         # K0^dag K0 + K1^dag K1 = 1 + (n kappa dt)^2/2 + ...: the defect on a
         # sub_dim block is bounded by half (kappa dt (sub_dim-1))^2
         p = params(dim=40)
-        k0, k1 = pd.kraus_no_jump(p), pd.kraus_jump(p)
+        k0, k1 = stepped.kraus_no_jump(p), stepped.kraus_jump(p)
         total = k0.conj().T @ k0 + k1.conj().T @ k1
         defect = fock.subblock_norm_diff(total, np.eye(40), 25)
         assert defect < 0.55 * (p.kappa_dt * 24) ** 2
         # shrinking dt by 10x shrinks the defect by 100x
         p_fine = InstrumentParams(kappa_o=0.1, dt=1e-3, T=1.0, dim=40)
-        k0, k1 = pd.kraus_no_jump(p_fine), pd.kraus_jump(p_fine)
+        k0, k1 = stepped.kraus_no_jump(p_fine), stepped.kraus_jump(p_fine)
         fine = fock.subblock_norm_diff(
             k0.conj().T @ k0 + k1.conj().T @ k1, np.eye(40), 25
         )
@@ -65,25 +65,24 @@ class TestStepOperators:
 class TestRecordReduction:
     def test_empty_record(self):
         p = params()
-        n, weight = pd.reduce_record(pd.PhotoRecord(np.array([]), p.T), p)
-        assert (n, weight) == (0, 1.0)
+        rec = stepped.PhotoRecord(np.array([]), p)
+        assert (rec.n_jumps, rec.weight) == (0, 1.0)
 
     def test_single_jump_at_origin(self):
         p = params()
-        n, weight = pd.reduce_record(pd.PhotoRecord(np.array([0.0]), p.T), p)
-        assert n == 1
-        assert abs(weight - p.kappa_dt) < 1e-18
+        rec = stepped.PhotoRecord(np.array([0.0]), p)
+        assert rec.n_jumps == 1
+        assert abs(rec.weight - p.kappa_dt) < 1e-18
 
     def test_rejects_jump_past_horizon(self):
         p = params()
         with pytest.raises(InvalidRecordError):
-            pd.PhotoRecord(np.array([p.T]), p.T)
+            stepped.PhotoRecord(np.array([p.T]), p)
 
     def test_rejects_off_grid_jump(self):
         p = params()
-        rec = pd.PhotoRecord(np.array([0.5 * p.dt]), p.T)
         with pytest.raises(InvalidRecordError):
-            pd.reduce_record(rec, p)
+            stepped.PhotoRecord(np.array([0.5 * p.dt]), p)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.integers(min_value=0, max_value=49), max_size=6))
@@ -92,12 +91,12 @@ class TestRecordReduction:
         # just sparse ones
         p = InstrumentParams(kappa_o=1.0, dt=1e-3, T=0.05, dim=20)
         times = np.array(sorted(jump_steps), dtype=float) * p.dt
-        rec = pd.PhotoRecord(jump_times=times, T=p.T)
+        rec = stepped.PhotoRecord(times, p)
         product = np.eye(p.dim, dtype=complex)
-        k0, kj = pd.kraus_no_jump(p), pd.jump_step_operator(p)
+        k0, kj = stepped.kraus_no_jump(p), stepped.jump_step_operator(p)
         for k in range(p.n_steps):
             product = (kj if k in jump_steps else k0) @ product
-        target = pd.standard_form_kraus(rec, p)
+        target = stepped.standard_form_kraus(rec)
         assert fock.subblock_norm_diff(product, target, 20) < 1e-13
 
     def test_three_jump_product_oracle(self):
@@ -106,16 +105,15 @@ class TestRecordReduction:
         p = params(kappa_T=1.0, dim=40)
         rng = records.stream(17, 0)
         steps = np.sort(rng.choice(p.n_steps, size=3, replace=False))
-        rec = pd.PhotoRecord(jump_times=steps * p.dt, T=p.T)
-        k0 = pd.kraus_no_jump(p)
-        kj = pd.jump_step_operator(p)
+        rec = stepped.PhotoRecord(steps * p.dt, p)
+        k0 = stepped.kraus_no_jump(p)
+        kj = stepped.jump_step_operator(p)
         product = np.eye(p.dim, dtype=complex)
         jumps = set(steps.tolist())
         for k in range(p.n_steps):
             product = (kj if k in jumps else k0) @ product
-        n, weight = pd.reduce_record(rec, p)
-        target = math.sqrt(weight) * (
-            fock.number_exp(p.dim, 0.5 * p.T) @ fock.lowering_power(p.dim, n)
+        target = math.sqrt(rec.weight) * (
+            fock.number_exp(p.dim, 0.5 * p.T) @ fock.lowering_power(p.dim, rec.n_jumps)
         )
         scale = np.linalg.norm(target[:25, :25], 2)
         assert fock.subblock_norm_diff(product, target, 25) / scale < 1e-8
