@@ -233,13 +233,11 @@ def _series(value, where: str) -> tuple[dict, ...]:
 
 
 _COMMON = {"seed": (_count, DEFAULT_SEED), "series": (_raw, [])}
-# the instrument of both ensembles.  Neither reads ``dt``, which only sets
-# the step grid of ``instrument_params``; it stays while the benchmark's
-# ensemble configs set it
-_PARAMS = {
-    "kappa_o": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3), "T": (_FLOAT, verify.LN2),
-    "dim": (_INT, verify.DIM),
-}
+# the horizon of evolve-kod and both ensembles.  Neither ensemble reads ``dt``,
+# which only sets the step grid of ``instrument_params``; it stays while the
+# benchmark's ensemble configs set it
+_HORIZON = {"kappa_o": (_rate, 1.0), "T": (_rate, verify.LN2)}
+_PARAMS = {**_HORIZON, "dt": (_FLOAT, 1e-3), "dim": (_INT, verify.DIM)}
 _KODS = {
     "poisson": {"n_max": (_INT, verify.KOD_N_MAX), "steps": (_INT, verify.KOD_STEPS)},
     "gaussian": {"grid": {
@@ -264,7 +262,7 @@ SCHEMAS = {
         "bins": (partial(_at_least, 1), 8),
     },
     "evolve-kod": {
-        "params": {"kappa_o": (_rate, 1.0), "T": (_rate, verify.LN2)},
+        "params": _HORIZON,
         "kod": (_KODS, "poisson"),
         "convergence": (_flag, True),
     },

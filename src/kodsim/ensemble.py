@@ -31,6 +31,8 @@ def run_ensemble(evolve, k: int, n_traj: int, seed: int, n_threads: int) -> np.n
     """
     if n_threads < 1:
         raise DomainError(f"need n_threads >= 1, got {n_threads}")
+    if n_traj < 0:
+        raise DomainError(f"need n_traj >= 0, got {n_traj}")
     uniforms = stream(seed, STREAM_IDS["trajectories"]).random((n_traj, k))
     # no trajectories still make one empty slice, so the result has evolve's dtype
     slices = [uniforms[b : b + BATCH] for b in range(0, max(n_traj, 1), BATCH)]

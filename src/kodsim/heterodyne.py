@@ -66,10 +66,10 @@ PHASE_TOL = 1e-12  # largest backward error |CDF(theta) - u| a drawn phase may k
 
 
 def _density_width(T: float, kappa_o: float) -> float:
-    """Sigma(T), the covariance of D_T, which has no density at T = 0."""
+    """Sigma(T), the covariance of D_T, which has no density at kappa_o T = 0."""
     sigma = screened_integral(T, kappa_o)
     if sigma <= 0.0:
-        raise DomainError("need T > 0")
+        raise DomainError(f"D_T has a density only at kappa_o T > 0, got {kappa_o * T}")
     return sigma
 
 
@@ -171,28 +171,23 @@ def evolve_kod_diffusion(
     density actually reaches the boundary ring the extent was too small and
     an ExtentError is raised.
     """
-    if not all(map(math.isfinite, (T, kappa_o, h, extent))):
-        raise DomainError(
-            f"need finite T, kappa_o, h and extent, got T={T}, kappa_o={kappa_o}, h={h}, "
-            f"extent={extent}"
-        )
+    if not (math.isfinite(h) and math.isfinite(extent)):
+        raise DomainError(f"need finite h and extent, got h={h}, extent={extent}")
     if extent < MIN_EXTENT:
         raise ExtentError(f"need extent >= {MIN_EXTENT:g}, got {extent}")
     if h <= 0.0:
         raise DomainError(f"need h > 0, got h={h}")
     if not 0.0 < sigma0_sq < 1.0:
         raise DomainError(f"need 0 < sigma0_sq < 1, got {sigma0_sq}")
-    if kappa_o < 0.0 or T < 0.0:
-        raise DomainError("need kappa_o >= 0 and T >= 0")
     sig = lambda t: screened_integral(t, kappa_o)
+    sigma_T = sig(T)
     resolved_sq = 2.0 * (RESOLVE_SCALE * h) ** 2
     t_start = 0.0
     start_sigma_sq = sigma0_sq
     if kappa_o > 0.0 and sigma0_sq < resolved_sq:
-        if sig(T) + sigma0_sq < resolved_sq:
+        if sigma_T + sigma0_sq < resolved_sq:
             raise ExtentError(
-                f"mesh h={h} cannot resolve the final covariance "
-                f"{sig(T) + sigma0_sq}"
+                f"mesh h={h} cannot resolve the final covariance {sigma_T + sigma0_sq}"
             )
         t_start = min(T, float(-np.log1p(sigma0_sq - resolved_sq) / kappa_o))
         start_sigma_sq = sigma0_sq + sig(t_start)
@@ -200,7 +195,7 @@ def evolve_kod_diffusion(
     axis = (np.arange(2 * n_side + 1) - n_side) * h
     v = np.exp(-(axis**2) / start_sigma_sq) / np.sqrt(start_sigma_sq)
     v /= np.sum(v) * h / np.sqrt(np.pi)
-    tau = (sig(T) - sig(t_start)) / (48.0 * h**2)
+    tau = (sigma_T - sig(t_start)) / (48.0 * h**2)
     if tau != 0.0:
         basis, lam = _mirror_cosine_basis(axis.size)
         v = np.einsum("kj,k->j", basis, np.exp(tau * lam) * np.einsum("kj,j->k", basis, v))
@@ -211,11 +206,12 @@ def evolve_kod_diffusion(
     ring = np.sum(u[0]) + np.sum(u[-1]) + np.sum(u[1:-1, 0]) + np.sum(u[1:-1, -1])
     if ring * h**2 / np.pi > 1e-6:
         raise ExtentError("density reached the boundary ring; enlarge extent")
-    return GaussianKOD(sigma=sig(T), grid=u, h=h, regularization=sigma0_sq)
+    return GaussianKOD(sigma=sigma_T, grid=u, h=h, regularization=sigma0_sq)
 
 
 def kraus_class_het(zeta: complex, T: float, kappa_o: float, dim: int) -> np.ndarray:
     """Class Kraus operator ``K_T(zeta) = e^{-a^dag a kappa_o T/2} e^{a zeta*}``."""
+    screened_integral(T, kappa_o)  # the horizon gate: number_exp alone takes T = kappa_o = -1
     return number_exp(dim, 0.5 * kappa_o * T) @ exp_lowering(dim, np.conj(zeta))
 
 

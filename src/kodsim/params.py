@@ -13,9 +13,10 @@ from .exceptions import DomainError, InvalidDimensionError
 def screened_integral(T: float, kappa_o: float) -> float:
     """``1 - exp(-kappa_o T)``, the screened rate integrated over [0, T]: the
     photon count's effective mean lambda(T) and the heterodyne amplitude's
-    effective covariance Sigma(T)."""
-    if not T >= 0.0:  # also catches NaN
-        raise DomainError(f"need T >= 0, got {T}")
+    effective covariance Sigma(T).  The horizon gate of both instruments: it
+    raises DomainError unless ``T`` and ``kappa_o`` are both finite and >= 0."""
+    if not (0.0 <= T < np.inf and 0.0 <= kappa_o < np.inf):  # also catches NaN
+        raise DomainError(f"need finite T >= 0 and kappa_o >= 0, got {T} and {kappa_o}")
     return float(-np.expm1(-kappa_o * T))
 
 

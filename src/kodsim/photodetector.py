@@ -95,8 +95,7 @@ def evolve_kod_poisson(T: float, kappa_o: float, n_max: int, steps: int) -> Pois
         raise DomainError(f"need steps >= 100, got {steps}")
     if n_max < 30:
         raise DomainError(f"need n_max >= 30, got {n_max}")
-    if not (math.isfinite(kappa_o) and math.isfinite(T) and kappa_o >= 0.0 and T >= 0.0):
-        raise DomainError(f"need finite kappa_o >= 0 and T >= 0, got {kappa_o} and {T}")
+    lam = screened_integral(T, kappa_o)
     weights = np.zeros(n_max + 1)
     weights[0] = 1.0
     h = T / steps
@@ -115,7 +114,7 @@ def evolve_kod_poisson(T: float, kappa_o: float, n_max: int, steps: int) -> Pois
         )
     if float(np.min(weights)) < -1e-12:
         raise NumericError("negative weight beyond the roundoff floor")
-    return PoissonKOD(lam=screened_integral(T, kappa_o), weights=weights)
+    return PoissonKOD(lam=lam, weights=weights)
 
 
 def kraus_class(n: int, T: float, kappa_o: float, dim: int) -> np.ndarray:
@@ -168,12 +167,12 @@ def ostensible_weights(rho: np.ndarray, T: float, kappa_o: float, n_max: int) ->
 
     Pairing these with draws from D_T(n) reproduces :func:`born_pmf`.  They
     grow like ``m!/(m-n)!``; one that overflows raises NumericError.  At
-    T = 0 every one past n = 0 is 0/0, since D_T(n > 0) = 0, and n_max >= 1
-    raises DomainError.
+    kappa_o T = 0 every one past n = 0 is 0/0, since D_T(n > 0) = 0, and
+    n_max >= 1 raises DomainError.
     """
     lam = screened_integral(T, kappa_o)
     if lam == 0.0 and n_max >= 1:
-        raise DomainError(f"ostensible weights past n = 0 need T > 0, got T = {T}")
+        raise DomainError(f"ostensible weights past n = 0 need kappa_o T > 0, got {kappa_o * T}")
     log_d = PoissonKOD(lam).log_pmf(np.arange(n_max + 1))
     with np.errstate(all="ignore"):
         weights = np.exp(np.log(_lost_counts(rho, T, kappa_o, n_max)) - log_d)

@@ -30,6 +30,8 @@ def stream(seed: int, stream_id: int | tuple[int, ...]) -> Generator:
     integer or a tuple of them; ``7`` and ``(7,)`` are the same id, and
     ``(7000, 0)`` is a different id from ``7000``.
     """
+    if seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     key = stream_id if isinstance(stream_id, tuple) else (stream_id,)
     ss = SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
     return Generator(Philox(ss))

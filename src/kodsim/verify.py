@@ -160,14 +160,12 @@ def kod_poisson_halving_ratio(T: float, kappa_o: float, n_max: int) -> float:
     ) / kod_error(pd.evolve_kod_poisson(T, kappa_o, n_max=n_max, steps=200))
 
 
-def kod_diffusion_halving_ratio(
-    T: float, kappa_o: float, h: float, extent: float, sigma0_sq: float
-) -> float:
-    """Error ratio when h is halved: the solve is exact in time, so the
-    ratio reads the 4th-order spatial error alone."""
-    coarse = het.evolve_kod_diffusion(T, kappa_o, h=h, extent=extent, sigma0_sq=sigma0_sq)
-    fine = het.evolve_kod_diffusion(T, kappa_o, h=0.5 * h, extent=extent, sigma0_sq=sigma0_sq)
-    return kod_error(coarse) / kod_error(fine)
+def kod_diffusion_halving_ratio(kod: het.GaussianKOD, T: float, kappa_o: float) -> float:
+    """Error ratio of a Gaussian KOD to its solve at h/2 (exact in time, so the
+    4th-order spatial error alone), over its half-width or MIN_EXTENT."""
+    fine = het.evolve_kod_diffusion(T, kappa_o, h=0.5 * kod.h, sigma0_sq=kod.regularization,
+                                    extent=max(float(kod.axis()[-1]), het.MIN_EXTENT))
+    return kod_error(kod) / kod_error(fine)
 
 
 def kod_checks(
@@ -192,9 +190,7 @@ def kod_checks(
         Check("kod-mass", abs(kod.grid_mass() - 1.0), het.KOD_MASS_TOL),
     ]
     if convergence:
-        # the mesh's half-width, or MIN_EXTENT where rounding left it below (same mesh)
-        extent = max(float(kod.axis()[-1]), het.MIN_EXTENT)
-        ratio = kod_diffusion_halving_ratio(T, kappa_o, kod.h, extent, kod.regularization)
+        ratio = kod_diffusion_halving_ratio(kod, T, kappa_o)
         checks.append(Check("kod-diffusion-h-halving", ratio, KOD_DIFFUSION_HALVING, ">="))
     return checks
 

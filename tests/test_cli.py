@@ -982,6 +982,44 @@ def test_valid_thresholds_keep_their_hash():
     assert cli.resolve_config("photodetect-ensemble", cfg).config_hash() == "0031a5d8fac79299"
 
 
+@pytest.mark.parametrize(
+    "kind, cfg_dict, key, check",
+    [
+        ("photodetect-ensemble", SMALL_PHOTO, "tv_method_a", "tv-method-a-vs-born"),
+        ("heterodyne-ensemble", {"trajectories": 50, "params": {"dim": 10}, "bins": 4,
+                                 "initial_state": {"kind": "coherent", "alpha": 0.5}},
+         "covariance_rel", "covariance-vs-born"),
+    ],
+)
+def test_a_threshold_override_is_the_gate_and_decides_the_verdict(
+        tmp_path, capsys, kind, cfg_dict, key, check):
+    # the run passes at its default gates; half its measured value, set in
+    # thresholds, is the threshold checks.csv writes, and fails the run
+    def row():
+        return next(r for r in read_csv(tmp_path / "out" / "checks.csv")[1] if r[0] == check)
+
+    assert run_main(tmp_path, kind, cfg_dict) == 0
+    measured = float(row()[1])
+    assert run_main(tmp_path, kind, {**cfg_dict, "thresholds": {key: 0.5 * measured}}) == 1
+    assert row() == [check, repr(measured), repr(0.5 * measured), "<=", "false"]
+    assert capsys.readouterr().out.endswith("overall: FAIL\n")
+    assert not json.loads((tmp_path / "out" / "report.json").read_text())["overall_pass"]
+
+
+@pytest.mark.parametrize("value", [0, -1.0, "nan", "inf"])
+@pytest.mark.parametrize("key", ["kappa_o", "T"])
+@pytest.mark.parametrize("kind", ["photodetect-ensemble", "heterodyne-ensemble", "evolve-kod"])
+def test_a_horizon_that_is_not_positive_and_finite_exits_two(tmp_path, capsys, kind, key, value):
+    # one horizon schema for all three kinds, whose error names the key: the
+    # ensembles used to exit with the key-less message of InstrumentParams
+    assert run_main(tmp_path, kind, {"params": {key: value}}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"params.{key} must be a positive finite number, got {float(value)}"
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # brute-force constructions that live in kodsim.stepped or tests/oracles.py
 ORACLES = {
     "time_ordered_product", "time_ordered_product_het", "kraus_increment", "matrix_exp",

@@ -6,8 +6,9 @@ import inspect
 import numpy as np
 import pytest
 
-from kodsim import ensemble, heterodyne as het, photodetector as pd, records
-from kodsim.exceptions import NumericError
+from kodsim import ensemble, fock, heterodyne as het, photodetector as pd, records
+from kodsim.exceptions import DomainError, NumericError
+from kodsim.params import InstrumentParams
 from oracles import renormalize_density
 
 
@@ -28,6 +29,20 @@ def test_partition_and_batching_do_not_change_results(monkeypatch):
             assert np.array_equal(ensemble.run_ensemble(evolve, 3, 50, 4, threads), base[:50])
     empty = ensemble.run_ensemble(lambda rows: rows[:, 0].astype(np.int64), 2, 0, 4, 2)
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+@pytest.mark.parametrize("run", [pd.run_photo_ensemble, het.run_het_ensemble])
+def test_a_negative_count_or_seed_is_a_domain_error(run):
+    # numpy raised its own untyped ValueError on each: "negative dimensions
+    # are not allowed" and "expected non-negative integer"
+    rho = fock.density(fock.coherent_state(8, 0.5))
+    p = InstrumentParams.fit_steps(kappa_o=1.0, T=0.5, dt=1e-3, dim=8)
+    with pytest.raises(DomainError, match="need n_traj >= 0, got -1"):
+        run(rho, p, -1, seed=1)
+    with pytest.raises(DomainError, match="need seed >= 0, got -2"):
+        run(rho, p, 5, seed=-2)
+    with pytest.raises(DomainError, match="need seed >= 0"):
+        records.stream(-1, records.STREAM_IDS["method-c"])
 
 
 # everything the two ensembles run per batch or per trajectory

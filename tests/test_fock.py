@@ -259,6 +259,11 @@ def test_validate_density_rejects_bad_inputs():
         fock.density(np.diag([0.9, 0.3]))  # trace != 1
     with pytest.raises(DomainError):
         fock.density(np.diag([1.2, -0.2]))  # negative eigenvalue
+    with pytest.raises(DomainError, match="state norm"):
+        fock.density(np.array([1.0, 0.1]))  # a vector of norm above 1
+    for shape in ((1,), (2, 3), (2, 2, 2)):
+        with pytest.raises(InvalidDimensionError):
+            fock.density(np.full(shape, 0.5))
 
 
 def test_validators_reject_zero_and_non_finite_states():

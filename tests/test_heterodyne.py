@@ -253,6 +253,10 @@ class TestGaussianKOD:
         assert kod.is_delta
         with pytest.raises(DomainError):
             kod.density(0.1)
+        # a function that needs the density names kappa_o T, at T = 0 or kappa_o = 0
+        for T, kappa_o in ((0.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(DomainError, match="kappa_o T > 0"):
+                het.trace_identity_defect(T, kappa_o, 10)
 
 
 class TestDiffusion:
@@ -286,12 +290,18 @@ class TestDiffusion:
         with pytest.raises(ExtentError):
             het.evolve_kod_diffusion(1.0, 1.0, h=0.05, extent=3.0, sigma0_sq=1e-3)
 
-    def test_halving_check_reads_the_mesh(self):
+    def test_halving_check_reads_the_mesh(self, monkeypatch):
         # h = 0.15 puts 33 cells, 4.95, on each side of a requested extent of 5
         kod = het.evolve_kod_diffusion(LN2, 1.0, h=0.15, extent=5.0, sigma0_sq=1e-3)
         assert kod.axis()[-1] < het.MIN_EXTENT
+        # the check solves the h/2 mesh alone, at MIN_EXTENT; the KOD is the coarse one
+        solves = []
+        solve = het.evolve_kod_diffusion
+        monkeypatch.setattr(het, "evolve_kod_diffusion",
+                            lambda *args, **kw: solves.append(kw) or solve(*args, **kw))
         checks = verify.kod_checks(kod, LN2, 1.0, convergence=True)
         assert [c.name for c in checks][-1] == "kod-diffusion-h-halving"
+        assert solves == [{"h": 0.075, "extent": het.MIN_EXTENT, "sigma0_sq": 1e-3}]
 
     def test_rejects_unresolvable_horizon(self):
         with pytest.raises(ExtentError):

@@ -1,14 +1,16 @@
-"""Instrument parameter validation, and the step grid's place."""
+"""Instrument parameter validation, the horizon gate, and the step grid's place."""
 
 import ast
 import inspect
+import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
 
 import kodsim
-from kodsim import heterodyne as het, photodetector as pd, stepped
+from kodsim import fock, heterodyne as het, photodetector as pd, stepped
 from kodsim.exceptions import DomainError, InvalidDimensionError, InvalidRecordError
 from kodsim.params import InstrumentParams
 from test_cli import PRODUCTION, module_names
@@ -104,3 +106,51 @@ def test_a_record_is_checked_against_its_own_grid():
             kinds = [q.annotation for q in inspect.signature(fn, eval_str=True).parameters.values()]
             if records & set(kinds):
                 assert kinds in ([stepped.PhotoRecord], [stepped.HeterodyneRecord]), name
+
+
+LN2 = math.log(2.0)
+# NaN, -1 and inf in either argument, and both negative, whose product
+# kappa_o T is a valid positive rate
+BAD_HORIZONS = [(math.nan, 1.0), (-1.0, 1.0), (math.inf, 1.0),
+                (LN2, math.nan), (LN2, -1.0), (LN2, math.inf), (-1.0, -1.0)]
+# a valid value of every other argument a horizon function requires
+HORIZON_ARGS = {
+    "rho": fock.density(fock.coherent_state(40, 1.0)), "n": 1, "zeta": 0.5, "alpha": 0.3,
+    "dim": 40, "sub_dim": 20, "n_max": 30, "steps": 100, "h": 0.05, "extent": 5.0,
+    "sigma0_sq": 1e-3, "quad_order": 4, "edges_re": [-1.0, 0.0, 1.0],
+    "edges_im": [-1.0, 0.0, 1.0], "n_samples": 10, "rng": np.random.default_rng(0),
+}
+
+
+def horizon_functions():
+    """Every public function of both instruments that takes T and kappa_o."""
+    for module in (pd, het):
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and not name.startswith("_")
+                    and fn.__module__ == module.__name__
+                    and {"T", "kappa_o"} <= set(inspect.signature(fn).parameters)):
+                yield name, fn
+
+
+@pytest.mark.parametrize("T, kappa_o", BAD_HORIZONS)
+def test_every_horizon_function_reaches_the_gate(T, kappa_o, monkeypatch):
+    # screened_integral is the one check of a horizon: each of these used to
+    # return NaN, a negative pmf entry or a negative covariance
+    found = dict(horizon_functions())
+    assert {"born_pmf", "born_pdf", "born_moments", "kod_poisson", "evolve_kod_poisson",
+            "evolve_kod_diffusion", "kraus_class_het"} <= set(found)
+    for name, fn in found.items():
+        kwargs = {q.name: HORIZON_ARGS[q.name] for q in inspect.signature(fn).parameters.values()
+                  if q.default is q.empty and q.name not in ("T", "kappa_o")}
+        with pytest.raises(DomainError, match="need finite T >= 0 and kappa_o >= 0, got"):
+            fn(T=T, kappa_o=kappa_o, **kwargs)
+    # and both ensembles raise before they draw, given a p that carries them
+    def draw(*args):
+        raise AssertionError("drew with a bad horizon")
+
+    monkeypatch.setattr(pd, "run_ensemble", draw)
+    monkeypatch.setattr(het, "run_ensemble", draw)
+    p = types.SimpleNamespace(T=T, kappa_o=kappa_o)
+    for ensemble in (pd.run_photo_ensemble, het.run_het_ensemble):
+        with pytest.raises(DomainError, match="finite"):
+            ensemble(HORIZON_ARGS["rho"], p, 10, seed=1)

@@ -325,8 +325,11 @@ class TestBornStatistics:
         # at T = 0 both the lost populations and D_T vanish past n = 0: the
         # ratio is 0/0, not an overflow
         rho = fock.density(fock.fock_state(8, 2))
-        with pytest.raises(DomainError, match="T > 0"):
+        with pytest.raises(DomainError, match="kappa_o T > 0"):
             pd.ostensible_weights(rho, 0.0, 1.0, n_max=1)
+        # and so at kappa_o = 0, which the message used to call T
+        with pytest.raises(DomainError, match="kappa_o T > 0"):
+            pd.ostensible_weights(rho, 1.0, 0.0, n_max=1)
         # n = 0 alone is Tr(rho)
         assert np.array_equal(pd.ostensible_weights(rho, 0.0, 1.0, n_max=0), [1.0])
 

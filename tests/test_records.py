@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from kodsim import records
-from kodsim.exceptions import BinSpecError, DataError
+from kodsim.exceptions import BinSpecError, DataError, DomainError
 
 
 def test_stream_repeatable():
@@ -121,3 +121,11 @@ def test_chi_square_rejects_empty():
     hist = np.zeros(4)
     with pytest.raises(DataError):
         records.chi_square_gof(hist, np.full(4, 0.25))
+    # and a pmf over other bins, with a negative entry, or of no mass
+    hist = np.full(4, 10.0)
+    with pytest.raises(BinSpecError):
+        records.chi_square_gof(hist, np.full(3, 1.0 / 3.0))
+    with pytest.raises(DomainError, match="negative"):
+        records.chi_square_gof(hist, np.array([0.5, 0.5, 0.1, -0.1]))
+    with pytest.raises(DomainError, match="sums to zero"):
+        records.chi_square_gof(hist, np.zeros(4))
