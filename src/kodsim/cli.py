@@ -185,7 +185,7 @@ def _thresholds(gates: dict, value, where: str) -> dict:
 
 
 def _sweep(value, where: str) -> list[float]:
-    values = _FLOATS(value, where)
+    values = _list(_rate, value, where)
     if len(values) < 2 or not all(np.diff(values) > 0.0):
         raise ConfigError(f"{where} must hold two or more strictly increasing numbers")
     return values
@@ -202,15 +202,15 @@ def _groups(value, where: str) -> list[str] | None:
 
 
 _DEFECT_SWEEP = {
-    "kappa_T": (_FLOATS, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    "kappa_T": (partial(_list, _rate), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
     "dim": (_INT, verify.DIM), "sub_dim": (_INT, verify.SUB_DIM),
 }
-_CURVE = {"t_max": (_FLOAT, lambda spec: 5.0 / spec["kappa_o"]), "points": (_count, 101)}
+_CURVE = {"t_max": (_rate, lambda spec: 5.0 / spec["kappa_o"]), "points": (_count, 101)}
 SERIES = {
     "effective-mean": _CURVE,
     "effective-covariance": _CURVE,
     "beta-cooling": {
-        "kappa_T": (_FLOATS, [0.25, 0.5, verify.LN2, 1.0, 1.5, 2.0, 3.0]),
+        "kappa_T": (partial(_list, _rate), [0.25, 0.5, verify.LN2, 1.0, 1.5, 2.0, 3.0]),
         "samples": (partial(_at_least, 1), 100_000),
     },
     "projector-defect-photo": {**_DEFECT_SWEEP, "n": (_INT, 0)},

@@ -20,8 +20,9 @@ function ``<gamma|rho_T|gamma>/Sigma`` at ``gamma = zeta/sqrt(Sigma)`` of
 ``rho_T``, rho after the pure-loss channel of transmissivity Sigma(T)
 (:func:`fock.lost_state`; Cahill and Glauber's s-ordered quasiprobability).
 The Born references read it so, and the ensemble sampler draws
-``zeta = sqrt(Sigma) gamma`` directly, from three uniforms per trajectory,
-with ``gamma`` from the Husimi function ``<gamma|rho_T|gamma>/pi``.
+``zeta = sqrt(Sigma) gamma`` directly, from one row of ``dim + 2`` uniforms
+per trajectory, with ``gamma`` from the Husimi function
+``<gamma|rho_T|gamma>/pi``.
 Both read a state as its checked density matrix ``rho`` (:func:`fock.density`).
 """
 
@@ -53,7 +54,7 @@ from .fock import (
     subblock_norm_diff,
 )
 from .params import InstrumentParams, screened_integral
-from .special import gamma_quantile, log_factorial, xlogy
+from .special import log_factorial, xlogy
 
 RESOLVE_SCALE = 1.5  # see evolve_kod_diffusion
 MIN_EXTENT = 5.0  # smallest extent evolve_kod_diffusion accepts
@@ -347,18 +348,24 @@ def sample_het_ostensible(
 
 def _husimi_circles(rho: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The squared radius ``|gamma|^2`` and the phase series ``c`` (one row of
-    d per row) of a Husimi draw, from the first two of its uniforms.
+    d per row) of a Husimi draw, from every column but the phase's (1).
 
     The phase average leaves ``|gamma|^2`` the mixture
-    ``sum_n rho_nn Gamma(n+1)``: ``uniforms[:, 0]`` picks n from ``diag rho``
-    and ``uniforms[:, 1]`` inverts Gamma(n+1).  Given the radius r, the phase
+    ``sum_n rho_nn Gamma(n+1)``: ``uniforms[:, 0]`` picks n from ``diag rho``,
+    and Gamma(n+1) is the (n+1)-th arrival of a unit-rate Poisson process,
+    the in-order sum of the exponentials ``-ln(1 - u)`` of ``uniforms[:, 2 :
+    n + 3]`` (Devroye, Non-Uniform Random Variate Generation, 1986, IX.3).
+    Given the radius r, the phase
     density is ``f / (2 pi c_0)`` with ``f(theta) = c_0 + 2 Re sum_k c_k
     e^{ik theta}``, ``c_k = sum_m rho[m, m+k] x_m x_{m+k}`` and
     ``x_m = r^m e^{-r^2/2}/sqrt(m!)`` formed in log space.
     """
     dim = rho.shape[0]
     n = draw_levels(np.diagonal(rho).real, uniforms[:, 0])
-    radius_sq = gamma_quantile(n, uniforms[:, 1])
+    # a row's sum to column n reads no column past it, so columns past the
+    # batch's top level are skipped
+    arrivals = np.cumsum(-np.log1p(-uniforms[:, 2 : np.max(n, initial=0) + 3]), axis=1)
+    radius_sq = arrivals[np.arange(n.size), n]
     m = np.arange(dim)
     r2 = radius_sq[:, None]
     x = np.exp(0.5 * (xlogy(m, r2) - r2 - log_factorial(m)))
@@ -459,15 +466,16 @@ def _husimi_phase(c: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def _husimi_amplitudes(rho: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Amplitudes ``gamma`` from the Husimi function ``<gamma|rho|gamma>/pi``,
-    one per row of the ``(n, 3)`` uniforms, each by inverse CDF: the radius
-    from the first two (:func:`_husimi_circles`), the phase from the third
-    by a bracket and safeguarded Newton steps (:func:`_husimi_phase`).
+    one per row of the ``(n, d + 2)`` uniforms: the level and the radius
+    from columns 0 and 2 onward (:func:`_husimi_circles`), the phase by
+    inverse CDF of column 1, by a bracket and safeguarded Newton steps
+    (:func:`_husimi_phase`).
 
     A phase whose backward error exceeds :data:`PHASE_TOL` raises
     NumericError rather than bias the draw.  Every operation is row-wise.
     """
     radius_sq, c = _husimi_circles(rho, uniforms)
-    theta, error = _husimi_phase(c, uniforms[:, 2])
+    theta, error = _husimi_phase(c, uniforms[:, 1])
     if not np.all(error <= PHASE_TOL):
         bad = int(np.argmin(error <= PHASE_TOL))
         raise NumericError(
@@ -487,8 +495,8 @@ def run_het_ensemble(
     ``p.kappa_o`` are read: the reduced record has no steps."""
     sigma = screened_integral(p.T, p.kappa_o)
     lost = lost_state(rho, sigma)
-    return run_ensemble(lambda u: math.sqrt(sigma) * _husimi_amplitudes(lost, u), 3,
-                        n_traj, seed, n_threads)
+    return run_ensemble(lambda u: math.sqrt(sigma) * _husimi_amplitudes(lost, u),
+                        2 + rho.shape[0], n_traj, seed, n_threads)
 
 
 @dataclass(frozen=True)

@@ -321,6 +321,31 @@ class TestPlotSeries:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "series.kappa_o" in err
 
+    @pytest.mark.parametrize("value", [0, -1, "nan", "inf"])
+    @pytest.mark.parametrize(
+        "kind, cfg, key",
+        [
+            *(("verify-identities", lambda v, name=name: {"checks": ["trace"], "series": [
+                {"name": name, "t_max": v}]}, "series.t_max")
+              for name in ("effective-mean", "effective-covariance")),
+            ("verify-identities", lambda v: {"checks": ["trace"], "series": [
+                {"name": "beta-cooling", "kappa_T": [1.0, v]}]}, "series.kappa_T[1]"),
+            *(("verify-identities", lambda v, name=name: {"checks": ["trace"], "series": [
+                {"name": name, "kappa_T": [v, 2.0]}]}, "series.kappa_T[0]")
+              for name in ("projector-defect-photo", "projector-defect-het")),
+            ("povm-convergence", lambda v: {"kappa_T_values": [v, 2.0]}, "kappa_T_values[0]"),
+        ],
+        ids=["effective-mean", "effective-covariance", "beta-cooling", "projector-defect-photo",
+             "projector-defect-het", "povm-convergence"],
+    )
+    def test_non_positive_series_horizon_exits_two(self, tmp_path, capsys, kind, cfg, key,
+                                                   value):
+        # each horizon is a rate, refused by its key before the run
+        assert run_main(tmp_path, kind, cfg(value)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a positive finite number, got {float(value)}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestMain:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
@@ -449,7 +474,7 @@ def test_output_layout_pinned(tmp_path, monkeypatch, kind, cfg_dict, tables, che
     assert [c["name"] for c in data["checks"]] == check_names
     # the stream scheme is the one id of every drawn record, phase solver included
     assert sorted(data["provenance"]) == ["config_hash", "seed", "stream_scheme", "version"]
-    assert data["provenance"]["stream_scheme"] == "one-stream/3"
+    assert data["provenance"]["stream_scheme"] == "one-stream/4"
 
 
 def table_rows(columns):

@@ -47,7 +47,8 @@ def test_a_negative_count_or_seed_is_a_domain_error(run):
 
 # everything the two ensembles run per batch or per trajectory
 KERNELS = (ensemble.run_ensemble, ensemble.draw_levels, pd.run_photo_ensemble,
-           het._husimi_amplitudes, het.run_het_ensemble)
+           het._husimi_circles, het._phase_cdf, het._husimi_phase, het._husimi_amplitudes,
+           het.run_het_ensemble)
 # products that reduce across rows, through BLAS or a contraction that may call it
 CROSS_ROW = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "einsum_path"}
 

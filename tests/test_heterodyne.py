@@ -9,6 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -81,12 +82,13 @@ PHASE_STATES = {
 
 
 def husimi_by_hand(rho, u):
-    """gamma from three uniforms: the level by inverse CDF of diag rho, the
-    squared radius as the Gamma(n+1) quantile, and the phase by a root of
-    the quadrature CDF of <gamma|rho|gamma> on that circle."""
+    """gamma from a row of dim + 2 uniforms: the level by inverse CDF of
+    diag rho, the squared radius as the sum of the n + 1 exponentials
+    -ln(1 - u) from column 2 on, and the phase by a root of the quadrature
+    CDF of <gamma|rho|gamma> on that circle at column 1."""
     pops = np.real(np.diag(rho))
     n = int(np.argmax(np.cumsum(pops) > u[0] * pops.sum()))
-    r = math.sqrt(scipy.special.gammaincinv(n + 1, u[1]))
+    r = math.sqrt(math.fsum(-math.log1p(-x) for x in u[2 : n + 3]))
 
     def on_circle(theta):
         v = fock.coherent_state(rho.shape[0], r * np.exp(1j * theta))
@@ -97,7 +99,7 @@ def husimi_by_hand(rho, u):
                                     limit=200)[0]
 
     total = cdf(2.0 * np.pi)
-    theta = scipy.optimize.brentq(lambda t: cdf(t) / total - u[2], 0.0, 2.0 * np.pi,
+    theta = scipy.optimize.brentq(lambda t: cdf(t) / total - u[1], 0.0, 2.0 * np.pi,
                                   xtol=1e-13)
     return r * np.exp(1j * theta)
 
@@ -580,7 +582,7 @@ class TestSamplers:
         ids=["coherent", "fock3", "coherent-fock-mixture", "random-mixed"],
     )
     def test_each_amplitude_is_its_own_husimi_draw(self, state):
-        # trajectory i reads the three uniforms of row i of the run's
+        # trajectory i reads the dim + 2 uniforms of row i of the run's
         # uniforms: sqrt(Sigma(T)) times gamma drawn by hand from the Husimi
         # function of the lost state, summed densely over the loss channel's
         # Kraus operators
@@ -588,7 +590,7 @@ class TestSamplers:
         sigma = screened_integral(LN2, 1.0)
         lost = dense_lost_state(fock.density(state), sigma)
         zetas = het.run_het_ensemble(fock.density(state), p, 6, seed=8)
-        rows = records.stream(8, records.STREAM_IDS["trajectories"]).random((6, 3))
+        rows = records.stream(8, records.STREAM_IDS["trajectories"]).random((6, 18))
         for i, (z, u) in enumerate(zip(zetas, rows)):
             assert abs(z - math.sqrt(sigma) * husimi_by_hand(lost, u)) < 1e-9, i
 
@@ -597,11 +599,12 @@ class TestSamplers:
         ids=["fock5", "coherent", "random-mixed"],
     )
     def test_extreme_uniforms_give_finite_amplitudes(self, state, monkeypatch):
-        # the run's own draw at the corners of [0, 1)^3: no uniform maps to
-        # an infinite amplitude, and a radius uniform of 0 gives the origin
+        # the run's own draw at corners of [0, 1)^18 (level, phase, then the
+        # radius's exponentials): no uniform maps to an infinite amplitude,
+        # and radius uniforms of 0 give the origin
         top = 1.0 - 2.0**-53
-        rows = np.array([[0.0] * 3, [top] * 3, [0.5, 0.5, top], [0.5, 0.5, 0.0],
-                         [top, top, 0.0]])
+        rows = np.array([[0.0] * 18, [top] * 18, [0.5, top] + [0.5] * 16,
+                         [0.5, 0.0] + [0.5] * 16, [top, 0.0] + [top] * 16])
 
         class Rows:
             def random(self, shape):
@@ -618,56 +621,80 @@ class TestSamplers:
         ids=["fock5", "coherent", "mixture"],
     )
     def test_zero_radius_uniform_gives_the_origin(self, state):
-        # a Gamma quantile at a uniform of exactly 0 is r = 0, where the
+        # a sum of exponentials at uniforms of exactly 0 is r = 0, where the
         # phase is immaterial even when no phase density exists (Fock 5)
-        uniforms = np.array([[0.3, 0.0, 0.7], [0.0, 0.0, 0.0], [0.9, 0.0, 1.0 - 2.0**-53]])
+        uniforms = np.array([[0.3, 0.7] + [0.0] * 16, [0.0] * 18,
+                             [0.9, 1.0 - 2.0**-53] + [0.0] * 16])
         gamma = het._husimi_amplitudes(fock.density(state), uniforms)
         assert np.array_equal(gamma, np.zeros(3, dtype=complex))
+
+    @pytest.mark.parametrize("n", [0, 3, 39])
+    def test_radius_of_a_fock_state_follows_gamma(self, n):
+        # |gamma|^2 of |n><n| is Gamma(n+1), drawn as the sum of n + 1
+        # exponentials; at n = 0 that sum is Gamma(1)'s quantile, bit for bit
+        u = records.stream(23, 0).random((10**4, 42))
+        radius_sq, _ = het._husimi_circles(fock.projector(40, n), u)
+        assert scipy.stats.kstest(radius_sq, scipy.stats.gamma(n + 1).cdf).pvalue >= 1e-3
+        if n == 0:
+            assert np.array_equal(radius_sq, -np.log1p(-u[:, 2]))
 
     def test_vanishing_husimi_circle_raises(self):
         # fock.density refuses the zero matrix, so it enters unchecked
         p = params(kappa_T=LN2, dim=4)
         zero = np.zeros((4, 4), dtype=complex)
         with pytest.raises(NumericError):
-            het._husimi_amplitudes(zero, np.full((2, 3), 0.5))
+            het._husimi_amplitudes(zero, np.full((2, 6), 0.5))
         with pytest.raises(NumericError):
             het.run_het_ensemble(zero, p, 3, seed=1)
+        # a row of 1 - 2^-53 draws the even cat's top level 38 and sums to
+        # |gamma|^2 = 39 ln 2^53 = 1433, where its Husimi function is below
+        # the double range: 39 exponentials of chance 2^-2067, refused
+        # rather than drawn
+        cat = fock.density(PHASE_STATES["even-cat-3"])
+        with pytest.raises(NumericError, match="vanishes on a drawn circle"):
+            het._husimi_amplitudes(cat, np.full((1, 42), 1.0 - 2.0**-53))
 
     @pytest.mark.parametrize("state", PHASE_STATES.values(), ids=PHASE_STATES)
     def test_phase_meets_its_backward_error_and_the_bisection_oracle(self, state):
         rho = fock.density(state)
-        u = records.stream(23, 0).random((10**4, 3))
+        u = records.stream(23, 0).random((10**4, rho.shape[0] + 2))
         radius_sq, c = het._husimi_circles(rho, u)
-        theta, error = het._husimi_phase(c, u[:, 2])
+        # a row's radius does not depend on the levels its batchmates draw
+        alone = [het._husimi_circles(rho, u[i : i + 1])[0][0] for i in range(0, 10**4, 997)]
+        assert np.array_equal(alone, radius_sq[::997])
+        theta, error = het._husimi_phase(c, u[:, 1])
         assert np.all((0.0 <= theta) & (theta <= 2.0 * np.pi))
-        assert np.max(np.abs(phase_cdf_by_sum(c, theta) - u[:, 2])) <= 1e-14
+        assert np.max(np.abs(phase_cdf_by_sum(c, theta) - u[:, 1])) <= 1e-14
         assert np.max(error) <= 1e-14
-        oracle = np.sqrt(radius_sq) * np.exp(1j * bisect_phase(c, u[:, 2]))
+        oracle = np.sqrt(radius_sq) * np.exp(1j * bisect_phase(c, u[:, 1]))
         assert np.max(np.abs(het._husimi_amplitudes(rho, u) - oracle)) <= 1e-11
 
     @pytest.mark.parametrize("state", PHASE_STATES.values(), ids=PHASE_STATES)
     def test_edge_rows_give_finite_amplitudes(self, state):
-        # u_3 at both ends of [0, 1), radius 0, and circles through or near
-        # the cat's Husimi nodes at gamma = +-i pi/6, where the phase density
-        # vanishes at theta = pi/2 and 3 pi/2 and its CDF reads 1/4 and 3/4
+        # the phase uniform at both ends of [0, 1), radius 0, and circles
+        # through or near the cat's Husimi nodes at gamma = +-i pi/6, where
+        # the phase density vanishes at theta = pi/2 and 3 pi/2 and its CDF
+        # reads 1/4 and 3/4.  Each row's radius uniform u_r sits in column 2
+        # with zeros after it, so |gamma|^2 = -ln(1 - u_r) at every level
         top = 1.0 - 2.0**-53
         node = math.pi / 6.0
-        rows = [[u0, u1, u3] for u0 in (0.0, 0.5, top) for u1 in (0.0, 0.5, top)
-                for u3 in (0.0, 0.5, top)]
-        rows += [[0.0, -math.expm1(-((node + dr) ** 2)), centre + du]
+        dim = state.shape[0]
+        rows = [[u0, u_phase, u_r] + [0.0] * (dim - 1) for u0 in (0.0, 0.5, top)
+                for u_r in (0.0, 0.5, top) for u_phase in (0.0, 0.5, top)]
+        rows += [[0.0, centre + du, -math.expm1(-((node + dr) ** 2))] + [0.0] * (dim - 1)
                  for dr in (0.0, 1e-12, -1e-9, 1e-6, -1e-4, 1e-2)
                  for centre in (0.25, 0.75) for du in (0.0, 1e-14, -1e-10, 1e-7, -1e-4, 1e-2)]
         rows = np.array(rows)
         rho = fock.density(state)
         radius_sq, c = het._husimi_circles(rho, rows)
-        theta, error = het._husimi_phase(c, rows[:, 2])
+        theta, error = het._husimi_phase(c, rows[:, 1])
         assert np.all((0.0 <= theta) & (theta <= 2.0 * np.pi))
         assert np.all(error <= het.PHASE_TOL)
         gamma = het._husimi_amplitudes(rho, rows)
         assert np.all(np.isfinite(gamma))
         assert np.all(gamma[radius_sq == 0.0] == 0.0)
         if state is PHASE_STATES["even-cat-3"]:
-            on_node = (np.abs(radius_sq - node**2) < 1e-14) & (rows[:, 2] == 0.25)
+            on_node = (np.abs(radius_sq - node**2) < 1e-14) & (rows[:, 1] == 0.25)
             assert np.any(on_node)
             density = 1.0 + 2.0 * np.sum(c[on_node, 1:] / c[on_node, :1].real
                                          * 1j ** np.arange(1, c.shape[1]), axis=1).real
@@ -677,7 +704,7 @@ class TestSamplers:
         # without Newton steps the chord across the bracket misses the
         # backward-error bound, which raises rather than bias the phase
         rho = fock.density(fock.coherent_state(40, 1.0))
-        u = records.stream(23, 0).random((200, 3))
+        u = records.stream(23, 0).random((200, 42))
         monkeypatch.setattr(het, "PHASE_NEWTON_STEPS", 0)
         with pytest.raises(NumericError, match=r"circle of radius \d"):
             het._husimi_amplitudes(rho, u)

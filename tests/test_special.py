@@ -1,7 +1,6 @@
 """kodsim.special against scipy.special over the domain a run reaches:
-log-factorials below 640 (log_lowering at dim 320), xlogy, the chi-square
-survival function at df 1..200, and the Gamma(n+1) inverse CDF for
-n + 1 <= 320."""
+log-factorials below 640 (log_lowering at dim 320), xlogy and the
+chi-square survival function at df 1..200."""
 
 import numpy as np
 import pytest
@@ -9,10 +8,7 @@ import scipy.special
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kodsim import special
-from kodsim.exceptions import DomainError, NumericError
-
-TINY = 2.0**-53  # the smallest nonzero uniform numpy's random() draws
-TOP = 1.0 - 2.0**-53  # the largest
+from kodsim.exceptions import DomainError
 
 
 def test_log_factorial_below_640():
@@ -59,47 +55,3 @@ def test_chi2_sf_every_df():
     with pytest.raises(DomainError):
         special.chi2_sf(0, 1.0)
 
-
-def test_gamma_quantile_against_scipy():
-    # n + 1 <= 320, the shapes a dim-320 Husimi draw reaches; the error is
-    # roundoff in ln f = n ln r - r - ln n!, about 1e-13 relative at n = 319
-    rng = np.random.default_rng(28)
-    n = np.repeat(np.arange(320), 24)
-    u = rng.random(n.size)
-    u[0::24], u[1::24], u[2::24], u[3::24] = 0.0, TINY, 0.5, TOP
-    u[4::24], u[5::24] = 0.125, np.nextafter(0.125, 0.0)  # either side of the tail switch
-    got = special.gamma_quantile(n, u)
-    assert np.all(got[0::24] == 0.0)
-    assert np.all(np.isfinite(got))
-    want = scipy.special.gammaincinv(n + 1.0, u)
-    assert_allclose(got, want, rtol=2e-13, atol=0.0)
-    small = n < 10
-    assert_allclose(got[small], want[small], rtol=1e-14, atol=0.0)
-
-
-def test_gamma_quantile_is_row_wise():
-    # a radius never depends on its batchmates: each row stops on its own test
-    rng = np.random.default_rng(7)
-    n = np.concatenate([rng.integers(0, 6, 1500), rng.integers(0, 320, 1500)])
-    u = rng.random(n.size)
-    u[:4] = [0.0, TINY, 0.5, TOP]
-    batch = special.gamma_quantile(n, u)
-    for i in [*range(4), *rng.choice(n.size, 40, replace=False)]:
-        alone = special.gamma_quantile(n[i : i + 1], u[i : i + 1])
-        assert alone[0] == batch[i], (n[i], u[i])
-    assert special.gamma_quantile(3, 0.5).shape == ()
-    assert special.gamma_quantile(3, 0.5) == special.gamma_quantile([3], [0.5])[0]
-
-
-def test_gamma_quantile_checks_its_backward_error(monkeypatch):
-    # with no Halley step left, the Wilson-Hilferty start is returned only
-    # if it happens to pass; it does not
-    monkeypatch.setattr(special, "GAMMA_STEPS", 0)
-    with pytest.raises(NumericError, match="backward error"):
-        special.gamma_quantile(np.arange(1, 6), np.full(5, 0.3))
-
-
-@pytest.mark.parametrize("n, u", [(-1, 0.5), (2, 1.0), (2, -0.1), (2, np.nan)])
-def test_gamma_quantile_domain(n, u):
-    with pytest.raises(DomainError):
-        special.gamma_quantile([n], [u])
