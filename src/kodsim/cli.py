@@ -363,15 +363,17 @@ def _quoted(text: str | None) -> str:
     return text
 
 
-def _texts(values) -> list[str]:
+def _texts(values, memo: dict) -> list[str]:
     """One chunk of a column as its cells' text.
 
     A number is Python's ``repr`` of it (a float's shortest round-trip form,
-    a bool as 0 or 1), made once per distinct bit pattern in the chunk, so
-    ``-0.0`` and ``0.0`` stay apart.  The distinct values are found with a
-    dict, not ``np.unique``: numpy's sort code would add its pages to the
-    resident set of a run that sorts nothing else.  A string or ``None``
-    cell is :func:`_quoted`.
+    a bool as 0 or 1), keyed by bit pattern, so ``-0.0`` and ``0.0`` stay
+    apart.  ``memo`` is the column's, kept across its chunks (which share one
+    dtype): it maps bit patterns to their texts, so a value is formatted
+    once in the whole column however far apart its cells lie.  The chunk's
+    distinct values are found with a dict, not ``np.unique``: numpy's sort
+    code would add its pages to the resident set of a run that sorts nothing
+    else.  A string or ``None`` cell is :func:`_quoted`.
     """
     if isinstance(values, range):
         return list(map(str, values))
@@ -383,9 +385,10 @@ def _texts(values) -> list[str]:
     else:
         values = bits = values.astype(np.int64) if values.dtype == bool else values
     keys = bits.tolist()
-    distinct = list(dict.fromkeys(keys))
-    texts = repr(np.array(distinct, bits.dtype).view(values.dtype).tolist())[1:-1].split(", ")
-    return list(map(dict(zip(distinct, texts)).__getitem__, keys))
+    fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+    texts = repr(np.array(fresh, bits.dtype).view(values.dtype).tolist())[1:-1].split(", ")
+    memo.update(zip(fresh, texts))
+    return list(map(memo.__getitem__, keys))
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
@@ -396,10 +399,12 @@ def write_csv(path: str, header: list[str], columns) -> None:
     to their values, for index and axis columns built per chunk; the
     sequences set the row count.  The bytes are those ``csv.writer`` with
     ``lineterminator="\\n"`` writes for the cells' texts (:func:`_texts`),
-    in a table of two or more columns.
+    in a table of two or more columns.  Each column formats a distinct bit
+    pattern once in the whole table; its memo lives as long as the call.
     """
     n_rows = len(next(c for c in columns if not callable(c)))
     width = 2 * len(columns)
+    memos = [{} for _ in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(map(_quoted, header)) + "\n")
         for start in range(0, n_rows, CHUNK):
@@ -409,7 +414,7 @@ def write_csv(path: str, header: list[str], columns) -> None:
             flat = [","] * (width * (stop - start))
             flat[width - 1::width] = ["\n"] * (stop - start)
             for j, c in enumerate(columns):
-                flat[2 * j::width] = _texts(c(rows) if callable(c) else c[start:stop])
+                flat[2 * j::width] = _texts(c(rows) if callable(c) else c[start:stop], memos[j])
             fh.write("".join(flat))
 
 

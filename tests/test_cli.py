@@ -483,12 +483,14 @@ def table_rows(columns):
     return zip(*(c(np.arange(n_rows)) if callable(c) else c for c in columns))
 
 
-# every layout, plus a table of 2 chunks and one row and runs with no
-# trajectory (empty cells)
+# every layout, plus a table of 2 chunks and one row, runs with no
+# trajectory (empty cells), and the default Gaussian grid (40,401 rows in 40
+# chunks, whose repeated values lie chunks apart)
 WRITER_CASES = [(kind, cfg_dict) for kind, cfg_dict, _, _ in OUTPUT_LAYOUTS] + [
     ("photodetect-ensemble", dict(SMALL_PHOTO, trajectories=2 * cli.CHUNK + 1)),
     ("photodetect-ensemble", dict(SMALL_PHOTO, trajectories=0)),
     ("heterodyne-ensemble", {"trajectories": 0, "params": {"dim": 12}, "bins": 3}),
+    ("evolve-kod", {"kod": "gaussian"}),
 ]
 
 
@@ -538,13 +540,16 @@ def test_write_csv_quotes_strings_as_csv_writer(tmp_path):
 
 
 def test_write_csv_edge_values_write_the_row_oracle_bytes(tmp_path):
-    # values a per-chunk dedupe could merge or split wrongly, over three
-    # chunks, with axis columns whose chunks split a grid row
-    n, side = 2 * cli.CHUNK + 1, 7
+    # values a dedupe could merge or split wrongly, over three chunks, with
+    # axis columns whose chunks split a grid row; -0.0 and the second NaN
+    # payload first appear in the last chunk, after 0.0 and the first
+    # payload have their texts in the column's memo
+    n, side = 2 * cli.CHUNK + 3, 7
     nans = np.array([0x7FF8000000000001, -0x0008000000000002], dtype=np.int64).view(float)
-    special = np.array([-0.0, 0.0, *nans, np.inf, -np.inf, 5e-324, 1e16, 0.1])
+    special = np.array([0.0, nans[0], np.inf, -np.inf, 5e-324, 1e16, 0.1])
     floats = np.resize(special, n)
     floats[cli.CHUNK - 1 : cli.CHUNK + 1] = 1.0 / 3.0  # across a chunk boundary
+    floats[-3:] = [-0.0, nans[1], 0.0]
     ints = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]), n)
     re_ax, im_ax = np.linspace(-1.0, 1.0, -(-n // side)), np.linspace(-1.0, 1.0, side)
     columns = [
@@ -557,9 +562,45 @@ def test_write_csv_edge_values_write_the_row_oracle_bytes(tmp_path):
     full = [(c(np.arange(n)) if callable(c) else c).tolist() for c in columns]
     write_csv_rows(str(tmp_path / "rows.csv"), header, zip(*full))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert read_csv(tmp_path / "columns.csv")[1][-3][2] == "-0.0"
     # the columns' own numpy elements, np.bool_ among them, give the same rows
     write_csv_rows(str(tmp_path / "elements.csv"), header, table_rows(columns))
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "elements.csv").read_bytes()
+
+
+def _bit_keys(values):
+    """``(kind, bit pattern)`` of each value, the float64 bits of a float."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return [("f", key) for key in values.astype(np.float64).view(np.int64).tolist()]
+    return [("i", key) for key in values.astype(np.int64).tolist()]
+
+
+def test_write_csv_formats_each_distinct_value_once_per_column(tmp_path, monkeypatch):
+    # repeats that lie chunks apart, as in a symmetric grid, are formatted
+    # once in the whole column, and each column keeps its own memo
+    n = 4 * cli.CHUNK + 5
+    grid = np.linspace(-1.0, 1.0, 71)
+    columns = [
+        (grid[:, None] * grid[None, :]).ravel()[:n], np.arange(n)[::-1] % 97,
+        np.resize(np.array([0.0, -0.0, 0.5, 0.25], dtype=np.float32), n),
+        np.arange(n) % 5 == 0, lambda k: grid[k // 71], np.full(n, None),
+    ]
+    handed = []
+
+    def counting_repr(obj):
+        handed.extend(_bit_keys(obj))
+        return repr(obj)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    cli.write_csv(str(tmp_path / "t.csv"), list("abcdef"), columns)
+    monkeypatch.undo()
+    expected = []
+    for c in columns[:5]:
+        expected += dict.fromkeys(_bit_keys(c(np.arange(n)) if callable(c) else c))
+    assert sorted(handed) == sorted(expected)
+    write_csv_rows(str(tmp_path / "rows.csv"), list("abcdef"), table_rows(columns))
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # sizes at which 20 trajectories leave the chi-square test two bins

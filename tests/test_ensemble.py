@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,29 @@ def test_partition_and_batching_do_not_change_results(monkeypatch):
             assert np.array_equal(ensemble.run_ensemble(evolve, 3, 50, 4, threads), base[:50])
     empty = ensemble.run_ensemble(lambda rows: rows[:, 0].astype(np.int64), 2, 0, 4, 2)
     assert empty.shape == (0,) and empty.dtype == np.int64
+
+
+def test_batch_by_batch_draws_are_one_draw():
+    # each slice's rows drawn in turn are the rows of one draw, bit for bit
+    n_traj, k = 2 * ensemble.BATCH + 3, 5
+    rows = records.stream(9, records.STREAM_IDS["trajectories"]).random((n_traj, k))
+    for threads in (1, 2, 3):
+        drawn = ensemble.run_ensemble(lambda u: u.copy(), k, n_traj, 9, threads)
+        assert np.array_equal(drawn.view(np.int64), rows.view(np.int64)), threads
+
+
+def test_a_run_holds_the_uniforms_of_the_slices_in_flight_only():
+    n_traj, k, threads = 10 * ensemble.BATCH, 42, 2
+    slice_bytes = ensemble.BATCH * k * 8
+    tracemalloc.start()
+    try:
+        ensemble.run_ensemble(lambda u: u[:, 0].copy(), k, n_traj, 9, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the slices in flight and the one being drawn, plus the results and their
+    # concatenation; the whole uniform array alone is 10 slices
+    assert peak < (threads + 1) * slice_bytes + 2 * n_traj * 8, peak
 
 
 @pytest.mark.parametrize("run", [pd.run_photo_ensemble, het.run_het_ensemble])
