@@ -91,8 +91,6 @@ def _flag(value, where: str) -> bool:
 _FLOAT = partial(_cast, float, "a number")
 _INT = partial(_cast, int, "an integer")
 _STR = partial(_cast, str, "a string")
-_FLOATS = partial(_list, _FLOAT)
-_INTS = partial(_list, _INT)
 
 
 def _raw(value, where: str):
@@ -205,7 +203,9 @@ _DEFECT_SWEEP = {
     "kappa_T": (partial(_list, _rate), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
     "dim": (_INT, verify.DIM), "sub_dim": (_INT, verify.SUB_DIM),
 }
-_CURVE = {"t_max": (_rate, lambda spec: 5.0 / spec["kappa_o"]), "points": (_count, 101)}
+# kappa_o is a curve's time unit; the other series sweep kappa_o T alone
+_CURVE = {"kappa_o": (_rate, 1.0), "t_max": (_rate, lambda spec: 5.0 / spec["kappa_o"]),
+          "points": (_count, 101)}
 SERIES = {
     "effective-mean": _CURVE,
     "effective-covariance": _CURVE,
@@ -213,23 +213,15 @@ SERIES = {
         "kappa_T": (partial(_list, _rate), [0.25, 0.5, verify.LN2, 1.0, 1.5, 2.0, 3.0]),
         "samples": (partial(_at_least, 1), 100_000),
     },
-    "projector-defect-photo": {**_DEFECT_SWEEP, "n": (_INT, 0)},
+    "projector-defect-photo": {**_DEFECT_SWEEP, "n": (_count, 0)},
     "projector-defect-het": {**_DEFECT_SWEEP, "zeta": (_as_complex, 0.5)},
 }
 
 
 def _series(value, where: str) -> tuple[dict, ...]:
     """Each plot series spec resolved against the schema of its name."""
-    out = []
-    for spec in _list(_raw, value, where):
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise ConfigError(f"each {where} spec needs a 'name'")
-        name = spec["name"]
-        if not isinstance(name, str) or name not in SERIES:
-            raise ConfigError(f"unknown series {name!r}")
-        schema = {"name": (_raw, name), "kappa_o": (_rate, 1.0), **SERIES[name]}
-        out.append(_resolve(spec, schema, where))
-    return tuple(out)
+    return tuple(_resolve(spec, {"name": (SERIES, None)}, where)
+                 for spec in _list(_raw, value, where))
 
 
 _COMMON = {"seed": (_count, DEFAULT_SEED), "series": (_raw, [])}
@@ -268,11 +260,11 @@ SCHEMAS = {
     },
     "verify-identities": {"checks": (_groups, None)},
     "povm-convergence": {
-        "params": {"kappa_o": (_rate, 1.0), "dim": (_INT, verify.DIM)},
+        "params": {"dim": (_INT, verify.DIM)},
         "sub_dim": (_INT, verify.SUB_DIM),
         "kappa_T_values": (_sweep, verify.PROJECTOR_KAPPA_TS),
-        "photo_ns": (_INTS, verify.PROJECTOR_NS),
-        "het_zetas": (_FLOATS, verify.PROJECTOR_ZETAS),
+        "photo_ns": (partial(_list, _count), verify.PROJECTOR_NS),
+        "het_zetas": (partial(_list, _FLOAT), verify.PROJECTOR_ZETAS),
     },
 }
 KINDS = tuple(SCHEMAS)
@@ -555,18 +547,16 @@ def run_evolve_kod(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], 
 
 def run_povm_convergence(cfg: ExperimentConfig, n_threads: int) -> tuple[list[Check], list]:
     r = cfg.resolved
-    base = r["params"]
+    size = {"dim": r["params"]["dim"], "sub_dim": r["sub_dim"]}
     checks, columns = verify.projector_sweep(
-        r["photo_ns"], r["het_zetas"], r["kappa_T_values"], base["kappa_o"], base["dim"],
-        r["sub_dim"],
-    )
+        r["photo_ns"], r["het_zetas"], r["kappa_T_values"], **size)
     tables = [("defects", ["instrument", "label", "kappa_T", "defect"], columns)]
     if not cfg.series:
-        # each swept n and zeta at the run's truncation, on the series' own
-        # default kappa_T grid
-        size = {"dim": base["dim"], "sub_dim": r["sub_dim"]}
-        specs = [{"name": "projector-defect-photo", "n": n, **size} for n in r["photo_ns"]] + [
-            {"name": "projector-defect-het", "zeta": z, **size} for z in r["het_zetas"]
+        # each distinct n and |zeta| (the defect reads |zeta| alone) at the run's
+        # truncation, on the series' own default kappa_T grid
+        ns, zetas = dict.fromkeys(r["photo_ns"]), {abs(z): z for z in r["het_zetas"]}.values()
+        specs = [{"name": "projector-defect-photo", "n": n, **size} for n in ns] + [
+            {"name": "projector-defect-het", "zeta": z, **size} for z in zetas
         ]
         tables += [series_table(spec, r["seed"]) for spec in _series(specs, "series")]
     return checks, tables
@@ -587,14 +577,15 @@ RUNNERS = {
 
 def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
     """File stem, header and columns of one resolved plot series."""
-    name, kappa_o = spec["name"], spec["kappa_o"]
+    name = spec["name"]
     if name in ("effective-mean", "effective-covariance"):
         t = np.linspace(0.0, spec["t_max"], spec["points"])
-        return name, ["t", "value"], [t, np.array([screened_integral(x, kappa_o) for x in t])]
+        value = [screened_integral(x, spec["kappa_o"]) for x in t]
+        return name, ["t", "value"], [t, np.array(value)]
     kappa_T = np.array(spec["kappa_T"], dtype=float)
     if name == "beta-cooling":
         vals = [
-            het.covariance_cooling(kt / kappa_o, kappa_o, spec["samples"],
+            het.covariance_cooling(kt, 1.0, spec["samples"],
                                    stream(seed, (STREAM_IDS["beta-cooling"], i)))[1]
             for i, kt in enumerate(spec["kappa_T"])
         ]
@@ -603,9 +594,8 @@ def series_table(spec: dict, seed: int) -> tuple[str, list[str], list]:
         instrument, at, tag = "photodetector", spec["n"], f"n{spec['n']}"
     else:
         instrument, at, tag = "heterodyne", spec["zeta"], f"zeta{abs(spec['zeta']):g}"
-    defects = verify.projector_defects(
-        instrument, at, spec["kappa_T"], kappa_o, spec["dim"], spec["sub_dim"]
-    )
+    defects = verify.projector_defects(instrument, at, spec["kappa_T"], spec["dim"],
+                                       spec["sub_dim"])
     return f"{name}-{tag}", ["kappa_T", "defect"], [kappa_T, np.array(defects, dtype=float)]
 
 
@@ -613,8 +603,8 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     """Execute one experiment, then write all its files into ``out_dir``.
 
     The plot series and the kind's runner compute everything first, so a
-    run that raises writes nothing; so does one on fewer than one thread,
-    whatever its kind.
+    run that raises writes nothing; so do one on fewer than one thread,
+    whatever its kind, and one with two tables for one file.
     """
     if n_threads < 1:
         raise DomainError(f"need n_threads >= 1, got {n_threads}")
@@ -624,8 +614,6 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
     report = VerificationReport(
         checks=tuple(checks), seed=r["seed"], version=__version__, config_hash=cfg.config_hash()
     )
-    os.makedirs(out_dir, exist_ok=True)
-    write_report(out_dir, report)
     checks_table = ("checks", ["name", "measured", "threshold", "comparison", "passed"], [
         [c.name for c in checks],
         np.array([c.measured for c in checks], dtype=float),
@@ -633,8 +621,16 @@ def run(cfg: ExperimentConfig, out_dir: str, n_threads: int = 1) -> Verification
         [c.comparison for c in checks],
         [str(c.passed).lower() for c in checks],
     ])
+    files = {}
     for stem, header, columns in [checks_table, *tables, *series]:
-        write_csv(os.path.join(out_dir, stem.replace("-", "_") + ".csv"), header, columns)
+        name = stem.replace("-", "_") + ".csv"
+        if name in files:
+            raise ConfigError(f"two tables of the run would write {name}")
+        files[name] = header, columns
+    os.makedirs(out_dir, exist_ok=True)
+    write_report(out_dir, report)
+    for name, (header, columns) in files.items():
+        write_csv(os.path.join(out_dir, name), header, columns)
     return report
 
 

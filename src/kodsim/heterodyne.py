@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .ensemble import draw_levels, run_ensemble
+from .ensemble import BATCH, draw_levels, run_ensemble
 from .exceptions import (
     DomainError,
     ExtentError,
@@ -295,15 +295,20 @@ def _born_kernel(rho: np.ndarray, zetas: np.ndarray, T: float, kappa_o: float) -
     ``<gamma|rho_T|gamma>`` at ``gamma = zeta/sqrt(Sigma)`` of the lost state
     (:func:`fock.lost_state` at ``eta = Sigma``), contracted row by row (no
     BLAS), with the coherent amplitudes ``<j|gamma>`` formed in log space by
-    :func:`fock.scaled_powers`, so it underflows only with its value."""
+    :func:`fock.scaled_powers`, so it underflows only with its value;
+    ``BATCH`` points at a time, so its working arrays are bounded."""
     dim = rho.shape[0]
     sigma = _density_width(T, kappa_o)
     j = np.arange(dim)
     log_norm = log_lowering(dim)[:, 0] - 0.5 * np.log(sigma) * j
-    u = scaled_powers(zetas, j, log_norm - (0.5 / sigma) * np.abs(zetas)[:, None] ** 2)
-    q = np.einsum("nl,jl->nj", u, lost_state(rho, sigma))
-    # Re(u conj(q)) is Re(conj(u) q), with q conjugated in place of a copy of u
-    return np.einsum("nj,nj->n", u, np.conjugate(q, out=q)).real
+    lost = lost_state(rho, sigma)
+    out = []
+    for z in np.split(zetas, range(BATCH, zetas.size, BATCH)):
+        u = scaled_powers(z, j, log_norm - (0.5 / sigma) * np.abs(z)[:, None] ** 2)
+        q = np.einsum("nl,jl->nj", u, lost)
+        # Re(u conj(q)) is Re(conj(u) q), with q conjugated in place of a copy of u
+        out.append(np.einsum("nj,nj->n", u, np.conjugate(q, out=q)).real)
+    return np.concatenate(out)
 
 
 def born_pdf(rho: np.ndarray, zeta, T: float, kappa_o: float) -> float | np.ndarray:

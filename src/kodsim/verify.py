@@ -255,19 +255,17 @@ def _scaling_factor(kappa_T_values, defects: list[float]) -> float:
     return worst
 
 
-def projector_defects(
-    instrument: str, at, kappa_T_values, kappa_o: float, dim: int, sub_dim: int
-) -> list[float]:
+def projector_defects(instrument: str, at, kappa_T_values, dim: int, sub_dim: int) -> list[float]:
     """Distance of one POVM element from its projector at each kappa_o T:
     the photodetector's at jump count ``at``, the heterodyne's at amplitude
-    ``at``, each at the horizon ``kappa_T / kappa_o``."""
+    ``at``, each at ``T = kappa_T``, ``kappa_o = 1``: both depend on kappa_o T alone."""
     defect = (pd.projector_convergence if instrument == "photodetector"
               else het.projector_convergence_het)
-    return [defect(at, kappa_T / kappa_o, kappa_o, dim, sub_dim) for kappa_T in kappa_T_values]
+    return [defect(at, kappa_T, 1.0, dim, sub_dim) for kappa_T in kappa_T_values]
 
 
 def projector_sweep(
-    photo_ns, het_zetas, kappa_T_values, kappa_o: float, dim: int, sub_dim: int
+    photo_ns, het_zetas, kappa_T_values, dim: int, sub_dim: int
 ) -> tuple[list[Check], list]:
     """Per jump count in ``photo_ns``, then amplitude in ``het_zetas``: a check
     that the projector defects shrink like e^{-kappa_o T} along a sweep of at
@@ -286,7 +284,7 @@ def projector_sweep(
     ]
     checks, instruments, labels, defects = [], [], [], []
     for instrument, at, label in sweep:
-        swept = projector_defects(instrument, at, kappa_T_values, kappa_o, dim, sub_dim)
+        swept = projector_defects(instrument, at, kappa_T_values, dim, sub_dim)
         instruments += [instrument] * len(swept)
         labels += [label] * len(swept)
         defects += swept
@@ -298,7 +296,7 @@ def projector_sweep(
 
 def projector_scaling_checks() -> list[Check]:
     """Scaling checks for n = 0..2 and zeta = 0, 0.5 over kappa_o T = 2..5."""
-    return projector_sweep(PROJECTOR_NS, PROJECTOR_ZETAS, PROJECTOR_KAPPA_TS, 1.0, DIM, SUB_DIM)[0]
+    return projector_sweep(PROJECTOR_NS, PROJECTOR_ZETAS, PROJECTOR_KAPPA_TS, DIM, SUB_DIM)[0]
 
 
 ALL_GROUPS = {

@@ -302,12 +302,12 @@ class TestPlotSeries:
                 "verify-identities",
                 {"checks": ["trace"], "series": [
                     {"name": "effective-mean", "points": 51},
-                    {"name": "projector-defect-het", "zeta": [0.5, 0.1], "kappa_o": 2},
+                    {"name": "projector-defect-het", "zeta": [0.5, 0.1]},
                 ]},
-                "faac5fb282e1b5a7",
+                "e58ef81ceda43912",
             ),
             ("povm-convergence", {"series": [{"name": "beta-cooling", "samples": 1000}]},
-             "b439132353eefe7c"),
+             "dc8393d043dabd34"),
         ],
     )
     def test_series_keep_their_hash(self, kind, cfg_dict, digest):
@@ -382,7 +382,7 @@ DEFAULT_HASHES = {
     "heterodyne-ensemble": "c1123cf87b6f81b2",
     "evolve-kod": "c933de7fc24c7e16",
     "verify-identities": "774007b3f4916451",
-    "povm-convergence": "ef23b18d794b4797",
+    "povm-convergence": "e489b518bb610ca8",
 }
 
 
@@ -852,11 +852,11 @@ def test_projector_scaling_follows_the_sweep_spacing(tmp_path, capsys):
     # used to compare every ratio with e^{-1}
     cfg = {"kappa_T_values": [2.0, 4.0], "photo_ns": [0], "het_zetas": [0.5]}
     assert run_main(tmp_path, "povm-convergence", cfg) == 0
-    checks, _ = verify.projector_sweep([0], [0.5], [2.0, 2.5, 3.0, 3.5], 1.0, 40, 20)
+    checks, _ = verify.projector_sweep([0], [0.5], [2.0, 2.5, 3.0, 3.5], 40, 20)
     assert all(c.measured < 1.1 for c in checks)
     for values in ([2.0], [], [2.0, 2.0]):
         with pytest.raises(DomainError):
-            verify.projector_sweep([0], [], values, 1.0, 40, 20)
+            verify.projector_sweep([0], [], values, 40, 20)
 
 
 def test_projector_scaling_rejects_a_sweep_outside_its_regime(tmp_path, capsys):
@@ -871,13 +871,11 @@ def test_projector_scaling_rejects_a_sweep_outside_its_regime(tmp_path, capsys):
     cfg["kappa_T_values"] = [math.log(60.0), math.log(60.0) + 1.0]
     assert run_main(tmp_path, "povm-convergence", cfg) == 0
     with pytest.raises(ConfigError):
-        verify.projector_sweep([0, 3], [], [1.0, 2.0], 1.0, 40, 20)
+        verify.projector_sweep([0, 3], [], [1.0, 2.0], 40, 20)
     assert 2 * math.exp(-verify.PROJECTOR_KAPPA_TS[0]) <= verify.PROJECTOR_REGIME
 
 
-@pytest.mark.parametrize(
-    "cfg", [{"kappa_T_values": [2.2345, 3.0]}, {"params": {"kappa_o": 3.0}}]
-)
+@pytest.mark.parametrize("cfg", [{"kappa_T_values": [2.2345, 3.0]}])
 def test_povm_convergence_fits_each_swept_horizon_to_the_grid(tmp_path, capsys, cfg):
     # kappa_T / kappa_o off the dt grid used to exit 2, "T = ... is not an
     # integer multiple of dt", in the sweep and in its default series alike
@@ -889,16 +887,66 @@ def test_povm_convergence_fits_each_swept_horizon_to_the_grid(tmp_path, capsys, 
             "projector_defect_het_zeta0.5.csv"} <= names
 
 
-def test_povm_convergence_reads_kappa_o_T_alone(tmp_path):
-    # instrument autonomy: the POVM depends on kappa_o T alone, and the
-    # horizon kappa_T / kappa_o at kappa_o 2 is an exact halving, so the
-    # sweep's checks and defects keep every byte
-    tables = []
-    for kappa_o in (1.0, 2.0):
-        out = tmp_path / str(kappa_o)
-        cli.run(cli.resolve_config("povm-convergence", {"params": {"kappa_o": kappa_o}}), str(out))
-        tables.append([(out / name).read_bytes() for name in ("checks.csv", "defects.csv")])
-    assert tables[0] == tables[1]
+@pytest.mark.parametrize(
+    "kind, cfg, key",
+    [
+        ("povm-convergence", {"params": {"kappa_o": 2.0}}, "params: kappa_o"),
+        *(("verify-identities", {"checks": ["trace"], "series": [{"name": name, "kappa_o": 2.0}]},
+           "series: kappa_o")
+          for name in ("beta-cooling", "projector-defect-photo", "projector-defect-het")),
+    ],
+    ids=["povm-convergence", "beta-cooling", "projector-defect-photo", "projector-defect-het"],
+)
+def test_a_kappa_o_T_sweep_takes_no_kappa_o(tmp_path, capsys, kind, cfg, key):
+    # instrument autonomy: both POVMs depend on kappa_o T alone, so a sweep
+    # given in kappa_T has no kappa_o to set; these keys used to change no
+    # result beyond roundoff
+    assert run_main(tmp_path, kind, cfg) == 2
+    assert capsys.readouterr().err == f"error: unknown keys in {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "series, name",
+    [
+        # the file name reads |zeta|, so 0.5 and 0.5i share one
+        ([{"name": "projector-defect-het", "zeta": 0.5},
+          {"name": "projector-defect-het", "zeta": [0, 0.5]}], "projector_defect_het_zeta0.5.csv"),
+        ([{"name": "effective-mean", "kappa_o": 1}, {"name": "effective-mean", "kappa_o": 2}],
+         "effective_mean.csv"),
+    ],
+    ids=["zeta", "effective-mean"],
+)
+def test_series_that_share_a_file_exit_two(tmp_path, capsys, series, name):
+    # each run used to exit 0 and keep only the last series' table
+    assert run_main(tmp_path, "verify-identities", {"checks": ["trace"], "series": series}) == 2
+    assert capsys.readouterr().err == f"error: two tables of the run would write {name}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_series_write_each_file_once(tmp_path, capsys):
+    # the defect, like the file name, reads |zeta| alone, so -0.5 and 0.5
+    # make one default series, as a repeated n does
+    cfg = {"het_zetas": [-0.5, 0.5], "photo_ns": [1, 0, 1]}
+    assert run_main(tmp_path, "povm-convergence", cfg) == 0
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "checks.csv", "defects.csv", "projector_defect_het_zeta0.5.csv",
+        "projector_defect_photo_n0.csv", "projector_defect_photo_n1.csv", "report.json",
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, cfg, key",
+    [
+        ("povm-convergence", {"photo_ns": [-1, 0]}, "photo_ns[0]"),
+        ("verify-identities", {"checks": ["trace"], "series": [
+            {"name": "projector-defect-photo", "n": -1}]}, "series.n"),
+    ],
+)
+def test_a_negative_jump_count_names_its_key(tmp_path, capsys, kind, cfg, key):
+    # photo_ns exited 2 with the key-less "need 0 <= n < dim, got n=-1"
+    assert run_main(tmp_path, kind, cfg) == 2
+    assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
 
 
 def test_photodetect_tail_beyond_n_max_is_one_bin(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The config keys each run kind accepts, pinned by dotted name.
+"""The config keys each run kind and each plot series accepts, pinned by
+dotted name.
 
 A new key is a new option: it fails here until the pin is edited on
-purpose, and until README's "Config keys and defaults" tables list it.
+purpose, and until README's "Config keys and defaults" or "Plot series"
+tables list it.
 """
 
 import pathlib
@@ -29,8 +31,17 @@ KEYS = {
     },
     "verify-identities": COMMON | {"checks"},
     "povm-convergence": COMMON | {
-        "params.kappa_o", "params.dim", "sub_dim", "kappa_T_values", "photo_ns", "het_zetas",
+        "params.dim", "sub_dim", "kappa_T_values", "photo_ns", "het_zetas",
     },
+}
+CURVE = {"name", "kappa_o", "t_max", "points"}
+DEFECT_SWEEP = {"name", "kappa_T", "dim", "sub_dim"}
+SERIES_KEYS = {
+    "effective-mean": CURVE,
+    "effective-covariance": CURVE,
+    "beta-cooling": {"name", "kappa_T", "samples"},
+    "projector-defect-photo": DEFECT_SWEEP | {"n"},
+    "projector-defect-het": DEFECT_SWEEP | {"zeta"},
 }
 
 
@@ -71,6 +82,21 @@ def readme_keys() -> dict[str, set[str]]:
     return tables
 
 
+def readme_series_keys() -> dict[str, set[str]]:
+    """Keys of each row of the README's "Plot series" table, ``name`` with
+    them: the names the row's first cell lists, each key in the second cell
+    the one before its parenthesized default."""
+    section = README.read_text(encoding="utf-8").split("### Plot series")[1]
+    tables: dict[str, set[str]] = {}
+    for line in section.split("\n### ")[0].splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 2 and cells[0].startswith("| `"):
+            keys = {"name", *re.findall(r"`(\w+)` \(", cells[1])}
+            for name in re.findall(r"`([a-z-]+)`", cells[0]):
+                tables[name] = keys
+    return tables
+
+
 def test_kinds_pinned():
     assert set(cli.KINDS) == set(KEYS)
 
@@ -84,3 +110,17 @@ def test_config_keys_pinned(kind):
 def test_readme_lists_the_config_keys(kind):
     tables = readme_keys()
     assert tables["common"] | tables.get(kind, set()) == KEYS[kind]
+
+
+def test_series_pinned():
+    assert set(cli.SERIES) == set(SERIES_KEYS)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_KEYS))
+def test_series_keys_pinned(name):
+    assert {"name", *dotted(cli.SERIES[name])} == SERIES_KEYS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_KEYS))
+def test_readme_lists_the_series_keys(name):
+    assert readme_series_keys()[name] == SERIES_KEYS[name]

@@ -489,6 +489,36 @@ class TestBornDensity:
                 cell = np.einsum("k,l,kl->", gl_w, gl_w, vals.reshape(8, 8)) * hx * hy / np.pi
                 assert abs(probs[i, j] - cell) <= 1e-13 * cell
 
+    def test_born_kernel_slices_keep_every_bit(self, monkeypatch):
+        # 2 BATCH + 3 points go in three slices; each point's value is its own
+        # row's contraction, so the slices equal one contraction of all points
+        rng = records.stream(7, 0)
+        n = 2 * ensemble.BATCH + 3
+        zetas = 1.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        rho = fock.density(random_mixed(12))
+        sliced = het._born_kernel(rho, zetas, LN2, 1.0)
+        monkeypatch.setattr(het, "BATCH", n)
+        whole = het._born_kernel(rho, zetas, LN2, 1.0)
+        assert np.array_equal(sliced.view(np.int64), whole.view(np.int64))
+
+    def test_bin_probs_hold_one_slice_of_nodes(self):
+        # 32 bins per axis are 65,536 nodes; contracted at once at d = 40 they
+        # held 103 MiB, about 1.6 KiB per node
+        dim, bins = 40, 32
+        rho = fock.density(fock.coherent_state(dim, 1.0))
+        edges = np.linspace(-3.0, 3.0, bins + 1)
+        nodes = (8 * bins) ** 2
+        tracemalloc.start()
+        try:
+            het.born_bin_probs(rho, edges, edges, LN2, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few (BATCH, dim) complex arrays for the slice, and a few scalars
+        # per node for the nodes and their densities
+        slice_bytes = ensemble.BATCH * dim * 16
+        assert peak < 6 * slice_bytes + 64 * nodes, peak
+
     def test_born_factorization_random_state(self):
         # random low-excitation pure state: the density integrates to one and
         # matches the empirical trajectory amplitudes (8x8 chi-square)
