@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from kodsim import cli, ensemble, fock, heterodyne as het, records, stepped, verify
+from kodsim import photodetector as pd
 from kodsim.exceptions import ConfigError, DomainError
 from oracles import write_csv_rows
 
@@ -875,16 +876,43 @@ def test_projector_scaling_rejects_a_sweep_outside_its_regime(tmp_path, capsys):
     assert 2 * math.exp(-verify.PROJECTOR_KAPPA_TS[0]) <= verify.PROJECTOR_REGIME
 
 
-@pytest.mark.parametrize("cfg", [{"kappa_T_values": [2.2345, 3.0]}])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"kappa_T_values": [2.2345, 3.0]},
+        {"series": [{"name": "projector-defect-photo", "kappa_T": [1.2345, 3.0]},
+                    {"name": "projector-defect-het", "kappa_T": [1.2345, 3.0]}]},
+    ],
+)
 def test_povm_convergence_fits_each_swept_horizon_to_the_grid(tmp_path, capsys, cfg):
-    # kappa_T / kappa_o off the dt grid used to exit 2, "T = ... is not an
-    # integer multiple of dt", in the sweep and in its default series alike
-    # (the sweep starts above ln 4, as n = 2 needs PROJECTOR_REGIME)
+    # a kappa_o T off the dt grid used to exit 2, "T = ... is not an integer
+    # multiple of dt", in the sweep and in its series alike (the sweep starts
+    # above ln 4, as n = 2 needs PROJECTOR_REGIME)
     assert run_main(tmp_path, "povm-convergence", cfg) == 0
     assert capsys.readouterr().err == ""
     names = set(os.listdir(tmp_path / "out"))
     assert {"report.json", "checks.csv", "defects.csv", "projector_defect_photo_n0.csv",
             "projector_defect_het_zeta0.5.csv"} <= names
+
+
+def test_povm_convergence_reads_kappa_o_T_alone(tmp_path):
+    # instrument autonomy: the POVM depends on kappa_o T alone, and the
+    # horizon kappa_T / kappa_o at kappa_o 2 is an exact halving, so the
+    # sweep's defects, taken at kappa_o 1, keep every byte at kappa_o 2
+    out = tmp_path / "out"
+    cli.run(cli.resolve_config("povm-convergence", {}), str(out))
+    header, rows = read_csv(out / "defects.csv")
+    defect = {"photodetector": pd.projector_convergence,
+              "heterodyne": het.projector_convergence_het}
+    ats = {f"n={n}": n for n in verify.PROJECTOR_NS}
+    ats.update({f"zeta={z:g}": z for z in verify.PROJECTOR_ZETAS})
+    halved = [
+        defect[instrument](ats[label], float(kappa_T) / 2.0, 2.0, verify.DIM, verify.SUB_DIM)
+        for instrument, label, kappa_T, _ in rows
+    ]
+    columns = [*map(list, zip(*rows))][:3] + [np.array(halved)]
+    cli.write_csv(str(tmp_path / "halved.csv"), header, columns)
+    assert (tmp_path / "halved.csv").read_bytes() == (out / "defects.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
